@@ -1,26 +1,20 @@
-"""Micro-benchmarks for the PR-10 hot structures (DESIGN.md §16):
-scheduler churn (wheel vs heap) and the redirector fast table.
+"""Micro-benchmarks for two hot structures (DESIGN.md §10): scheduler
+churn and the redirector fast table.
 
 Unlike the macro-benchmark these time a single structure in isolation,
 so the numbers are only comparable *within* one run — CI uses them to
-spot order-of-magnitude cliffs, not absolute speed.  The honest finding
-they document: CPython's C ``heapq`` wins raw schedule/cancel churn at
-every queue depth we measured, while the wheel holds parity on the
-macro-benchmark — see DESIGN.md §16 for why the wheel is still the
-default.
+spot order-of-magnitude cliffs, not absolute speed.
 """
 
-import pytest
-
-from repro.netsim.simulator import HeapSimulator, WheelSimulator
+from repro.netsim.simulator import Simulator
 
 
-def _churn(sim_cls, n_pending: int = 2000, ops: int = 20_000) -> int:
+def _churn(n_pending: int = 2000, ops: int = 20_000) -> int:
     """Representative scheduler churn: a standing population of timers
     being continuously fired, re-armed, and occasionally cancelled at
     the engine's short-horizon mix (retransmit/heartbeat/serialization
     delays)."""
-    sim = sim_cls()
+    sim = Simulator()
     fired = 0
 
     def tick():
@@ -39,20 +33,10 @@ def _churn(sim_cls, n_pending: int = 2000, ops: int = 20_000) -> int:
     return fired
 
 
-@pytest.mark.parametrize("sim_cls", [WheelSimulator, HeapSimulator],
-                         ids=["wheel", "heap"])
-def test_bench_scheduler_churn(benchmark, sim_cls):
-    fired = benchmark.pedantic(
-        _churn, args=(sim_cls,), rounds=3, iterations=1
-    )
+def test_bench_scheduler_churn(benchmark):
+    fired = benchmark.pedantic(_churn, rounds=3, iterations=1)
     assert fired > 0
     benchmark.extra_info["fired"] = fired
-
-
-def test_bench_scheduler_churn_differential():
-    """The churn workload fires the identical event count either way —
-    cheap insurance that the micro-benchmark itself is differential."""
-    assert _churn(WheelSimulator, 500, 4000) == _churn(HeapSimulator, 500, 4000)
 
 
 def _fast_table_lookups(n_services: int = 256, lookups: int = 200_000) -> int:

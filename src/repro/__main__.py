@@ -38,7 +38,6 @@ def main() -> int:
     print("  python -m repro fuzz --replay FILE     replay a saved reproducer")
     print("  python -m repro fuzz --backend all     fuzz every replication backend")
     print("  python -m repro perf [--check]         engine benchmark vs best committed baseline")
-    print("  python -m repro perf --compare-schedulers  wheel-vs-heap fingerprints + parity")
     print("  python -m repro perf --profile [DIR]   event histogram + cProfile breakdown")
     print("  python -m repro perf --scaling         scenario-throughput scaling sweep")
     print("  python -m repro mesh [--fast|--certify] datacenter-mesh scaling sweep (D5)")

@@ -18,11 +18,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.netsim.packet import IPPacket, Protocol, TCPSegment
 from repro.tcp.seqnum import seq_add, seq_diff
+from repro.tcp.tcb import TcpState
 
 if TYPE_CHECKING:
     from repro.core.ft_tcp import FtConnectionState, FtPort
-    from repro.netsim.packet import IPPacket, TCPSegment
 
 #: Per-connection cap on the canonical stream kept by
 #: :class:`StreamIntegrityMonitor`; beyond it only the length is
@@ -344,8 +345,6 @@ class OutputLivenessMonitor(_Monitor):
     def on_liveness_tick(self, port: "FtPort") -> None:
         if self.bound is None:
             return
-        from repro.tcp.tcb import TcpState
-
         now = self.invset.sim.now
         for state in port.states.values():
             key = id(state)
@@ -498,8 +497,6 @@ class InvariantSet:
         return self._observe_service_segment(packet, self._redirector_table)
 
     def _observe_service_segment(self, packet: "IPPacket", table) -> bool:
-        from repro.netsim.packet import Protocol, TCPSegment
-
         if packet.protocol != Protocol.TCP or packet.is_fragment:
             return False
         segment = packet.payload

@@ -415,95 +415,6 @@ def run_pooled_engine_medians(
     }
 
 
-# -- scheduler differential (PR 10: timer wheel vs heap) ---------------------
-
-
-def compare_schedulers(runs: int = 5, **workload) -> dict:
-    """Run the engine macro-benchmark under both schedulers, interleaved.
-
-    The hard gate is *fingerprint equality*: every deterministic field
-    must be byte-identical between the wheel and the heap — they are
-    two implementations of one event schedule.  The wall-clock ratio is
-    informational (see DESIGN.md §16: CPython's C ``heapq`` keeps the
-    heap at rough parity with the pure-Python wheel, so the ratio
-    hovers around 1.0 rather than the textbook wheel win).
-    """
-    import repro.netsim.simulator  # noqa: F401 — fail fast before mutating env
-
-    samples: dict[str, list[EnginePerfResult]] = {"heap": [], "wheel": []}
-    saved = os.environ.get("REPRO_SCHEDULER")
-    try:
-        for _ in range(runs):
-            for scheduler in ("heap", "wheel"):
-                os.environ["REPRO_SCHEDULER"] = scheduler
-                samples[scheduler].append(run_engine_benchmark(**workload))
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SCHEDULER", None)
-        else:
-            os.environ["REPRO_SCHEDULER"] = saved
-
-    def deterministic(results: list[EnginePerfResult]) -> dict:
-        first = {f: getattr(results[0], f) for f in _ENGINE_DETERMINISTIC_FIELDS}
-        for r in results[1:]:
-            for f in _ENGINE_DETERMINISTIC_FIELDS:
-                if getattr(r, f) != first[f]:
-                    raise RuntimeError(
-                        f"deterministic field {f!r} drifted between "
-                        f"repetitions of one scheduler: {first[f]!r} vs "
-                        f"{getattr(r, f)!r}"
-                    )
-        return first
-
-    report = {
-        "workload": dict(workload),
-        "runs": runs,
-        "schedulers": {
-            name: {
-                "deterministic": deterministic(rs),
-                "median_events_per_sec": round(
-                    statistics.median(r.events_per_sec for r in rs), 1
-                ),
-                "median_wall_seconds": round(
-                    statistics.median(r.wall_seconds for r in rs), 4
-                ),
-            }
-            for name, rs in samples.items()
-        },
-    }
-    heap_evs = report["schedulers"]["heap"]["median_events_per_sec"]
-    wheel_evs = report["schedulers"]["wheel"]["median_events_per_sec"]
-    report["wheel_over_heap"] = round(wheel_evs / heap_evs, 3) if heap_evs else 0.0
-    return report
-
-
-def check_scheduler_parity(report: dict, min_ratio: float = 0.85) -> list[str]:
-    """CI gate for :func:`compare_schedulers`; returns problems.
-
-    Fingerprint equality is unconditional.  The events/sec ratio gates
-    at ``min_ratio`` — a *parity guard* against the wheel silently
-    rotting, not a claimed speedup (DESIGN.md §16 records why the
-    original ≥1.3x target is not reachable in pure Python against the
-    C ``heapq``).
-    """
-    problems: list[str] = []
-    heap = report["schedulers"]["heap"]["deterministic"]
-    wheel = report["schedulers"]["wheel"]["deterministic"]
-    for f in _ENGINE_DETERMINISTIC_FIELDS:
-        if heap[f] != wheel[f]:
-            problems.append(
-                f"scheduler fingerprints diverge: {f} = {wheel[f]!r} (wheel) "
-                f"vs {heap[f]!r} (heap)"
-            )
-    ratio = report["wheel_over_heap"]
-    if ratio < min_ratio:
-        problems.append(
-            f"wheel/heap events-per-sec ratio {ratio:.3f} below the "
-            f"{min_ratio:.2f} parity guard"
-        )
-    return problems
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.metrics.perf",
@@ -525,16 +436,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         metavar="DIR",
         help="profile one engine run: event-class histogram + cProfile "
         "artifacts into DIR (default ./perf-profile)",
-    )
-    parser.add_argument(
-        "--compare-schedulers", action="store_true",
-        help="run the engine benchmark under wheel AND heap schedulers, "
-        "gate fingerprint equality, report the speed ratio",
-    )
-    parser.add_argument(
-        "--min-ratio", type=float, default=0.85, metavar="R",
-        help="wheel/heap events-per-sec parity guard for "
-        "--compare-schedulers --check (default 0.85)",
     )
     parser.add_argument(
         "--baseline", type=Path, default=None, metavar="PATH",
@@ -564,38 +465,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
         report = profile_engine(out_dir=args.profile)
         print(report.render())
-        return 0
-
-    if args.compare_schedulers:
-        report = compare_schedulers(runs=args.runs)
-        for name in ("heap", "wheel"):
-            rec = report["schedulers"][name]
-            print(
-                f"{name:>6}: median {rec['median_events_per_sec']:>10,.1f} ev/s "
-                f"({rec['median_wall_seconds']:.4f}s wall), "
-                f"events={rec['deterministic']['events']} "
-                f"sim={rec['deterministic']['sim_seconds']}s "
-                f"peak={rec['deterministic']['peak_queue_len']}"
-            )
-        print(f"wheel/heap ratio: {report['wheel_over_heap']:.3f}")
-        if args.out is not None:
-            args.out.write_text(
-                json.dumps(report, indent=1, sort_keys=True) + "\n"
-            )
-        problems = check_scheduler_parity(report, min_ratio=args.min_ratio)
-        if args.check and problems:
-            print("SCHEDULER PARITY FAILURES:")
-            for p in problems:
-                print(f"  - {p}")
-            return 1
-        if args.check:
-            print(
-                "Scheduler check: OK (fingerprints identical, ratio >= "
-                f"{args.min_ratio:.2f})"
-            )
-        elif problems:
-            for p in problems:
-                print(f"note: {p}")
         return 0
 
     if not args.scaling:

@@ -5,12 +5,11 @@ Two complementary views of where the engine spends its effort
 
 * **Event-class histogram** — a deterministic count of every event
   posted to the scheduler, keyed by the callback's qualified name.
-  :func:`capture_histograms` swaps profiling subclasses into the
-  scheduler registry for the duration of a ``with`` block, so any
-  simulator built inside (testbeds, experiments) is counted.  The
-  histogram depends only on the simulated schedule, never on wall
-  clock, so it is byte-identical across machines and across the wheel
-  and heap schedulers — it doubles as a cheap differential fingerprint.
+  :func:`capture_histogram` counts posts on every simulator built
+  inside a ``with`` block (testbeds, experiments).  The histogram
+  depends only on the simulated schedule, never on wall clock, so it
+  is byte-identical across machines — it doubles as a cheap
+  behavioural fingerprint.
 
 * **Subsystem wall-clock breakdown** — a cProfile capture aggregated
   by source module into the subsystems named in the perf reports:
@@ -38,8 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
 
-from repro.netsim import simulator as _sim_mod
-from repro.netsim.simulator import HeapSimulator, WheelSimulator
+from repro.netsim.simulator import Simulator
 
 #: Module-prefix → subsystem, first match wins (most specific first).
 SUBSYSTEM_PREFIXES: tuple[tuple[str, str], ...] = (
@@ -91,84 +89,45 @@ def event_class(callback: Callable[..., Any]) -> str:
 
 # -- event-class histogram ---------------------------------------------------
 
-# Populated by capture_histograms() while active; profiling simulators
-# append themselves on construction so callers can read the counts even
-# though the testbeds never hand the simulator back.
-_capture_sink: Optional[list] = None
-
-
-class _HistogramMixin:
-    """Counts every posted event by callback class.
-
-    Counting happens at *post* time (one Counter bump per event), which
-    keeps the hot dispatch loops untouched and makes the histogram a
-    pure function of the simulated schedule — cancelled events are
-    counted too, deliberately: cancellation churn is exactly what the
-    histogram is there to expose.
-    """
-
-    def __init__(self, seed: int = 0):
-        super().__init__(seed)
-        self.event_histogram: Counter = Counter()
-        if _capture_sink is not None:
-            _capture_sink.append(self)
-
-    def schedule_at(self, time, callback, *args):
-        self.event_histogram[event_class(callback)] += 1
-        return super().schedule_at(time, callback, *args)
-
-    def post(self, delay, callback, *args):
-        self.event_histogram[event_class(callback)] += 1
-        super().post(delay, callback, *args)
-
-    def post_at(self, time, callback, *args):
-        self.event_histogram[event_class(callback)] += 1
-        super().post_at(time, callback, *args)
-
-
-class ProfilingHeapSimulator(_HistogramMixin, HeapSimulator):
-    pass
-
-
-class ProfilingWheelSimulator(_HistogramMixin, WheelSimulator):
-    pass
-
-
-_PROFILING_SCHEDULERS = {
-    "heap": ProfilingHeapSimulator,
-    "wheel": ProfilingWheelSimulator,
-}
+_POST_METHODS = ("schedule_at", "post", "post_at")
 
 
 @contextmanager
-def capture_histograms() -> Iterator[list]:
-    """Swap profiling schedulers into the registry for the block.
+def capture_histogram() -> Iterator[Counter]:
+    """Count every event posted to any :class:`Simulator` inside the
+    block, keyed by :func:`event_class`.
 
-    Yields a list that fills with every simulator constructed inside
-    the block; read ``sim.event_histogram`` off each afterwards (or use
-    :func:`merged_histogram`).
+    The three posting methods are wrapped on the class for the duration
+    of the block (``schedule`` goes through ``schedule_at``), so
+    simulators built by testbeds that never hand them back are counted
+    too and the dispatch loop stays untouched.  Counting at *post* time
+    makes the histogram a pure function of the simulated schedule —
+    cancelled events are counted too, deliberately: cancellation churn
+    is exactly what the histogram is there to expose.
     """
-    global _capture_sink
-    saved_registry = dict(_sim_mod._SCHEDULERS)
-    saved_sink = _capture_sink
-    sims: list = []
-    _sim_mod._SCHEDULERS.update(_PROFILING_SCHEDULERS)
-    _capture_sink = sims
+    histogram: Counter = Counter()
+
+    def counting(original):
+        def posted(sim, when, callback, *args):
+            histogram[event_class(callback)] += 1
+            return original(sim, when, callback, *args)
+
+        return posted
+
+    originals = {name: getattr(Simulator, name) for name in _POST_METHODS}
+    for name, original in originals.items():
+        setattr(Simulator, name, counting(original))
     try:
-        yield sims
+        yield histogram
     finally:
-        _sim_mod._SCHEDULERS.clear()
-        _sim_mod._SCHEDULERS.update(saved_registry)
-        _capture_sink = saved_sink
+        for name, original in originals.items():
+            setattr(Simulator, name, original)
 
 
-def merged_histogram(sims: list) -> dict[str, int]:
-    """Sum the event histograms of captured simulators, sorted by
-    descending count (ties by name) for stable JSON output."""
-    total: Counter = Counter()
-    for sim in sims:
-        total.update(sim.event_histogram)
-    return dict(sorted(total.items(), key=lambda kv: (-kv[1], kv[0])))
+def ordered_histogram(histogram: Counter) -> dict[str, int]:
+    """The histogram sorted by descending count (ties by name) for
+    stable JSON output."""
+    return dict(sorted(histogram.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
 # -- subsystem wall-clock breakdown ------------------------------------------
@@ -194,7 +153,6 @@ def subsystem_breakdown(stats: pstats.Stats) -> dict[str, float]:
 class ProfileReport:
     """One profiled engine-benchmark run."""
 
-    scheduler: str
     wall_seconds: float
     events: int
     events_per_sec: float
@@ -204,7 +162,6 @@ class ProfileReport:
 
     def to_dict(self) -> dict:
         return {
-            "scheduler": self.scheduler,
             "wall_seconds": self.wall_seconds,
             "events": self.events,
             "events_per_sec": self.events_per_sec,
@@ -215,7 +172,7 @@ class ProfileReport:
 
     def render(self, top_classes: int = 12) -> str:
         lines = [
-            f"profile: scheduler={self.scheduler} wall={self.wall_seconds:.3f}s "
+            f"profile: wall={self.wall_seconds:.3f}s "
             f"events={self.events} ({self.events_per_sec:,.0f} ev/s)",
             "  time per subsystem (self-time, wall-clock — machine-dependent):",
         ]
@@ -248,20 +205,17 @@ def profile_engine(
     import time as _time
 
     from repro.metrics.perf import run_engine_benchmark
-    from repro.netsim.simulator import scheduler_from_env
 
-    scheduler = scheduler_from_env()
     profiler = cProfile.Profile()
-    with capture_histograms() as sims:
+    with capture_histogram() as counts:
         start = _time.perf_counter()
         profiler.enable()
         result = run_engine_benchmark(**workload)
         profiler.disable()
         wall = _time.perf_counter() - start
-    histogram = merged_histogram(sims)
+    histogram = ordered_histogram(counts)
     stats = pstats.Stats(profiler)
     report = ProfileReport(
-        scheduler=scheduler,
         wall_seconds=round(wall, 4),
         events=result.events,
         events_per_sec=result.events_per_sec,

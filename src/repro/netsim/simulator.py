@@ -5,38 +5,22 @@ Everything in the reproduction runs on virtual time provided by
 times; ties are broken by insertion order, which makes runs fully
 deterministic for a given seed.
 
-Two interchangeable schedulers implement the engine (DESIGN.md §16).
-``Simulator(seed)`` picks one from the ``REPRO_SCHEDULER`` environment
-variable (``wheel`` — the default — or ``heap``); both produce the
-byte-identical event schedule, so every fingerprint in the repository
-(Figure 4, the partition experiment, the fuzz corpus) is scheduler
-independent and the heap engine doubles as the differential reference
-for the wheel.
+The scheduler is one binary heap of plain ``(time, seq, ...)`` tuples
+driven through the C ``heapq`` functions (DESIGN.md §10): ``seq`` is
+unique, so sift comparisons stay in C and never reach the callback.
 
-* :class:`HeapSimulator` (DESIGN.md §10) keeps plain ``(time, seq,
-  event)`` tuples in one binary heap so sift comparisons stay in C
-  (``seq`` is unique, so comparison never reaches the event object).
-* :class:`WheelSimulator` (DESIGN.md §16) is a hierarchical timer
-  wheel: four levels of 256 slots at a 2**-8 s (~3.9 ms) base tick,
-  occupancy bitmasks per level so finding the next populated slot is a
-  couple of int operations, and an overflow heap for deadlines beyond
-  the ~194-day horizon.  Posting is O(1) (no sift), and dispatch drains a
-  slot's entries in one sorted batch instead of one heap pop per event.
-
-Cancellation is lazy in both engines — a cancelled entry stays queued
-until it surfaces in dispatch order or until cancelled entries
-outnumber live ones, at which point the structure is compacted.
-:class:`Timer` absorbs the cancel/reschedule churn of retransmission
-timers and heartbeats by re-arming in place: pushing the deadline out
-does not touch the queue at all.
+Cancellation is lazy — a cancelled entry stays queued until it
+surfaces in dispatch order or until cancelled entries outnumber live
+ones, at which point the heap is compacted.  :class:`Timer` absorbs
+the cancel/reschedule churn of retransmission timers and heartbeats by
+re-arming in place: pushing the deadline out does not touch the queue
+at all.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import random
-from bisect import insort
 from math import inf
 from typing import Any, Callable, Optional
 
@@ -93,24 +77,8 @@ class EventHandle:
                 self._sim._note_cancelled()
 
 
-def scheduler_from_env() -> str:
-    """The scheduler ``Simulator()`` will pick: ``REPRO_SCHEDULER``
-    (``wheel`` or ``heap``), default ``wheel``."""
-    name = os.environ.get("REPRO_SCHEDULER", "wheel").strip().lower()
-    if name not in ("wheel", "heap"):
-        raise SimulationError(
-            f"REPRO_SCHEDULER must be 'wheel' or 'heap', got {name!r}"
-        )
-    return name
-
-
 class Simulator:
     """A deterministic discrete-event simulator.
-
-    Instantiating ``Simulator`` directly returns the scheduler selected
-    by ``REPRO_SCHEDULER`` (:func:`scheduler_from_env`); instantiate
-    :class:`HeapSimulator` or :class:`WheelSimulator` to pin one.  Both
-    engines execute the identical ``(time, seq)`` event schedule.
 
     Parameters
     ----------
@@ -120,14 +88,6 @@ class Simulator:
         :attr:`rng` so that runs are reproducible.
     """
 
-    #: Scheduler name, for reports and the perf harness.
-    scheduler = "abstract"
-
-    def __new__(cls, *args, **kwargs):
-        if cls is Simulator:
-            cls = _SCHEDULERS[scheduler_from_env()]
-        return object.__new__(cls)
-
     def __init__(self, seed: int = 0):
         self._now = 0.0
         self._seq = 0
@@ -135,6 +95,11 @@ class Simulator:
         self._running = False
         self._events_processed = 0
         self._peak_queue_len = 0
+        # Entries are (time, seq, _Event) for cancellable events and
+        # (time, seq, callback, args) for fire-and-forget posts; seq is
+        # unique, so heap comparisons never look past it and the mixed
+        # tuple widths are safe.
+        self._queue: list[tuple] = []
         #: Attached :class:`~repro.netsim.trace.Tracer`, or None.  Kept
         #: as a real attribute so the no-tracer check in packet hot
         #: paths is a single plain attribute load.
@@ -161,69 +126,17 @@ class Simulator:
         """Number of queued, non-cancelled events.  O(1): queue length
         minus a maintained count of lazily-cancelled entries — popping
         a live event costs no counter update at all."""
-        return self._queued() - self._dead
+        return len(self._queue) - self._dead
 
     @property
     def peak_queue_len(self) -> int:
         """High-water mark of the event queue (including entries that
-        were later cancelled) — the perf harness reports this.  The
-        trajectory of queued entries is identical under both
-        schedulers, so this figure is scheduler independent."""
+        were later cancelled) — the perf harness reports this."""
         return self._peak_queue_len
-
-    def schedule(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> float:
-        """Run until no events remain.  Guards against runaway loops.
-
-        ``max_events`` counts stale re-armed :class:`Timer` pops too
-        (see :meth:`run`), so extremely timer-heavy workloads consume
-        the budget slightly faster than their live event count.
-        """
-        self.run(max_events=max_events)
-        if self._queued() - self._dead:
-            raise SimulationError(
-                f"simulation did not go idle within {max_events} events"
-            )
-        return self._now
-
-    # Subclass responsibilities: schedule_at, post, post_at, _requeue,
-    # _note_cancelled, _queued, run.
-
-    def _queued(self) -> int:
-        """Entries currently queued, including cancelled ones."""
-        raise NotImplementedError
-
-
-class HeapSimulator(Simulator):
-    """The binary-heap scheduler (DESIGN.md §10) — the differential
-    reference for :class:`WheelSimulator`."""
-
-    scheduler = "heap"
-
-    def __init__(self, seed: int = 0):
-        super().__init__(seed)
-        # Entries are (time, seq, _Event) for cancellable events and
-        # (time, seq, callback, args) for fire-and-forget posts; seq is
-        # unique, so heap comparisons never look past it and the mixed
-        # tuple widths are safe.
-        self._queue: list[tuple] = []
-
-    def _queued(self) -> int:
-        return len(self._queue)
 
     def _note_cancelled(self) -> None:
         """A queued event was cancelled: bump the dead count and
-        compact the heap when cancelled entries dominate it.  The
-        trigger (``dead * 2 > n``) is algebraically the old
-        ``live * 2 < n``, so the compaction points — and therefore the
-        queue-length trajectory — are unchanged."""
+        compact the heap when cancelled entries dominate it."""
         dead = self._dead + 1
         queue = self._queue
         n = len(queue)
@@ -239,6 +152,14 @@ class HeapSimulator(Simulator):
             self._dead = 0
         else:
             self._dead = dead
+
+    def schedule(
+        self, delay: float, callback: Callable[..., None], *args: Any
+    ) -> EventHandle:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
@@ -350,417 +271,19 @@ class HeapSimulator(Simulator):
                 self._now = until
         return self._now
 
+    def run_until_idle(self, max_events: int = 10_000_000) -> float:
+        """Run until no events remain.  Guards against runaway loops.
 
-# -- hierarchical timer wheel -------------------------------------------------
-
-#: Wheel geometry: 4 levels x 256 slots at a 2**-8 s (~3.9 ms) base
-#: tick.  Level 0 spans 1 s (one tick per slot), level 1 ~4.3 min,
-#: level 2 ~18 h, level 3 ~194 days; anything further out waits in the
-#: overflow heap.
-_TICK_BITS = 8
-_TICK_SCALE = float(1 << _TICK_BITS)
-_LEVEL_BITS = 8
-_LEVEL_MASK = 255
-_LEVELS = 4
-_HORIZON_BITS = _LEVEL_BITS * _LEVELS  # 32
-
-
-class WheelSimulator(Simulator):
-    """Hierarchical timer wheel scheduler (DESIGN.md §16).
-
-    Entries are the same mixed-width ``(time, seq, ...)`` tuples as the
-    heap engine's.  An entry's wheel position depends only on its tick
-    (``int(time * 2**8)``) relative to the dispatch cursor: the level
-    is the highest 8-bit group in which the ticks differ, the slot is
-    the entry tick's group value.  Advancing the cursor into a
-    higher-level slot cascades that slot's entries down — every entry
-    is touched at most ``levels`` times over its life, and because slot
-    draining sorts each batch by ``(time, seq)`` before dispatch the
-    executed schedule is byte-identical to the heap engine's.
-
-    ``_cur_buf`` holds the sorted entries of the tick currently being
-    drained; same-tick posts made from inside a callback are merged in
-    ordered position (they carry fresh, larger seqs, so they always
-    land at or after the dispatch cursor).
-    """
-
-    scheduler = "wheel"
-
-    def __init__(self, seed: int = 0):
-        super().__init__(seed)
-        self._slots: list[list] = [[] for _ in range(_LEVELS * 256)]
-        self._occupied = [0] * _LEVELS  # per-level slot bitmask
-        self._cur = 0  # tick of the slot currently open in _cur_buf
-        self._cur_buf: list[tuple] = []  # sorted entries of tick _cur
-        self._cur_pos = 0  # dispatch index into _cur_buf
-        self._overflow: list[tuple] = []  # heap of beyond-horizon entries
-        self._qlen = 0  # queued entries incl. cancelled (= heap len(queue))
-
-    def _queued(self) -> int:
-        return self._qlen
-
-    # -- push ----------------------------------------------------------------
-
-    def _place(self, tick: int, entry: tuple) -> None:
-        """File ``entry`` under ``tick`` relative to the cursor.  Does
-        not touch the queue counters (used by push and cascade alike)."""
-        cur = self._cur
-        if tick <= cur:
-            # The open tick: merge into the live drain buffer in sorted
-            # position.  ``lo=_cur_pos`` keeps already-dispatched
-            # entries untouched; a new entry can never sort before the
-            # dispatch cursor because its time is >= now and its seq is
-            # larger than every dispatched one.
-            insort(self._cur_buf, entry, lo=self._cur_pos)
-            return
-        delta = tick ^ cur
-        level = (delta.bit_length() - 1) >> 3
-        if level >= _LEVELS:
-            heapq.heappush(self._overflow, entry)
-            return
-        idx = (level << _LEVEL_BITS) | ((tick >> (level << 3)) & _LEVEL_MASK)
-        self._slots[idx].append(entry)
-        self._occupied[level] |= 1 << (idx & _LEVEL_MASK)
-
-    def _push(self, time: float, entry: tuple) -> None:
-        """Out-of-line push — the hot scheduling methods below inline
-        this logic (a call per event costs more than the wheel math)."""
-        try:
-            tick = int(time * _TICK_SCALE)
-        except (OverflowError, ValueError):  # e.g. time = inf
-            heapq.heappush(self._overflow, entry)
-            self._qlen += 1
-            return
-        self._place(tick, entry)
-        self._qlen += 1
-
-    def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} (now is {self._now})"
-            )
-        event = _Event(callback, args)
-        seq = self._seq
-        self._seq = seq + 1
-        self._push(time, (time, seq, event))
-        return EventHandle(self, event, time)
-
-    def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule` — same contract as
-        :meth:`HeapSimulator.post`: the queue entry is a plain
-        ``(time, seq, callback, args)`` tuple, no handle, no _Event."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        time = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        entry = (time, seq, callback, args)
-        try:
-            tick = int(time * _TICK_SCALE)
-        except (OverflowError, ValueError):
-            heapq.heappush(self._overflow, entry)
-        else:
-            cur = self._cur
-            if tick <= cur:
-                insort(self._cur_buf, entry, lo=self._cur_pos)
-            else:
-                delta = tick ^ cur
-                level = (delta.bit_length() - 1) >> 3
-                if level >= _LEVELS:
-                    heapq.heappush(self._overflow, entry)
-                else:
-                    idx = (level << _LEVEL_BITS) | (
-                        (tick >> (level << 3)) & _LEVEL_MASK
-                    )
-                    self._slots[idx].append(entry)
-                    self._occupied[level] |= 1 << (idx & _LEVEL_MASK)
-        self._qlen += 1
-
-    def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule_at` (see :meth:`post`)."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} (now is {self._now})"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        entry = (time, seq, callback, args)
-        try:
-            tick = int(time * _TICK_SCALE)
-        except (OverflowError, ValueError):
-            heapq.heappush(self._overflow, entry)
-        else:
-            cur = self._cur
-            if tick <= cur:
-                insort(self._cur_buf, entry, lo=self._cur_pos)
-            else:
-                delta = tick ^ cur
-                level = (delta.bit_length() - 1) >> 3
-                if level >= _LEVELS:
-                    heapq.heappush(self._overflow, entry)
-                else:
-                    idx = (level << _LEVEL_BITS) | (
-                        (tick >> (level << 3)) & _LEVEL_MASK
-                    )
-                    self._slots[idx].append(entry)
-                    self._occupied[level] |= 1 << (idx & _LEVEL_MASK)
-        self._qlen += 1
-
-    def _requeue(self, time: float, seq: int, callback: Callable[[], None]) -> EventHandle:
-        """Push an entry whose ``seq`` was allocated earlier (Timer
-        re-arm support — see :meth:`Timer.start`)."""
-        event = _Event(callback, ())
-        self._push(time, (time, seq, event))
-        return EventHandle(self, event, time)
-
-    # -- cancellation / compaction -------------------------------------------
-
-    def _note_cancelled(self) -> None:
-        """Same lazy-cancellation accounting as the heap engine: the
-        queued-entry count and the compaction trigger are shared, so
-        the queue-length trajectory (and the peak the perf harness
-        reports) is byte-identical across schedulers."""
-        dead = self._dead + 1
-        n = self._qlen
-        if n >= _COMPACT_MIN and dead * 2 > n:
-            self._dead = dead
-            self._compact()
-        else:
-            self._dead = dead
-
-    def _compact(self) -> None:
-        removed = 0
-        slots = self._slots
-        for level in range(_LEVELS):
-            mask = self._occupied[level]
-            m = mask
-            base = level << _LEVEL_BITS
-            while m:
-                bit = m & -m
-                m ^= bit
-                idx = base | (bit.bit_length() - 1)
-                lst = slots[idx]
-                alive = [e for e in lst if len(e) == 4 or not e[2].cancelled]
-                if len(alive) != len(lst):
-                    removed += len(lst) - len(alive)
-                    if alive:
-                        slots[idx] = alive
-                    else:
-                        slots[idx] = []
-                        mask ^= bit
-            self._occupied[level] = mask
-        if self._overflow:
-            alive = [
-                e for e in self._overflow if len(e) == 4 or not e[2].cancelled
-            ]
-            if len(alive) != len(self._overflow):
-                removed += len(self._overflow) - len(alive)
-                heapq.heapify(alive)
-                self._overflow = alive
-        buf = self._cur_buf
-        pos = self._cur_pos
-        if pos < len(buf):
-            tail = [e for e in buf[pos:] if len(e) == 4 or not e[2].cancelled]
-            if len(tail) != len(buf) - pos:
-                removed += len(buf) - pos - len(tail)
-                buf[pos:] = tail
-        self._qlen -= removed
-        self._dead -= removed
-
-    # -- dispatch ------------------------------------------------------------
-
-    def _open_next_slot(self) -> bool:
-        """Advance the cursor to the next populated tick and load its
-        entries (sorted) into ``_cur_buf``.  Returns False when the
-        whole wheel (and the overflow heap) is empty.
-
-        Only reached when level 0 is empty (the run loop inlines the
-        level-0 fast path), so this handles cascades and the overflow
-        refill.
+        ``max_events`` counts stale re-armed :class:`Timer` pops too
+        (see :meth:`run`), so extremely timer-heavy workloads consume
+        the budget slightly faster than their live event count.
         """
-        slots = self._slots
-        occupied = self._occupied
-        while True:
-            cur_buf = self._cur_buf
-            if cur_buf:
-                # A cascade (or overflow refill) landed entries on the
-                # cursor tick itself, appended unordered below.
-                cur_buf.sort()
-                return True
-            l0 = occupied[0]
-            if l0:
-                bit = l0 & -l0
-                occupied[0] = l0 ^ bit
-                slot = bit.bit_length() - 1
-                lst = slots[slot]
-                slots[slot] = []
-                lst.sort()
-                self._cur = ((self._cur >> _LEVEL_BITS) << _LEVEL_BITS) | slot
-                self._cur_buf = lst
-                self._cur_pos = 0
-                return True
-            l1 = occupied[1]
-            if l1:
-                # Cascade one level-1 slot.  Every entry lands on level
-                # 0 (their ticks agree with the new cursor in all bits
-                # >= 16 by construction) or on the cursor tick itself.
-                bit = l1 & -l1
-                occupied[1] = l1 ^ bit
-                slot = bit.bit_length() - 1
-                idx = 256 | slot
-                lst = slots[idx]
-                slots[idx] = []
-                shift = 8 + _LEVEL_BITS
-                new_cur = ((self._cur >> shift) << shift) | (slot << 8)
-                self._cur = new_cur
-                occ0 = occupied[0]
-                for entry in lst:
-                    tick = int(entry[0] * _TICK_SCALE)
-                    if tick <= new_cur:
-                        cur_buf.append(entry)
-                    else:
-                        idx0 = tick & _LEVEL_MASK
-                        slots[idx0].append(entry)
-                        occ0 |= 1 << idx0
-                occupied[0] = occ0
-                continue
-            cascaded = False
-            for level in range(2, _LEVELS):
-                mask = occupied[level]
-                if not mask:
-                    continue
-                bit = mask & -mask
-                occupied[level] = mask ^ bit
-                slot = bit.bit_length() - 1
-                idx = (level << _LEVEL_BITS) | slot
-                lst = slots[idx]
-                slots[idx] = []
-                shift = (level << 3) + _LEVEL_BITS
-                self._cur = ((self._cur >> shift) << shift) | (slot << (level << 3))
-                for entry in lst:
-                    self._place(int(entry[0] * _TICK_SCALE), entry)
-                cascaded = True
-                break
-            if cascaded:
-                continue
-            if self._overflow:
-                overflow = self._overflow
-                try:
-                    new_cur = int(overflow[0][0] * _TICK_SCALE)
-                except (OverflowError, ValueError):
-                    # Only non-finite deadlines remain: dispatch them in
-                    # heap order, mirroring the heap engine's behaviour.
-                    lst = sorted(overflow)
-                    overflow.clear()
-                    self._cur_buf = lst
-                    self._cur_pos = 0
-                    return True
-                self._cur = new_cur
-                horizon = new_cur + (1 << _HORIZON_BITS)
-                heappop = heapq.heappop
-                while overflow:
-                    try:
-                        tick = int(overflow[0][0] * _TICK_SCALE)
-                    except (OverflowError, ValueError):
-                        break
-                    if tick >= horizon:
-                        break
-                    self._place(tick, heappop(overflow))
-                continue
-            return False
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> float:
-        """Run events — same contract, accounting, and event schedule
-        as :meth:`HeapSimulator.run`."""
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
-        processed = 0
-        budget = max_events if max_events is not None else _NO_BUDGET
-        until_t = until if until is not None else inf
-        peak = self._peak_queue_len
-        stopped = False
-        slots = self._slots
-        occupied = self._occupied
-        try:
-            while not stopped:
-                buf = self._cur_buf
-                pos = self._cur_pos
-                n = len(buf)
-                while pos < n:
-                    qlen = self._qlen
-                    if qlen > peak:
-                        peak = qlen
-                    entry = buf[pos]
-                    if len(entry) == 4:
-                        event = None
-                    else:
-                        event = entry[2]
-                        if event.cancelled:
-                            self._qlen = qlen - 1
-                            self._dead -= 1
-                            pos += 1
-                            continue
-                    time = entry[0]
-                    if time > until_t or processed >= budget:
-                        stopped = True
-                        break
-                    pos += 1
-                    self._cur_pos = pos
-                    self._qlen = qlen - 1
-                    self._now = time
-                    if event is None:
-                        entry[2](*entry[3])
-                    else:
-                        event.queued = False
-                        event.callback(*event.args)
-                    self._events_processed += 1
-                    processed += 1
-                    # A callback may have posted into the open tick
-                    # (insort into buf) or compacted it; both mutate
-                    # the buffer in place, so only the cursor and the
-                    # length need refreshing.
-                    pos = self._cur_pos
-                    n = len(buf)
-                if stopped:
-                    self._cur_pos = pos
-                    break
-                # Slot exhausted: recycle the buffer and open the next
-                # populated tick.  The level-0 case is inlined (it is
-                # hit once per populated tick); cascades and the
-                # overflow refill stay out of line.
-                del buf[:]
-                self._cur_pos = 0
-                l0 = occupied[0]
-                if l0:
-                    bit = l0 & -l0
-                    occupied[0] = l0 ^ bit
-                    slot = bit.bit_length() - 1
-                    lst = slots[slot]
-                    slots[slot] = buf  # recycle the drained list
-                    lst.sort()
-                    self._cur = ((self._cur >> _LEVEL_BITS) << _LEVEL_BITS) | slot
-                    self._cur_buf = lst
-                elif not self._open_next_slot():
-                    break
-        finally:
-            self._running = False
-            self._peak_queue_len = peak
-        if until is not None and self._now < until:
-            stop_early = max_events is not None and processed >= max_events
-            if not stop_early:
-                self._now = until
+        self.run(max_events=max_events)
+        if len(self._queue) - self._dead:
+            raise SimulationError(
+                f"simulation did not go idle within {max_events} events"
+            )
         return self._now
-
-
-_SCHEDULERS = {"heap": HeapSimulator, "wheel": WheelSimulator}
 
 
 class Timer:

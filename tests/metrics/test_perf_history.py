@@ -1,5 +1,5 @@
-"""Benchmark trajectory (BENCH_HISTORY.json), scheduler parity gate,
-and the profiling subsystem (DESIGN.md §16)."""
+"""Benchmark trajectory (BENCH_HISTORY.json) and the profiling
+subsystem (DESIGN.md §10)."""
 
 from pathlib import Path
 
@@ -9,13 +9,12 @@ from repro.metrics.perf import (
     EnginePerfResult,
     baseline_records,
     check_regression,
-    check_scheduler_parity,
     load_baseline,
 )
 from repro.metrics.profiling import (
-    capture_histograms,
+    capture_histogram,
     event_class,
-    merged_histogram,
+    ordered_histogram,
     subsystem_for,
 )
 
@@ -98,42 +97,6 @@ class TestHistorySchema:
         ) == []
 
 
-class TestSchedulerParity:
-    def _report(self, heap_evs, wheel_evs, wheel_events=30894):
-        det = {
-            "completed": True,
-            "bytes_sent": 1048576,
-            "events": 30894,
-            "sim_seconds": 2.170283,
-            "peak_queue_len": 123,
-            "throughput_kB_per_s": 483.152,
-        }
-        wheel_det = dict(det, events=wheel_events)
-        return {
-            "workload": {},
-            "runs": 5,
-            "schedulers": {
-                "heap": {"deterministic": det, "median_events_per_sec": heap_evs},
-                "wheel": {
-                    "deterministic": wheel_det,
-                    "median_events_per_sec": wheel_evs,
-                },
-            },
-            "wheel_over_heap": round(wheel_evs / heap_evs, 3),
-        }
-
-    def test_fingerprint_divergence_fails(self):
-        problems = check_scheduler_parity(self._report(100.0, 100.0, wheel_events=7))
-        assert any("diverge" in p for p in problems)
-
-    def test_ratio_below_guard_fails(self):
-        problems = check_scheduler_parity(self._report(100.0, 70.0), min_ratio=0.85)
-        assert problems and "parity guard" in problems[0]
-
-    def test_parity_passes(self):
-        assert check_scheduler_parity(self._report(100.0, 97.0)) == []
-
-
 class TestProfiling:
     def test_subsystem_mapping(self):
         assert subsystem_for("repro.netsim.simulator") == "scheduler"
@@ -151,28 +114,30 @@ class TestProfiling:
 
         assert event_class(cb).endswith("test_event_class_labels.<locals>.cb")
 
-    def test_histogram_is_scheduler_independent(self, monkeypatch):
-        def run(scheduler):
-            monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
-            from repro.netsim.simulator import Simulator, Timer
+    def test_histogram_is_scheduler_independent(self):
+        """Counted at post time, so the histogram is a function of what
+        was scheduled — not of how (or whether) the queue dispatched it."""
+        from repro.netsim.simulator import Simulator, Timer
 
-            with capture_histograms() as sims:
-                sim = Simulator()
-                timer = Timer(sim, lambda: None)
-                timer.start(0.5)
-                for i in range(10):
-                    sim.schedule(0.1 * i, lambda: None)
-                    sim.post(0.05 * i, int)
-                handle = sim.schedule(3.0, lambda: None)
-                handle.cancel()
-                sim.run_until_idle()
-            return merged_histogram(sims)
-
-        wheel = run("wheel")
-        heap = run("heap")
-        assert wheel == heap
-        assert sum(wheel.values()) == 22  # 10+10 + timer + cancelled one
-        assert "builtins.int" in wheel
+        with capture_histogram() as counts:
+            sim = Simulator()
+            timer = Timer(sim, lambda: None)
+            timer.start(0.5)
+            for i in range(10):
+                sim.schedule(0.1 * i, lambda: None)
+                sim.post(0.05 * i, int)
+            handle = sim.schedule(3.0, lambda: None)
+            handle.cancel()
+            before_run = ordered_histogram(counts)
+            sim.run_until_idle()
+        histogram = ordered_histogram(counts)
+        assert histogram == before_run
+        assert sum(histogram.values()) == 22  # 10+10 + timer + cancelled one
+        assert histogram["builtins.int"] == 10
+        assert list(histogram.values()) == sorted(histogram.values(), reverse=True)
+        # The class is restored: posts outside the block are not counted.
+        Simulator().post(0.0, int)
+        assert sum(counts.values()) == 22
 
     def test_profile_engine_writes_artifacts(self, tmp_path):
         from repro.metrics.profiling import profile_engine
