@@ -160,3 +160,15 @@ def test_invalid_parameters_rejected():
         Link(sim, bandwidth_bps=0)
     with pytest.raises(ValueError):
         Link(sim, loss_rate=1.5)
+
+
+def test_loss_rate_validated_after_construction():
+    """The range check guards every assignment, not only ``__init__``."""
+    link = Link(Simulator(), loss_rate=0.25)
+    with pytest.raises(ValueError):
+        link.a_to_b.loss_rate = 1.5
+    with pytest.raises(ValueError):
+        link.set_loss_rate(-0.1)
+    assert (link.a_to_b.loss_rate, link.b_to_a.loss_rate) == (0.25, 0.25)
+    link.set_loss_rate(1.0)
+    assert (link.a_to_b.loss_rate, link.b_to_a.loss_rate) == (1.0, 1.0)
