@@ -420,7 +420,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="python -m repro.metrics.perf",
         description=(
             "Engine + scenario-throughput benchmarks (DESIGN.md §10, §12, "
-            "§16).  Default: the engine macro-benchmark, median of 5 "
+            "§16.2).  Default: the engine macro-benchmark, median of 5 "
             "interleaved pooled runs."
         ),
     )

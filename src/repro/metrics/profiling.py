@@ -1,7 +1,7 @@
 """Engine profiling: event-class histograms and per-subsystem time.
 
 Two complementary views of where the engine spends its effort
-(DESIGN.md §16):
+(DESIGN.md §16.2):
 
 * **Event-class histogram** — a deterministic count of every event
   posted to the scheduler, keyed by the callback's qualified name.

@@ -7,7 +7,6 @@ asymmetric links and one-way partitions can be modelled.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from .packet import IPPacket
@@ -20,25 +19,7 @@ if TYPE_CHECKING:
 
 class Channel:
     """One direction of a link: a serializing transmitter, a drop-tail
-    queue, a propagation delay, and an optional Bernoulli loss process.
-
-    A packet's life on the channel has two instants: ``done``, when its
-    last bit leaves the transmitter (the packet counts as sent, frees
-    its queue slot, is dropped if the channel is down and draws from
-    ``sim.rng`` if the channel is lossy), and ``done + latency``, when
-    it arrives.  A channel that is up and lossless when it accepts a
-    packet has nothing to decide at ``done``, so it posts the arrival
-    alone — one event per hop (DESIGN.md §10) — and settles the
-    counters and the queue slot lazily, the next time anyone looks.
-    Should the channel go down or turn lossy while such a packet is
-    still serializing, the setters of :attr:`up` and :attr:`loss_rate`
-    hand it back to the two-event path, so the check and the draw
-    happen at ``done`` all the same.  A channel that is lossy at
-    ``transmit`` uses the two-event path from the start.
-
-    ``latency`` is read when the packet is accepted; nothing changes it
-    at run time.
-    """
+    queue, a propagation delay, and an optional Bernoulli loss process."""
 
     def __init__(
         self,
@@ -55,6 +36,7 @@ class Channel:
         self.name = name
         self.bandwidth_bps = bandwidth_bps
         self.latency = latency
+        self.loss_rate = loss_rate
         self.queue_capacity = queue_capacity
         self.destination: Optional["NIC"] = None
         # Optional delivery tap (gray-failure injection): called with
@@ -62,58 +44,26 @@ class Channel:
         # the tap took responsibility for dropping, mutating + passing
         # on, or re-posting it.  None (the default) is zero-overhead.
         self.tap = None
-        self._up = True
+        self.up = True
         self._busy_until = 0.0
-        # An accepted packet is a ``[done, packet]`` entry.  Those still
-        # holding a queue slot: ``_queued`` counts the ones with a
-        # ``_transmission_complete`` event pending, ``_serializing``
-        # holds the one-event ones in ``done`` order (see ``_settle``).
         self._queued = 0
-        self._serializing: deque[list] = deque()
-        self._loss_rate = 0.0
-        self.loss_rate = loss_rate
         # Counters useful for congestion experiments.
-        self._packets_sent = 0
-        self._bytes_sent = 0
+        self.packets_sent = 0
         self.packets_dropped_queue = 0
         self.packets_lost = 0
-
-    @property
-    def up(self) -> bool:
-        return self._up
-
-    @up.setter
-    def up(self, value: bool) -> None:
-        if self._up and not value:
-            self._hand_back()
-        self._up = value
+        self.bytes_sent = 0
 
     @property
     def loss_rate(self) -> float:
+        """Bernoulli loss probability; fault injection assigns it at
+        run time, so every assignment is range-checked."""
         return self._loss_rate
 
     @loss_rate.setter
     def loss_rate(self, value: float) -> None:
         if not 0.0 <= value <= 1.0:
             raise ValueError("loss_rate must be in [0, 1]")
-        if value and not self._loss_rate:
-            self._hand_back()
         self._loss_rate = value
-
-    @property
-    def packets_sent(self) -> int:
-        self._settle()
-        return self._packets_sent
-
-    @property
-    def bytes_sent(self) -> int:
-        self._settle()
-        return self._bytes_sent
-
-    @property
-    def queue_depth(self) -> int:
-        self._settle()
-        return self._queued + len(self._serializing)
 
     def transmission_time(self, packet: IPPacket) -> float:
         return packet.wire_size * 8 / self.bandwidth_bps
@@ -121,73 +71,46 @@ class Channel:
     def transmit(self, packet: IPPacket) -> None:
         """Accept a packet for transmission (or drop it)."""
         sim = self.sim
-        if not self._up or self.destination is None:
+        if not self.up or self.destination is None:
             trace(sim, self.name, "link-down-drop", packet)
             return
-        now = sim._now
-        serializing = self._serializing
-        if serializing and serializing[0][0] <= now:
-            self._settle()
-        if self._queued + len(serializing) >= self.queue_capacity:
+        if self._queued >= self.queue_capacity:
             self.packets_dropped_queue += 1
             trace(sim, self.name, "queue-drop", packet)
             return
+        now = sim._now
         start = now if now >= self._busy_until else self._busy_until
         done = start + packet.wire_size * 8 / self.bandwidth_bps
         self._busy_until = done
-        entry = [done, packet]
-        if self._loss_rate:
-            self._queued += 1
-            sim.post_at(done, self._transmission_complete, entry)
-        else:
-            serializing.append(entry)
-            sim.post_at(done + self.latency, self._arrive, entry)
+        self._queued += 1
+        sim.post_at(done, self._transmission_complete, packet)
 
-    def _settle(self) -> None:
-        """Count out the one-event packets whose ``done`` has passed."""
-        now = self.sim._now
-        serializing = self._serializing
-        while serializing and serializing[0][0] <= now:
-            self._packets_sent += 1
-            self._bytes_sent += serializing.popleft()[1].wire_size
-
-    def _hand_back(self) -> None:
-        """The channel is about to go down or turn lossy: every
-        one-event packet still serializing gets its ``done`` event after
-        all, and the arrival already posted for it is disarmed."""
-        self._settle()
-        serializing = self._serializing
-        while serializing:
-            entry = serializing.popleft()
-            self._queued += 1
-            self.sim.post_at(entry[0], self._transmission_complete, entry[:])
-            entry[1] = None
-
-    def _transmission_complete(self, entry: list) -> None:
+    def _transmission_complete(self, packet: IPPacket) -> None:
         self._queued -= 1
-        packet = entry[1]
-        self._packets_sent += 1
-        self._bytes_sent += packet.wire_size
+        self.packets_sent += 1
+        self.bytes_sent += packet.wire_size
         sim = self.sim
-        if not self._up or self.destination is None:
+        if not self.up or self.destination is None:
             trace(sim, self.name, "link-down-drop", packet)
             return
-        if self._loss_rate and sim.rng.random() < self._loss_rate:
+        loss_rate = self._loss_rate
+        if loss_rate and sim.rng.random() < loss_rate:
             self.packets_lost += 1
             trace(sim, self.name, "loss", packet)
             return
-        sim.post(self.latency, self._arrive, entry)
+        sim.post(self.latency, self._arrive, packet)
 
-    def _arrive(self, entry: list) -> None:
-        packet = entry[1]
-        if packet is None:  # handed back: arrives through _transmission_complete
-            return
-        if not self._up or self.destination is None:
+    def _arrive(self, packet: IPPacket) -> None:
+        if not self.up or self.destination is None:
             trace(self.sim, self.name, "link-down-drop", packet)
             return
         if self.tap is not None and self.tap(packet):
             return
         self.destination.deliver(packet)
+
+    @property
+    def queue_depth(self) -> int:
+        return self._queued
 
 
 class Link:
