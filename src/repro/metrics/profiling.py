@@ -89,8 +89,6 @@ def event_class(callback: Callable[..., Any]) -> str:
 
 # -- event-class histogram ---------------------------------------------------
 
-_POST_METHODS = ("schedule_at", "post", "post_at")
-
 
 @contextmanager
 def capture_histogram() -> Iterator[Counter]:
@@ -114,7 +112,9 @@ def capture_histogram() -> Iterator[Counter]:
 
         return posted
 
-    originals = {name: getattr(Simulator, name) for name in _POST_METHODS}
+    originals = {
+        name: getattr(Simulator, name) for name in ("schedule_at", "post", "post_at")
+    }
     for name, original in originals.items():
         setattr(Simulator, name, counting(original))
     try:

@@ -1,5 +1,5 @@
 """Benchmark trajectory (BENCH_HISTORY.json) and the profiling
-subsystem (DESIGN.md §10)."""
+subsystem (DESIGN.md §16.2, §16.4)."""
 
 from pathlib import Path
 
