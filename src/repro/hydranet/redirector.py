@@ -136,8 +136,8 @@ class Redirector(Router):
         super().__init__(sim, name, profile)
         self.kernel.software_overhead = software_overhead
         self.table: dict[ServiceKey, RedirectionEntry] = _RedirectorTable()
-        self.kernel.packet_hooks.append(self._fence_hook)
-        self.kernel.packet_hooks.append(self._redirect_hook)
+        self.kernel.add_packet_hook(self._fence_hook)
+        self.kernel.add_packet_hook(self._redirect_hook)
         self.packets_redirected = 0
         self.packets_multicast = 0
         self.segments_fenced = 0
@@ -203,13 +203,6 @@ class Redirector(Router):
 
     # -- the data path -----------------------------------------------------
 
-    @staticmethod
-    def _destination_port(packet: IPPacket) -> Optional[int]:
-        payload = packet.payload
-        if isinstance(payload, (TCPSegment, UDPDatagram)):
-            return payload.dst_port
-        return None
-
     def _fence_hook(self, packet: IPPacket, nic: NIC) -> bool:
         """Drop client-bound service output stamped with a stale epoch.
 
@@ -253,7 +246,6 @@ class Redirector(Router):
             # model never fragments before the redirector (end hosts
             # send MTU-sized packets), so pass fragments through.
             return False
-        # _destination_port inlined (per-packet path).
         payload = packet.payload
         if not isinstance(payload, (TCPSegment, UDPDatagram)):
             return False

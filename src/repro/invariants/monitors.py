@@ -528,12 +528,7 @@ class InvariantSet:
             return self._observe_service_segment(packet, _table)
 
         self._armed_redirectors[id(redirector)] = hook
-        hooks = redirector.kernel.packet_hooks
-        try:
-            index = hooks.index(redirector._fence_hook) + 1
-        except ValueError:
-            index = len(hooks)
-        hooks.insert(index, hook)
+        redirector.kernel.add_packet_hook(hook, after=redirector._fence_hook)
 
 
 def attach_invariants(
@@ -555,13 +550,9 @@ def attach_invariants(
     invset.watch_service(system.service)
     redirector = system.redirector
     invset._redirector_table = redirector.table
-    hooks = redirector.kernel.packet_hooks
-    if invset.redirector_hook not in hooks:
-        try:
-            index = hooks.index(redirector._fence_hook) + 1
-        except ValueError:
-            index = len(hooks)
-        hooks.insert(index, invset.redirector_hook)
+    kernel = redirector.kernel
+    if invset.redirector_hook not in kernel.packet_hooks:
+        kernel.add_packet_hook(invset.redirector_hook, after=redirector._fence_hook)
     return invset
 
 

@@ -70,7 +70,11 @@ class Kernel:
         self.sim = host.sim
         self.routes: list[Route] = []
         self.protocol_handlers: dict[int, Callable[[IPPacket], None]] = {}
-        self.packet_hooks: list[PacketHook] = []
+        #: Swept in order for every received packet.  A tuple, replaced
+        #: on every (un)registration, so a sweep needs no defensive copy:
+        #: a hook that (un)registers hooks mid-sweep rebinds the
+        #: attribute and leaves the tuple being swept alone.
+        self.packet_hooks: tuple[PacketHook, ...] = ()
         self.ip_forwarding = False
         # Extra per-packet CPU charged by modified (HydraNet) system
         # software; 0 for a clean kernel.
@@ -100,19 +104,6 @@ class Kernel:
         self.packets_dropped = 0
 
     # -- CPU model ---------------------------------------------------
-
-    def _cpu_delay(self, wire_size: int) -> float:
-        """Charge CPU for one packet; returns the completion delay."""
-        profile = self.host.profile
-        cost = (
-            profile.per_packet_cpu
-            + profile.per_byte_cpu * wire_size
-            + self.software_overhead
-        ) * self.host.cpu_multiplier
-        now = self.sim._now
-        start = now if now >= self._cpu_free_at else self._cpu_free_at
-        self._cpu_free_at = start + cost
-        return self._cpu_free_at - now
 
     def _charge_extra_fragments(self, n_extra: int) -> float:
         """Fragmentation costs per-fragment header processing beyond
@@ -169,7 +160,19 @@ class Kernel:
             or value in self.virtual_addresses.values
         )
 
-    # -- protocol registration ----------------------------------------
+    # -- hook and protocol registration -------------------------------
+
+    def add_packet_hook(
+        self, hook: PacketHook, after: Optional[PacketHook] = None
+    ) -> None:
+        """Register ``hook`` — right behind ``after`` when that hook is
+        registered, else last."""
+        hooks = self.packet_hooks
+        at = hooks.index(after) + 1 if after in hooks else len(hooks)
+        self.packet_hooks = (*hooks[:at], hook, *hooks[at:])
+
+    def remove_packet_hook(self, hook: PacketHook) -> None:
+        self.packet_hooks = tuple(h for h in self.packet_hooks if h != hook)
 
     def register_protocol(
         self, protocol: Protocol, handler: Callable[[IPPacket], None]
@@ -179,11 +182,7 @@ class Kernel:
     # -- send path -----------------------------------------------------
 
     def send_ip(self, packet: IPPacket) -> None:
-        """Send a locally generated packet (charges CPU, then routes).
-
-        The CPU charge is ``_cpu_delay`` inlined — identical float
-        expression, one call fewer on the per-packet path.
-        """
+        """Send a locally generated packet (charges CPU, then routes)."""
         host = self.host
         if host.crashed:
             return
@@ -211,29 +210,42 @@ class Kernel:
         if value in self._nic_addrs.values or value in self.virtual_addresses.values:
             self.sim.post(0.0, self._deliver_local, packet)
             return
+        self._transmit(packet)
+
+    def _transmit(self, packet: IPPacket) -> bool:
+        """Route ``packet`` and put it on the wire, fragmenting if the
+        egress MTU demands it — the shared tail of the send and forward
+        paths.  Returns False when the packet was dropped instead."""
         # Inlined route-cache hit (route_lookup validates the same way).
-        nic = self._route_cache.get(value)
-        if nic is None or not nic.up:
+        nic = self._route_cache.get(packet.dst._value)
+        if nic is None or not nic._up:
             nic = self.route_lookup(packet.dst)
             if nic is None:
                 self.packets_dropped += 1
                 trace(self.sim, self.host.name, "no-route", packet)
-                return
+                return False
         if packet.wire_size <= nic.mtu:
-            # fragment_packet's already-fits fast path, inlined.
-            nic.send(packet)
-            return
+            # The common case — it fits, nothing to fragment — crosses
+            # the NIC without its frame: NIC.send's remaining checks
+            # (up: just validated by the lookup; MTU: just compared) and
+            # its counter, then straight to the channel.  A tracer or an
+            # unconnected NIC takes NIC.send itself.
+            out = nic._out
+            if out is not None and self.sim.tracer is None:
+                nic.packets_out += 1
+                out.transmit(packet)
+            else:
+                nic.send(packet)
+            return True
         try:
             fragments = fragment_packet(packet, nic.mtu)
         except Exception:
             self.packets_dropped += 1
             trace(self.sim, self.host.name, "frag-fail", packet)
-            return
-        if len(fragments) > 1:
-            delay = self._charge_extra_fragments(len(fragments) - 1)
-            self.sim.schedule(delay, self._send_all, fragments, nic)
-        else:
-            nic.send(fragments[0])
+            return False
+        delay = self._charge_extra_fragments(len(fragments) - 1)
+        self.sim.schedule(delay, self._send_all, fragments, nic)
+        return True
 
     def _send_all(self, fragments: list[IPPacket], nic: NIC) -> None:
         if self.host.crashed:
@@ -265,11 +277,9 @@ class Kernel:
     def _process(self, packet: IPPacket, nic: NIC) -> None:
         if self.host.crashed:
             return
-        if self.packet_hooks:
-            # Copied because hooks may unregister themselves mid-sweep.
-            for hook in list(self.packet_hooks):
-                if hook(packet, nic):
-                    return
+        for hook in self.packet_hooks:
+            if hook(packet, nic):
+                return
         value = packet.dst._value
         if value in self._nic_addrs.values or value in self.virtual_addresses.values:
             self._deliver_local(packet)
@@ -301,23 +311,8 @@ class Kernel:
             trace(self.sim, self.host.name, "ttl-expired", packet)
             return
         packet.ttl -= 1
-        nic = self.route_lookup(packet.dst)
-        if nic is None:
-            self.packets_dropped += 1
-            trace(self.sim, self.host.name, "no-route", packet)
-            return
-        try:
-            fragments = fragment_packet(packet, nic.mtu)
-        except Exception:
-            self.packets_dropped += 1
-            trace(self.sim, self.host.name, "frag-fail", packet)
-            return
-        self.packets_forwarded += 1
-        if len(fragments) > 1:
-            delay = self._charge_extra_fragments(len(fragments) - 1)
-            self.sim.schedule(delay, self._send_all, fragments, nic)
-        else:
-            nic.send(fragments[0])
+        if self._transmit(packet):
+            self.packets_forwarded += 1
 
 
 class Host:

@@ -101,12 +101,19 @@ class Channel:
         sim.post(self.latency, self._arrive, packet)
 
     def _arrive(self, packet: IPPacket) -> None:
-        if not self.up or self.destination is None:
+        nic = self.destination
+        if not self.up or nic is None:
             trace(self.sim, self.name, "link-down-drop", packet)
             return
         if self.tap is not None and self.tap(packet):
             return
-        self.destination.deliver(packet)
+        if nic._up and self.sim.tracer is None:
+            # NIC.deliver without its frame: an up interface with no
+            # tracer to tell only counts the packet and hands it on.
+            nic.packets_in += 1
+            nic._kernel.receive_from_nic(packet, nic)
+        else:
+            nic.deliver(packet)
 
     @property
     def queue_depth(self) -> int:

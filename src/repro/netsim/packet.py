@@ -180,7 +180,7 @@ class TCPSegment(Payload):
         )
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class IPPacket:
     """A simulated IP packet.
 
@@ -194,24 +194,50 @@ class IPPacket:
     dst: IPAddress
     protocol: Protocol
     payload: Payload
-    ttl: int = 64
-    ident: int = field(default_factory=lambda: next(_ip_id_counter))
-    frag_offset: int = 0
-    more_fragments: bool = False
-    dont_fragment: bool = False
+    ttl: int
+    ident: int
+    frag_offset: int
+    more_fragments: bool
+    dont_fragment: bool
     # Total payload size of the original packet; only meaningful on
     # fragments (lets the reassembler know when it is done).
-    original_payload_size: Optional[int] = None
+    original_payload_size: Optional[int]
     wire_size: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # Computed eagerly: every packet's wire size is read at least
-        # once (CPU cost, MTU check, serialization delay), the payload
-        # is never swapped or resized after construction (copies go
+    def __init__(
+        self,
+        src: IPAddress,
+        dst: IPAddress,
+        protocol: Protocol,
+        payload: Payload,
+        ttl: int = 64,
+        ident: Optional[int] = None,
+        frag_offset: int = 0,
+        more_fragments: bool = False,
+        dont_fragment: bool = False,
+        original_payload_size: Optional[int] = None,
+    ):
+        # Written by hand: one packet is built per segment per hop
+        # endpoint, and the generated __init__ would pay a
+        # default_factory call and a __post_init__ frame each time.
+        # dataclasses.replace still works (it calls this with every
+        # init field, ``ident`` included).
+        self.src = src
+        self.dst = dst
+        self.protocol = protocol
+        self.payload = payload
+        self.ttl = ttl
+        self.ident = next(_ip_id_counter) if ident is None else ident
+        self.frag_offset = frag_offset
+        self.more_fragments = more_fragments
+        self.dont_fragment = dont_fragment
+        self.original_payload_size = original_payload_size
+        # Eager: every packet's wire size is read at least once (CPU
+        # cost, MTU check, serialization delay) and the payload is
+        # never swapped or resized after construction (copies go
         # through dataclasses.replace or the fragmenter, both of which
-        # build fresh instances), and a plain attribute read beats a
-        # property call on the per-packet hot paths.
-        self.wire_size = IP_HEADER_SIZE + self.payload.wire_size
+        # build fresh instances).
+        self.wire_size = IP_HEADER_SIZE + payload.wire_size
 
     @property
     def is_fragment(self) -> bool:

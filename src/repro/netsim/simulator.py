@@ -95,10 +95,11 @@ class Simulator:
         self._running = False
         self._events_processed = 0
         self._peak_queue_len = 0
-        # Entries are (time, seq, _Event) for cancellable events and
-        # (time, seq, callback, args) for fire-and-forget posts; seq is
-        # unique, so heap comparisons never look past it and the mixed
-        # tuple widths are safe.
+        # Entries are (time, seq, _Event, None) for cancellable events
+        # and (time, seq, callback, args) for fire-and-forget posts, so
+        # dispatch unpacks every entry alike and tells the kinds apart
+        # by ``args is None``; seq is unique, so heap comparisons never
+        # look past it.
         self._queue: list[tuple] = []
         #: Attached :class:`~repro.netsim.trace.Tracer`, or None.  Kept
         #: as a real attribute so the no-tracer check in packet hot
@@ -142,11 +143,11 @@ class Simulator:
         n = len(queue)
         if n >= _COMPACT_MIN and dead * 2 > n:
             # In-place so `run`'s local binding of the list stays valid.
-            # 4-tuple entries are fire-and-forget posts: never cancelled.
+            # Entries with args are fire-and-forget posts: never cancelled.
             queue[:] = [
                 entry
                 for entry in queue
-                if len(entry) == 4 or not entry[2].cancelled
+                if entry[3] is not None or not entry[2].cancelled
             ]
             heapq.heapify(queue)
             self._dead = 0
@@ -172,7 +173,7 @@ class Simulator:
         event = _Event(callback, args)
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._queue, (time, seq, event))
+        heapq.heappush(self._queue, (time, seq, event, None))
         return EventHandle(self, event, time)
 
     def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
@@ -201,7 +202,7 @@ class Simulator:
         """Push an entry whose ``seq`` was allocated earlier (Timer
         re-arm support — see :meth:`Timer.start`)."""
         event = _Event(callback, ())
-        heapq.heappush(self._queue, (time, seq, event))
+        heapq.heappush(self._queue, (time, seq, event, None))
         return EventHandle(self, event, time)
 
     def run(
@@ -225,8 +226,8 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        processed = 0
-        budget = max_events if max_events is not None else _NO_BUDGET
+        done = start = self._events_processed
+        limit = done + (max_events if max_events is not None else _NO_BUDGET)
         until_t = until if until is not None else inf
         queue = self._queue
         heappop = heapq.heappop
@@ -239,34 +240,31 @@ class Simulator:
                 qlen = len(queue)
                 if qlen > peak:
                     peak = qlen
-                entry = queue[0]
-                if len(entry) == 4:  # fire-and-forget post
-                    event = None
-                else:
-                    event = entry[2]
-                    if event.cancelled:
-                        heappop(queue)
+                entry = heappop(queue)
+                time, _, callback, args = entry
+                if args is None:  # cancellable: `callback` is the _Event
+                    if callback.cancelled:
                         self._dead -= 1
                         continue
-                time = entry[0]
-                if time > until_t:
+                    callback.queued = False
+                    args = callback.args
+                    callback = callback.callback
+                if time > until_t or done >= limit:
+                    # Not due in this run: back it goes, under the key
+                    # it was popped with, so the order is untouched.
+                    if entry[3] is None:
+                        entry[2].queued = True
+                    heapq.heappush(queue, entry)
                     break
-                if processed >= budget:
-                    break
-                heappop(queue)
                 self._now = time
-                if event is None:
-                    entry[2](*entry[3])
-                else:
-                    event.queued = False
-                    event.callback(*event.args)
-                self._events_processed += 1
-                processed += 1
+                callback(*args)
+                done += 1
+                self._events_processed = done
         finally:
             self._running = False
             self._peak_queue_len = peak
         if until is not None and self._now < until:
-            stop_early = max_events is not None and processed >= max_events
+            stop_early = max_events is not None and done - start >= max_events
             if not stop_early:
                 self._now = until
         return self._now
@@ -305,22 +303,21 @@ class Timer:
     timer ahead of events scheduled between the two ``start`` calls.
     """
 
-    __slots__ = ("_sim", "_callback", "_handle", "_deadline", "_seq")
+    __slots__ = ("_sim", "_callback", "_handle", "expires_at", "_seq")
 
     def __init__(self, sim: Simulator, callback: Callable[[], None]):
         self._sim = sim
         self._callback = callback
         self._handle: Optional[EventHandle] = None
-        self._deadline: Optional[float] = None
+        #: Absolute virtual time the timer fires at, None while it is
+        #: not running.  A plain slot: per-segment protocol code tests
+        #: ``expires_at is None`` without a property frame.
+        self.expires_at: Optional[float] = None
         self._seq = 0
 
     @property
     def running(self) -> bool:
-        return self._deadline is not None
-
-    @property
-    def expires_at(self) -> Optional[float]:
-        return self._deadline
+        return self.expires_at is not None
 
     def start(self, delay: float) -> None:
         """(Re)arm the timer ``delay`` seconds from now."""
@@ -339,20 +336,20 @@ class Timer:
             seq = sim._seq
             sim._seq = seq + 1
             self._seq = seq
-            self._deadline = deadline
+            self.expires_at = deadline
         else:
             self.stop()
             self._handle = sim.schedule(delay, self._entry_fired)
-            self._deadline = deadline
+            self.expires_at = deadline
 
     def stop(self) -> None:
-        self._deadline = None
+        self.expires_at = None
         if self._handle is not None:
             self._handle.cancel()
             self._handle = None
 
     def _entry_fired(self) -> None:
-        deadline = self._deadline
+        deadline = self.expires_at
         if deadline is None:  # stopped after the entry was queued
             self._handle = None
             return
@@ -362,5 +359,5 @@ class Timer:
             self._handle = self._sim._requeue(deadline, self._seq, self._entry_fired)
             return
         self._handle = None
-        self._deadline = None
+        self.expires_at = None
         self._callback()

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 
 from repro.hydranet.mgmt import ConnSnapshot, StateSnapshot
 from repro.netsim.addressing import as_address
+from repro.tcp.stack import conn_key
 from repro.tcp.tcb import TcpConnection, TcpState
 
 if TYPE_CHECKING:
@@ -97,7 +98,7 @@ def install_connection(ft_port: "FtPort", snap: ConnSnapshot) -> bool:
     stack = listener.stack
     local_ip = ft_port.service_ip
     remote_ip = as_address(snap.client_ip)
-    key4 = (local_ip, listener.port, remote_ip, snap.client_port)
+    key4 = conn_key(local_ip, listener.port, remote_ip, snap.client_port)
     if key4 in stack.connections:
         return False
     nic = stack.host.kernel.route_lookup(remote_ip)

@@ -46,45 +46,43 @@ class SendBuffer:
         self._starts: list[int] = []
         self._chunks: list[bytes] = []
         self._head = 0
-        self._base = 0  # lowest retained offset
-        self._end = 0  # next append offset
-
-    @property
-    def base(self) -> int:
-        return self._base
-
-    @property
-    def end(self) -> int:
-        return self._end
+        #: Lowest retained offset / next append offset.  Plain
+        #: attributes (read on every segment), written only here.
+        self.base = 0
+        self.end = 0
 
     @property
     def buffered(self) -> int:
-        return self._end - self._base
+        return self.end - self.base
 
     @property
     def free_space(self) -> int:
-        return max(0, self.capacity - self.buffered)
+        free = self.capacity - self.end + self.base
+        return free if free > 0 else 0
 
     def append(self, data: bytes) -> int:
         """Append as much of ``data`` as fits; returns bytes accepted."""
-        accept = min(len(data), self.free_space)
+        free = self.capacity - self.end + self.base
+        accept = len(data)
+        if accept > free:
+            accept = free if free > 0 else 0
         if accept == 0:
             return 0
         if accept == len(data) and isinstance(data, bytes):
             chunk = data  # whole-buffer append of immutable bytes: no copy
         else:
             chunk = bytes(data[:accept])
-        self._starts.append(self._end)
+        self._starts.append(self.end)
         self._chunks.append(chunk)
-        self._end += accept
+        self.end += accept
         return accept
 
     def read(self, offset: int, max_len: int) -> bytes:
         """Bytes starting at ``offset``, up to ``max_len`` (less when
         boundary preservation stops at a write boundary)."""
-        if offset < self._base:
-            raise BufferError(f"offset {offset} below base {self._base}")
-        if offset >= self._end or max_len <= 0:
+        if offset < self.base:
+            raise BufferError(f"offset {offset} below base {self.base}")
+        if offset >= self.end or max_len <= 0:
             return b""
         starts = self._starts
         chunks = self._chunks
@@ -93,7 +91,7 @@ class SendBuffer:
         i = bisect_right(starts, offset, self._head) - 1
         chunk = chunks[i]
         piece = chunk[offset - starts[i] : offset - starts[i] + max_len]
-        if self.preserve_boundaries or len(piece) == max_len or offset + len(piece) == self._end:
+        if self.preserve_boundaries or len(piece) == max_len or offset + len(piece) == self.end:
             return piece
         pieces = [piece]
         remaining = max_len - len(piece)
@@ -112,11 +110,11 @@ class SendBuffer:
 
     def ack_to(self, offset: int) -> None:
         """Discard data below ``offset`` (cumulative ACK)."""
-        if offset > self._end:
-            raise BufferError(f"ack beyond data: {offset} > {self._end}")
-        if offset <= self._base:
+        if offset > self.end:
+            raise BufferError(f"ack beyond data: {offset} > {self.end}")
+        if offset <= self.base:
             return
-        self._base = offset
+        self.base = offset
         starts, chunks = self._starts, self._chunks
         head, n = self._head, len(chunks)
         while head < n and starts[head] + len(chunks[head]) <= offset:
@@ -139,32 +137,20 @@ class Reassembler:
 
     def __init__(self):
         self._staged: deque[bytes] = deque()
-        self._staged_size = 0
-        self._in_order_end = 0  # next expected stream offset
-        self._take_point = 0  # offset of first staged byte
+        # Plain attributes (read on every segment), written only here.
+        #: Bytes staged: in order, not yet taken.
+        self.staged_bytes = 0
+        #: Next expected stream offset.
+        self.in_order_end = 0
+        #: Offset of the first staged byte.
+        self.take_point = 0
         # Disjoint out-of-order fragments: offset -> bytes, with the
         # offsets mirrored in a sorted list so inserts, drains, and
         # SACK-block builds never re-sort the whole map.
         self._fragments: dict[int, bytes] = {}
         self._frag_offsets: list[int] = []
-        self._ooo_bytes = 0
+        self.out_of_order_bytes = 0
         self.duplicate_bytes = 0
-
-    @property
-    def in_order_end(self) -> int:
-        return self._in_order_end
-
-    @property
-    def staged_bytes(self) -> int:
-        return self._staged_size
-
-    @property
-    def take_point(self) -> int:
-        return self._take_point
-
-    @property
-    def out_of_order_bytes(self) -> int:
-        return self._ooo_bytes
 
     def out_of_order_ranges(self) -> list[tuple[int, int]]:
         """Disjoint [start, end) stream ranges held beyond the in-order
@@ -184,14 +170,22 @@ class Reassembler:
         of new in-order bytes made available."""
         if not data:
             return 0
+        in_order_end = self.in_order_end
         end = offset + len(data)
-        if end <= self._in_order_end:
+        if end <= in_order_end:
             self.duplicate_bytes += len(data)
             return 0
-        if offset < self._in_order_end:
-            self.duplicate_bytes += self._in_order_end - offset
-            data = data[self._in_order_end - offset :]
-            offset = self._in_order_end
+        if offset < in_order_end:
+            self.duplicate_bytes += in_order_end - offset
+            data = data[in_order_end - offset :]
+            offset = in_order_end
+        if offset == in_order_end and not self._frag_offsets:
+            # In order and no hole behind it to close: straight to the
+            # staged queue, the fragment map never sees it.
+            self._staged.append(data)
+            self.in_order_end = end
+            self.staged_bytes += len(data)
+            return len(data)
         self._insert_fragment(offset, data)
         return self._drain_in_order()
 
@@ -235,12 +229,12 @@ class Reassembler:
         for ins_off, piece in inserts:
             fragments[ins_off] = piece
             insort(offsets, ins_off)
-            self._ooo_bytes += len(piece)
+            self.out_of_order_bytes += len(piece)
 
     def _drain_in_order(self) -> int:
         offsets = self._frag_offsets
         fragments = self._fragments
-        expected = self._in_order_end
+        expected = self.in_order_end
         k = 0
         pieces: list[bytes] = []
         while k < len(offsets) and offsets[k] == expected:
@@ -251,10 +245,10 @@ class Reassembler:
         if not k:
             return 0
         del offsets[:k]
-        gained = expected - self._in_order_end
-        self._in_order_end = expected
-        self._staged_size += gained
-        self._ooo_bytes -= gained
+        gained = expected - self.in_order_end
+        self.in_order_end = expected
+        self.staged_bytes += gained
+        self.out_of_order_bytes -= gained
         # Coalesce fragments that drain together into one staged chunk
         # so downstream take()/deposit handle fewer, larger pieces.
         self._staged.append(pieces[0] if k == 1 else b"".join(pieces))
@@ -263,22 +257,26 @@ class Reassembler:
     def take(self, max_bytes: Optional[int] = None) -> bytes:
         """Remove and return up to ``max_bytes`` staged bytes (all of
         them when None)."""
-        if max_bytes is None:
-            max_bytes = self._staged_size
-        pieces: list[bytes] = []
-        remaining = max_bytes
-        while remaining > 0 and self._staged:
-            chunk = self._staged.popleft()
-            if len(chunk) <= remaining:
-                pieces.append(chunk)
-                remaining -= len(chunk)
-            else:
-                pieces.append(chunk[:remaining])
-                self._staged.appendleft(chunk[remaining:])
-                remaining = 0
-        taken = b"".join(pieces)
-        self._staged_size -= len(taken)
-        self._take_point += len(taken)
+        staged = self._staged
+        if len(staged) == 1 and (max_bytes is None or len(staged[0]) <= max_bytes):
+            taken = staged.popleft()  # the one chunk, whole: nothing to join
+        else:
+            if max_bytes is None:
+                max_bytes = self.staged_bytes
+            pieces: list[bytes] = []
+            remaining = max_bytes
+            while remaining > 0 and staged:
+                chunk = staged.popleft()
+                if len(chunk) <= remaining:
+                    pieces.append(chunk)
+                    remaining -= len(chunk)
+                else:
+                    pieces.append(chunk[:remaining])
+                    staged.appendleft(chunk[remaining:])
+                    remaining = 0
+            taken = b"".join(pieces)
+        self.staged_bytes -= len(taken)
+        self.take_point += len(taken)
         return taken
 
 
@@ -287,35 +285,37 @@ class SocketBuffer:
 
     def __init__(self):
         self._chunks: deque[bytes] = deque()
-        self._size = 0
+        #: Bytes deposited and not yet read (a plain attribute, read on
+        #: every segment for the advertised window; written only here).
+        self.size = 0
         self.total_deposited = 0
         self.total_read = 0
-
-    @property
-    def size(self) -> int:
-        return self._size
 
     def deposit(self, data: bytes) -> None:
         if data:
             self._chunks.append(data)
-            self._size += len(data)
+            self.size += len(data)
             self.total_deposited += len(data)
 
     def read(self, max_bytes: Optional[int] = None) -> bytes:
-        if max_bytes is None:
-            max_bytes = self._size
-        pieces: list[bytes] = []
-        remaining = max_bytes
-        while remaining > 0 and self._chunks:
-            chunk = self._chunks.popleft()
-            if len(chunk) <= remaining:
-                pieces.append(chunk)
-                remaining -= len(chunk)
-            else:
-                pieces.append(chunk[:remaining])
-                self._chunks.appendleft(chunk[remaining:])
-                remaining = 0
-        data = b"".join(pieces)
-        self._size -= len(data)
+        chunks = self._chunks
+        if len(chunks) == 1 and (max_bytes is None or len(chunks[0]) <= max_bytes):
+            data = chunks.popleft()  # the one chunk, whole: nothing to join
+        else:
+            if max_bytes is None:
+                max_bytes = self.size
+            pieces: list[bytes] = []
+            remaining = max_bytes
+            while remaining > 0 and chunks:
+                chunk = chunks.popleft()
+                if len(chunk) <= remaining:
+                    pieces.append(chunk)
+                    remaining -= len(chunk)
+                else:
+                    pieces.append(chunk[:remaining])
+                    chunks.appendleft(chunk[remaining:])
+                    remaining = 0
+            data = b"".join(pieces)
+        self.size -= len(data)
         self.total_read += len(data)
         return data

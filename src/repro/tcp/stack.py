@@ -24,7 +24,10 @@ from .tcb import TcpConnection, TcpError
 EPHEMERAL_PORT_START = 32768
 EPHEMERAL_PORT_END = 49151
 
-ConnKey = tuple[IPAddress, int, IPAddress, int]
+#: Connection-table key: (local ip, local port, remote ip, remote
+#: port) with the addresses as plain ints, so the per-segment demux
+#: hashes and compares in C (``conn_key`` builds one).
+ConnKey = tuple[int, int, int, int]
 
 IssPolicy = Callable[[IPAddress, int, IPAddress, int], int]
 
@@ -40,6 +43,12 @@ def deterministic_iss(
     """
     key = f"{local_ip}:{local_port}:{remote_ip}:{remote_port}".encode()
     return zlib.crc32(key) & 0xFFFFFFFF
+
+
+def conn_key(
+    local_ip: IPAddress, local_port: int, remote_ip: IPAddress, remote_port: int
+) -> ConnKey:
+    return (local_ip._value, local_port, remote_ip._value, remote_port)
 
 
 class Listener:
@@ -135,7 +144,7 @@ class TcpStack:
         mss = opts.effective_mss(nic.mtu)
         iss = self.default_iss(src, port, remote, remote_port)
         conn = TcpConnection(self, src, port, remote, remote_port, opts, mss, iss)
-        self.connections[(src, port, remote, remote_port)] = conn
+        self.connections[conn_key(src, port, remote, remote_port)] = conn
         conn.open_active()
         return conn
 
@@ -147,7 +156,7 @@ class TcpStack:
             self._next_ephemeral += 1
             if self._next_ephemeral > EPHEMERAL_PORT_END:
                 self._next_ephemeral = EPHEMERAL_PORT_START
-            if (local_ip, port, remote_ip, remote_port) not in self.connections:
+            if conn_key(local_ip, port, remote_ip, remote_port) not in self.connections:
                 return port
         raise TcpError("ephemeral ports exhausted")
 
@@ -179,8 +188,9 @@ class TcpStack:
         if not isinstance(segment, TCPSegment):
             return
         self.segments_demuxed += 1
-        key = (packet.dst, segment.dst_port, packet.src, segment.src_port)
-        conn = self.connections.get(key)
+        conn = self.connections.get(
+            (packet.dst._value, segment.dst_port, packet.src._value, segment.src_port)
+        )
         if conn is not None:
             conn.segment_arrived(segment)
             return
@@ -218,21 +228,22 @@ class TcpStack:
             self, local_ip, listener.port, remote_ip, segment.src_port, opts, mss, iss
         )
         conn._listener = listener
-        self.connections[(local_ip, listener.port, remote_ip, segment.src_port)] = conn
+        key = conn_key(local_ip, listener.port, remote_ip, segment.src_port)
+        self.connections[key] = conn
         if listener.configure_connection is not None:
             listener.configure_connection(conn)
         conn.open_passive(segment)
 
     def connection_established(self, conn: TcpConnection) -> None:
         """Server-side connection reached ESTABLISHED."""
-        listener = getattr(conn, "_listener", None)
+        listener = conn._listener
         if listener is not None and not listener.closed:
             listener.connections_accepted += 1
             if listener.on_accept is not None:
                 listener.on_accept(conn)
 
     def connection_closed(self, conn: TcpConnection) -> None:
-        key = (conn.local_ip, conn.local_port, conn.remote_ip, conn.remote_port)
+        key = conn_key(conn.local_ip, conn.local_port, conn.remote_ip, conn.remote_port)
         if self.connections.get(key) is conn:
             del self.connections[key]
 

@@ -78,6 +78,15 @@ class TcpError(RuntimeError):
     pass
 
 
+#: States in which nothing may be sent from the send buffer.
+_NO_OUTPUT_STATES = (
+    TcpState.CLOSED,
+    TcpState.SYN_SENT,
+    TcpState.SYN_RCVD,
+    TcpState.TIME_WAIT,
+)
+
+
 class TcpConnection:
     """One end of a TCP connection."""
 
@@ -101,6 +110,9 @@ class TcpConnection:
         self.options = options
         self.mss = mss
         self.state = TcpState.CLOSED
+        #: The Listener that spawned this connection (None on the
+        #: active side); the stack reports ESTABLISHED to it.
+        self._listener = None
 
         # --- send side ---
         self.iss = iss
@@ -126,9 +138,10 @@ class TcpConnection:
         self.socket_buffer = SocketBuffer()
         self.peer_fin_offset: Optional[int] = None
         self.fin_deposited = False
-        # Highest window right-edge ever advertised (stream offset).
-        # RFC 793/1122: the edge must never move left, even when the
-        # deposit gate holds staged bytes that count against the buffer.
+        # Highest window right-edge ever advertised (stream offset),
+        # kept under ``rfc_window_edge``.  RFC 793/1122: the edge must
+        # never move left, even when the deposit gate holds staged
+        # bytes that count against the buffer.
         self._rcv_adv = 0
 
         # --- machinery ---
@@ -196,16 +209,6 @@ class TcpConnection:
         """Wire sequence number of stream offset ``offset`` (send side)."""
         return seq_add(self.iss, 1 + offset)
 
-    def _offset_for_ack(self, ack: int) -> int:
-        """Stream offset acknowledged by wire ack number (send side).
-        Counts our FIN as one position past the last payload byte."""
-        return seq_diff(ack, seq_add(self.iss, 1))
-
-    def _offset_for_seq(self, seq: int) -> int:
-        """Receive-side stream offset of wire sequence number."""
-        assert self.irs is not None
-        return seq_diff(seq, seq_add(self.irs, 1))
-
     @property
     def ack_point(self) -> int:
         """Deposited stream offset — the basis of the ACKs we send."""
@@ -222,22 +225,24 @@ class TcpConnection:
     def advertised_window(self) -> int:
         """Receive window: buffer capacity minus held bytes (staged
         bytes awaiting the deposit gate count too — the paper's
-        "conservative" kernel), but the right edge never retreats."""
-        held = self.reassembler.staged_bytes + self.socket_buffer.size
-        win = max(0, min(MAX_WINDOW, self.options.recv_buffer_size - held))
-        if self.options.rfc_window_edge:
-            floor = self._rcv_adv - self.ack_point
-            win = max(win, min(MAX_WINDOW, floor))
-        self._rcv_adv = max(self._rcv_adv, self.ack_point + win)
+        "conservative" kernel); under ``rfc_window_edge`` the right
+        edge, once advertised, never retreats."""
+        reassembler = self.reassembler
+        options = self.options
+        win = options.recv_buffer_size - reassembler.staged_bytes - self.socket_buffer.size
+        if win > MAX_WINDOW:
+            win = MAX_WINDOW
+        elif win < 0:
+            win = 0
+        if options.rfc_window_edge:
+            ack_point = reassembler.take_point
+            edge = self._rcv_adv
+            floor = edge - ack_point
+            if floor > win:
+                win = floor if floor < MAX_WINDOW else MAX_WINDOW
+            if ack_point + win > edge:
+                self._rcv_adv = ack_point + win
         return win
-
-    def _window_right_edge(self) -> int:
-        """Stream offset past which arriving data is dropped."""
-        if self.options.rfc_window_edge:
-            return self._rcv_adv
-        held = self.reassembler.staged_bytes + self.socket_buffer.size
-        win = max(0, min(MAX_WINDOW, self.options.recv_buffer_size - held))
-        return self.ack_point + win
 
     # ------------------------------------------------------------------
     # application interface
@@ -385,7 +390,8 @@ class TcpConnection:
     def _emit(self, segment: TCPSegment) -> None:
         self.segments_sent += 1
         if segment.flags & FLAG_ACK:
-            self.ack_timer.stop()
+            if self.ack_timer.expires_at is not None:
+                self.ack_timer.stop()
             self._segs_since_ack = 0
         if self.output_filter is not None and self.output_filter(segment):
             self.suppressed_segments += 1
@@ -429,7 +435,7 @@ class TcpConnection:
             if self._segs_since_ack >= 2:
                 self._send_ack_now()
                 return
-        if not self.ack_timer.running:
+        if self.ack_timer.expires_at is None:
             self.ack_timer.start(self.options.delayed_ack_timeout)
 
     def _on_delayed_ack(self) -> None:
@@ -447,27 +453,23 @@ class TcpConnection:
     # output path
     # ------------------------------------------------------------------
 
-    def _transmit_ceiling(self) -> Optional[int]:
-        if self.transmit_limit is None:
-            return None
-        return self.transmit_limit()
-
     def _try_send(self) -> None:
-        if self.state in (
-            TcpState.CLOSED,
-            TcpState.SYN_SENT,
-            TcpState.SYN_RCVD,
-            TcpState.TIME_WAIT,
-        ):
-            return
         send_buffer = self.send_buffer
+        if send_buffer.end <= self.snd_nxt and not self.fin_queued:
+            return  # nothing beyond snd_nxt, no FIN to place: no window to work out
+        if self.state in _NO_OUTPUT_STATES:
+            return
         options = self.options
         transmit_limit = self.transmit_limit
+        congestion = self.congestion
+        mss = self.mss
         while True:
             # Recomputed each iteration on purpose: emitting a segment
             # runs the ft output filter, which may move the gates.
             peer_window = self.peer_window
-            window = self.congestion.window(peer_window if peer_window > 0 else 0)
+            window = congestion.cwnd  # min(cwnd, peer window), inline
+            if peer_window < window:
+                window = peer_window if peer_window > 0 else 0
             snd_nxt = self.snd_nxt
             usable = self.snd_una + window - snd_nxt
             available = send_buffer.end - snd_nxt
@@ -480,30 +482,31 @@ class TcpConnection:
             if available <= 0:
                 break
             if usable <= 0:
-                if peer_window == 0 and not self.rtx_timer.running:
+                if peer_window == 0 and self.rtx_timer.expires_at is None:
                     self._start_persist()
                 break
-            n = min(usable, available, self.mss)
+            if available > mss:
+                available = mss
             if options.segment_per_write:
                 # Measurement mode: a write is sent as one segment or
                 # not at all — never sliced by the window edge.
-                whole = send_buffer.read(snd_nxt, min(available, self.mss))
-                if len(whole) > usable:
+                data = send_buffer.read(snd_nxt, available)
+                if len(data) > usable:
                     break
-                data = whole
             else:
-                data = send_buffer.read(snd_nxt, n)
+                data = send_buffer.read(snd_nxt, available if available < usable else usable)
             if not data:
                 break
             if (
                 options.nagle
-                and len(data) < self.mss
-                and self.snd_nxt > self.snd_una
+                and len(data) < mss
+                and snd_nxt > self.snd_una
                 and not self.fin_queued
             ):
                 break
             self._send_data_segment(snd_nxt, data)
-        self._maybe_send_fin()
+        if self.fin_queued:
+            self._maybe_send_fin()
 
     def _send_data_segment(self, offset: int, data: bytes, retransmit: bool = False) -> None:
         flags = FLAG_ACK | FLAG_PSH
@@ -525,20 +528,21 @@ class TcpConnection:
             if self._rtt_sample is None:
                 self._rtt_sample = (end, self.sim.now)
         self._emit(segment)
-        if not retransmit:
-            self.snd_nxt = max(self.snd_nxt, end)
-        self.snd_max = max(self.snd_max, self.snd_nxt)
-        if not self.rtx_timer.running:
+        if not retransmit and end > self.snd_nxt:
+            self.snd_nxt = end
+        if self.snd_nxt > self.snd_max:
+            self.snd_max = self.snd_nxt
+        if self.rtx_timer.expires_at is None:
             self.rtx_timer.start(self.rto.rto)
 
     def _fin_offset(self) -> int:
         return self.send_buffer.end
 
     def _fin_allowed(self) -> bool:
-        ceiling = self._transmit_ceiling()
-        if ceiling is None:
+        if self.transmit_limit is None:
             return True
-        return ceiling > self._fin_offset()
+        ceiling = self.transmit_limit()
+        return ceiling is None or ceiling > self._fin_offset()
 
     def _maybe_send_fin(self) -> None:
         if (
@@ -685,12 +689,15 @@ class TcpConnection:
         if self.state == TcpState.CLOSED:
             return
         self.peer_window = segment.window
-        if self.persist_timer.running and segment.window > 0:
+        if self.persist_timer.expires_at is not None and segment.window > 0:
+            # The window reopened: what the probe was standing in for
+            # goes out ahead of anything this segment's payload causes.
             self.persist_timer.stop()
             self._persist_backoff = 0
             self._try_send()
         self._process_payload(segment)
-        self._try_send()
+        if self.fin_queued or self.send_buffer.end > self.snd_nxt:
+            self._try_send()
 
     # -- handshake states -------------------------------------------------
 
@@ -751,24 +758,30 @@ class TcpConnection:
             base = seq_add(self.iss, 1)
             for left, right in segment.sack_blocks:
                 self.scoreboard.record(seq_diff(left, base), seq_diff(right, base))
-        # _offset_for_ack inlined: seq_diff(ack, iss + 1) in C arithmetic.
+        # Stream offset acknowledged — seq_diff(ack, iss + 1) in C
+        # arithmetic; our FIN counts as one position past the last byte.
         acked = ((segment.ack - self.iss - 1 + _SEQ_HALF) & _SEQ_MASK) - _SEQ_HALF
-        fin_point = self.send_buffer.end + 1 if self.fin_sent else None
-        max_valid = fin_point if fin_point is not None else self.send_buffer.end
+        send_end = self.send_buffer.end
+        fin_point = send_end + 1 if self.fin_sent else None
+        max_valid = send_end if fin_point is None else fin_point
         if acked > max_valid:
             if not self.clamp_future_acks:
                 # ACK for data we never sent — ignore.
                 return
             acked = max_valid
-        data_acked = min(acked, self.send_buffer.end)
+        data_acked = acked if acked < send_end else send_end
         if data_acked > self.snd_una or (
             fin_point is not None and acked == fin_point and not self.fin_acked
         ):
             newly = data_acked - self.snd_una
-            self.snd_una = max(self.snd_una, data_acked)
-            self.snd_nxt = max(self.snd_nxt, self.snd_una)
-            self.send_buffer.ack_to(self.snd_una)
-            self.scoreboard.advance(self.snd_una)
+            if newly > 0:
+                self.snd_una = data_acked
+            snd_una = self.snd_una
+            if snd_una > self.snd_nxt:
+                self.snd_nxt = snd_una
+            self.send_buffer.ack_to(snd_una)
+            if self.sack_enabled:  # else nothing was ever recorded
+                self.scoreboard.advance(snd_una)
             self._retries = 0
             self._dupacks = 0
             # RTT sample (Karn-valid ones only).
@@ -820,7 +833,7 @@ class TcpConnection:
     def _process_payload(self, segment: TCPSegment) -> None:
         if self.irs is None:
             return
-        # _offset_for_seq inlined: seq_diff(seq, irs + 1) in C arithmetic.
+        # Receive-side stream offset: seq_diff(seq, irs + 1) in C arithmetic.
         offset = ((segment.seq - self.irs - 1 + _SEQ_HALF) & _SEQ_MASK) - _SEQ_HALF
         data = segment.data
         dlen = len(data)
@@ -847,7 +860,13 @@ class TcpConnection:
                     # client's retransmission will pick up where message
                     # delivery was interrupted (paper §4.3/§5).
                     return
-            edge = self._window_right_edge()
+            # Stream offset past which arriving data is dropped: the
+            # advertised edge, or (conservative mode) wherever the
+            # buffer puts it right now.
+            if self.options.rfc_window_edge:
+                edge = self._rcv_adv
+            else:
+                edge = reassembler.take_point + self.advertised_window()
             if offset >= reassembler.in_order_end and (
                 offset >= edge or (not self.options.rfc_window_edge and end > edge)
             ):
@@ -884,11 +903,6 @@ class TcpConnection:
             # ACKed from the state transition): re-ACK it.
             self._send_ack_now()
 
-    def _deposit_ceiling(self) -> Optional[int]:
-        if self.deposit_limit is None:
-            return None
-        return self.deposit_limit()
-
     def _try_deposit(self) -> bool:
         """Move staged bytes into the socket buffer as far as the
         deposit gate allows.  Returns True if anything was deposited or
@@ -904,15 +918,28 @@ class TcpConnection:
         if n > 0:
             start = reassembler.take_point
             data = reassembler.take(n)
-            self.socket_buffer.deposit(data)
+            socket_buffer = self.socket_buffer
             progressed = True
-            if self.on_deposit_data is not None:
-                self.on_deposit_data(start, data)
-            if self.on_deposit is not None:
-                self.on_deposit(self.ack_point)
-            if self.on_data is not None and self.socket_buffer.size:
-                payload = self.socket_buffer.read()
-                self.on_data(payload)
+            if (
+                self.on_data is not None
+                and not socket_buffer.size
+                and self.on_deposit_data is None
+                and self.on_deposit is None
+            ):
+                # A reader that takes bytes as they come, an empty
+                # socket buffer and no deposit hook to run in between:
+                # the chunk is deposited and read back in one step.
+                socket_buffer.total_deposited += n
+                socket_buffer.total_read += n
+                self.on_data(data)
+            else:
+                socket_buffer.deposit(data)
+                if self.on_deposit_data is not None:
+                    self.on_deposit_data(start, data)
+                if self.on_deposit is not None:
+                    self.on_deposit(reassembler.take_point)
+                if self.on_data is not None and socket_buffer.size:
+                    self.on_data(socket_buffer.read())
         # Peer FIN is consumable once all payload before it deposited
         # and the gate lets us past it.
         fin_offset = self.peer_fin_offset

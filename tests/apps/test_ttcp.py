@@ -62,18 +62,21 @@ def test_tcp_segment_sizes_match_buflen(net):
     install_ttcp_sink(server_node)
     from repro.netsim.packet import TCPSegment
 
-    sizes = []
-    original = client.host.interfaces[0].send
+    from repro.netsim.trace import Tracer
 
-    def tap(packet):
-        if isinstance(packet.payload, TCPSegment) and packet.payload.data:
-            sizes.append(len(packet.payload.data))
-        original(packet)
-
-    client.host.interfaces[0].send = tap
+    sim.tracer = Tracer()
     sender = TtcpSender(client, server_node.ip, buflen=200, nbuf=20)
     sender.start()
     sim.run(until=60.0)
+    nic = client.host.interfaces[0]
+    sizes = [
+        len(record.packet.payload.data)
+        for record in sim.tracer.records
+        if record.event == "tx"
+        and record.node == nic.name
+        and isinstance(record.packet.payload, TCPSegment)
+        and record.packet.payload.data
+    ]
     assert sizes == [200] * 20
 
 

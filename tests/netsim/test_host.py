@@ -227,7 +227,7 @@ def test_packet_hook_consumes():
     received = []
     hooked = []
     server.kernel.register_protocol(Protocol.ICMP, received.append)
-    server.kernel.packet_hooks.append(lambda p, nic: hooked.append(p) or True)
+    server.kernel.add_packet_hook(lambda p, nic: hooked.append(p) or True)
     client.kernel.send_ip(make_packet(client.ip, server.ip))
     sim.run()
     assert len(hooked) == 1
@@ -238,7 +238,7 @@ def test_packet_hook_pass_through():
     sim = Simulator()
     topo, client, _, server = line_topology(sim)
     received = []
-    server.kernel.packet_hooks.append(lambda p, nic: False)
+    server.kernel.add_packet_hook(lambda p, nic: False)
     server.kernel.register_protocol(Protocol.ICMP, received.append)
     client.kernel.send_ip(make_packet(client.ip, server.ip))
     sim.run()

@@ -157,11 +157,11 @@ class TestKernelMisc:
 
         def one_shot(packet, nic):
             fired.append(1)
-            b.kernel.packet_hooks.remove(one_shot)
+            b.kernel.remove_packet_hook(one_shot)
             return False
 
         received = []
-        b.kernel.packet_hooks.append(one_shot)
+        b.kernel.add_packet_hook(one_shot)
         b.kernel.register_protocol(Protocol.ICMP, received.append)
         a.kernel.send_ip(make_packet(a.ip, b.ip))
         a.kernel.send_ip(make_packet(a.ip, b.ip))
