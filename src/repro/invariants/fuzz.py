@@ -750,7 +750,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     if kind == "echo":
         total = workload["total_bytes"]
         chunk = workload.get("chunk", 2048)
-        payload = bytes(i % 251 for i in range(total))
+        payload = (bytes(range(251)) * (total // 251 + 1))[:total]
         conn = system.client_node.connect(system.service_ip, system.port)
         sent = {"n": 0}
 

@@ -34,9 +34,6 @@ class HostProfile:
     per_packet_cpu: float
     per_byte_cpu: float
 
-    def packet_cost(self, wire_size: int) -> float:
-        return self.per_packet_cpu + self.per_byte_cpu * wire_size
-
 
 # Profiles loosely calibrated to the paper's testbed: two Pentium/120
 # host servers, 486 client and redirector, 10 Mb/s links.  The absolute
@@ -108,8 +105,6 @@ class Kernel:
     def _charge_extra_fragments(self, n_extra: int) -> float:
         """Fragmentation costs per-fragment header processing beyond
         the per-packet charge already paid."""
-        if n_extra <= 0:
-            return 0.0
         cost = (
             n_extra
             * (self.host.profile.per_packet_cpu + self.software_overhead)
@@ -225,10 +220,8 @@ class Kernel:
                 trace(self.sim, self.host.name, "no-route", packet)
                 return False
         if packet.wire_size <= nic.mtu:
-            # The common case — it fits, nothing to fragment — crosses
-            # the NIC without its frame: NIC.send's remaining checks
-            # (up: just validated by the lookup; MTU: just compared) and
-            # its counter, then straight to the channel.  A tracer or an
+            # It fits: cross the NIC without its frame.  Of NIC.send's
+            # checks, up and MTU were just made; a tracer or an
             # unconnected NIC takes NIC.send itself.
             out = nic._out
             if out is not None and self.sim.tracer is None:

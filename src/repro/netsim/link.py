@@ -65,9 +65,6 @@ class Channel:
             raise ValueError("loss_rate must be in [0, 1]")
         self._loss_rate = value
 
-    def transmission_time(self, packet: IPPacket) -> float:
-        return packet.wire_size * 8 / self.bandwidth_bps
-
     def transmit(self, packet: IPPacket) -> None:
         """Accept a packet for transmission (or drop it)."""
         sim = self.sim

@@ -54,10 +54,6 @@ class NIC:
     def connect(self, channel: Channel) -> None:
         self._out = channel
 
-    @property
-    def connected(self) -> bool:
-        return self._out is not None
-
     def send(self, packet: IPPacket) -> None:
         """Put a packet on the wire.  Caller is responsible for MTU
         compliance (the kernel fragments before calling this)."""

@@ -217,11 +217,9 @@ class IPPacket:
         dont_fragment: bool = False,
         original_payload_size: Optional[int] = None,
     ):
-        # Written by hand: one packet is built per segment per hop
-        # endpoint, and the generated __init__ would pay a
-        # default_factory call and a __post_init__ frame each time.
-        # dataclasses.replace still works (it calls this with every
-        # init field, ``ident`` included).
+        # By hand: the generated __init__ would pay a default_factory
+        # call and a __post_init__ frame per packet.  dataclasses.replace
+        # still works (it passes every init field, ``ident`` included).
         self.src = src
         self.dst = dst
         self.protocol = protocol
@@ -233,10 +231,9 @@ class IPPacket:
         self.dont_fragment = dont_fragment
         self.original_payload_size = original_payload_size
         # Eager: every packet's wire size is read at least once (CPU
-        # cost, MTU check, serialization delay) and the payload is
-        # never swapped or resized after construction (copies go
-        # through dataclasses.replace or the fragmenter, both of which
-        # build fresh instances).
+        # cost, MTU check, serialization delay) and the payload is never
+        # swapped or resized afterwards (dataclasses.replace and the
+        # fragmenter both build fresh instances).
         self.wire_size = IP_HEADER_SIZE + payload.wire_size
 
     @property

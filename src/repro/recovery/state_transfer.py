@@ -113,8 +113,8 @@ def install_connection(ft_port: "FtPort", snap: ConnSnapshot) -> bool:
         opts,
         opts.effective_mss(mtu),
         snap.iss,
+        listener,
     )
-    conn._listener = listener
     stack.connections[key4] = conn
     ft_port._configure_connection(conn)
     # The handshake already happened (on the donor); synthesize its

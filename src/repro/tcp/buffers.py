@@ -52,10 +52,6 @@ class SendBuffer:
         self.end = 0
 
     @property
-    def buffered(self) -> int:
-        return self.end - self.base
-
-    @property
     def free_space(self) -> int:
         free = self.capacity - self.end + self.base
         return free if free > 0 else 0

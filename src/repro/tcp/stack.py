@@ -225,9 +225,8 @@ class TcpStack:
         policy = listener.iss_policy or self.default_iss
         iss = policy(local_ip, listener.port, remote_ip, segment.src_port)
         conn = TcpConnection(
-            self, local_ip, listener.port, remote_ip, segment.src_port, opts, mss, iss
+            self, local_ip, listener.port, remote_ip, segment.src_port, opts, mss, iss, listener
         )
-        conn._listener = listener
         key = conn_key(local_ip, listener.port, remote_ip, segment.src_port)
         self.connections[key] = conn
         if listener.configure_connection is not None:

@@ -100,6 +100,7 @@ class TcpConnection:
         options: TcpOptions,
         mss: int,
         iss: int,
+        listener=None,
     ):
         self.stack = stack
         self.sim = stack.sim
@@ -112,7 +113,7 @@ class TcpConnection:
         self.state = TcpState.CLOSED
         #: The Listener that spawned this connection (None on the
         #: active side); the stack reports ESTABLISHED to it.
-        self._listener = None
+        self._listener = listener
 
         # --- send side ---
         self.iss = iss
@@ -150,7 +151,7 @@ class TcpConnection:
         self.rtx_timer = Timer(self.sim, self._on_rto)
         self.ack_timer = Timer(self.sim, self._on_delayed_ack)
         self.persist_timer = Timer(self.sim, self._on_persist)
-        self.time_wait_timer = Timer(self.sim, self._on_time_wait_done)
+        self.time_wait_timer = Timer(self.sim, lambda: self._teardown("closed"))
         self._retries = 0
         self._persist_backoff = 0
         self._dupacks = 0
@@ -213,14 +214,6 @@ class TcpConnection:
     def ack_point(self) -> int:
         """Deposited stream offset — the basis of the ACKs we send."""
         return self.reassembler.take_point
-
-    def _wire_ack(self) -> int:
-        """The ACK number to put on outgoing segments: everything
-        deposited, plus one for the peer's FIN once it is consumed."""
-        if self.irs is None:
-            return 0
-        extra = 1 if self.fin_deposited else 0
-        return seq_add(self.irs, 1 + self.ack_point + extra)
 
     def advertised_window(self) -> int:
         """Receive window: buffer capacity minus held bytes (staged
@@ -362,10 +355,11 @@ class TcpConnection:
     def _make_segment(
         self, flags: int, seq: Optional[int] = None, data: bytes = b""
     ) -> TCPSegment:
-        # _seq_for / _wire_ack / _sack_blocks inlined (per-segment path).
         if seq is None:
             seq = (self.iss + 1 + self.snd_nxt) & _SEQ_MASK
         if flags & FLAG_ACK:
+            # Everything deposited, plus one for the peer's FIN once it
+            # is consumed.
             irs = self.irs
             if irs is None:
                 ack = 0
@@ -414,11 +408,7 @@ class TcpConnection:
         )
         if self._syn_time is None:
             self._syn_time = self.sim.now
-        self.segments_sent += 1
-        if not (self.output_filter is not None and self.output_filter(segment)):
-            self.stack.send_segment(self, segment)
-        else:
-            self.suppressed_segments += 1
+        self._emit(segment)
         self.rtx_timer.start(self.rto.rto)
 
     def _send_ack_now(self) -> None:
@@ -467,9 +457,7 @@ class TcpConnection:
             # Recomputed each iteration on purpose: emitting a segment
             # runs the ft output filter, which may move the gates.
             peer_window = self.peer_window
-            window = congestion.cwnd  # min(cwnd, peer window), inline
-            if peer_window < window:
-                window = peer_window if peer_window > 0 else 0
+            window = congestion.window(peer_window if peer_window > 0 else 0)
             snd_nxt = self.snd_nxt
             usable = self.snd_una + window - snd_nxt
             available = send_buffer.end - snd_nxt
@@ -535,23 +523,14 @@ class TcpConnection:
         if self.rtx_timer.expires_at is None:
             self.rtx_timer.start(self.rto.rto)
 
-    def _fin_offset(self) -> int:
-        return self.send_buffer.end
-
-    def _fin_allowed(self) -> bool:
-        if self.transmit_limit is None:
-            return True
-        ceiling = self.transmit_limit()
-        return ceiling is None or ceiling > self._fin_offset()
-
     def _maybe_send_fin(self) -> None:
-        if (
-            not self.fin_queued
-            or self.fin_sent
-            or self.snd_nxt < self.send_buffer.end
-            or not self._fin_allowed()
-        ):
+        fin_offset = self.send_buffer.end
+        if not self.fin_queued or self.fin_sent or self.snd_nxt < fin_offset:
             return
+        if self.transmit_limit is not None:
+            ceiling = self.transmit_limit()
+            if ceiling is not None and ceiling <= fin_offset:
+                return  # gated, like the bytes before it
         self.fin_sent = True
         segment = self._make_segment(
             FLAG_FIN | FLAG_ACK, seq=self._seq_for(self.snd_nxt)
@@ -626,7 +605,7 @@ class TcpConnection:
             self.retransmitted_segments += 1
             self._emit(
                 self._make_segment(
-                    FLAG_FIN | FLAG_ACK, seq=self._seq_for(self._fin_offset())
+                    FLAG_FIN | FLAG_ACK, seq=self._seq_for(self.send_buffer.end)
                 )
             )
 
@@ -654,9 +633,6 @@ class TcpConnection:
             self._send_ack_now()
         self._persist_backoff += 1
         self._start_persist()
-
-    def _on_time_wait_done(self) -> None:
-        self._teardown("closed")
 
     # ------------------------------------------------------------------
     # input path
@@ -861,21 +837,18 @@ class TcpConnection:
                     # delivery was interrupted (paper §4.3/§5).
                     return
             # Stream offset past which arriving data is dropped: the
-            # advertised edge, or (conservative mode) wherever the
-            # buffer puts it right now.
-            if self.options.rfc_window_edge:
-                edge = self._rcv_adv
-            else:
-                edge = reassembler.take_point + self.advertised_window()
+            # advertised edge, or (conservative mode) the buffer's own.
+            rfc_edge = self.options.rfc_window_edge
+            edge = self._rcv_adv if rfc_edge else reassembler.take_point + self.advertised_window()
             if offset >= reassembler.in_order_end and (
-                offset >= edge or (not self.options.rfc_window_edge and end > edge)
+                offset >= edge or (not rfc_edge and end > edge)
             ):
                 # Beyond the window edge.  RFC mode: a zero-window
                 # probe / overrun — drop the payload but re-ACK so the
                 # sender's persist machinery keeps working.
                 # Conservative mode: a tail drop at the retreated edge —
                 # silent, recovered by the client's RTO (paper §5).
-                if self.options.rfc_window_edge:
+                if rfc_edge:
                     self._send_ack_now()
                 return
             before = reassembler.in_order_end

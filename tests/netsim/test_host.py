@@ -217,8 +217,17 @@ class TestCpuModel:
         assert times[0] >= 0.005
 
     def test_profile_packet_cost(self):
+        """per_packet_cpu + per_byte_cpu * wire_size, as the kernel
+        charges it to a received packet."""
+        sim = Simulator()
         profile = HostProfile("x", per_packet_cpu=1e-4, per_byte_cpu=1e-6)
-        assert profile.packet_cost(1000) == pytest.approx(1e-4 + 1e-3)
+        host = Host(sim, "h", profile)
+        nic = host.add_interface("10.0.0.1", "10.0.0.0/24")
+        times = []
+        host.kernel.register_protocol(Protocol.ICMP, lambda p: times.append(sim.now))
+        host.kernel.receive_from_nic(make_packet("10.0.0.2", "10.0.0.1", size=1000), nic)
+        sim.run()
+        assert times == [pytest.approx(1e-4 + 1e-3)]
 
 
 def test_packet_hook_consumes():
@@ -243,6 +252,70 @@ def test_packet_hook_pass_through():
     client.kernel.send_ip(make_packet(client.ip, server.ip))
     sim.run()
     assert len(received) == 1
+
+
+def _sweep_host():
+    """A host whose kernel is fed packets straight from its NIC."""
+    sim = Simulator()
+    host = Host(sim, "h", ZERO_COST)
+    nic = host.add_interface("10.0.0.1", "10.0.0.0/24")
+    host.kernel.register_protocol(Protocol.ICMP, lambda p: None)
+
+    def feed():
+        host.kernel.receive_from_nic(make_packet("10.0.0.2", "10.0.0.1"), nic)
+        sim.run()
+
+    return host.kernel, feed
+
+
+def test_hook_removing_itself_mid_sweep_does_not_hide_the_next_hook():
+    kernel, feed = _sweep_host()
+    seen = []
+
+    def one_shot(packet, nic):
+        seen.append("one_shot")
+        kernel.remove_packet_hook(one_shot)
+        return False
+
+    kernel.add_packet_hook(one_shot)
+    kernel.add_packet_hook(lambda p, nic: seen.append("after") or False)
+    feed()
+    assert seen == ["one_shot", "after"]  # the sweep in progress is not disturbed
+    feed()
+    assert seen == ["one_shot", "after", "after"]
+
+
+def test_hook_added_mid_sweep_first_sees_the_next_packet():
+    kernel, feed = _sweep_host()
+    seen = []
+
+    def late(packet, nic):
+        seen.append("late")
+        return False
+
+    def adder(packet, nic):
+        seen.append("adder")
+        if late not in kernel.packet_hooks:
+            kernel.add_packet_hook(late)
+        return False
+
+    kernel.add_packet_hook(adder)
+    feed()
+    assert seen == ["adder"]
+    feed()
+    assert seen == ["adder", "adder", "late"]
+
+
+def test_add_packet_hook_after():
+    kernel, _ = _sweep_host()
+    first, second, third = (lambda p, nic: False for _ in range(3))
+    kernel.add_packet_hook(first)
+    kernel.add_packet_hook(third)
+    kernel.add_packet_hook(second, after=first)
+    assert kernel.packet_hooks == (first, second, third)
+    kernel.remove_packet_hook(first)
+    kernel.add_packet_hook(first, after=first)  # `after` not registered: goes last
+    assert kernel.packet_hooks == (second, third, first)
 
 
 def test_host_repr_and_ip():

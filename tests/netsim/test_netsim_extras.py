@@ -8,7 +8,6 @@ from repro.netsim import (
     Host,
     IPAddress,
     IPPacket,
-    Link,
     Network,
     Protocol,
     RawData,
@@ -45,10 +44,18 @@ class TestChannelInternals:
         assert link.a_to_b.queue_depth == 0
 
     def test_transmission_time(self):
+        """wire_size * 8 / bandwidth, as the channel serializes it."""
         sim = Simulator()
-        link = Link(sim, bandwidth_bps=1_000_000)
-        packet = make_packet("1.1.1.1", "2.2.2.2", size=1000)
-        assert link.a_to_b.transmission_time(packet) == pytest.approx(0.008)
+        topo = Topology(sim)
+        a = topo.add_host("a", ZERO_COST)
+        b = topo.add_host("b", ZERO_COST)
+        topo.connect(a, b, bandwidth_bps=1_000_000, latency=0.0)
+        topo.build_routes()
+        times = []
+        b.kernel.register_protocol(Protocol.ICMP, lambda p: times.append(sim.now))
+        a.kernel.send_ip(make_packet(a.ip, b.ip, size=1000))
+        sim.run()
+        assert times == [pytest.approx(0.008)]
 
     def test_one_way_partition(self):
         sim = Simulator()

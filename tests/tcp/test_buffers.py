@@ -107,6 +107,60 @@ class TestSendBuffer:
         buf.append(b"tail")
         assert buf.read(1024, 4) == b"tail"
 
+    @given(
+        preserve=st.booleans(),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("append"), st.binary(min_size=0, max_size=40)),
+                st.tuples(
+                    st.just("read"),
+                    st.integers(min_value=0, max_value=400),
+                    st.integers(min_value=-1, max_value=50),
+                ),
+                st.tuples(st.just("ack"), st.integers(min_value=0, max_value=400)),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+    def test_matches_bytearray_model(self, preserve, ops):
+        """append / read / ack_to against a flat bytearray of the whole
+        stream plus the list of write boundaries."""
+        capacity = 128
+        buf = SendBuffer(capacity, preserve_boundaries=preserve)
+        stream = bytearray()
+        boundaries = []  # end offset of every accepted write
+        base = 0
+        for op in ops:
+            end = len(stream)
+            if op[0] == "append":
+                data = op[1]
+                accept = min(len(data), max(0, capacity - (end - base)))
+                assert buf.append(data) == accept
+                if accept:
+                    stream += data[:accept]
+                    boundaries.append(len(stream))
+            elif op[0] == "read":
+                offset, max_len = op[1] % (end + 3), op[2]
+                if offset < base:
+                    with pytest.raises(BufferError):
+                        buf.read(offset, max_len)
+                    continue
+                stop = min(end, offset + max(0, max_len))
+                if preserve and offset < end:
+                    stop = min(stop, next(b for b in boundaries if b > offset))
+                assert buf.read(offset, max_len) == bytes(stream[offset:stop])
+            else:
+                offset = op[1] % (end + 3)
+                if offset > end:
+                    with pytest.raises(BufferError):
+                        buf.ack_to(offset)
+                    continue
+                buf.ack_to(offset)
+                base = max(base, offset)
+            assert (buf.base, buf.end) == (base, len(stream))
+            assert buf.free_space == max(0, capacity - (len(stream) - base))
+
 
 class TestReassembler:
     def test_in_order(self):
@@ -159,29 +213,57 @@ class TestReassembler:
 
     @given(
         st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=60),
-                st.integers(min_value=1, max_value=20),
+            st.one_of(
+                st.tuples(
+                    st.just("add"),
+                    st.integers(min_value=0, max_value=60),
+                    st.integers(min_value=1, max_value=20),
+                ),
+                st.tuples(st.just("take"), st.integers(min_value=0, max_value=30)),
             ),
             min_size=1,
-            max_size=30,
+            max_size=40,
         )
     )
-    def test_matches_reference_model(self, segments):
-        """Feeding arbitrary overlapping slices of a known stream always
-        yields a prefix of that stream, never corrupted bytes."""
+    def test_matches_reference_model(self, ops):
+        """Arbitrary overlapping slices of a known stream, interleaved
+        with partial takes, against a byte-per-slot model: every
+        counter agrees after every step and the bytes handed out are
+        the stream, in order, uncorrupted."""
         stream = bytes(range(100))
         r = Reassembler()
-        for offset, length in segments:
-            r.add(offset, stream[offset : offset + length])
-        covered = sorted((off, off + ln) for off, ln in segments)
-        expected_end = 0
-        for start, end in covered:
-            if start <= expected_end:
-                expected_end = max(expected_end, end)
-        expected_end = min(expected_end, 100)
-        assert r.in_order_end == expected_end
-        assert r.take() == stream[:expected_end]
+        held = [False] * 100  # the model: which stream bytes have arrived
+        in_order_end = take_point = duplicates = gained_total = 0
+        for op in ops:
+            if op[0] == "add":
+                _, offset, length = op
+                gained_total += r.add(offset, stream[offset : offset + length])
+                for pos in range(offset, offset + length):
+                    duplicates += held[pos]
+                    held[pos] = True
+                while in_order_end < 100 and held[in_order_end]:
+                    in_order_end += 1
+            else:
+                n = min(op[1], in_order_end - take_point)
+                assert r.take(op[1]) == stream[take_point : take_point + n]
+                take_point += n
+            ranges, pos = [], in_order_end
+            while pos < 100:
+                if held[pos]:
+                    start = pos
+                    while pos < 100 and held[pos]:
+                        pos += 1
+                    ranges.append((start, pos))
+                else:
+                    pos += 1
+            assert r.in_order_end == in_order_end == gained_total
+            assert r.take_point == take_point
+            assert r.staged_bytes == in_order_end - take_point
+            assert r.out_of_order_ranges() == ranges
+            assert r.out_of_order_bytes == sum(end - start for start, end in ranges)
+            assert r.duplicate_bytes == duplicates
+        assert r.take() == stream[take_point:in_order_end]
+        assert r.staged_bytes == 0 and r.take_point == in_order_end
 
 
 class TestReassemblerAdversarial:

@@ -77,6 +77,7 @@ class TestTimeWait:
         assert server_conn_gone  # server fully closed already
         # Re-deliver a FIN (as if the server's FIN was duplicated).
         from repro.netsim.packet import TCPFlags, TCPSegment
+        from repro.tcp.seqnum import seq_add
 
         acked = []
         original = conn._send_ack_now
@@ -89,7 +90,7 @@ class TestTimeWait:
         dup_fin = TCPSegment(
             src_port=7,
             dst_port=conn.local_port,
-            seq=conn._wire_ack() - 1,  # the FIN position again
+            seq=seq_add(conn.irs, 1 + conn.ack_point),  # the FIN position again
             ack=conn._seq_for(conn.snd_nxt),
             flags=TCPFlags.FIN | TCPFlags.ACK,
             window=65535,
