@@ -167,6 +167,7 @@ class Kernel:
         self.packet_hooks = (*hooks[:at], hook, *hooks[at:])
 
     def remove_packet_hook(self, hook: PacketHook) -> None:
+        """Unregister ``hook`` (every registration of it)."""
         self.packet_hooks = tuple(h for h in self.packet_hooks if h != hook)
 
     def register_protocol(

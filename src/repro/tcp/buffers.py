@@ -26,6 +26,23 @@ class BufferError(RuntimeError):
     pass
 
 
+def _pop_bytes(chunks: deque, max_bytes: int) -> bytes:
+    """Remove and return up to ``max_bytes`` from the front of a queue
+    of byte chunks, splitting the last chunk taken if need be."""
+    pieces: list[bytes] = []
+    remaining = max_bytes
+    while remaining > 0 and chunks:
+        chunk = chunks.popleft()
+        if len(chunk) <= remaining:
+            pieces.append(chunk)
+            remaining -= len(chunk)
+        else:
+            pieces.append(chunk[:remaining])
+            chunks.appendleft(chunk[remaining:])
+            remaining = 0
+    return b"".join(pieces)
+
+
 class SendBuffer:
     """Outbound byte stream with retransmission storage.
 
@@ -257,20 +274,7 @@ class Reassembler:
         if len(staged) == 1 and (max_bytes is None or len(staged[0]) <= max_bytes):
             taken = staged.popleft()  # the one chunk, whole: nothing to join
         else:
-            if max_bytes is None:
-                max_bytes = self.staged_bytes
-            pieces: list[bytes] = []
-            remaining = max_bytes
-            while remaining > 0 and staged:
-                chunk = staged.popleft()
-                if len(chunk) <= remaining:
-                    pieces.append(chunk)
-                    remaining -= len(chunk)
-                else:
-                    pieces.append(chunk[:remaining])
-                    staged.appendleft(chunk[remaining:])
-                    remaining = 0
-            taken = b"".join(pieces)
+            taken = _pop_bytes(staged, self.staged_bytes if max_bytes is None else max_bytes)
         self.staged_bytes -= len(taken)
         self.take_point += len(taken)
         return taken
@@ -298,20 +302,7 @@ class SocketBuffer:
         if len(chunks) == 1 and (max_bytes is None or len(chunks[0]) <= max_bytes):
             data = chunks.popleft()  # the one chunk, whole: nothing to join
         else:
-            if max_bytes is None:
-                max_bytes = self.size
-            pieces: list[bytes] = []
-            remaining = max_bytes
-            while remaining > 0 and chunks:
-                chunk = chunks.popleft()
-                if len(chunk) <= remaining:
-                    pieces.append(chunk)
-                    remaining -= len(chunk)
-                else:
-                    pieces.append(chunk[:remaining])
-                    chunks.appendleft(chunk[remaining:])
-                    remaining = 0
-            data = b"".join(pieces)
+            data = _pop_bytes(chunks, self.size if max_bytes is None else max_bytes)
         self.size -= len(data)
         self.total_read += len(data)
         return data

@@ -188,7 +188,7 @@ class TcpStack:
         if not isinstance(segment, TCPSegment):
             return
         self.segments_demuxed += 1
-        conn = self.connections.get(
+        conn = self.connections.get(  # conn_key, built in place
             (packet.dst._value, segment.dst_port, packet.src._value, segment.src_port)
         )
         if conn is not None:
