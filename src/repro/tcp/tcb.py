@@ -151,7 +151,7 @@ class TcpConnection:
         self.rtx_timer = Timer(self.sim, self._on_rto)
         self.ack_timer = Timer(self.sim, self._on_delayed_ack)
         self.persist_timer = Timer(self.sim, self._on_persist)
-        self.time_wait_timer = Timer(self.sim, lambda: self._teardown("closed"))
+        self.time_wait_timer = Timer(self.sim, self._teardown)  # 2*MSL over: "closed"
         self._retries = 0
         self._persist_backoff = 0
         self._dupacks = 0
@@ -951,7 +951,7 @@ class TcpConnection:
     # teardown
     # ------------------------------------------------------------------
 
-    def _teardown(self, reason: str) -> None:
+    def _teardown(self, reason: str = "closed") -> None:
         if self.state == TcpState.CLOSED and self._closed_reported:
             return
         self.state = TcpState.CLOSED
