@@ -20,7 +20,7 @@ from repro.netsim.link import Channel
 SEGMENTS = 512
 
 #: shape -> (builder, Python calls allowed per link packet).  Reached
-#: when the budget was set: clean 24.99 (parent 45.28), chain 47.32
+#: when the budget was set: clean 24.99 (parent 45.28), chain 47.46
 #: (parent 68.02).
 BUDGETS = {
     "clean": (build_clean, 26.2),
