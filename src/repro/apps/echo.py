@@ -10,8 +10,8 @@ from repro.sockets.api import Node
 from repro.tcp.tcb import TcpConnection, TcpState
 
 
-def echo_server_factory(host_server) -> Callable[[TcpConnection], None]:
-    """Per-replica accept handler: echo every byte back.
+class _EchoSession:
+    """One accepted connection of an echo server: echo every byte back.
 
     Backpressure-correct: bytes the send buffer cannot take yet are
     parked and flushed on ``on_send_space``.  A bare ``on_data =
@@ -20,31 +20,37 @@ def echo_server_factory(host_server) -> Callable[[TcpConnection], None]:
     when the catch-up replay outruns the send buffer (DESIGN.md §14).
     """
 
-    def on_accept(conn: TcpConnection) -> None:
-        pending = bytearray()
+    __slots__ = ("conn", "pending")
 
-        def flush() -> None:
-            while pending:
-                if conn.fin_queued or conn.state not in (
-                    TcpState.ESTABLISHED,
-                    TcpState.CLOSE_WAIT,
-                ):
-                    pending.clear()
-                    return
-                n = conn.send(pending)
-                if n == 0:
-                    return
-                del pending[:n]
-
-        def feed(data: bytes) -> None:
-            pending.extend(data)
-            flush()
-
-        conn.on_data = feed
-        conn.on_send_space = flush
+    def __init__(self, conn: TcpConnection):
+        self.conn = conn
+        self.pending = bytearray()
+        conn.on_data = self.feed
         conn.on_remote_close = conn.close
 
-    return on_accept
+    def flush(self) -> None:
+        conn, pending = self.conn, self.pending
+        while pending:
+            if conn.fin_queued or conn.state not in (
+                TcpState.ESTABLISHED,
+                TcpState.CLOSE_WAIT,
+            ):
+                pending.clear()
+                return
+            n = conn.send(pending)
+            if n == 0:
+                conn.on_send_space = self.flush  # the rest when space frees up
+                return
+            del pending[:n]
+
+    def feed(self, data: bytes) -> None:
+        self.pending.extend(data)
+        self.flush()
+
+
+def echo_server_factory(host_server) -> Callable[[TcpConnection], None]:
+    """Per-replica accept handler (see :class:`_EchoSession`)."""
+    return _EchoSession
 
 
 def install_echo_server(node: Node, port: int = 7):
@@ -91,10 +97,14 @@ class EchoClient:
         self.conn: Optional[TcpConnection] = None
         self._pending = 0
         self._sent_at = 0.0
+        #: Simulated time of ``start()`` and of the connection's close.
+        self.opened_at: Optional[float] = None
+        self.closed_at: Optional[float] = None
         self.done = False
         self.on_done: Optional[Callable[[EchoStats], None]] = None
 
     def start(self) -> TcpConnection:
+        self.opened_at = self.sim.now
         conn = self.node.connect(self.server_ip, self.port)
         self.conn = conn
         conn.on_established = self._next_request
@@ -126,5 +136,6 @@ class EchoClient:
                 self.sim.schedule(self.think_time, self._next_request)
 
     def _on_closed(self, reason: str) -> None:
+        self.closed_at = self.sim.now
         if not self.done and reason != "closed":
             self.stats.errors.append(reason)

@@ -96,24 +96,30 @@ class CatchupLog:
     ``truncated`` and frees the memory — the connection then cannot be
     transferred."""
 
+    __slots__ = ("limit", "size", "truncated", "_chunks")
+
     def __init__(self, limit: int = DEFAULT_CATCHUP_LOG_LIMIT):
         self.limit = limit
         self.size = 0
         self.truncated = False
-        self._chunks: list[bytes] = []
+        #: Created by the first deposit recorded.
+        self._chunks: Optional[list[bytes]] = None
 
     def record(self, start: int, data: bytes) -> None:
         if self.truncated:
             return
         if start != self.size or self.size + len(data) > self.limit:
             self.truncated = True
-            self._chunks.clear()
+            self._chunks = None
             return
-        self._chunks.append(data)
+        if self.size:
+            self._chunks.append(data)
+        else:
+            self._chunks = [data]
         self.size += len(data)
 
     def contents(self) -> bytes:
-        return b"".join(self._chunks)
+        return b"".join(self._chunks or ())
 
 
 class FtConnectionState:
@@ -123,6 +129,13 @@ class FtConnectionState:
     #: plausibility checking and prove ``ProgressTruthfulness`` notices
     #: (tests/invariants/test_mutation).
     validate_progress = True
+
+    __slots__ = (
+        "port", "conn", "created_at", "gated", "successor_sent_upto",
+        "successor_deposited_upto", "successor_ip", "last_successor_msg",
+        "last_report_sent", "_successor_epoch", "_pending_raw", "catchup_log",
+        "repl", "monitor",
+    )
 
     def __init__(self, port: "FtPort", conn: TcpConnection, gated: bool):
         self.port = port
@@ -149,14 +162,18 @@ class FtConnectionState:
         #: (reordered or fenced) and are dropped.  Reset when the
         #: successor changes: epochs are only comparable per sender.
         self._successor_epoch = 0
-        # Messages that arrived before the handshake fixed IRS.
-        self._pending_raw: list[AckChannelMessage] = []
+        # Messages that arrived before the handshake fixed IRS (a list
+        # while there are any).
+        self._pending_raw: Optional[list[AckChannelMessage]] = None
         #: Client stream retained for live joins (recovery subsystem).
         self.catchup_log = CatchupLog(port.catchup_log_limit)
         #: Strategy-private per-connection state (DESIGN.md §15) —
         #: ``None`` for backends that keep everything in the effective
         #: watermark fields above.
         self.repl = port.strategy.connection_state(self)
+        #: The invariant monitors' record of this connection, made by
+        #: the first monitor hook that needs it.
+        self.monitor = None
 
     # -- recovery hooks -------------------------------------------------
 
@@ -190,16 +207,19 @@ class FtConnectionState:
         self.last_report_sent = port.sim.now
         port.ack_endpoint.send(message, port.predecessor_ip)
 
-    # -- gates installed into the TCB ---------------------------------
+    # -- gates and hooks installed into the TCB ------------------------
     # These remain the TCB's (and the mutation harness's) entry points;
     # the ceiling computation itself belongs to the replication
-    # strategy (DESIGN.md §15).
+    # strategy (DESIGN.md §15), filtering to the port.
 
     def deposit_ceiling(self) -> Optional[int]:
         return self.port.strategy.deposit_ceiling(self)
 
     def transmit_ceiling(self) -> Optional[int]:
         return self.port.strategy.transmit_ceiling(self)
+
+    def filter_output(self, segment: TCPSegment) -> bool:
+        return self.port._filter_output(self, segment)
 
     # -- ack-channel input ----------------------------------------------
 
@@ -250,7 +270,7 @@ class FtConnectionState:
 
     def _drain_pending(self) -> None:
         if self._pending_raw and self.conn.irs is not None:
-            pending, self._pending_raw = self._pending_raw, []
+            pending, self._pending_raw = self._pending_raw, None
             for message in pending:
                 self._apply_wire(message.seq_next, message.ack, message.epoch)
 
@@ -321,6 +341,7 @@ class FtPort:
         #: either (it is last in the chain until told otherwise).
         self.has_successor = False
         self.states: dict[ClientKey, FtConnectionState] = {}
+        self._prune_at = 256  # table size that triggers ``_prune_states``
         self._pending_msgs: dict[ClientKey, list[tuple[AckChannelMessage, IPAddress]]] = {}
         self._unknown_last_seq: dict[tuple, int] = {}
         self.detector = RetransmissionDetector(
@@ -369,13 +390,11 @@ class FtPort:
         self.degradation_reports = 0
         self._last_lie_report: Optional[float] = None
         self._last_degradation_report: Optional[float] = None
-        #: client key -> sim time its connection first stalled on the
-        #: successor (degradation mode only; empty otherwise).
-        self._blocked_since: dict[ClientKey, float] = {}
-        #: client key -> successor watermarks observed when the stall
-        #: clock last (re)started.  Any advance resets the clock: a
-        #: saturated-but-moving successor is congestion, not failure.
-        self._blocked_marks: dict[ClientKey, tuple[int, int]] = {}
+        #: client key -> (sim time its connection's stall clock last
+        #: (re)started, successor watermarks observed then) — degradation
+        #: mode only.  Any advance resets the clock: a saturated-but-
+        #: moving successor is congestion, not failure.
+        self._blocked: dict[ClientKey, tuple[float, tuple[int, int]]] = {}
         #: View epoch this replica believes it is in (DESIGN.md §9).
         #: The primary stamps it on every client-bound segment; the
         #: redirector fences output stamped with an older epoch.
@@ -444,32 +463,30 @@ class FtPort:
     def _configure_connection(self, conn: TcpConnection) -> None:
         if self.shut_down:
             return
+        if len(self.states) >= self._prune_at:
+            self._prune_states()  # before the newcomer, still CLOSED, is in the table
         key = (conn.remote_ip, conn.remote_port)
         state = FtConnectionState(self, conn, gated=self.has_successor)
         self.states[key] = state
         conn.clamp_future_acks = True
         conn.deposit_limit = state.deposit_ceiling
         conn.transmit_limit = state.transmit_ceiling
-        conn.output_filter = lambda segment: self._filter_output(state, segment)
+        conn.output_filter = state.filter_output
         conn.on_deposit_data = state.record_deposit
-        conn.on_retransmission_observed = (
-            lambda segment: self._on_retransmission(state, segment)
-        )
         # A replica's own retransmissions are the failure signal for
         # server-push traffic: with the primary dead, nothing ACKs the
         # stream, so every live replica's TCP starts retransmitting.
-        conn.on_retransmit = lambda: self._on_retransmission(state, None)
-        for message, sender in self._pending_msgs.pop(key, []):
+        conn.on_retransmission_observed = conn.on_retransmit = self._on_retransmission
+        for message, sender in self._pending_msgs.pop(key, ()):
             state.apply(message, sender)
-        self._prune_states()
 
     def _prune_states(self) -> None:
-        if len(self.states) > 256:
-            self.states = {
-                key: st
-                for key, st in self.states.items()
-                if st.conn.state != TcpState.CLOSED
-            }
+        """Drop closed connections' states.  Runs when the table has
+        doubled since the last run, not on every accept past some size."""
+        self.states = {
+            key: st for key, st in self.states.items() if st.conn.state != TcpState.CLOSED
+        }
+        self._prune_at = max(256, 2 * len(self.states))
 
     # -- output path (paper: backups strip flow-control info and discard) ----
 
@@ -507,7 +524,9 @@ class FtPort:
 
     # -- failure detection --------------------------------------------------------
 
-    def _on_retransmission(self, state: FtConnectionState, segment: TCPSegment) -> None:
+    def _on_retransmission(self, segment: Optional[TCPSegment] = None) -> None:
+        """The client retransmitted (``segment``), or a connection of
+        this replica did (no argument)."""
         if self.shut_down or self.joining:
             # A joiner replaying the donor's stream retransmits into
             # the void until the splice — that is not a failure.
@@ -535,7 +554,9 @@ class FtPort:
         if self.host_server.crashed:
             return
         suspects = []
-        suspect = self._quiet_successor()
+        # A replica gone quiet on the acknowledgement channel while
+        # connections are gated on it (which one, the strategy knows).
+        suspect = self.strategy.quiet_successor()
         if suspect is not None:
             suspects.append(suspect)
         self.daemon.report_failure(self.service_ip, self.port, suspects)
@@ -662,17 +683,15 @@ class FtPort:
                 state.conn.state != TcpState.CLOSED and state.blocked_on_successor()
             )
             if not stalled:
-                self._blocked_since.pop(key, None)
-                self._blocked_marks.pop(key, None)
+                self._blocked.pop(key, None)
                 continue
             marks = (state.successor_sent_upto, state.successor_deposited_upto)
-            if self._blocked_marks.get(key) != marks:
+            since, seen = self._blocked.get(key, (now, None))
+            if seen != marks:
                 # Watermarks advanced (or first stalled tick): restart
                 # the zero-progress clock.
-                self._blocked_marks[key] = marks
-                self._blocked_since[key] = now
+                self._blocked[key] = (now, marks)
                 continue
-            since = self._blocked_since.setdefault(key, now)
             if reported or now - since <= timeout:
                 continue
             if state.successor_ip is None or state.successor_silence() > quiet:
@@ -688,13 +707,6 @@ class FtPort:
                 self.service_ip, self.port, [state.successor_ip]
             )
             reported = True
-
-    def _quiet_successor(self) -> Optional[IPAddress]:
-        """Name a replica as a suspect if it has gone quiet on the
-        acknowledgement channel while connections are gated on it
-        (which replica that is — the chain successor, or any member of
-        a broadcast set — is the strategy's knowledge)."""
-        return self.strategy.quiet_successor()
 
     # -- live join (recovery subsystem, EXTENSION) ----------------------------
 
@@ -762,23 +774,19 @@ class FtPort:
             while queue and in_flight["n"] < CATCHUP_WINDOW:
                 piece = queue.pop()
                 in_flight["n"] += 1
-                self.daemon.send_snapshot(
-                    StateSnapshot(
-                        service_ip=self.service_ip,
-                        port=self.port,
-                        donor_ip=self.host_server.ip,
-                        conns=(piece,),
-                        delta=True,
-                    ),
-                    joiner_ip,
-                    on_settled=settled,
-                )
+                self._send_delta(piece, joiner_ip, on_settled=settled)
 
         def settled() -> None:
             in_flight["n"] -= 1
             pump()
 
         pump()
+
+    def _send_delta(self, piece: ConnSnapshot, joiner_ip, on_settled=None) -> None:
+        """Ship one catch-up piece: a chunk of the base transfer or a
+        deposit made since."""
+        delta = StateSnapshot(self.service_ip, self.port, self.host_server.ip, (piece,), delta=True)
+        self.daemon.send_snapshot(delta, joiner_ip, on_settled=on_settled)
 
     def end_catchup_feed(self, joiner_ip) -> None:
         joiner_ip = as_address(joiner_ip)
@@ -805,16 +813,7 @@ class FtPort:
                 client_acked=conn.snd_una,
                 peer_window=conn.peer_window,
             )
-            self.daemon.send_snapshot(
-                StateSnapshot(
-                    service_ip=self.service_ip,
-                    port=self.port,
-                    donor_ip=self.host_server.ip,
-                    conns=(snap,),
-                    delta=True,
-                ),
-                joiner_ip,
-            )
+            self._send_delta(snap, joiner_ip)
             self.catchup_bytes_sent += len(data)
 
     def install_base_snapshot(self, snapshot: StateSnapshot) -> None:

@@ -49,14 +49,32 @@ class InvariantViolationError(AssertionError):
     """Raised by :meth:`InvariantSet.check` when violations were seen."""
 
 
+class _ConnRecord:
+    """What the monitors keep per connection state, hung off
+    ``state.monitor`` by the first hook that needs it: the key
+    violations print (formatted once), and the monitors' independent
+    record of what the connection's successor has reported, recomputed
+    from raw wire values."""
+
+    __slots__ = ("key", "sent_upto", "deposited_upto", "reports")
+
+    def __init__(self, state: "FtConnectionState"):
+        port, conn = state.port, state.conn
+        self.key = (str(port.service_ip), port.port, str(conn.remote_ip), conn.remote_port)
+        self.sent_upto = 0
+        self.deposited_upto = 0
+        self.reports = 0
+
+
+def _record(state: "FtConnectionState") -> _ConnRecord:
+    record = state.monitor
+    if record is None:
+        record = state.monitor = _ConnRecord(state)
+    return record
+
+
 def _client_key(state: "FtConnectionState") -> tuple:
-    conn = state.conn
-    return (
-        str(state.port.service_ip),
-        state.port.port,
-        str(conn.remote_ip),
-        conn.remote_port,
-    )
+    return _record(state).key
 
 
 class _Monitor:
@@ -69,18 +87,6 @@ class _Monitor:
 
     def report(self, detail: str, conn_key: Optional[tuple] = None) -> None:
         self.invset.report(self.name, detail, conn_key)
-
-
-class _SuccessorView:
-    """The monitors' independent record of what each connection's
-    successor has reported, recomputed from raw wire values."""
-
-    __slots__ = ("sent_upto", "deposited_upto", "reports")
-
-    def __init__(self):
-        self.sent_upto = 0
-        self.deposited_upto = 0
-        self.reports = 0
 
 
 class AtomicityMonitor(_Monitor):
@@ -387,9 +393,6 @@ class InvariantSet:
         self.output_liveness = OutputLivenessMonitor(self)
         #: (service_ip, port) -> the service's replica list (live view).
         self._services: dict[tuple, list] = {}
-        #: FtConnectionState -> the monitors' own successor record.
-        self._successor: dict[int, _SuccessorView] = {}
-        self._states: dict[int, "FtConnectionState"] = {}
         #: Set by :func:`attach_invariants` — the redirector table the
         #: packet hook consults (single-redirector deployments).
         self._redirector_table = None
@@ -406,12 +409,8 @@ class InvariantSet:
     def service_replicas(self, service_ip, port: int):
         return self._services.get((service_ip, port))
 
-    def successor_view(self, state: "FtConnectionState") -> _SuccessorView:
-        view = self._successor.get(id(state))
-        if view is None:
-            view = self._successor[id(state)] = _SuccessorView()
-            self._states[id(state)] = state  # keep the keyed object alive
-        return view
+    def successor_view(self, state: "FtConnectionState") -> _ConnRecord:
+        return _record(state)
 
     # -- reporting ---------------------------------------------------------
 

@@ -87,10 +87,10 @@ def install_connection(ft_port: "FtPort", snap: ConnSnapshot) -> bool:
     """Synthesize one ESTABLISHED connection from a snapshot and replay
     the client stream through the local server program.
 
-    Mirrors what the stack's SYN path would have built had this replica
-    been in the multicast set from the start: same deterministic ISS
-    (shipped in the snapshot and identical by construction), same
-    listener wiring, same ft gate configuration.
+    The stack builds what its SYN path would have built had this
+    replica been in the multicast set from the start: same
+    deterministic ISS (shipped in the snapshot and identical by
+    construction), same listener wiring, same ft gate configuration.
     """
     listener = ft_port.listener
     if listener is None or listener.closed:
@@ -98,30 +98,13 @@ def install_connection(ft_port: "FtPort", snap: ConnSnapshot) -> bool:
     stack = listener.stack
     local_ip = ft_port.service_ip
     remote_ip = as_address(snap.client_ip)
-    key4 = conn_key(local_ip, listener.port, remote_ip, snap.client_port)
-    if key4 in stack.connections:
+    if conn_key(local_ip, listener.port, remote_ip, snap.client_port) in stack.connections:
         return False
-    nic = stack.host.kernel.route_lookup(remote_ip)
-    mtu = nic.mtu if nic is not None else 1500
-    opts = listener.options
-    conn = TcpConnection(
-        stack,
-        local_ip,
-        listener.port,
-        remote_ip,
-        snap.client_port,
-        opts,
-        opts.effective_mss(mtu),
-        snap.iss,
-        listener,
-    )
-    stack.connections[key4] = conn
-    ft_port._configure_connection(conn)
+    conn = stack.spawn(listener, local_ip, remote_ip, snap.client_port, snap.iss)
     # The handshake already happened (on the donor); synthesize its
     # outcome so send()/recv() work immediately.
     conn.irs = snap.irs
     conn.peer_window = snap.peer_window
-    conn.syn_acked = True
     conn.state = TcpState.ESTABLISHED
     listener.connections_accepted += 1
     if listener.on_accept is not None:
@@ -175,7 +158,6 @@ def _apply_client_ack(conn: TcpConnection, acked: int) -> None:
         conn.snd_nxt = max(conn.snd_nxt, step)
         conn.snd_max = max(conn.snd_max, conn.snd_nxt)
         conn.send_buffer.ack_to(step)
-        conn.scoreboard.advance(step)
         if conn.on_send_space is not None and conn.send_buffer.free_space > 0:
             conn.on_send_space()
     if conn.snd_una >= conn.snd_nxt and not (conn.fin_sent and not conn.fin_acked):

@@ -27,6 +27,7 @@ from repro.netsim.addressing import as_address
 from repro.tcp.seqnum import seq_add, seq_diff
 
 from .base import ReplicationStrategy, register_strategy
+from .chain import ChainStrategy
 
 if TYPE_CHECKING:
     from repro.core.ft_tcp import FtConnectionState
@@ -53,8 +54,9 @@ class _BroadcastConnState:
 
     def __init__(self):
         self.views: dict["IPAddress", _MemberView] = {}
-        # Reports that arrived before the handshake fixed IRS.
-        self.pending: list[tuple[AckChannelMessage, "IPAddress"]] = []
+        # Reports that arrived before the handshake fixed IRS (a list
+        # while there are any).
+        self.pending: Optional[list[tuple[AckChannelMessage, "IPAddress"]]] = None
         # Promotion fence: ``(sent, deposited)`` watermarks this
         # replica had already reached — ungated — when it became
         # primary.  Client-visible output stays suppressed until the
@@ -109,25 +111,9 @@ class BroadcastStrategy(ReplicationStrategy):
 
     # -- replica output / progress reports ---------------------------------
 
-    def filter_backup_output(
-        self, state: "FtConnectionState", segment: "TCPSegment"
-    ) -> bool:
-        # Identical to a chain backup's report — the predecessor just
-        # happens to always be the primary in the star layout.
-        port = self.port
-        message = AckChannelMessage(
-            service_ip=port.service_ip,
-            service_port=port.port,
-            client_ip=state.conn.remote_ip,
-            client_port=state.conn.remote_port,
-            seq_next=seq_add(segment.seq, segment.seq_span),
-            ack=segment.ack if segment.has_ack else 0,
-            epoch=port.epoch,
-        )
-        if port.predecessor_ip is not None:
-            state.last_report_sent = port.sim.now
-            port.ack_endpoint.send(message, port.predecessor_ip)
-        return True
+    # A star backup reports exactly like a chain backup — the
+    # predecessor just happens to always be the primary.
+    filter_backup_output = ChainStrategy.filter_backup_output
 
     def suppress_primary_output(
         self, state: "FtConnectionState", segment: "TCPSegment"
@@ -172,7 +158,9 @@ class BroadcastStrategy(ReplicationStrategy):
             return
         view.last_msg = self.port.sim.now
         if state.conn.irs is None:
-            if len(blob.pending) < 32:
+            if blob.pending is None:
+                blob.pending = [(message, sender)]
+            elif len(blob.pending) < 32:
                 blob.pending.append((message, sender))
             return
         self._apply_member(state, view, sender, message)
@@ -212,7 +200,7 @@ class BroadcastStrategy(ReplicationStrategy):
     def _drain_pending(self, state: "FtConnectionState") -> None:
         blob = state.repl
         if blob.pending and state.conn.irs is not None:
-            pending, blob.pending = blob.pending, []
+            pending, blob.pending = blob.pending, None
             for message, sender in pending:
                 view = blob.views.get(sender)
                 if view is not None:

@@ -81,7 +81,9 @@ class ChainStrategy(ReplicationStrategy):
         state.successor_ip = sender
         state.last_successor_msg = self.port.sim.now
         if state.conn.irs is None:
-            if len(state._pending_raw) < 16:
+            if state._pending_raw is None:
+                state._pending_raw = [message]
+            elif len(state._pending_raw) < 16:
                 state._pending_raw.append(message)
             return
         state._apply_wire(message.seq_next, message.ack, message.epoch)

@@ -26,20 +26,24 @@ class BufferError(RuntimeError):
     pass
 
 
-def _pop_bytes(chunks: deque, max_bytes: int) -> bytes:
-    """Remove and return up to ``max_bytes`` from the front of a queue
-    of byte chunks, splitting the last chunk taken if need be."""
+def _pop_bytes(buf, max_bytes: int) -> bytes:
+    """Remove and return up to ``max_bytes`` from the front of the byte
+    chunks ``buf`` holds, splitting the last chunk taken if need be —
+    the general case behind the whole-chunk fast paths of ``take`` /
+    ``read``.  A Reassembler and a SocketBuffer hold chunks the same
+    way: the front one in ``_head`` (``b""`` when there is none), which
+    is usually all there is, and those waiting behind it in ``_queue``,
+    a deque created when the first one has to wait."""
     pieces: list[bytes] = []
-    remaining = max_bytes
-    while remaining > 0 and chunks:
-        chunk = chunks.popleft()
-        if len(chunk) <= remaining:
-            pieces.append(chunk)
-            remaining -= len(chunk)
-        else:
-            pieces.append(chunk[:remaining])
-            chunks.appendleft(chunk[remaining:])
-            remaining = 0
+    chunk, queue = buf._head, buf._queue
+    while chunk and len(chunk) <= max_bytes:
+        pieces.append(chunk)
+        max_bytes -= len(chunk)
+        chunk = queue.popleft() if queue else b""
+    if chunk and max_bytes > 0:
+        pieces.append(chunk[:max_bytes])
+        chunk = chunk[max_bytes:]
+    buf._head = chunk
     return b"".join(pieces)
 
 
@@ -52,6 +56,8 @@ class SendBuffer:
     write boundary — each write becomes its own segment (the paper's
     measurement mode).
     """
+
+    __slots__ = ("capacity", "preserve_boundaries", "_starts", "_chunks", "_head", "base", "end")
 
     def __init__(self, capacity: int, preserve_boundaries: bool = False):
         self.capacity = capacity
@@ -148,8 +154,14 @@ class Reassembler:
     are tolerated and clipped.
     """
 
+    __slots__ = (
+        "_head", "_queue", "staged_bytes", "in_order_end", "take_point",
+        "_fragments", "_frag_offsets", "out_of_order_bytes", "duplicate_bytes",
+    )
+
     def __init__(self):
-        self._staged: deque[bytes] = deque()
+        self._head = b""
+        self._queue: Optional[deque[bytes]] = None
         # Plain attributes (read on every segment), written only here.
         #: Bytes staged: in order, not yet taken.
         self.staged_bytes = 0
@@ -159,9 +171,10 @@ class Reassembler:
         self.take_point = 0
         # Disjoint out-of-order fragments: offset -> bytes, with the
         # offsets mirrored in a sorted list so inserts, drains, and
-        # SACK-block builds never re-sort the whole map.
-        self._fragments: dict[int, bytes] = {}
-        self._frag_offsets: list[int] = []
+        # SACK-block builds never re-sort the whole map.  Both are
+        # created by the first out-of-order arrival.
+        self._fragments: Optional[dict[int, bytes]] = None
+        self._frag_offsets: Optional[list[int]] = None
         self.out_of_order_bytes = 0
         self.duplicate_bytes = 0
 
@@ -170,7 +183,7 @@ class Reassembler:
         point — the material of SACK blocks."""
         ranges: list[tuple[int, int]] = []
         fragments = self._fragments
-        for offset in self._frag_offsets:
+        for offset in self._frag_offsets or ():
             end = offset + len(fragments[offset])
             if ranges and ranges[-1][1] == offset:
                 ranges[-1] = (ranges[-1][0], end)
@@ -192,21 +205,32 @@ class Reassembler:
             self.duplicate_bytes += in_order_end - offset
             data = data[in_order_end - offset :]
             offset = in_order_end
-        if offset == in_order_end and not self._frag_offsets:
-            # In order and no hole behind it to close: straight to the
-            # staged queue, the fragment map never sees it.
-            self._staged.append(data)
-            self.in_order_end = end
-            self.staged_bytes += len(data)
-            return len(data)
-        self._insert_fragment(offset, data)
-        return self._drain_in_order()
+        if offset != in_order_end or self._frag_offsets:
+            # Out of order, or a hole behind it may close: through the
+            # fragment map, which hands back what became in order.
+            self._insert_fragment(offset, data)
+            data = self._drain_in_order()
+            if not data:
+                return 0
+        # ``data`` is the next in-order piece: staged as it is.
+        if not self.staged_bytes:
+            self._head = data
+        else:  # the deposit gate is holding the bytes before it
+            try:
+                self._queue.append(data)
+            except AttributeError:  # the first chunk ever to wait
+                self._queue = deque((data,))
+        self.in_order_end += len(data)
+        self.staged_bytes += len(data)
+        return len(data)
 
     def _insert_fragment(self, offset: int, data: bytes) -> None:
         """Merge ``data`` into the disjoint fragment map, clipping
         overlap with existing fragments (existing bytes win — they are
         identical in honest TCP anyway)."""
         end = offset + len(data)
+        if self._fragments is None:
+            self._fragments, self._frag_offsets = {}, []
         fragments = self._fragments
         offsets = self._frag_offsets
         # First existing fragment that can overlap [offset, end): start
@@ -244,7 +268,9 @@ class Reassembler:
             insort(offsets, ins_off)
             self.out_of_order_bytes += len(piece)
 
-    def _drain_in_order(self) -> int:
+    def _drain_in_order(self) -> bytes:
+        """Remove and return the fragments that have become in order
+        (``b""`` when the hole at the in-order point is still open)."""
         offsets = self._frag_offsets
         fragments = self._fragments
         expected = self.in_order_end
@@ -255,26 +281,21 @@ class Reassembler:
             pieces.append(frag)
             expected += len(frag)
             k += 1
-        if not k:
-            return 0
         del offsets[:k]
-        gained = expected - self.in_order_end
-        self.in_order_end = expected
-        self.staged_bytes += gained
-        self.out_of_order_bytes -= gained
+        self.out_of_order_bytes -= expected - self.in_order_end
         # Coalesce fragments that drain together into one staged chunk
         # so downstream take()/deposit handle fewer, larger pieces.
-        self._staged.append(pieces[0] if k == 1 else b"".join(pieces))
-        return gained
+        return pieces[0] if k == 1 else b"".join(pieces)
 
     def take(self, max_bytes: Optional[int] = None) -> bytes:
         """Remove and return up to ``max_bytes`` staged bytes (all of
         them when None)."""
-        staged = self._staged
-        if len(staged) == 1 and (max_bytes is None or len(staged[0]) <= max_bytes):
-            taken = staged.popleft()  # the one chunk, whole: nothing to join
+        taken = self._head
+        queue = self._queue
+        if len(taken) == max_bytes or (max_bytes is None and not queue):
+            self._head = queue.popleft() if queue else b""  # a whole chunk: nothing to join
         else:
-            taken = _pop_bytes(staged, self.staged_bytes if max_bytes is None else max_bytes)
+            taken = _pop_bytes(self, self.staged_bytes if max_bytes is None else max_bytes)
         self.staged_bytes -= len(taken)
         self.take_point += len(taken)
         return taken
@@ -283,8 +304,11 @@ class Reassembler:
 class SocketBuffer:
     """Deposited, application-readable bytes (the BSD so_rcv analogue)."""
 
+    __slots__ = ("_head", "_queue", "size", "total_deposited", "total_read")
+
     def __init__(self):
-        self._chunks: deque[bytes] = deque()
+        self._head = b""
+        self._queue: Optional[deque[bytes]] = None
         #: Bytes deposited and not yet read (a plain attribute, read on
         #: every segment for the advertised window; written only here).
         self.size = 0
@@ -293,16 +317,22 @@ class SocketBuffer:
 
     def deposit(self, data: bytes) -> None:
         if data:
-            self._chunks.append(data)
+            if not self.size:
+                self._head = data
+            elif self._queue is None:  # the reader lags: chunks start to wait
+                self._queue = deque((data,))
+            else:
+                self._queue.append(data)
             self.size += len(data)
             self.total_deposited += len(data)
 
     def read(self, max_bytes: Optional[int] = None) -> bytes:
-        chunks = self._chunks
-        if len(chunks) == 1 and (max_bytes is None or len(chunks[0]) <= max_bytes):
-            data = chunks.popleft()  # the one chunk, whole: nothing to join
+        data = self._head
+        queue = self._queue
+        if len(data) == max_bytes or (max_bytes is None and not queue):
+            self._head = queue.popleft() if queue else b""  # a whole chunk: nothing to join
         else:
-            data = _pop_bytes(chunks, self.size if max_bytes is None else max_bytes)
+            data = _pop_bytes(self, self.size if max_bytes is None else max_bytes)
         self.size -= len(data)
         self.total_read += len(data)
         return data

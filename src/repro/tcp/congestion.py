@@ -16,6 +16,11 @@ from .options import TcpOptions
 class CongestionControl:
     """Byte-counting Reno."""
 
+    __slots__ = (
+        "options", "mss", "cwnd", "ssthresh", "in_fast_recovery",
+        "_recovery_point", "fast_retransmits", "timeouts",
+    )
+
     def __init__(self, options: TcpOptions, mss: int):
         self.options = options
         self.mss = mss

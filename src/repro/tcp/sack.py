@@ -19,6 +19,8 @@ class SackScoreboard:
     on RTO and everything below the cumulative ACK point is dropped.
     """
 
+    __slots__ = ("_ranges",)
+
     def __init__(self):
         self._ranges: list[tuple[int, int]] = []
 
@@ -74,8 +76,3 @@ class SackScoreboard:
             if position >= limit:
                 return None
         return (position, limit) if position < limit else None
-
-    def sacked_bytes_above(self, cumulative: int) -> int:
-        return sum(
-            max(0, hi - max(lo, cumulative)) for lo, hi in self._ranges
-        )

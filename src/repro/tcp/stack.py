@@ -108,7 +108,6 @@ class TcpStack:
         self._next_ephemeral = EPHEMERAL_PORT_START
         self._iss_counter = 1000
         host.kernel.register_protocol(Protocol.TCP, self._receive)
-        self.segments_demuxed = 0
         self.resets_sent = 0
 
     # -- ISS ------------------------------------------------------------
@@ -187,7 +186,6 @@ class TcpStack:
         segment = packet.payload
         if not isinstance(segment, TCPSegment):
             return
-        self.segments_demuxed += 1
         conn = self.connections.get(  # conn_key, built in place
             (packet.dst._value, segment.dst_port, packet.src._value, segment.src_port)
         )
@@ -216,22 +214,26 @@ class TcpStack:
     def _spawn_from_syn(
         self, listener: Listener, packet: IPPacket, segment: TCPSegment
     ) -> None:
-        local_ip = packet.dst
-        remote_ip = packet.src
-        nic = self.host.kernel.route_lookup(remote_ip)
-        mtu = nic.mtu if nic is not None else 1500
-        opts = listener.options
-        mss = opts.effective_mss(mtu)
         policy = listener.iss_policy or self.default_iss
-        iss = policy(local_ip, listener.port, remote_ip, segment.src_port)
+        iss = policy(packet.dst, listener.port, packet.src, segment.src_port)
+        self.spawn(listener, packet.dst, packet.src, segment.src_port, iss).open_passive(segment)
+
+    def spawn(
+        self, listener: Listener, local_ip: IPAddress, remote_ip: IPAddress, remote_port, iss
+    ) -> TcpConnection:
+        """A new connection of ``listener``, in the table and configured
+        by the listener's hook — what a SYN creates, and what a live
+        joiner synthesizes from a snapshot."""
+        nic = self.host.kernel.route_lookup(remote_ip)
+        opts = listener.options
+        mss = opts.effective_mss(nic.mtu if nic is not None else 1500)
         conn = TcpConnection(
-            self, local_ip, listener.port, remote_ip, segment.src_port, opts, mss, iss, listener
+            self, local_ip, listener.port, remote_ip, remote_port, opts, mss, iss, listener
         )
-        key = conn_key(local_ip, listener.port, remote_ip, segment.src_port)
-        self.connections[key] = conn
+        self.connections[conn_key(local_ip, listener.port, remote_ip, remote_port)] = conn
         if listener.configure_connection is not None:
             listener.configure_connection(conn)
-        conn.open_passive(segment)
+        return conn
 
     def connection_established(self, conn: TcpConnection) -> None:
         """Server-side connection reached ESTABLISHED."""

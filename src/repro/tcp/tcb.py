@@ -18,8 +18,8 @@ HydraNet-FT hooks (paper §4):
 * ``output_filter`` — inspects every outgoing segment; returning True
   suppresses the actual send (backups report flow-control fields up the
   acknowledgement channel instead of talking to the client).
-* ``on_deposit`` / ``on_retransmission_observed`` — notifications used
-  by the ft layer and the failure detector.
+* ``on_deposit_data`` / ``on_retransmission_observed`` — notifications
+  used by the ft layer and the failure detector.
 
 Internally all positions are unbounded *stream offsets* (payload byte
 counts from the start of the connection); conversion to wrapped 32-bit
@@ -60,6 +60,11 @@ MAX_WINDOW = 65535
 _SEQ_MASK = 0xFFFFFFFF
 _SEQ_HALF = 0x80000000
 
+#: What the slot of a timer created at its first start holds until
+#: then: one shared timer that never runs, so the sites that read
+#: ``expires_at`` / ``running`` need not tell never-needed from idle.
+_UNSTARTED = Timer(None, None)
+
 
 class TcpState(enum.Enum):
     CLOSED = "CLOSED"
@@ -89,6 +94,22 @@ _NO_OUTPUT_STATES = (
 
 class TcpConnection:
     """One end of a TCP connection."""
+
+    __slots__ = (
+        "stack", "sim", "local_ip", "local_port", "remote_ip", "remote_port",
+        "options", "mss", "state", "_listener",
+        "iss", "snd_una", "snd_nxt", "snd_max", "peer_window", "send_buffer",
+        "fin_queued", "fin_sent", "fin_acked", "sack_enabled", "scoreboard",
+        "irs", "reassembler", "socket_buffer", "peer_fin_offset", "fin_deposited", "_rcv_adv",
+        "rto", "congestion", "rtx_timer", "ack_timer", "persist_timer", "time_wait_timer",
+        "_retries", "_persist_backoff", "_dupacks", "_rtt_sample", "_segs_since_ack",
+        "segments_sent", "segments_received", "retransmitted_segments",
+        "suppressed_segments", "bytes_sent", "bytes_received",
+        "on_established", "on_data", "on_remote_close", "on_closed", "on_send_space",
+        "clamp_future_acks", "deposit_limit", "transmit_limit", "output_filter",
+        "on_deposit_data", "on_retransmission_observed", "on_retransmit",
+        "_closed_reported",
+    )
 
     def __init__(
         self,
@@ -128,10 +149,10 @@ class TcpConnection:
         self.fin_queued = False
         self.fin_sent = False
         self.fin_acked = False
-        self.syn_acked = False
-        #: RFC 2018, negotiated on the SYN (both ends must enable).
+        #: RFC 2018, negotiated on the SYN (both ends must enable); the
+        #: scoreboard exists from then on.
         self.sack_enabled = False
-        self.scoreboard = SackScoreboard()
+        self.scoreboard: Optional[SackScoreboard] = None
 
         # --- receive side ---
         self.irs: Optional[int] = None
@@ -149,16 +170,14 @@ class TcpConnection:
         self.rto = RtoEstimator(options)
         self.congestion = CongestionControl(options, mss)
         self.rtx_timer = Timer(self.sim, self._on_rto)
-        self.ack_timer = Timer(self.sim, self._on_delayed_ack)
-        self.persist_timer = Timer(self.sim, self._on_persist)
-        self.time_wait_timer = Timer(self.sim, self._teardown)  # 2*MSL over: "closed"
+        # Created at their first start.
+        self.ack_timer = self.persist_timer = self.time_wait_timer = _UNSTARTED
         self._retries = 0
         self._persist_backoff = 0
         self._dupacks = 0
-        # Outstanding RTT measurement: (stream offset sample covers, sent time).
+        # Outstanding RTT measurement: (stream offset sample covers, sent
+        # time); the handshake's own, taken on the SYN, covers offset 0.
         self._rtt_sample: Optional[tuple[int, float]] = None
-        self._syn_time: Optional[float] = None
-        self._syn_retransmitted = False
         self._segs_since_ack = 0
 
         # --- statistics ---
@@ -189,10 +208,9 @@ class TcpConnection:
         self.deposit_limit: Optional[Callable[[], Optional[int]]] = None
         self.transmit_limit: Optional[Callable[[], Optional[int]]] = None
         self.output_filter: Optional[Callable[[TCPSegment], bool]] = None
-        self.on_deposit: Optional[Callable[[int], None]] = None
-        #: Like ``on_deposit`` but with the bytes: called as
-        #: ``on_deposit_data(start_offset, data)`` for every deposit —
-        #: the ft layer's catch-up log records the client stream here.
+        #: Called as ``on_deposit_data(start_offset, data)`` for every
+        #: deposit — the ft layer's catch-up log records the client
+        #: stream here.
         self.on_deposit_data: Optional[Callable[[int, bytes], None]] = None
         self.on_retransmission_observed: Optional[Callable[[TCPSegment], None]] = None
         #: Fired when this end retransmits (its data is not being
@@ -255,6 +273,8 @@ class TcpConnection:
         self.irs = syn.seq
         self.peer_window = syn.window
         self.sack_enabled = self.options.sack and syn.sack_permitted
+        if self.sack_enabled:
+            self.scoreboard = SackScoreboard()
         self.state = TcpState.SYN_RCVD
         self._send_syn()
 
@@ -276,8 +296,9 @@ class TcpConnection:
 
     def recv(self, max_bytes: Optional[int] = None) -> bytes:
         data = self.socket_buffer.read(max_bytes)
-        if data:
-            self._window_opened()
+        if data and self.state in (TcpState.ESTABLISHED, TcpState.FIN_WAIT_1, TcpState.FIN_WAIT_2):
+            # The bigger window is advertised by the delayed-ACK timer.
+            self._schedule_ack(immediate=False, countable=False)
         return data
 
     def close(self) -> None:
@@ -406,8 +427,8 @@ class TcpConnection:
             window=self.advertised_window(),
             sack_permitted=self.options.sack,
         )
-        if self._syn_time is None:
-            self._syn_time = self.sim.now
+        if self._rtt_sample is None and not self._retries:
+            self._rtt_sample = (0, self.sim.now)  # Karn: a first SYN only
         self._emit(segment)
         self.rtx_timer.start(self.rto.rto)
 
@@ -425,19 +446,16 @@ class TcpConnection:
             if self._segs_since_ack >= 2:
                 self._send_ack_now()
                 return
-        if self.ack_timer.expires_at is None:
-            self.ack_timer.start(self.options.delayed_ack_timeout)
+        ack_timer = self.ack_timer
+        if ack_timer.expires_at is None:
+            if ack_timer is _UNSTARTED:
+                ack_timer = self.ack_timer = Timer(self.sim, self._on_delayed_ack)
+            ack_timer.start(self.options.delayed_ack_timeout)
 
     def _on_delayed_ack(self) -> None:
         if self._host_dead():
             return
         self._send_ack_now()
-
-    def _window_opened(self) -> None:
-        """App consumed data: advertise the bigger window if it matters."""
-        if self.state in (TcpState.ESTABLISHED, TcpState.FIN_WAIT_1, TcpState.FIN_WAIT_2):
-            if not self.ack_timer.running:
-                self.ack_timer.start(self.options.delayed_ack_timeout)
 
     # ------------------------------------------------------------------
     # output path
@@ -567,14 +585,15 @@ class TcpConnection:
             return
         self.rto.on_timeout()
         if self.state in (TcpState.SYN_SENT, TcpState.SYN_RCVD):
-            self._syn_retransmitted = True
+            self._rtt_sample = None
             if self.on_retransmit is not None:
                 self.on_retransmit()
             self._send_syn()
             return
         self.congestion.on_timeout(self.flight_size)
         self._dupacks = 0
-        self.scoreboard.clear()  # RFC 2018: SACK info is advisory
+        if self.sack_enabled:
+            self.scoreboard.clear()  # RFC 2018: SACK info is advisory
         # Go-back-N (as in BSD tcp_output after a timeout): pull the
         # send pointer back so recovery proceeds ack-clocked from
         # snd_una instead of being wedged behind a large flight.
@@ -616,6 +635,8 @@ class TcpConnection:
             max(self.rto.rto * (2**self._persist_backoff), self.options.persist_min),
             self.options.persist_max,
         )
+        if self.persist_timer is _UNSTARTED:
+            self.persist_timer = Timer(self.sim, self._on_persist)
         self.persist_timer.start(delay)
 
     def _on_persist(self) -> None:
@@ -683,14 +704,11 @@ class TcpConnection:
         self.irs = segment.seq
         self.peer_window = segment.window
         self.sack_enabled = self.options.sack and segment.sack_permitted
+        if self.sack_enabled:
+            self.scoreboard = SackScoreboard()
         if segment.has_ack and seq_diff(segment.ack, seq_add(self.iss, 1)) == 0:
             # SYN-ACK: handshake complete on our side.
-            self.syn_acked = True
-            self._retries = 0
-            if self._syn_time is not None and not self._syn_retransmitted:
-                self.rto.on_measurement(self.sim.now - self._syn_time)
-            self.rtx_timer.stop()
-            self.state = TcpState.ESTABLISHED
+            self._handshake_done()
             self._send_ack_now()
             if self.on_established:
                 self.on_established()
@@ -706,16 +724,20 @@ class TcpConnection:
             self._send_syn()
             return
         if segment.has_ack and seq_diff(segment.ack, seq_add(self.iss, 1)) >= 0:
-            self.syn_acked = True
-            self._retries = 0
-            if self._syn_time is not None and not self._syn_retransmitted:
-                self.rto.on_measurement(self.sim.now - self._syn_time)
-            self.rtx_timer.stop()
-            self.state = TcpState.ESTABLISHED
+            self._handshake_done()
             self.peer_window = segment.window
             if self.on_established:
                 self.on_established()
             self.stack.connection_established(self)
+
+    def _handshake_done(self) -> None:
+        """Our SYN is acknowledged: time it and enter ESTABLISHED."""
+        self._retries = 0
+        if self._rtt_sample is not None:
+            self.rto.on_measurement(self.sim.now - self._rtt_sample[1])
+            self._rtt_sample = None
+        self.rtx_timer.stop()
+        self.state = TcpState.ESTABLISHED
 
     # -- RST ---------------------------------------------------------------
 
@@ -897,7 +919,6 @@ class TcpConnection:
                 self.on_data is not None
                 and not socket_buffer.size
                 and self.on_deposit_data is None
-                and self.on_deposit is None
             ):
                 # A reader that takes bytes as they come, an empty
                 # socket buffer and no deposit hook to run in between:
@@ -909,8 +930,6 @@ class TcpConnection:
                 socket_buffer.deposit(data)
                 if self.on_deposit_data is not None:
                     self.on_deposit_data(start, data)
-                if self.on_deposit is not None:
-                    self.on_deposit(reassembler.take_point)
                 if self.on_data is not None and socket_buffer.size:
                     self.on_data(socket_buffer.read())
         # Peer FIN is consumable once all payload before it deposited
@@ -942,10 +961,16 @@ class TcpConnection:
 
     def _enter_time_wait(self) -> None:
         self.state = TcpState.TIME_WAIT
-        self.rtx_timer.stop()
-        self.persist_timer.stop()
-        self.ack_timer.stop()
+        self._stop_timers()
+        self.time_wait_timer = Timer(self.sim, self._teardown)  # 2*MSL over: "closed"
         self.time_wait_timer.start(2 * self.options.msl)
+
+    def _stop_timers(self) -> None:
+        """Stop every timer; those created on demand are given back."""
+        for timer in (self.rtx_timer, self.ack_timer, self.persist_timer, self.time_wait_timer):
+            if timer is not _UNSTARTED:
+                timer.stop()
+        self.ack_timer = self.persist_timer = self.time_wait_timer = _UNSTARTED
 
     # ------------------------------------------------------------------
     # teardown
@@ -955,8 +980,7 @@ class TcpConnection:
         if self.state == TcpState.CLOSED and self._closed_reported:
             return
         self.state = TcpState.CLOSED
-        for timer in (self.rtx_timer, self.ack_timer, self.persist_timer, self.time_wait_timer):
-            timer.stop()
+        self._stop_timers()
         self.stack.connection_closed(self)
         if not self._closed_reported:
             self._closed_reported = True

@@ -16,31 +16,23 @@ from .options import TcpOptions
 class RtoEstimator:
     """SRTT/RTTVAR smoothing per RFC 6298 (alpha=1/8, beta=1/4)."""
 
+    __slots__ = ("_options", "srtt", "rttvar", "_base", "backoff_count", "rto", "samples")
+
     def __init__(self, options: TcpOptions):
         self._options = options
-        self._srtt: Optional[float] = None
-        self._rttvar: Optional[float] = None
-        self._rto = options.initial_rto
-        self._backoff = 0
+        self.srtt: Optional[float] = None
+        self.rttvar: Optional[float] = None
+        self._base = options.initial_rto  # before backoff and clamping
+        self.backoff_count = 0
         self.samples = 0
+        self._refresh()
 
-    @property
-    def srtt(self) -> Optional[float]:
-        return self._srtt
-
-    @property
-    def rttvar(self) -> Optional[float]:
-        return self._rttvar
-
-    @property
-    def rto(self) -> float:
-        """Current RTO including exponential backoff, clamped."""
-        rto = self._rto * (2**self._backoff)
-        return min(max(rto, self._options.min_rto), self._options.max_rto)
-
-    @property
-    def backoff_count(self) -> int:
-        return self._backoff
+    def _refresh(self) -> None:
+        """Store the current RTO — exponential backoff applied, clamped —
+        so the timer-start sites read a slot, not a formula."""
+        options = self._options
+        rto = self._base * (2**self.backoff_count)
+        self.rto = min(max(rto, options.min_rto), options.max_rto)
 
     def on_measurement(self, rtt: float) -> None:
         """Feed one RTT sample (never from a retransmitted segment —
@@ -48,19 +40,23 @@ class RtoEstimator:
         if rtt < 0:
             raise ValueError(f"negative RTT sample: {rtt}")
         self.samples += 1
-        if self._srtt is None:
-            self._srtt = rtt
-            self._rttvar = rtt / 2
+        if self.srtt is None:
+            self.srtt = rtt
+            self.rttvar = rtt / 2
         else:
-            err = rtt - self._srtt
-            self._rttvar = 0.75 * self._rttvar + 0.25 * abs(err)
-            self._srtt = self._srtt + err / 8
-        self._rto = self._srtt + max(4 * self._rttvar, 0.010)
-        self._backoff = 0
+            err = rtt - self.srtt
+            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(err)
+            self.srtt = self.srtt + err / 8
+        self._base = self.srtt + max(4 * self.rttvar, 0.010)
+        self.backoff_count = 0
+        self._refresh()
 
     def on_timeout(self) -> None:
         """Exponential backoff after a retransmission timeout."""
-        self._backoff += 1
+        self.backoff_count += 1
+        self._refresh()
 
     def reset_backoff(self) -> None:
-        self._backoff = 0
+        if self.backoff_count:
+            self.backoff_count = 0
+            self._refresh()

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro.apps.echo import EchoClient
@@ -43,14 +43,7 @@ class MeshWorkload:
     deadline: float = 60.0
 
     def to_dict(self) -> dict:
-        return dict(
-            connections=self.connections,
-            requests_per_conn=self.requests_per_conn,
-            request_size=self.request_size,
-            think_time=self.think_time,
-            start_window=self.start_window,
-            deadline=self.deadline,
-        )
+        return asdict(self)
 
 
 @dataclass
@@ -79,22 +72,7 @@ class MeshReport:
         return not self.violations and self.completed == self.connections
 
     def to_dict(self) -> dict:
-        return {
-            "spec_name": self.spec_name,
-            "spec_fingerprint": self.spec_fingerprint,
-            "connections": self.connections,
-            "completed": self.completed,
-            "errors": self.errors,
-            "peak_concurrent": self.peak_concurrent,
-            "sim_seconds": self.sim_seconds,
-            "median_response": self.median_response,
-            "p95_response": self.p95_response,
-            "violations": list(self.violations),
-            "mesh_counters": self.mesh_counters,
-            "events_processed": self.events_processed,
-            "fingerprint": self.fingerprint,
-            "green": self.green,
-        }
+        return {**asdict(self), "green": self.green}
 
 
 def _quantile(sorted_values: list[float], q: float) -> float:
@@ -124,7 +102,6 @@ class MeshScenario:
                 self.mesh.services,
             )
         self.clients: list[EchoClient] = []
-        self._lifetimes: list[tuple[float, float]] = []
 
     # -- workload ------------------------------------------------------
 
@@ -152,30 +129,18 @@ class MeshScenario:
             mesh.sim.schedule(start_at, self._start_client, client)
 
     def _start_client(self, client: EchoClient) -> None:
-        opened = self.mesh.sim.now
-        conn = client.start()
-        prev_on_closed = conn.on_closed
-
-        def on_closed(reason: str) -> None:
-            self._lifetimes.append((opened, self.mesh.sim.now))
-            if prev_on_closed is not None:
-                prev_on_closed(reason)
-
-        conn.on_closed = on_closed
+        client.start()
 
     def _peak_concurrency(self) -> int:
         # Connections never closed by the deadline still count as open
         # to the end of the run.
         horizon = self.mesh.sim.now
-        intervals = list(self._lifetimes)
-        closed = len(intervals)
-        intervals.extend(
-            (0.0, horizon) for _ in range(len(self.clients) - closed)
-        )
         events: list[tuple[float, int]] = []
-        for opened, closed_at in intervals:
-            events.append((opened, 1))
-            events.append((closed_at, -1))
+        for client in self.clients:
+            if client.closed_at is None:
+                events += ((0.0, 1), (horizon, -1))
+            else:
+                events += ((client.opened_at, 1), (client.closed_at, -1))
         events.sort()
         peak = current = 0
         for _t, delta in events:

@@ -204,3 +204,42 @@ class TestStatePruning:
             )
         ft_port._prune_states()
         assert len(ft_port.states) < 300
+
+    def test_table_rebuilt_only_when_it_has_doubled(self, monkeypatch):
+        """600 concurrent connections on one port: the state table is
+        rebuilt when it reaches 256 entries and again when it has
+        doubled — not on every accept past the 256th (344 rebuilds,
+        O(n) each) — and a rebuild never drops the connection being
+        accepted.  Closed states still leave at the next doubling."""
+        from repro.core.ft_tcp import FtPort
+
+        rebuilds = []
+        prune = FtPort._prune_states
+
+        def counting(port):
+            rebuilds.append((port.host_server.name, len(port.states)))
+            prune(port)
+
+        monkeypatch.setattr(FtPort, "_prune_states", counting)
+        tb = FtTestbed(n_backups=1)
+        primary = tb.ft_port(0)
+
+        def open_connections(n):
+            conns = []
+            for _ in range(n):
+                conns.append(tb.connect())
+                tb.run_for(0.002)
+            tb.run_for(0.5)
+            return conns
+
+        first = open_connections(600)
+        assert len(primary.states) == 600
+        sizes = [size for name, size in rebuilds if name == primary.host_server.name]
+        assert sizes == [256, 512]
+        for conn in first:
+            conn.close()
+            tb.run_for(0.002)
+        tb.run_for(2.0)
+        assert all(s.conn.state is TcpState.CLOSED for s in primary.states.values())
+        open_connections(430)  # the 425th finds 1024 entries: twice the last rebuild's
+        assert len(primary.states) == 430

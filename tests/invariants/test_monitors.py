@@ -21,7 +21,7 @@ def _fake_state(name="hs_0", gated=True, client_port=40000):
         port=7,
         host_server=SimpleNamespace(name=name),
     )
-    return SimpleNamespace(conn=conn, port=port, gated=gated)
+    return SimpleNamespace(conn=conn, port=port, gated=gated, monitor=None)
 
 
 @pytest.fixture()
@@ -47,6 +47,37 @@ class TestReporting:
         invset = InvariantSet(SimpleNamespace(now=0.0), on_violation=seen.append)
         invset.report("single-primary", "two primaries")
         assert len(seen) == 1 and seen[0].monitor == "single-primary"
+
+
+class TestClientKey:
+    def test_formatted_once_per_connection_state_then_reused(self, invset, monkeypatch):
+        """The monitors' connection key costs two ``IPAddress.__str__``
+        calls the first time a hook needs it and none afterwards; what
+        a violation prints is what it always printed."""
+        from repro.invariants.monitors import _client_key
+        from repro.netsim.addressing import IPAddress
+
+        state = _fake_state()
+        state.conn.remote_ip = IPAddress("10.0.0.9")
+        state.port.service_ip = IPAddress("192.20.225.20")
+        formatted = []
+        to_str = IPAddress.__str__
+        monkeypatch.setattr(
+            IPAddress, "__str__", lambda self: formatted.append(self) or to_str(self)
+        )
+        key = _client_key(state)
+        assert key == ("192.20.225.20", 7, "10.0.0.9", 40000)
+        assert len(formatted) == 2
+        invset.successor_view(state).deposited_upto = 4
+        for _ in range(3):
+            invset.atomicity.on_deposit(state, 0, b"abcde")
+            invset.stream_integrity.on_deposit(state, 0, b"abcde")
+        assert len(formatted) == 2
+        assert _client_key(state) is key
+        assert str(invset.violations[0]) == (
+            "[atomicity] t=1.250000 conn=('192.20.225.20', 7, '10.0.0.9', 40000): "
+            "deposited stream bytes [0, 5) but the successor only reported 4 deposited"
+        )
 
 
 class TestAtomicityUnit:

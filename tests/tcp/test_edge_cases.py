@@ -2,7 +2,7 @@
 reordering, tiny windows, wrapping sequence numbers."""
 
 
-from repro.tcp import TcpOptions, TcpState
+from repro.tcp import TcpConnection, TcpOptions, TcpState
 
 from .conftest import Net, start_sink_server
 
@@ -67,7 +67,7 @@ class TestTimeWait:
         assert closed_at
         assert closed_at[0] >= 2.0  # at least 2*MSL after the handshake
 
-    def test_retransmitted_fin_in_time_wait_reacked(self, net):
+    def test_retransmitted_fin_in_time_wait_reacked(self, net, monkeypatch):
         state = start_sink_server(net)
         conn = net.client_tcp.connect(net.server_host.ip, 7)
         conn.on_established = conn.close
@@ -79,14 +79,17 @@ class TestTimeWait:
         from repro.netsim.packet import TCPFlags, TCPSegment
         from repro.tcp.seqnum import seq_add
 
+        # Spied through the class: the connection has ``__slots__``, so
+        # a method cannot be shadowed on the instance.
         acked = []
-        original = conn._send_ack_now
+        original = TcpConnection._send_ack_now
 
-        def spy():
-            acked.append(net.sim.now)
-            original()
+        def spy(self):
+            if self is conn:
+                acked.append(net.sim.now)
+            original(self)
 
-        conn._send_ack_now = spy
+        monkeypatch.setattr(TcpConnection, "_send_ack_now", spy)
         dup_fin = TCPSegment(
             src_port=7,
             dst_port=conn.local_port,

@@ -1,6 +1,7 @@
 """Tests for RTO estimation."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.tcp import RtoEstimator, TcpOptions
 
@@ -84,3 +85,42 @@ def test_sample_count():
     est.on_measurement(0.1)
     est.on_measurement(0.1)
     assert est.samples == 2
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("sample"), st.floats(min_value=0.0, max_value=5.0)),
+    st.tuples(st.just("timeout"), st.none()),
+    st.tuples(st.just("reset"), st.none()),
+)
+
+
+@given(
+    ops=st.lists(_OPS, max_size=40),
+    min_rto=st.sampled_from([0.0, 0.2, 1.0]),
+    max_rto=st.sampled_from([2.0, 64.0]),
+)
+def test_stored_rto_equals_the_formula_after_every_step(ops, min_rto, max_rto):
+    """``rto`` is stored, not recomputed per read: after any mix of
+    samples, timeouts and backoff resets it must equal RFC 6298's
+    value — base × 2^backoff, clamped — worked out from scratch."""
+    est = make(initial_rto=1.5, min_rto=min_rto, max_rto=max_rto)
+
+    def formula():
+        base = 1.5 if est.srtt is None else est.srtt + max(4 * est.rttvar, 0.010)
+        return min(max(base * 2**est.backoff_count, min_rto), max_rto)
+
+    assert est.rto == formula()
+    backoff = 0
+    for op, rtt in ops:
+        if op == "sample":
+            est.on_measurement(rtt)
+            backoff = 0
+        elif op == "timeout":
+            est.on_timeout()
+            backoff += 1
+        else:
+            est.reset_backoff()
+            backoff = 0
+        assert est.backoff_count == backoff
+        assert est.rto == formula()
+        assert min_rto <= est.rto <= max_rto
