@@ -1,4 +1,4 @@
-"""``python -m repro`` — overview and experiment launcher.
+"""``python -m repro`` — overview and command launcher.
 
 Usage::
 
@@ -8,44 +8,43 @@ Usage::
 """
 
 import sys
+from importlib import import_module
+
+#: command -> (module whose ``main(argv)`` runs it, help line).
+COMMANDS = {
+    "experiments": (
+        "repro.experiments.runner",
+        "[--fast] [--jobs N] [--only S]   run the full evaluation",
+    ),
+    "fuzz": (
+        "repro.invariants.fuzz",
+        "--runs N --seed S | --replay FILE   fuzz fault schedules under monitors",
+    ),
+    "mesh": (
+        "repro.experiments.mesh_scaling",
+        "[--fast|--certify] [--jobs N]   datacenter-mesh scaling sweep (D5)",
+    ),
+}
 
 
-def main() -> int:
-    args = sys.argv[1:]
-    if args and args[0] == "experiments":
-        from repro.experiments.runner import main as run_experiments
+def main(argv=None) -> int:
+    args = argv if argv is not None else sys.argv[1:]
+    if not args or args[0] in ("-h", "--help"):
+        import repro
 
-        return run_experiments(args[1:])
-    if args and args[0] == "fuzz":
-        from repro.invariants.fuzz import main as run_fuzz
-
-        return run_fuzz(args[1:])
-    if args and args[0] == "perf":
-        from repro.metrics.perf import main as run_perf
-
-        return run_perf(args[1:])
-    if args and args[0] == "mesh":
-        from repro.experiments.mesh_scaling import main as run_mesh
-
-        return run_mesh(args[1:])
-    import repro
-
-    print(repro.__doc__)
-    print("commands:")
-    print("  python -m repro experiments [--fast]   run the full evaluation")
-    print("  python -m repro experiments --jobs N   ... on N worker processes")
-    print("  python -m repro fuzz --runs N --seed S fuzz fault schedules w/ monitors")
-    print("  python -m repro fuzz --replay FILE     replay a saved reproducer")
-    print("  python -m repro fuzz --backend all     fuzz every replication backend")
-    print("  python -m repro perf [--check]         engine benchmark vs best committed baseline")
-    print("  python -m repro perf --profile [DIR]   event histogram + cProfile breakdown")
-    print("  python -m repro perf --scaling         scenario-throughput scaling sweep")
-    print("  python -m repro mesh [--fast|--certify] datacenter-mesh scaling sweep (D5)")
-    print("  python -m repro.experiments.figure4    just the paper's Figure 4")
-    print("  python -m repro.experiments.recovery   D3 autonomous recovery demo")
-    print("  pytest tests/                          the test suite")
-    print("  pytest benchmarks/ --benchmark-only    benchmark harness")
-    return 0
+        print(repro.__doc__)
+        print("commands:")
+        for command, (_module, usage) in COMMANDS.items():
+            print(f"  python -m repro {command} {usage}")
+        return 0
+    if args[0] not in COMMANDS:
+        print(
+            f"repro: unknown command {args[0]!r} (commands: {', '.join(COMMANDS)})",
+            file=sys.stderr,
+        )
+        return 2
+    module, _usage = COMMANDS[args[0]]
+    return import_module(module).main(args[1:])
 
 
 if __name__ == "__main__":

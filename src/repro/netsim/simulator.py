@@ -132,7 +132,7 @@ class Simulator:
     @property
     def peak_queue_len(self) -> int:
         """High-water mark of the event queue (including entries that
-        were later cancelled) — the perf harness reports this."""
+        were later cancelled) — the perf ledger reports this."""
         return self._peak_queue_len
 
     def _note_cancelled(self) -> None:

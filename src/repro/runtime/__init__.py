@@ -1,7 +1,7 @@
 """Parallel scenario-execution layer (DESIGN.md §12).
 
-Three pieces, used together by the experiment runner, the fuzzer, and
-the perf harness:
+Three pieces, used together by the experiment runner, the fuzzer and
+the mesh sweep:
 
 * :mod:`repro.runtime.pool` — a process-pool scheduler for batches of
   independent seed-deterministic simulations (longest-job-first

@@ -97,8 +97,7 @@ def batch_fingerprint(
 ) -> str:
     """A canonical-order digest of ``(key, status, value)`` for a whole
     batch.  Two runs of the same batch — serial or parallel, any jobs
-    level — must produce the same fingerprint; the scaling benchmark
-    and CI's scaling-smoke step gate on exactly that."""
+    level — must produce the same fingerprint."""
     repr_fn = value_repr or _default_value_repr
     h = hashlib.sha256()
     for outcome in ordered_outcomes(outcomes, keys):

@@ -1,7 +1,7 @@
 """Process-pool scenario scheduler (DESIGN.md §12).
 
 Every workload this repository cares about — the experiment suite, the
-fault-schedule fuzzer, the perf harness — is a *batch of independent,
+fault-schedule fuzzer, the mesh sweep — is a *batch of independent,
 seed-deterministic simulations*.  :class:`ScenarioPool` fans such a
 batch out to ``jobs`` worker processes:
 
@@ -227,8 +227,7 @@ class ScenarioPool:
 
     Use as a context manager, or call :meth:`close` when done.  With
     ``pin_cores=True`` worker *i* is pinned to core ``i % cpu_count``
-    (best effort) — the benchmark harness uses this so interleaved runs
-    do not migrate between cores mid-measurement.
+    (best effort), so workers neither share a core nor migrate.
     """
 
     def __init__(
@@ -375,7 +374,7 @@ class ScenarioPool:
         """How many tasks to hand out per pipe round-trip.
 
         When the batch is much larger than the worker count, per-task
-        round-trips dominate small tasks (BENCH_PR5 measured jobs>1 at
+        round-trips dominate small tasks (PR 5 measured jobs>1 at
         0.84–0.91x of serial for 50 tiny scenarios).  Chunks amortize
         that, but shrink toward 1 as the queue drains so the tail still
         load-balances longest-job-first.

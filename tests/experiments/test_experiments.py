@@ -1,5 +1,7 @@
 """Smoke + shape tests for the experiment harness (reduced sweeps)."""
 
+from functools import partial
+
 import pytest
 
 from repro.experiments import (
@@ -15,7 +17,14 @@ from repro.experiments.figure4 import PAPER_REFERENCE, check_shape, run_figure4
 class TestTestbeds:
     @pytest.mark.parametrize(
         "builder",
-        [build_clean, build_no_redirection, build_primary_only, build_primary_backup],
+        [
+            build_clean,
+            build_no_redirection,
+            build_primary_only,
+            build_primary_backup,
+            # The deposit gates compose transitively down a long chain.
+            pytest.param(partial(build_primary_backup, n_backups=4), id="four_backups"),
+        ],
     )
     def test_each_configuration_completes(self, builder):
         run = builder(seed=0)

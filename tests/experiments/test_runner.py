@@ -1,8 +1,7 @@
 """The experiment runner and package entry points."""
 
 import io
-import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 
 
@@ -18,30 +17,48 @@ def test_runner_lists_all_experiments():
         assert callable(module.main)
 
 
-def test_main_module_prints_overview():
+def _run_main_module(*args):
     from repro import __main__
 
-    buffer = io.StringIO()
-    argv = sys.argv
-    sys.argv = ["repro"]
-    try:
-        with redirect_stdout(buffer):
-            status = __main__.main()
-    finally:
-        sys.argv = argv
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = __main__.main(list(args))
+    return status, out.getvalue(), err.getvalue()
+
+
+def test_main_module_prints_overview():
+    from repro.__main__ import COMMANDS
+
+    status, text, _err = _run_main_module()
     assert status == 0
-    text = buffer.getvalue()
-    assert "experiments" in text
     assert "HydraNet-FT" in text or "HYDRANET-FT" in text
+    listed = [line.split()[3] for line in text.partition("commands:\n")[2].splitlines()]
+    assert listed == list(COMMANDS) and "experiments" in listed
+
+    # A typo or a removed command must not look like success.
+    for unknown in ("bogus", "experiment", "perf"):
+        status, text, err = _run_main_module(unknown, "--fast")
+        assert status == 2 and text == ""
+        assert err.count("\n") == 1 and repr(unknown) in err
+        assert all(command in err for command in COMMANDS)
 
 
 def test_single_experiment_fast_mode_runs():
-    """One representative experiment end to end through its main()."""
-    from repro.experiments import receive_path
+    """Each experiment whose sweep-level shape check no other tier-1
+    test runs, end to end through its main() (a failed check raises)."""
+    from importlib import import_module
 
-    buffer = io.StringIO()
-    with redirect_stdout(buffer):
-        status = receive_path.main(["--fast"])
-    assert status == 0
-    assert "A5" in buffer.getvalue()
-    assert "Shape check: OK" in buffer.getvalue()
+    for tag, name in (
+        ("A2", "failover"),
+        ("A3", "ack_channel_loss"),
+        ("A5", "receive_path"),
+        ("A6", "ordered_channel"),
+        ("A7", "detector_comparison"),
+        ("D3", "recovery"),
+    ):
+        buffer = io.StringIO()
+        with redirect_stdout(buffer):
+            status = import_module(f"repro.experiments.{name}").main(["--fast"])
+        text = buffer.getvalue()
+        assert status == 0, name
+        assert tag in text and "Shape check: OK" in text

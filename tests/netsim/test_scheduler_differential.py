@@ -229,10 +229,8 @@ def _churn_trace(sim_cls, timer_cls, seed: int) -> list:
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_churn_differential_wheel_vs_heap(seed):
-    """The engine against the sorted-list reference.  (The id dates
-    from the two-engine days, when the wheel stood where the reference
-    stands now; it is kept so the test's history stays continuous.)"""
+def test_churn_differential_engine_vs_reference(seed):
+    """The engine against the sorted-list reference."""
     engine, reference = (_churn_trace(*pair, seed) for pair in BOTH)
     assert len(engine) > 250
     assert engine == reference
