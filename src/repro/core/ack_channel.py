@@ -128,6 +128,12 @@ class AckChannelEndpoint:
     def unregister(self, service_ip, service_port: int) -> None:
         self._handlers.pop((as_address(service_ip), service_port), None)
 
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19): retransmission timers (ordered
+        channel) and a fault plan's patched ``send``."""
+        for name in ("_timers", "send"):
+            vars(self).pop(name, None)
+
     def send(self, message: AckChannelMessage, predecessor_ip) -> None:
         """Forward flow-control information up the chain."""
         self.messages_sent += 1

@@ -483,9 +483,8 @@ class FtPort:
     def _prune_states(self) -> None:
         """Drop closed connections' states.  Runs when the table has
         doubled since the last run, not on every accept past some size."""
-        self.states = {
-            key: st for key, st in self.states.items() if st.conn.state != TcpState.CLOSED
-        }
+        for key in [k for k, st in self.states.items() if st.conn.state == TcpState.CLOSED]:
+            self.states.pop(key).conn.dispose()
         self._prune_at = max(256, 2 * len(self.states))
 
     # -- output path (paper: backups strip flow-control info and discard) ----
@@ -1026,11 +1025,21 @@ class FtPort:
         self.ack_endpoint.unregister(self.service_ip, self.port)
         for state in list(self.states.values()):
             state.conn.kill_silently()
+            state.conn.dispose()  # dropped from the table: nobody else will
         self.states.clear()
         self._catchup_feeds.clear()
         self._catchup_queues.clear()
         self._pending_deltas.clear()
         self._catchup_targets.clear()
+
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19): connections, and what points back here."""
+        for state in self.states.values():
+            state.conn.dispose()
+        self.states = {}
+        self.ack_endpoint.unregister(self.service_ip, self.port)
+        self.strategy.port = self.strategy.timer = self.detector.on_failure = None
+        self.listener = self._liveness_timer = self.on_demoted = self.daemon = None
 
 
 class FtStack:
@@ -1114,7 +1123,14 @@ class FtStack:
             if ft_port.listener is not None:
                 # Free the binding for the replacement FtPort.
                 ft_port.listener.close()
+            ft_port.dispose()
         self.port_table.remove(port)
+
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19): ports; the daemon calls back here."""
+        for ft_port in self.ports.values():
+            ft_port.dispose()
+        self.daemon = None
 
     def _dispatch_chain_update(self, update: "ChainUpdate") -> None:
         ft_port = self.ports.get((as_address(update.service_ip), update.port))

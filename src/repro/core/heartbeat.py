@@ -73,6 +73,10 @@ class HeartbeatSender:
         self._stopped = True
         self._timer.stop()
 
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19)."""
+        self._timer = None
+
 
 class HeartbeatDetector:
     """Redirector-side adaptive failure detector.
@@ -214,6 +218,11 @@ class HeartbeatDetector:
 
     def stop(self) -> None:
         self._timer.stop()
+
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19): timer; enable_heartbeats' filter."""
+        self._timer = None
+        vars(self.daemon).pop("_on_message", None)
 
 
 def enable_heartbeats(

@@ -65,6 +65,12 @@ class FtNode:
         self.ack_endpoint = endpoint_cls(host_server)
         self.stack = FtStack(host_server, self.ack_endpoint, self.daemon)
 
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19) of the three parts."""
+        self.daemon.channel.dispose()
+        self.ack_endpoint.dispose()
+        self.stack.dispose()
+
     @property
     def name(self) -> str:
         return self.host_server.name

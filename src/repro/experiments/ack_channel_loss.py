@@ -59,20 +59,20 @@ def _make_lossy(system, loss_rate: float) -> None:
 
 
 def run_bulk(loss_rate: float, seed: int = 0, nbuf: int = 512) -> tuple[float, bool]:
-    system = build_ft_system(seed=seed, n_backups=1, detector=_QUIET_DETECTOR)
-    _make_lossy(system, loss_rate)
-    sender = TtcpSender(
-        system.client_node,
-        system.service_ip,
-        system.port,
-        buflen=1024,
-        nbuf=nbuf,
-        tcp_options=TTCP_TCP_OPTIONS,
-    )
-    sender.start()
-    system.run_until(600.0)
-    result = sender.result()
-    return result.throughput_kB_per_sec, result.completed
+    with build_ft_system(seed=seed, n_backups=1, detector=_QUIET_DETECTOR) as system:
+        _make_lossy(system, loss_rate)
+        sender = TtcpSender(
+            system.client_node,
+            system.service_ip,
+            system.port,
+            buflen=1024,
+            nbuf=nbuf,
+            tcp_options=TTCP_TCP_OPTIONS,
+        )
+        sender.start()
+        system.run_until(600.0)
+        result = sender.result()
+        return result.throughput_kB_per_sec, result.completed
 
 
 def run_echo(
@@ -81,34 +81,34 @@ def run_echo(
     n_requests: int = 200,
     stall_threshold: float = 0.1,
 ) -> tuple[float, float, int, int]:
-    system = build_ft_system(
+    with build_ft_system(
         seed=seed,
         n_backups=1,
         factory=echo_server_factory,
         port=7,
         detector=_QUIET_DETECTOR,
-    )
-    _make_lossy(system, loss_rate)
-    client = EchoClient(
-        system.client_node,
-        system.service_ip,
-        port=7,
-        request_size=64,
-        n_requests=n_requests,
-        think_time=0.005,
-    )
-    client.start()
-    system.run_until(900.0)
-    stats = client.stats
-    times = stats.response_times or [float("nan")]
-    stalls = sum(1 for t in times if t > stall_threshold)
-    retrans = client.conn.retransmitted_segments if client.conn else 0
-    return (
-        1000 * sum(times) / len(times),
-        1000 * percentile(times, 95),
-        stalls,
-        retrans,
-    )
+    ) as system:
+        _make_lossy(system, loss_rate)
+        client = EchoClient(
+            system.client_node,
+            system.service_ip,
+            port=7,
+            request_size=64,
+            n_requests=n_requests,
+            think_time=0.005,
+        )
+        client.start()
+        system.run_until(900.0)
+        stats = client.stats
+        times = stats.response_times or [float("nan")]
+        stalls = sum(1 for t in times if t > stall_threshold)
+        retrans = client.conn.retransmitted_segments if client.conn else 0
+        return (
+            1000 * sum(times) / len(times),
+            1000 * percentile(times, 95),
+            stalls,
+            retrans,
+        )
 
 
 def run_sweep(

@@ -30,10 +30,10 @@ def run_point(
     """One sweep point (``n_backups=None`` is the clean baseline);
     the shard unit the parallel runner fans out."""
     if n_backups is None:
-        run = build_clean(seed=seed)
-        return run.run(buflen=size, nbuf=nbuf).throughput_kB_per_sec
-    run = build_primary_backup(seed=seed, n_backups=n_backups, strategy=strategy)
-    result = run.run(buflen=size, nbuf=nbuf)
+        with build_clean(seed=seed) as run:
+            return run.run(buflen=size, nbuf=nbuf).throughput_kB_per_sec
+    with build_primary_backup(seed=seed, n_backups=n_backups, strategy=strategy) as run:
+        result = run.run(buflen=size, nbuf=nbuf)
     if not result.completed:
         raise RuntimeError(f"backups={n_backups} @ {size}B incomplete")
     return result.throughput_kB_per_sec

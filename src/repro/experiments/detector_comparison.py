@@ -55,7 +55,7 @@ def _run_crash(
     horizon: float = 90.0,
 ):
     """Crash the primary; return (detection latency, idle msg/s)."""
-    system = build_ft_system(
+    with build_ft_system(
         seed=seed,
         n_backups=1,
         factory=echo_server_factory,
@@ -64,40 +64,42 @@ def _run_crash(
             threshold=(1_000_000 if use_heartbeats else retrans_threshold),
             cooldown=1.0,
         ),
-    )
-    senders = []
-    if use_heartbeats:
-        _detector, senders = enable_heartbeats(
-            system.redirector_daemon,
-            system.nodes,
-            system.service_ip,
-            7,
-            period=heartbeat_period,
-            tolerance=heartbeat_tolerance,
-        )
-    if active_client:
-        conn = system.client_node.connect(system.service_ip, 7)
-        payload = bytes(i % 256 for i in range(400_000))
-        sent = {"n": 0}
+    ) as system:
+        hb_detector, senders = None, ()
+        if use_heartbeats:
+            hb_detector, senders = enable_heartbeats(
+                system.redirector_daemon,
+                system.nodes,
+                system.service_ip,
+                7,
+                period=heartbeat_period,
+                tolerance=heartbeat_tolerance,
+            )
+        if active_client:
+            conn = system.client_node.connect(system.service_ip, 7)
+            payload = bytes(i % 256 for i in range(400_000))
+            sent = {"n": 0}
 
-        def pump():
-            while sent["n"] < len(payload):
-                n = conn.send(payload[sent["n"] : sent["n"] + 2048])
-                sent["n"] += n
-                if n == 0:
-                    return
+            def pump():
+                while sent["n"] < len(payload):
+                    n = conn.send(payload[sent["n"] : sent["n"] + 2048])
+                    sent["n"] += n
+                    if n == 0:
+                        return
 
-        conn.on_established = pump
-        conn.on_send_space = pump
-    crash_at = system.sim.now + 0.5
-    promoted_at: dict = {}
-    system.sim.schedule_at(crash_at, system.servers[0].crash)
-    system.sim.schedule_at(crash_at, lambda: _promotion_watch(system, promoted_at))
-    system.run_until(horizon)
-    latency = promoted_at["t"] - crash_at if "t" in promoted_at else float("inf")
-    total_heartbeats = sum(s.sent for s in senders)
-    msgs_per_sec = total_heartbeats / system.sim.now if senders else 0.0
-    return latency, msgs_per_sec
+            conn.on_established = pump
+            conn.on_send_space = pump
+        crash_at = system.sim.now + 0.5
+        promoted_at: dict = {}
+        system.sim.schedule_at(crash_at, system.servers[0].crash)
+        system.sim.schedule_at(crash_at, lambda: _promotion_watch(system, promoted_at))
+        system.run_until(horizon)
+        latency = promoted_at["t"] - crash_at if "t" in promoted_at else float("inf")
+        total_heartbeats = sum(s.sent for s in senders)
+        msgs_per_sec = total_heartbeats / system.sim.now if senders else 0.0
+        for part in filter(None, (hb_detector, *senders)):
+            part.dispose()
+        return latency, msgs_per_sec
 
 
 def run_comparison(

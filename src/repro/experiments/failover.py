@@ -91,34 +91,34 @@ def run_crash_failover(
     strategy: str = "chain",
 ) -> FailoverOutcome:
     """Primary crashes mid-transfer; measure detection and recovery."""
-    system = build_ft_system(
+    with build_ft_system(
         seed=seed,
         n_backups=1,
         detector=DetectorParams(threshold=threshold, cooldown=1.0),
         strategy=strategy,
-    )
-    conn, got, events = _streaming_client(system, total_bytes)
-    plan = FaultPlan(system.sim)
-    plan.crash_at(system.servers[0], crash_at)
-    promoted_at = {}
+    ) as system:
+        conn, got, events = _streaming_client(system, total_bytes)
+        plan = FaultPlan(system.sim)
+        plan.crash_at(system.servers[0], crash_at)
+        promoted_at = {}
 
-    def watch_promotion():
-        if system.service.replicas[1].ft_port.is_primary:
-            promoted_at["t"] = system.sim.now
-        else:
-            system.sim.schedule(0.05, watch_promotion)
+        def watch_promotion():
+            if system.service.replicas[1].ft_port.is_primary:
+                promoted_at["t"] = system.sim.now
+            else:
+                system.sim.schedule(0.05, watch_promotion)
 
-    system.sim.schedule(crash_at, watch_promotion)
-    system.run_until(horizon)
-    detected = "t" in promoted_at
-    return FailoverOutcome(
-        threshold=threshold,
-        detected=detected,
-        failover_latency=(promoted_at["t"] - crash_at) if detected else float("inf"),
-        client_stall=max(got["gaps"]),
-        transfer_complete=conn.snd_una >= total_bytes,
-        client_events=events,
-    )
+        system.sim.schedule(crash_at, watch_promotion)
+        system.run_until(horizon)
+        detected = "t" in promoted_at
+        return FailoverOutcome(
+            threshold=threshold,
+            detected=detected,
+            failover_latency=(promoted_at["t"] - crash_at) if detected else float("inf"),
+            client_stall=max(got["gaps"]),
+            transfer_complete=conn.snd_una >= total_bytes,
+            client_events=events,
+        )
 
 
 def run_congestion_false_positive(
@@ -130,25 +130,25 @@ def run_congestion_false_positive(
 ) -> FalsePositiveOutcome:
     """No crash — just a loss burst toward the primary.  Low thresholds
     misread the client's retransmissions as a server failure."""
-    system = build_ft_system(
+    with build_ft_system(
         seed=seed,
         n_backups=1,
         detector=DetectorParams(threshold=threshold, cooldown=1.0),
-    )
-    _conn, _got, _events = _streaming_client(system, total_bytes=400_000)
-    plan = FaultPlan(system.sim)
-    link = system.topo.find_link("redirector", "hs_0")
-    plan.loss_burst(link, burst_at, burst_duration, loss_rate=0.6)
-    system.run_until(horizon)
-    shutdowns = sum(
-        1 for handle in system.service.replicas if handle.ft_port.shut_down
-    )
-    return FalsePositiveOutcome(
-        threshold=threshold,
-        failure_reports=sum(n.daemon.failure_reports_sent for n in system.nodes),
-        reconfigurations=system.redirector_daemon.reconfigurations,
-        spurious_shutdowns=shutdowns,
-    )
+    ) as system:
+        _conn, _got, _events = _streaming_client(system, total_bytes=400_000)
+        plan = FaultPlan(system.sim)
+        link = system.topo.find_link("redirector", "hs_0")
+        plan.loss_burst(link, burst_at, burst_duration, loss_rate=0.6)
+        system.run_until(horizon)
+        shutdowns = sum(
+            1 for handle in system.service.replicas if handle.ft_port.shut_down
+        )
+        return FalsePositiveOutcome(
+            threshold=threshold,
+            failure_reports=sum(n.daemon.failure_reports_sent for n in system.nodes),
+            reconfigurations=system.redirector_daemon.reconfigurations,
+            spurious_shutdowns=shutdowns,
+        )
 
 
 def run_threshold_sweep(

@@ -36,8 +36,8 @@ def run_point(config: str, size: int, nbuf: int = 2048, seed: int = 0) -> float:
     """One sweep point: throughput [kB/s] for one configuration at one
     packet size.  This is the shard unit the parallel runner fans out."""
     builder = FIGURE4_BUILDERS[config]
-    run = builder(seed=seed)
-    result = run.run(buflen=size, nbuf=nbuf)
+    with builder(seed=seed) as run:
+        result = run.run(buflen=size, nbuf=nbuf)
     if not result.completed:
         raise RuntimeError(
             f"{config} @ {size}B did not complete "

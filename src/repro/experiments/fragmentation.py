@@ -61,35 +61,35 @@ def run_mtu_sweep(
     outcomes = []
     for size in sizes:
         sim = Simulator(seed=seed)
-        topo = Topology(sim)
-        client = topo.add_host("client", CLIENT_486)
-        router = topo.add_router("router", REDIRECTOR_486)
-        server = topo.add_host("server", SERVER_P120)
-        topo.connect(client, router, mtu=1500, **_link_kw(queue_capacity=256))
-        topo.connect(router, server, mtu=1500, **_link_kw(queue_capacity=256))
-        topo.build_routes()
-        server_node = node_for(server)
-        sink = UdpTtcpSink(server_node, port=5002)
-        client_node = node_for(client)
-        sender = UdpTtcpSender(
-            client_node, str(server.ip), 5002, buflen=size, nbuf=nbuf
-        )
-        sender.start()
-        sim.run(until=600.0)
-        result = sink.result(buflen=size, nbuf=nbuf)
-        if result.datagrams_received < nbuf * 0.9:
-            raise RuntimeError(
-                f"mtu sweep @ {size}B lost too much "
-                f"({result.datagrams_received}/{nbuf})"
+        with Topology(sim) as topo:
+            client = topo.add_host("client", CLIENT_486)
+            router = topo.add_router("router", REDIRECTOR_486)
+            server = topo.add_host("server", SERVER_P120)
+            topo.connect(client, router, mtu=1500, **_link_kw(queue_capacity=256))
+            topo.connect(router, server, mtu=1500, **_link_kw(queue_capacity=256))
+            topo.build_routes()
+            server_node = node_for(server)
+            sink = UdpTtcpSink(server_node, port=5002)
+            client_node = node_for(client)
+            sender = UdpTtcpSender(
+                client_node, str(server.ip), 5002, buflen=size, nbuf=nbuf
             )
-        outcomes.append(
-            FragOutcome(
-                label="datagram-size",
-                value=size,
-                fragments_created=server.kernel.reassembler.reassembled > 0,
-                throughput_kB_per_sec=result.throughput_kB_per_sec,
+            sender.start()
+            sim.run(until=600.0)
+            result = sink.result(buflen=size, nbuf=nbuf)
+            if result.datagrams_received < nbuf * 0.9:
+                raise RuntimeError(
+                    f"mtu sweep @ {size}B lost too much "
+                    f"({result.datagrams_received}/{nbuf})"
+                )
+            outcomes.append(
+                FragOutcome(
+                    label="datagram-size",
+                    value=size,
+                    fragments_created=server.kernel.reassembler.reassembled > 0,
+                    throughput_kB_per_sec=result.throughput_kB_per_sec,
+                )
             )
-        )
     return outcomes
 
 
@@ -99,10 +99,11 @@ def run_tunnel_fragmentation(nbuf: int = 512, seed: int = 0) -> list[FragOutcome
     outcomes = []
     for label, mss in (("mss=1460 (fragments)", 1460), ("mss=1440 (fits)", 1440)):
         run, servers = build_primary_only_custom_mss(mss=mss, seed=seed)
-        result = run.run(buflen=mss, nbuf=nbuf)
+        with run:
+            result = run.run(buflen=mss, nbuf=nbuf)
+            fragmented = servers[0].kernel.reassembler.reassembled > 0
         if not result.completed:
             raise RuntimeError(f"tunnel fragmentation {label} incomplete")
-        fragmented = servers[0].kernel.reassembler.reassembled > 0
         outcomes.append(
             FragOutcome(
                 label=label,

@@ -152,147 +152,147 @@ def run_variant(variant: Variant, seed: int = 0) -> GrayRunResult:
     detector = DetectorParams(
         threshold=3, cooldown=1.0, degradation_timeout=DEGRADATION_TIMEOUT
     )
-    system = build_ft_system(
+    with build_ft_system(
         seed=seed,
         n_backups=N_BACKUPS,
         n_spares=N_SPARES,
         detector=detector,
         factory=echo_server_factory,
-    )
-    pool = SparePool()
-    for spare in system.spare_nodes:
-        pool.add(spare)
-    manager = RecoveryManager(
-        system.service, system.redirector_daemon, pool, target_degree=TARGET_DEGREE
-    )
-    invset = attach_invariants(system)
-    invset.output_liveness.bound = LIVENESS_BOUND
+    ) as system:
+        pool = SparePool()
+        for spare in system.spare_nodes:
+            pool.add(spare)
+        manager = RecoveryManager(
+            system.service, system.redirector_daemon, pool, target_degree=TARGET_DEGREE
+        )
+        invset = attach_invariants(system)
+        invset.output_liveness.bound = LIVENESS_BOUND
 
-    victim_host = system.servers[VICTIM]
-    victim_node = system.nodes[VICTIM]
-    plan = GrayFaultPlan(system.sim)
-    at = FAULT_AT
-    if variant.crash:
-        plan.crash_at(victim_host, at)
-    else:
-        if variant.slow > 1.0:
-            plan.slow_host_at(victim_host, at, FAULT_FOR, factor=variant.slow)
-        if variant.asym_loss > 0.0:
-            link = system.topo.find_link("redirector", victim_host.name)
-            # a_to_b: redirector -> victim.  The victim goes partially
-            # deaf to client data but keeps talking upstream — the
-            # asymmetric case silence-based detection cannot see.
-            plan.asymmetric_loss_at(link, "a_to_b", at, FAULT_FOR, variant.asym_loss)
-        if variant.lie:
-            plan.lie_progress_at(victim_node, at, FAULT_FOR, inflate=1_000_000)
-    if variant.crash_primary:
-        plan.crash_at(system.servers[0], CRASH_PRIMARY_AT)
+        victim_host = system.servers[VICTIM]
+        victim_node = system.nodes[VICTIM]
+        plan = GrayFaultPlan(system.sim)
+        at = FAULT_AT
+        if variant.crash:
+            plan.crash_at(victim_host, at)
+        else:
+            if variant.slow > 1.0:
+                plan.slow_host_at(victim_host, at, FAULT_FOR, factor=variant.slow)
+            if variant.asym_loss > 0.0:
+                link = system.topo.find_link("redirector", victim_host.name)
+                # a_to_b: redirector -> victim.  The victim goes partially
+                # deaf to client data but keeps talking upstream — the
+                # asymmetric case silence-based detection cannot see.
+                plan.asymmetric_loss_at(link, "a_to_b", at, FAULT_FOR, variant.asym_loss)
+            if variant.lie:
+                plan.lie_progress_at(victim_node, at, FAULT_FOR, inflate=1_000_000)
+        if variant.crash_primary:
+            plan.crash_at(system.servers[0], CRASH_PRIMARY_AT)
 
-    conn = system.client_node.connect(system.service_ip, system.port)
-    sent = bytearray()
-    received = bytearray()
-    arrivals: list[tuple[float, int]] = []
+        conn = system.client_node.connect(system.service_ip, system.port)
+        sent = bytearray()
+        received = bytearray()
+        arrivals: list[tuple[float, int]] = []
 
-    def on_data(data: bytes) -> None:
-        received.extend(data)
-        arrivals.append((system.sim.now, len(data)))
+        def on_data(data: bytes) -> None:
+            received.extend(data)
+            arrivals.append((system.sim.now, len(data)))
 
-    conn.on_data = on_data
-    counter = [0]
+        conn.on_data = on_data
+        counter = [0]
 
-    def pump():
-        if system.sim.now >= TRAFFIC_UNTIL:
-            return
-        data = bytes([counter[0] % 256]) * CHUNK
-        accepted = conn.send(data)
-        sent.extend(data[:accepted])
-        counter[0] += 1
-        system.sim.schedule(SEND_EVERY, pump)
+        def pump():
+            if system.sim.now >= TRAFFIC_UNTIL:
+                return
+            data = bytes([counter[0] % 256]) * CHUNK
+            accepted = conn.send(data)
+            sent.extend(data[:accepted])
+            counter[0] += 1
+            system.sim.schedule(SEND_EVERY, pump)
 
-    system.sim.schedule_at(TRAFFIC_START, pump)
+        system.sim.schedule_at(TRAFFIC_START, pump)
 
-    # Chain sampler: when does the victim leave the redirector's view?
-    victim_ip = victim_node.ip
-    samples: list[tuple[float, bool]] = []
-    excision_at: list[Optional[float]] = [None]
+        # Chain sampler: when does the victim leave the redirector's view?
+        victim_ip = victim_node.ip
+        samples: list[tuple[float, bool]] = []
+        excision_at: list[Optional[float]] = [None]
 
-    def sample():
+        def sample():
+            entry = next(iter(system.redirector.table.values()), None)
+            present = entry is not None and victim_ip in entry.replicas
+            samples.append((system.sim.now, present))
+            if not present and excision_at[0] is None:
+                excision_at[0] = system.sim.now
+            if system.sim.now < HORIZON - 0.1:
+                system.sim.schedule(0.1, sample)
+
+        system.sim.schedule(0.1, sample)
+        system.run_until(HORIZON)
+
+        # Longest client-visible output gap while traffic was flowing.
+        max_stall = 0.0
+        last = TRAFFIC_START
+        for t, _n in arrivals:
+            max_stall = max(max_stall, t - last)
+            last = t
+        if len(received) < len(sent):
+            # Stalled at the end: the gap runs to the traffic deadline.
+            max_stall = max(max_stall, TRAFFIC_UNTIL - last)
+
+        window_bytes = sum(
+            n for t, n in arrivals if FAULT_AT <= t < FAULT_AT + MEASURE_WINDOW
+        )
+
+        lie_reports = degradation_reports = implausible = corrupt = promotions = 0
+        for node in system.nodes:
+            corrupt += node.ack_endpoint.messages_corrupt_dropped
+            for ftport in node.stack.ports.values():
+                lie_reports += ftport.lie_reports
+                degradation_reports += ftport.degradation_reports
+                implausible += ftport.implausible_reports
+                promotions += ftport.promotions
+
         entry = next(iter(system.redirector.table.values()), None)
-        present = entry is not None and victim_ip in entry.replicas
-        samples.append((system.sim.now, present))
-        if not present and excision_at[0] is None:
-            excision_at[0] = system.sim.now
-        if system.sim.now < HORIZON - 0.1:
-            system.sim.schedule(0.1, sample)
+        final_degree = len(entry.replicas) if entry is not None else 0
+        violated = invset.violated_monitors()
+        stream_intact = bytes(received) == bytes(sent[: len(received)])
 
-    system.sim.schedule(0.1, sample)
-    system.run_until(HORIZON)
+        fingerprint = hashlib.sha256()
+        fingerprint.update(bytes(received))
+        fingerprint.update(
+            json.dumps(
+                {
+                    "variant": variant.name,
+                    "received": len(received),
+                    "violations": violated,
+                    "excised": excision_at[0] is not None,
+                },
+                sort_keys=True,
+            ).encode()
+        )
 
-    # Longest client-visible output gap while traffic was flowing.
-    max_stall = 0.0
-    last = TRAFFIC_START
-    for t, _n in arrivals:
-        max_stall = max(max_stall, t - last)
-        last = t
-    if len(received) < len(sent):
-        # Stalled at the end: the gap runs to the traffic deadline.
-        max_stall = max(max_stall, TRAFFIC_UNTIL - last)
-
-    window_bytes = sum(
-        n for t, n in arrivals if FAULT_AT <= t < FAULT_AT + MEASURE_WINDOW
-    )
-
-    lie_reports = degradation_reports = implausible = corrupt = promotions = 0
-    for node in system.nodes:
-        corrupt += node.ack_endpoint.messages_corrupt_dropped
-        for ftport in node.stack.ports.values():
-            lie_reports += ftport.lie_reports
-            degradation_reports += ftport.degradation_reports
-            implausible += ftport.implausible_reports
-            promotions += ftport.promotions
-
-    entry = next(iter(system.redirector.table.values()), None)
-    final_degree = len(entry.replicas) if entry is not None else 0
-    violated = invset.violated_monitors()
-    stream_intact = bytes(received) == bytes(sent[: len(received)])
-
-    fingerprint = hashlib.sha256()
-    fingerprint.update(bytes(received))
-    fingerprint.update(
-        json.dumps(
-            {
-                "variant": variant.name,
-                "received": len(received),
-                "violations": violated,
-                "excised": excision_at[0] is not None,
-            },
-            sort_keys=True,
-        ).encode()
-    )
-
-    return GrayRunResult(
-        variant=variant.name,
-        bytes_sent=len(sent),
-        bytes_received=len(received),
-        stream_intact=stream_intact,
-        max_stall=round(max_stall, 3),
-        goodput=window_bytes / MEASURE_WINDOW,
-        excised=excision_at[0] is not None,
-        excision_at=excision_at[0],
-        failover_time=(
-            round(excision_at[0] - FAULT_AT, 3) if excision_at[0] is not None else None
-        ),
-        final_degree=final_degree,
-        rejoins_completed=manager.joins_completed,
-        promotions=promotions,
-        lie_reports=lie_reports,
-        degradation_reports=degradation_reports,
-        implausible_reports=implausible,
-        corrupt_dropped=corrupt,
-        violated_monitors=violated,
-        fingerprint=fingerprint.hexdigest(),
-        samples=samples,
-    )
+        return GrayRunResult(
+            variant=variant.name,
+            bytes_sent=len(sent),
+            bytes_received=len(received),
+            stream_intact=stream_intact,
+            max_stall=round(max_stall, 3),
+            goodput=window_bytes / MEASURE_WINDOW,
+            excised=excision_at[0] is not None,
+            excision_at=excision_at[0],
+            failover_time=(
+                round(excision_at[0] - FAULT_AT, 3) if excision_at[0] is not None else None
+            ),
+            final_degree=final_degree,
+            rejoins_completed=manager.joins_completed,
+            promotions=promotions,
+            lie_reports=lie_reports,
+            degradation_reports=degradation_reports,
+            implausible_reports=implausible,
+            corrupt_dropped=corrupt,
+            violated_monitors=violated,
+            fingerprint=fingerprint.hexdigest(),
+            samples=samples,
+        )
 
 
 def check_shape(result: GrayRunResult) -> list[str]:

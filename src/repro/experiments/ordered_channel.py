@@ -53,44 +53,44 @@ def run_channel(
     n_requests: int = 200,
     stall_threshold: float = 0.1,
 ) -> ChannelOutcome:
-    system = build_ft_system(
+    with build_ft_system(
         seed=seed,
         n_backups=1,
         factory=echo_server_factory,
         port=7,
         detector=_QUIET_DETECTOR,
         ordered_channel=ordered,
-    )
-    system.topo.find_link("redirector", "hs_1").b_to_a.loss_rate = loss_rate
-    client = EchoClient(
-        system.client_node,
-        system.service_ip,
-        port=7,
-        request_size=64,
-        n_requests=n_requests,
-        think_time=0.005,
-    )
-    client.start()
-    system.run_until(900.0)
-    times = client.stats.response_times or [float("nan")]
-    # Channel cost: every datagram either endpoint's channel socket put
-    # on the wire (messages, retransmissions, and per-message acks).
-    total_datagrams = sum(
-        node.ack_endpoint.socket.datagrams_sent for node in system.nodes
-    )
-    retrans = sum(
-        getattr(node.ack_endpoint, "channel_retransmissions", 0)
-        for node in system.nodes
-    )
-    return ChannelOutcome(
-        channel="ordered" if ordered else "udp (paper)",
-        loss_rate=loss_rate,
-        echo_mean_ms=1000 * sum(times) / len(times),
-        echo_p95_ms=1000 * percentile(times, 95),
-        stalls=sum(1 for t in times if t > stall_threshold),
-        channel_messages=total_datagrams,
-        channel_retransmissions=retrans,
-    )
+    ) as system:
+        system.topo.find_link("redirector", "hs_1").b_to_a.loss_rate = loss_rate
+        client = EchoClient(
+            system.client_node,
+            system.service_ip,
+            port=7,
+            request_size=64,
+            n_requests=n_requests,
+            think_time=0.005,
+        )
+        client.start()
+        system.run_until(900.0)
+        times = client.stats.response_times or [float("nan")]
+        # Channel cost: every datagram either endpoint's channel socket put
+        # on the wire (messages, retransmissions, and per-message acks).
+        total_datagrams = sum(
+            node.ack_endpoint.socket.datagrams_sent for node in system.nodes
+        )
+        retrans = sum(
+            getattr(node.ack_endpoint, "channel_retransmissions", 0)
+            for node in system.nodes
+        )
+        return ChannelOutcome(
+            channel="ordered" if ordered else "udp (paper)",
+            loss_rate=loss_rate,
+            echo_mean_ms=1000 * sum(times) / len(times),
+            echo_p95_ms=1000 * percentile(times, 95),
+            stalls=sum(1 for t in times if t > stall_threshold),
+            channel_messages=total_datagrams,
+            channel_retransmissions=retrans,
+        )
 
 
 def run_sweep(

@@ -122,16 +122,16 @@ def _baseline_received(
     seed: int, traffic_until: float, horizon: float, strategy: str = "chain"
 ) -> bytes:
     """The same workload with no fault injected."""
-    system = build_ft_system(
+    with build_ft_system(
         seed=seed,
         n_backups=1,
         detector=DetectorParams(threshold=3, cooldown=1.0),
         factory=_echo_factory,
         strategy=strategy,
-    )
-    _sent, received, _events = _run_workload(system, traffic_until, horizon)
-    system.run_until(horizon)
-    return bytes(received)
+    ) as system:
+        _sent, received, _events = _run_workload(system, traffic_until, horizon)
+        system.run_until(horizon)
+        return bytes(received)
 
 
 def run_partition(
@@ -143,97 +143,97 @@ def run_partition(
     traffic_until = 60.0
     baseline = _baseline_received(seed, traffic_until, horizon, strategy=strategy)
 
-    system = build_ft_system(
+    with build_ft_system(
         seed=seed,
         n_backups=1,
         detector=DetectorParams(threshold=3, cooldown=1.0),
         factory=_echo_factory,
         strategy=strategy,
-    )
-    manager = RecoveryManager(
-        system.service,
-        system.redirector_daemon,
-        SparePool(),  # empty: the demoted ex-primary itself is the rejoiner
-        target_degree=TARGET_DEGREE,
-    )
-    ex_primary_node = system.nodes[0]
-    # The port object bound pre-fault: a demote fail-stops it and the
-    # rejoin binds a *fresh* FtPort, so keep a handle to the original.
-    ex_primary_port = system.service.replicas[0].ft_port
-    backup_port = system.service.replicas[1].ft_port
-    plan = FaultPlan(system.sim)
-    link = system.topo.find_link("redirector", "hs_0")
-    at = system.sim.now + PARTITION_AT
-    if variant == "symmetric":
-        plan.partition_at(link, at, duration=PARTITION_FOR)
-    else:
-        # Primary deaf to the management plane (and to client ACKs)
-        # but still able to transmit: fencing is the only defence.
-        plan.partition_oneway_at(
-            link, _direction_toward(link, "hs_0"), at, duration=PARTITION_FOR
+    ) as system:
+        manager = RecoveryManager(
+            system.service,
+            system.redirector_daemon,
+            SparePool(),  # empty: the demoted ex-primary itself is the rejoiner
+            target_degree=TARGET_DEGREE,
         )
+        ex_primary_node = system.nodes[0]
+        # The port object bound pre-fault: a demote fail-stops it and the
+        # rejoin binds a *fresh* FtPort, so keep a handle to the original.
+        ex_primary_port = system.service.replicas[0].ft_port
+        backup_port = system.service.replicas[1].ft_port
+        plan = FaultPlan(system.sim)
+        link = system.topo.find_link("redirector", "hs_0")
+        at = system.sim.now + PARTITION_AT
+        if variant == "symmetric":
+            plan.partition_at(link, at, duration=PARTITION_FOR)
+        else:
+            # Primary deaf to the management plane (and to client ACKs)
+            # but still able to transmit: fencing is the only defence.
+            plan.partition_oneway_at(
+                link, _direction_toward(link, "hs_0"), at, duration=PARTITION_FOR
+            )
 
-    sent, received, events = _run_workload(system, traffic_until, horizon)
+        sent, received, events = _run_workload(system, traffic_until, horizon)
 
-    # Invariant sampler: at most one replica in primary mode per epoch.
-    samples: list[tuple[float, int]] = []
+        # Invariant sampler: at most one replica in primary mode per epoch.
+        samples: list[tuple[float, int]] = []
 
-    def sample():
-        per_epoch: dict[int, int] = {}
-        for handle in system.service.replicas:
-            port = handle.ft_port
-            if (
-                port.is_primary
-                and not port.shut_down
-                and not handle.node.host_server.crashed
-            ):
-                per_epoch[port.epoch] = per_epoch.get(port.epoch, 0) + 1
-        samples.append((system.sim.now, max(per_epoch.values(), default=0)))
-        if system.sim.now < horizon - SAMPLE_PERIOD:
-            system.sim.schedule(SAMPLE_PERIOD, sample)
+        def sample():
+            per_epoch: dict[int, int] = {}
+            for handle in system.service.replicas:
+                port = handle.ft_port
+                if (
+                    port.is_primary
+                    and not port.shut_down
+                    and not handle.node.host_server.crashed
+                ):
+                    per_epoch[port.epoch] = per_epoch.get(port.epoch, 0) + 1
+            samples.append((system.sim.now, max(per_epoch.values(), default=0)))
+            if system.sim.now < horizon - SAMPLE_PERIOD:
+                system.sim.schedule(SAMPLE_PERIOD, sample)
 
-    system.sim.schedule(SAMPLE_PERIOD, sample)
-    system.run_until(horizon)
+        system.sim.schedule(SAMPLE_PERIOD, sample)
+        system.run_until(horizon)
 
-    fencing = system.redirector_daemon.fencing
-    key = next(iter(system.redirector.table))
-    entry = system.redirector.table[key]
-    chain = [str(ip) for ip in entry.replicas]
-    detection_at = backup_port.detector.last_report_at
-    # The ex-primary's latest incarnation (provision_joiner re-binds it).
-    ex_ports = [
-        h.ft_port for h in system.service.replicas if h.node is ex_primary_node
-    ]
-    rejoined = any(
-        not p.joining and not p.shut_down and not p.is_primary for p in ex_ports
-    ) and str(ex_primary_node.ip) in chain
-    stood_down = ex_primary_port.demotions + sum(p.demotions for p in ex_ports)
+        fencing = system.redirector_daemon.fencing
+        key = next(iter(system.redirector.table))
+        entry = system.redirector.table[key]
+        chain = [str(ip) for ip in entry.replicas]
+        detection_at = backup_port.detector.last_report_at
+        # The ex-primary's latest incarnation (provision_joiner re-binds it).
+        ex_ports = [
+            h.ft_port for h in system.service.replicas if h.node is ex_primary_node
+        ]
+        rejoined = any(
+            not p.joining and not p.shut_down and not p.is_primary for p in ex_ports
+        ) and str(ex_primary_node.ip) in chain
+        stood_down = ex_primary_port.demotions + sum(p.demotions for p in ex_ports)
 
-    return PartitionRunResult(
-        variant=variant,
-        horizon=horizon,
-        bytes_sent=len(sent),
-        bytes_received=len(received),
-        stream_intact=bytes(received) == bytes(sent),
-        matches_baseline=bytes(received) == baseline,
-        client_events=events,
-        epoch_changes=len(fencing.timeline_for(key)),
-        final_epoch=entry.epoch,
-        segments_fenced=fencing.segments_fenced,
-        demotes_sent=fencing.demotes_sent,
-        promotions_granted=system.redirector_daemon.promotions_granted,
-        promotions_refused=system.redirector_daemon.promotions_refused,
-        near_misses=fencing.near_misses,
-        max_primaries_per_epoch=max((c for _t, c in samples), default=0),
-        dual_primary_time=primary_overlap(samples),
-        detection_at=detection_at,
-        ex_primary_demotions=stood_down,
-        rejoins_completed=manager.joins_completed,
-        final_degree=len(entry.replicas),
-        final_chain=chain,
-        rejoined_as_backup=rejoined,
-        samples=samples,
-    )
+        return PartitionRunResult(
+            variant=variant,
+            horizon=horizon,
+            bytes_sent=len(sent),
+            bytes_received=len(received),
+            stream_intact=bytes(received) == bytes(sent),
+            matches_baseline=bytes(received) == baseline,
+            client_events=events,
+            epoch_changes=len(fencing.timeline_for(key)),
+            final_epoch=entry.epoch,
+            segments_fenced=fencing.segments_fenced,
+            demotes_sent=fencing.demotes_sent,
+            promotions_granted=system.redirector_daemon.promotions_granted,
+            promotions_refused=system.redirector_daemon.promotions_refused,
+            near_misses=fencing.near_misses,
+            max_primaries_per_epoch=max((c for _t, c in samples), default=0),
+            dual_primary_time=primary_overlap(samples),
+            detection_at=detection_at,
+            ex_primary_demotions=stood_down,
+            rejoins_completed=manager.joins_completed,
+            final_degree=len(entry.replicas),
+            final_chain=chain,
+            rejoined_as_backup=rejoined,
+            samples=samples,
+        )
 
 
 def check_shape(result: PartitionRunResult) -> list[str]:

@@ -52,25 +52,25 @@ def run_variant(
     horizon: float = 900.0,
 ) -> VariantOutcome:
     options = TTCP_TCP_OPTIONS.with_overrides(**VARIANTS[variant])
-    system = build_ft_system(seed=seed, n_backups=1, tcp_options=options)
-    sender = TtcpSender(
-        system.client_node,
-        system.service_ip,
-        system.port,
-        buflen=buflen,
-        nbuf=nbuf,
-        tcp_options=options,
-    )
-    sender.start()
-    system.run_until(horizon)
-    result = sender.result()
-    return VariantOutcome(
-        variant=variant,
-        throughput_kB_per_sec=result.throughput_kB_per_sec,
-        client_retransmissions=result.retransmitted_segments,
-        client_timeouts=result.rto_timeouts,
-        completed=result.completed,
-    )
+    with build_ft_system(seed=seed, n_backups=1, tcp_options=options) as system:
+        sender = TtcpSender(
+            system.client_node,
+            system.service_ip,
+            system.port,
+            buflen=buflen,
+            nbuf=nbuf,
+            tcp_options=options,
+        )
+        sender.start()
+        system.run_until(horizon)
+        result = sender.result()
+        return VariantOutcome(
+            variant=variant,
+            throughput_kB_per_sec=result.throughput_kB_per_sec,
+            client_retransmissions=result.retransmitted_segments,
+            client_timeouts=result.rto_timeouts,
+            completed=result.completed,
+        )
 
 
 def run_all(buflen: int = 1024, nbuf: int = 256, seed: int = 0) -> list[VariantOutcome]:

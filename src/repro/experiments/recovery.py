@@ -65,75 +65,75 @@ class RecoveryRunResult:
 
 def run_recovery_cycles(cycles: int = 2, seed: int = 0) -> RecoveryRunResult:
     """``cycles`` crash/recover rounds per host (2 incidents each)."""
-    system = build_ft_system(
+    with build_ft_system(
         seed=seed,
         n_backups=1,
         n_spares=1,
         detector=DetectorParams(threshold=3, cooldown=1.0),
         factory=_echo_factory,
-    )
-    manager = RecoveryManager(
-        system.service,
-        system.redirector_daemon,
-        SparePool(system.spare_nodes),
-        target_degree=TARGET_DEGREE,
-    )
-    plan = FaultPlan(system.sim)
-    # hs_0 starts as primary, hs_1 as backup; after the first two
-    # incidents the crashes land on whatever role the host holds then.
-    plan.crash_cycle(system.servers[0], start=5.0, period=CYCLE_PERIOD,
-                     downtime=DOWNTIME, count=cycles)
-    plan.crash_cycle(system.servers[1], start=20.0, period=CYCLE_PERIOD,
-                     downtime=DOWNTIME, count=cycles)
-    # Each recovered host goes back to the spare pool shortly after its
-    # reboot (an operator action; 0.5s of slack after recover()).
-    for i in range(cycles):
-        for idx, start in ((0, 5.0), (1, 20.0)):
-            node = system.nodes[idx]
-            system.sim.schedule_at(
-                start + i * CYCLE_PERIOD + DOWNTIME + 0.5,
-                lambda node=node: manager.return_spare(node),
-            )
+    ) as system:
+        manager = RecoveryManager(
+            system.service,
+            system.redirector_daemon,
+            SparePool(system.spare_nodes),
+            target_degree=TARGET_DEGREE,
+        )
+        plan = FaultPlan(system.sim)
+        # hs_0 starts as primary, hs_1 as backup; after the first two
+        # incidents the crashes land on whatever role the host holds then.
+        plan.crash_cycle(system.servers[0], start=5.0, period=CYCLE_PERIOD,
+                         downtime=DOWNTIME, count=cycles)
+        plan.crash_cycle(system.servers[1], start=20.0, period=CYCLE_PERIOD,
+                         downtime=DOWNTIME, count=cycles)
+        # Each recovered host goes back to the spare pool shortly after its
+        # reboot (an operator action; 0.5s of slack after recover()).
+        for i in range(cycles):
+            for idx, start in ((0, 5.0), (1, 20.0)):
+                node = system.nodes[idx]
+                system.sim.schedule_at(
+                    start + i * CYCLE_PERIOD + DOWNTIME + 0.5,
+                    lambda node=node: manager.return_spare(node),
+                )
 
-    last_recovery = 20.0 + (cycles - 1) * CYCLE_PERIOD + DOWNTIME
-    horizon = last_recovery + 40.0
-    traffic_until = horizon - 25.0
+        last_recovery = 20.0 + (cycles - 1) * CYCLE_PERIOD + DOWNTIME
+        horizon = last_recovery + 40.0
+        traffic_until = horizon - 25.0
 
-    conn = system.client_node.connect(system.service_ip, system.port)
-    received = bytearray()
-    sent = bytearray()
-    conn.on_data = received.extend
-    events: list[str] = []
-    conn.on_closed = lambda reason: events.append(f"closed:{reason}")
-    conn.on_remote_close = lambda: events.append("remote-close")
-    counter = [0]
+        conn = system.client_node.connect(system.service_ip, system.port)
+        received = bytearray()
+        sent = bytearray()
+        conn.on_data = received.extend
+        events: list[str] = []
+        conn.on_closed = lambda reason: events.append(f"closed:{reason}")
+        conn.on_remote_close = lambda: events.append("remote-close")
+        counter = [0]
 
-    def pump():
-        if system.sim.now >= traffic_until:
-            return
-        data = bytes([counter[0] % 256]) * 400
-        conn.send(data)
-        sent.extend(data)
-        counter[0] += 1
-        system.sim.schedule(0.05, pump)
+        def pump():
+            if system.sim.now >= traffic_until:
+                return
+            data = bytes([counter[0] % 256]) * 400
+            conn.send(data)
+            sent.extend(data)
+            counter[0] += 1
+            system.sim.schedule(0.05, pump)
 
-    system.sim.schedule(2.5, pump)
-    system.run_until(horizon)
+        system.sim.schedule(2.5, pump)
+        system.run_until(horizon)
 
-    return RecoveryRunResult(
-        cycles=cycles,
-        horizon=horizon,
-        joins_started=manager.joins_started,
-        joins_completed=manager.joins_completed,
-        joins_aborted=manager.joins_aborted,
-        incidents=list(manager.incidents),
-        availability=manager.timeline.availability(TARGET_DEGREE, until=horizon),
-        final_degree=manager.timeline.degree_at(system.sim.now),
-        bytes_sent=len(sent),
-        bytes_received=len(received),
-        stream_intact=bytes(received) == bytes(sent),
-        client_events=events,
-    )
+        return RecoveryRunResult(
+            cycles=cycles,
+            horizon=horizon,
+            joins_started=manager.joins_started,
+            joins_completed=manager.joins_completed,
+            joins_aborted=manager.joins_aborted,
+            incidents=list(manager.incidents),
+            availability=manager.timeline.availability(TARGET_DEGREE, until=horizon),
+            final_degree=manager.timeline.degree_at(system.sim.now),
+            bytes_sent=len(sent),
+            bytes_received=len(received),
+            stream_intact=bytes(received) == bytes(sent),
+            client_events=events,
+        )
 
 
 def check_shape(result: RecoveryRunResult) -> list[str]:

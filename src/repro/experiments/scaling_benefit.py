@@ -76,34 +76,35 @@ def run_scaling(
     horizon: float = 300.0,
 ) -> ScalingOutcome:
     sim, topo, clients, redirector, origin, host_server, long_haul = _build_world(seed)
-    if with_replica:
-        RedirectorDaemon(redirector)
-        host_server.v_host(SERVICE_IP)
-        listener = host_server.node.listen(80, ip=SERVICE_IP)
-        listener.on_accept = httpd_factory(host_server)
-        redirector.install_scaling(SERVICE_IP, 80, host_server.ip)
-    workload = HttpWorkload(
-        sim,
-        [node_for(c) for c in clients],
-        SERVICE_IP,
-        paths=[f"/object/{object_size}"],
-        requests_per_client=requests_per_client,
-        mean_think_time=0.05,
-    )
-    workload.start()
-    sim.run(until=horizon)
-    latencies = workload.latencies()
-    origin_packets = sum(nic.packets_in + nic.packets_out for nic in origin.interfaces)
-    long_haul_bytes = long_haul.a_to_b.bytes_sent + long_haul.b_to_a.bytes_sent
-    return ScalingOutcome(
-        label="with nearby replica" if with_replica else "origin only",
-        mean_latency_ms=1000 * sum(latencies) / len(latencies) if latencies else 0.0,
-        p95_latency_ms=1000 * percentile(latencies, 95) if latencies else 0.0,
-        origin_packets=origin_packets,
-        long_haul_bytes=long_haul_bytes,
-        successes=workload.successes,
-        failures=workload.failures,
-    )
+    with topo:
+        if with_replica:
+            RedirectorDaemon(redirector)
+            host_server.v_host(SERVICE_IP)
+            listener = host_server.node.listen(80, ip=SERVICE_IP)
+            listener.on_accept = httpd_factory(host_server)
+            redirector.install_scaling(SERVICE_IP, 80, host_server.ip)
+        workload = HttpWorkload(
+            sim,
+            [node_for(c) for c in clients],
+            SERVICE_IP,
+            paths=[f"/object/{object_size}"],
+            requests_per_client=requests_per_client,
+            mean_think_time=0.05,
+        )
+        workload.start()
+        sim.run(until=horizon)
+        latencies = workload.latencies()
+        origin_packets = sum(nic.packets_in + nic.packets_out for nic in origin.interfaces)
+        long_haul_bytes = long_haul.a_to_b.bytes_sent + long_haul.b_to_a.bytes_sent
+        return ScalingOutcome(
+            label="with nearby replica" if with_replica else "origin only",
+            mean_latency_ms=1000 * sum(latencies) / len(latencies) if latencies else 0.0,
+            p95_latency_ms=1000 * percentile(latencies, 95) if latencies else 0.0,
+            origin_packets=origin_packets,
+            long_haul_bytes=long_haul_bytes,
+            successes=workload.successes,
+            failures=workload.failures,
+        )
 
 
 def check_shape(baseline: ScalingOutcome, scaled: ScalingOutcome) -> list[str]:

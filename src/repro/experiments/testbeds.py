@@ -29,6 +29,7 @@ from repro.apps.ttcp import TTCP_TCP_OPTIONS, TtcpResult, TtcpSender, ttcp_sink_
 from repro.core import DetectorParams, FtNode, ReplicatedTcpService
 from repro.hydranet import HostServer, Redirector, RedirectorDaemon
 from repro.netsim import Host, HostProfile, Simulator, Topology
+from repro.netsim.simulator import Disposable
 from repro.sockets import Node, node_for
 from repro.tcp.options import TcpOptions
 
@@ -47,7 +48,7 @@ LINK_QUEUE = 64
 
 
 @dataclass
-class TtcpRun:
+class TtcpRun(Disposable):
     """Everything needed to fire one ttcp measurement."""
 
     sim: Simulator
@@ -55,6 +56,12 @@ class TtcpRun:
     target_ip: str
     port: int = TTCP_PORT
     tcp_options: Optional[TcpOptions] = None
+    #: What the builder made and :meth:`dispose` tears down.
+    owned: tuple = ()
+
+    def dispose(self) -> None:
+        for part in self.owned:
+            part.dispose()
 
     def run(
         self,
@@ -100,7 +107,7 @@ def build_clean(seed: int = 0) -> TtcpRun:
     listener = server_node.listen(TTCP_PORT, options=TTCP_TCP_OPTIONS)
     listener.on_accept = ttcp_sink_factory(None)
     client_node = node_for(client, TTCP_TCP_OPTIONS)
-    return TtcpRun(sim, client_node, str(server.ip))
+    return TtcpRun(sim, client_node, str(server.ip), owned=(topo,))
 
 
 def build_no_redirection(seed: int = 0) -> TtcpRun:
@@ -116,15 +123,15 @@ def build_no_redirection(seed: int = 0) -> TtcpRun:
     topo.connect(client, redirector, **_link_kw())
     topo.connect(redirector, server, **_link_kw())
     topo.build_routes()
-    RedirectorDaemon(redirector)
+    daemon = RedirectorDaemon(redirector)
     listener = server.node.listen(TTCP_PORT, options=TTCP_TCP_OPTIONS)
     listener.on_accept = ttcp_sink_factory(None)
     client_node = node_for(client, TTCP_TCP_OPTIONS)
-    return TtcpRun(sim, client_node, str(server.ip))
+    return TtcpRun(sim, client_node, str(server.ip), owned=(topo, daemon))
 
 
 @dataclass
-class FtSystem:
+class FtSystem(Disposable):
     """A fully wired HydraNet-FT deployment for experiments."""
 
     sim: Simulator
@@ -147,6 +154,12 @@ class FtSystem:
 
     def run_for(self, duration: float) -> None:
         self.sim.run(until=self.sim.now + duration)
+
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19); the topology closes the simulator."""
+        for part in (self.topo, self.redirector_daemon, *self.nodes, self.service.recovery):
+            if part is not None:
+                part.dispose()
 
 
 def build_ft_system(
@@ -219,35 +232,18 @@ def build_ft_system(
     )
 
 
-def _build_ft(
-    seed: int,
-    n_backups: int,
-    detector: Optional[DetectorParams] = None,
-    strategy: str = "chain",
-):
-    """Shared construction for the redirected configurations."""
-    system = build_ft_system(
-        seed=seed, n_backups=n_backups, detector=detector, strategy=strategy
-    )
-    run = TtcpRun(system.sim, system.client_node, system.service_ip)
-    return run, system.service, system.servers, system.redirector, system.topo
-
-
 def build_primary_only(seed: int = 0) -> TtcpRun:
     """Redirection to a single primary replica (no backups): measures
     the penalty of redirection + tunnelling."""
-    run, _service, _servers, _redirector, _topo = _build_ft(seed, n_backups=0)
-    return run
+    return build_primary_backup(seed, n_backups=0)
 
 
 def build_primary_backup(
     seed: int = 0, n_backups: int = 1, strategy: str = "chain"
 ) -> TtcpRun:
     """The full HydraNet-FT protocol with primary and backup(s)."""
-    run, _service, _servers, _redirector, _topo = _build_ft(
-        seed, n_backups=n_backups, strategy=strategy
-    )
-    return run
+    system = build_ft_system(seed=seed, n_backups=n_backups, strategy=strategy)
+    return TtcpRun(system.sim, system.client_node, system.service_ip, owned=(system,))
 
 
 def build_primary_only_custom_mss(mss: int, seed: int = 0):
@@ -257,7 +253,7 @@ def build_primary_only_custom_mss(mss: int, seed: int = 0):
     options = TTCP_TCP_OPTIONS.with_overrides(mss=mss)
     system = build_ft_system(seed=seed, n_backups=0, tcp_options=options)
     run = TtcpRun(
-        system.sim, system.client_node, system.service_ip, tcp_options=options
+        system.sim, system.client_node, system.service_ip, tcp_options=options, owned=(system,)
     )
     return run, system.servers
 

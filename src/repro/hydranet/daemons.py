@@ -191,6 +191,11 @@ class RedirectorDaemon:
         self.on_failure_report: Optional[Callable[[FailureReport], None]] = None
         self.on_join_ready: Optional[Callable[[JoinReady], None]] = None
 
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19): channel; the redirector's fence hook."""
+        self.channel.dispose()
+        self.redirector.on_fenced = None
+
     # -- message handling ------------------------------------------------
 
     def add_peer(self, peer_ip) -> None:

@@ -40,9 +40,13 @@ class HostServer(Host):
         super().__init__(sim, name, profile)
         self.kernel.software_overhead = software_overhead
         self.virtual_hosts = VirtualHostTable(self)
-        self.node = Node(self, tcp_options)
+        self.node = self._node = Node(self, tcp_options)  # `_node`: what node_for finds
         self.kernel.register_protocol(Protocol.IPIP, self._tunnel_endpoint)
         self.tunneled_packets_received = 0
+
+    def dispose(self) -> None:
+        super().dispose()
+        self.node = self.virtual_hosts = None
 
     def v_host(self, ip) -> VirtualHost:
         """The ``v_host(u_long ip_address)`` system call (paper §3)."""

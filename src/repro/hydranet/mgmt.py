@@ -378,7 +378,9 @@ class ReliableUdp:
             self._settled_cbs[message.msg_id] = on_settled
 
         def transmit() -> None:
-            if message.msg_id not in self._pending:
+            # Looked up: closing over its own timer is a cycle per message.
+            timer = self._pending.get(message.msg_id)
+            if timer is None:
                 return
             if self._host is not None and self._host.crashed:
                 # Fail-stop: the daemon process died with the host; its
@@ -399,8 +401,7 @@ class ReliableUdp:
             timer.start(policy.delay(tries["n"], self.sim.rng))
             tries["n"] += 1
 
-        timer = Timer(self.sim, transmit)
-        self._pending[message.msg_id] = timer
+        self._pending[message.msg_id] = Timer(self.sim, transmit)
         self.messages_sent += 1
         transmit()
 
@@ -447,9 +448,6 @@ class ReliableUdp:
             self._seen = {k: t for k, t in self._seen.items() if t > cutoff}
         self.on_message(data, src_ip, src_port)
 
-    def cancel_all(self) -> None:
-        for timer in self._pending.values():
-            timer.stop()
-        self._pending.clear()
-        for msg_id in list(self._settled_cbs):
-            self._settle(msg_id)
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19): timers, settle callbacks, handler."""
+        self._pending, self._settled_cbs, self.on_message = {}, {}, None

@@ -692,144 +692,145 @@ def _run_mesh_scenario(spec: ScenarioSpec) -> ScenarioResult:
         env_offset=False,
     )
     workload = MeshWorkload(**dict(cfg.get("workload", {}), deadline=spec.duration))
-    scenario = MeshScenario(topo_spec, workload)
-    mesh, invset = scenario.mesh, scenario.invariants
+    with MeshScenario(topo_spec, workload) as scenario:
+        mesh, invset = scenario.mesh, scenario.invariants
 
-    plan = FaultPlan(mesh.sim)
-    hosts = {**mesh.host_servers, **mesh.redirectors}
+        plan = FaultPlan(mesh.sim)
+        hosts = {**mesh.host_servers, **mesh.redirectors}
 
-    def link_for(name: str):
-        for neighbor in topo_spec.neighbors(name):
-            if neighbor != name and neighbor in mesh.redirectors:
-                return mesh.topo.find_link(name, neighbor)
-        raise ValueError(f"no redirector uplink for mesh host {name!r}")
+        def link_for(name: str):
+            for neighbor in topo_spec.neighbors(name):
+                if neighbor != name and neighbor in mesh.redirectors:
+                    return mesh.topo.find_link(name, neighbor)
+            raise ValueError(f"no redirector uplink for mesh host {name!r}")
 
-    for op in spec.faults:
-        kind = op["op"]
-        if kind == "crash":
-            plan.crash_at(hosts[op["target"]], op["at"])
-        elif kind == "crash_for":
-            plan.crash_for(hosts[op["target"]], op["at"], op["duration"])
-        elif kind == "partition":
-            plan.partition_at(link_for(op["link"]), op["at"], op.get("duration"))
-        elif kind == "loss_burst":
-            plan.loss_burst(
-                link_for(op["link"]), op["at"], op["duration"], op["loss_rate"]
-            )
-        else:
-            raise ValueError(f"unknown mesh fault op {kind!r}")
+        for op in spec.faults:
+            kind = op["op"]
+            if kind == "crash":
+                plan.crash_at(hosts[op["target"]], op["at"])
+            elif kind == "crash_for":
+                plan.crash_for(hosts[op["target"]], op["at"], op["duration"])
+            elif kind == "partition":
+                plan.partition_at(link_for(op["link"]), op["at"], op.get("duration"))
+            elif kind == "loss_burst":
+                plan.loss_burst(
+                    link_for(op["link"]), op["at"], op["duration"], op["loss_rate"]
+                )
+            else:
+                raise ValueError(f"unknown mesh fault op {kind!r}")
 
-    report = scenario.run()
-    return ScenarioResult(
-        spec=spec,
-        violations=list(invset.violations),
-        violated_monitors=invset.violated_monitors(),
-        # The mesh report fingerprint already covers per-connection
-        # results, canonical stream digests, violations and counters.
-        fingerprint=report.fingerprint,
-        client_received=report.completed,
-        stats=dict(invset.stats),
-    )
+        report = scenario.run()
+        return ScenarioResult(
+            spec=spec,
+            violations=list(invset.violations),
+            violated_monitors=invset.violated_monitors(),
+            # The mesh report fingerprint already covers per-connection
+            # results, canonical stream digests, violations and counters.
+            fingerprint=report.fingerprint,
+            client_received=report.completed,
+            stats=dict(invset.stats),
+        )
 
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Build, arm, fault, and drive one scenario to completion."""
     if spec.mesh:
         return _run_mesh_scenario(spec)
-    system = build_fuzz_system(spec)
-    invset = attach_invariants(system)
-    if spec.gray:
-        invset.output_liveness.bound = GRAY_LIVENESS_BOUND
-    _apply_faults(system, spec)
+    with build_fuzz_system(spec) as system:
+        invset = attach_invariants(system)
+        if spec.gray:
+            invset.output_liveness.bound = GRAY_LIVENESS_BOUND
+        _apply_faults(system, spec)
 
-    workload = spec.workload
-    got = bytearray()
-    payload = b""
-    paced_sent = bytearray()
-    kind = workload.get("kind", "echo")
-    if kind == "echo":
-        total = workload["total_bytes"]
-        chunk = workload.get("chunk", 2048)
-        payload = (bytes(range(251)) * (total // 251 + 1))[:total]
-        conn = system.client_node.connect(system.service_ip, system.port)
-        sent = {"n": 0}
+        workload = spec.workload
+        got = bytearray()
+        payload = b""
+        paced_sent = bytearray()
+        kind = workload.get("kind", "echo")
+        if kind == "echo":
+            total = workload["total_bytes"]
+            chunk = workload.get("chunk", 2048)
+            payload = (bytes(range(251)) * (total // 251 + 1))[:total]
+            conn = system.client_node.connect(system.service_ip, system.port)
+            sent = {"n": 0}
 
-        def pump():
-            while sent["n"] < total:
-                n = conn.send(payload[sent["n"] : sent["n"] + chunk])
-                sent["n"] += n
-                if n == 0:
+            def pump():
+                while sent["n"] < total:
+                    n = conn.send(payload[sent["n"] : sent["n"] + chunk])
+                    sent["n"] += n
+                    if n == 0:
+                        return
+
+            conn.on_established = pump
+            conn.on_send_space = pump
+            conn.on_data = got.extend
+        elif kind == "paced_echo":
+            # Gray-failure workload: a steady stream for the whole fault
+            # horizon, so a wedged/lying successor has live output to
+            # stall.  The payload is whatever the socket accepted — the
+            # prefix check below runs against it after the horizon.
+            chunk = workload.get("chunk", 2048)
+            every = workload.get("every", 0.025)
+            until = workload.get("until", 2.0 + spec.duration)
+            conn = system.client_node.connect(system.service_ip, system.port)
+            beat = {"n": 0}
+
+            def pace():
+                if system.sim.now >= until:
                     return
+                data = bytes([beat["n"] % 251]) * chunk
+                accepted = conn.send(data)
+                paced_sent.extend(data[:accepted])
+                beat["n"] += 1
+                system.sim.schedule(every, pace)
 
-        conn.on_established = pump
-        conn.on_send_space = pump
-        conn.on_data = got.extend
-    elif kind == "paced_echo":
-        # Gray-failure workload: a steady stream for the whole fault
-        # horizon, so a wedged/lying successor has live output to
-        # stall.  The payload is whatever the socket accepted — the
-        # prefix check below runs against it after the horizon.
-        chunk = workload.get("chunk", 2048)
-        every = workload.get("every", 0.025)
-        until = workload.get("until", 2.0 + spec.duration)
-        conn = system.client_node.connect(system.service_ip, system.port)
-        beat = {"n": 0}
+            conn.on_data = got.extend
+            system.sim.schedule_at(2.5, pace)
+        else:
+            sender = TtcpSender(
+                system.client_node,
+                system.service_ip,
+                system.port,
+                buflen=workload.get("buflen", 1024),
+                nbuf=workload.get("nbuf", 40),
+            )
+            sender.start()
 
-        def pace():
-            if system.sim.now >= until:
-                return
-            data = bytes([beat["n"] % 251]) * chunk
-            accepted = conn.send(data)
-            paced_sent.extend(data[:accepted])
-            beat["n"] += 1
-            system.sim.schedule(every, pace)
+        system.sim.run(until=2.0 + spec.duration)
+        pace = None  # it reschedules itself: a cycle through its own cell, holding the system
 
-        conn.on_data = got.extend
-        system.sim.schedule_at(2.5, pace)
-    else:
-        sender = TtcpSender(
-            system.client_node,
-            system.service_ip,
-            system.port,
-            buflen=workload.get("buflen", 1024),
-            nbuf=workload.get("nbuf", 40),
+        if paced_sent:
+            payload = bytes(paced_sent)
+        # Safety, not liveness: with every replica dead the client stalls —
+        # fine — but the bytes it *did* get must be the true echo prefix.
+        if payload and bytes(got) != payload[: len(got)]:
+            invset.report(
+                "stream-integrity",
+                f"client received {len(got)} bytes that are not a prefix of "
+                "the echoed payload",
+            )
+
+        fingerprint = hashlib.sha256()
+        fingerprint.update(bytes(got))
+        streams = invset.stream_integrity.digest()
+        fingerprint.update(
+            json.dumps(
+                {
+                    "client_len": len(got),
+                    "streams": streams,
+                    "violations": invset.violated_monitors(),
+                },
+                sort_keys=True,
+            ).encode()
         )
-        sender.start()
-
-    system.sim.run(until=2.0 + spec.duration)
-
-    if paced_sent:
-        payload = bytes(paced_sent)
-    # Safety, not liveness: with every replica dead the client stalls —
-    # fine — but the bytes it *did* get must be the true echo prefix.
-    if payload and bytes(got) != payload[: len(got)]:
-        invset.report(
-            "stream-integrity",
-            f"client received {len(got)} bytes that are not a prefix of "
-            "the echoed payload",
+        return ScenarioResult(
+            spec=spec,
+            violations=list(invset.violations),
+            violated_monitors=invset.violated_monitors(),
+            fingerprint=fingerprint.hexdigest(),
+            client_received=len(got),
+            stats=dict(invset.stats),
         )
-
-    fingerprint = hashlib.sha256()
-    fingerprint.update(bytes(got))
-    streams = invset.stream_integrity.digest()
-    fingerprint.update(
-        json.dumps(
-            {
-                "client_len": len(got),
-                "streams": streams,
-                "violations": invset.violated_monitors(),
-            },
-            sort_keys=True,
-        ).encode()
-    )
-    return ScenarioResult(
-        spec=spec,
-        violations=list(invset.violations),
-        violated_monitors=invset.violated_monitors(),
-        fingerprint=fingerprint.hexdigest(),
-        client_received=len(got),
-        stats=dict(invset.stats),
-    )
 
 
 # -- protocol mutations (for the mutation check and corpus triage) -----------
@@ -1069,7 +1070,9 @@ def main(argv=None) -> int:
         "'all' fuzzes every registered backend on every seed",
     )
     parser.add_argument(
-        "--out", type=Path, default=CORPUS_DIR, help="reproducer output directory"
+        "--out", type=Path, default=Path("fuzz-finds"),
+        help="reproducer output directory; adding a find to the committed "
+        "corpus is a deliberate `--out tests/fuzz_corpus`",
     )
     parser.add_argument(
         "--shrink-budget", type=int, default=200, help="max shrink candidate runs"
@@ -1249,7 +1252,7 @@ def main(argv=None) -> int:
                 )
                 print(
                     f"  shrunk to {len(small.faults)} fault(s), "
-                    f"{small.workload} — saved {name}"
+                    f"{small.workload} — saved {args.out / name}"
                 )
                 if clean_result.violated_monitors:
                     print(

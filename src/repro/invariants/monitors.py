@@ -412,6 +412,13 @@ class InvariantSet:
     def successor_view(self, state: "FtConnectionState") -> _ConnRecord:
         return _record(state)
 
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19); ``violations`` and ``stats`` stay."""
+        for monitor in vars(self).values():
+            if isinstance(monitor, _Monitor):
+                monitor.invset = None
+        self._services, self._armed_redirectors, self._redirector_table = {}, {}, None
+
     # -- reporting ---------------------------------------------------------
 
     def report(self, monitor: str, detail: str, conn_key: Optional[tuple] = None) -> None:

@@ -359,6 +359,17 @@ class Host:
     def recover(self) -> None:
         self.crashed = False
 
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19): dispose the attached node and let go
+        of it, the kernel and the interfaces; all point back here."""
+        node = self.__dict__.pop("_node", None)
+        if node is not None:
+            node.dispose()
+        for nic in self.interfaces:
+            # nic -> channel -> peer nic -> ... -> nic; kernel -> route -> nic -> kernel
+            nic._out = nic._kernel = None
+        self.interfaces, self.kernel = [], None
+
     def __repr__(self) -> str:
         ips = ",".join(str(nic.ip) for nic in self.interfaces)
         return f"<Host {self.name} [{ips}]>"

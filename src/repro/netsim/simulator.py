@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from contextlib import AbstractContextManager
 from math import inf
 from typing import Any, Callable, Optional
 
@@ -34,6 +35,13 @@ _NO_BUDGET = 1 << 62
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation engine."""
+
+
+class Disposable(AbstractContextManager):
+    """Owns a system: leaving its ``with`` block runs ``dispose()`` (DESIGN.md §19)."""
+
+    def __exit__(self, *exc_info) -> None:
+        self.dispose()
 
 
 class _Event:
@@ -134,6 +142,26 @@ class Simulator:
         """High-water mark of the event queue (including entries that
         were later cancelled) — the perf ledger reports this."""
         return self._peak_queue_len
+
+    @staticmethod
+    def _closed(*_args, **_kwargs) -> None:
+        raise SimulationError("the simulator is closed")
+
+    def close(self) -> None:
+        """Teardown (DESIGN.md §19): drop the event queue and dispose the
+        attached monitors.  Counters stay readable; scheduling or running
+        afterwards raises :class:`SimulationError`.  Idempotent."""
+        if self._running:
+            raise SimulationError("close() from inside a running event")
+        for entry in self._queue:
+            if entry[3] is None:  # an armed Timer is a cycle through its own entry
+                entry[2].callback = None
+        self._queue, self._dead = [], 0
+        if self.invariants is not None:
+            self.invariants.dispose()
+            self.invariants = None
+        # Shadowing the methods keeps a "closed?" branch off the hot path.
+        self.post = self.post_at = self.schedule_at = self.run = self._closed
 
     def _note_cancelled(self) -> None:
         """A queued event was cancelled: bump the dead count and

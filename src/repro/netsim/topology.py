@@ -15,14 +15,14 @@ from .host import Host, HostProfile, MODERN
 from .link import Link
 from .nic import NIC
 from .router import Router
-from .simulator import Simulator
+from .simulator import Disposable, Simulator
 
 
 class TopologyError(RuntimeError):
     pass
 
 
-class Topology:
+class Topology(Disposable):
     """A collection of hosts joined by point-to-point links.
 
     Typical use::
@@ -172,6 +172,14 @@ class Topology:
 
     def host(self, name: str) -> Host:
         return self.hosts[name]
+
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19): simulator, hosts, fault taps."""
+        self.sim.close()
+        for host in self.hosts.values():
+            host.dispose()
+        for link in self.links:
+            link.a_to_b.tap = link.b_to_a.tap = None
 
     def find_link(self, a: Host | str, b: Host | str) -> Link:
         """Locate the link joining two hosts (for fault injection)."""

@@ -88,6 +88,11 @@ class RecoveryManager:
         self._poll_timer = Timer(self.sim, self._poll)
         self._poll_timer.start(poll_interval)
 
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19): poll timer; daemon and service hooks."""
+        self.daemon.on_membership_change = self.daemon.on_failure_report = None
+        self.daemon.on_join_ready = self._poll_timer = self.service.recovery = None
+
     # -- observation ------------------------------------------------------
 
     def _key(self) -> ServiceKey:

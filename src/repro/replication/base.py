@@ -63,6 +63,7 @@ class ReplicationStrategy:
 
     def __init__(self, port: "FtPort"):
         self.port = port
+        self.timer = None  # periodic, if any: FtPort.dispose() drops it
 
     # -- lifecycle ---------------------------------------------------------
 

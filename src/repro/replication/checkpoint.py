@@ -58,15 +58,15 @@ class CheckpointStrategy(BroadcastStrategy):
         super().__init__(port)
         self.checkpoints_announced = 0
         self.repair_chunks_sent = 0
-        self._tick_timer = Timer(port.sim, self._tick)
+        self.timer = Timer(port.sim, self._tick)
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        self._tick_timer.start(self.interval)
+        self.timer.start(self.interval)
 
     def on_shutdown(self) -> None:
-        self._tick_timer.stop()
+        self.timer.stop()
 
     # -- replica output ----------------------------------------------------
 
@@ -85,7 +85,7 @@ class CheckpointStrategy(BroadcastStrategy):
         port = self.port
         if port.shut_down or port.host_server.crashed:
             return
-        self._tick_timer.start(self.interval)
+        self.timer.start(self.interval)
         if port.joining:
             return
         if port.is_primary:

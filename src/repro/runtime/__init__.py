@@ -18,7 +18,6 @@ the mesh sweep:
 from .cache import ResultCache, default_cache_dir, source_fingerprint, task_fingerprint
 from .merge import (
     DeterministicMerger,
-    batch_fingerprint,
     concat_stdout,
     ordered_outcomes,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "ScenarioPool",
     "Task",
     "TaskOutcome",
-    "batch_fingerprint",
     "concat_stdout",
     "default_cache_dir",
     "default_start_method",

@@ -4,16 +4,14 @@ The pool completes tasks in whatever order the operating system
 schedules them; everything user-visible must not care.  The contract:
 every batch has a *canonical key order* (experiment declaration order,
 ascending scenario seed, …), workers return plain data, and the merge
-layer reassembles that data — report text, fuzz fingerprints, batch
-digests — strictly in canonical order.  A parallel run is therefore
+layer reassembles that data — report text, fuzz fingerprints — strictly
+in canonical order.  A parallel run is therefore
 byte-identical to a serial run of the same batch.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .pool import TaskOutcome
 
@@ -21,7 +19,6 @@ __all__ = [
     "DeterministicMerger",
     "ordered_outcomes",
     "concat_stdout",
-    "batch_fingerprint",
 ]
 
 
@@ -81,30 +78,3 @@ def ordered_outcomes(
 def concat_stdout(outcomes: Mapping[str, TaskOutcome], keys: Iterable[str]) -> str:
     """Captured worker stdout, concatenated in canonical order."""
     return "".join(o.stdout for o in ordered_outcomes(outcomes, keys))
-
-
-def _default_value_repr(value) -> str:
-    try:
-        return json.dumps(value, sort_keys=True)
-    except TypeError:
-        return repr(value)
-
-
-def batch_fingerprint(
-    outcomes: Mapping[str, TaskOutcome],
-    keys: Iterable[str],
-    value_repr: Optional[Callable] = None,
-) -> str:
-    """A canonical-order digest of ``(key, status, value)`` for a whole
-    batch.  Two runs of the same batch — serial or parallel, any jobs
-    level — must produce the same fingerprint."""
-    repr_fn = value_repr or _default_value_repr
-    h = hashlib.sha256()
-    for outcome in ordered_outcomes(outcomes, keys):
-        h.update(outcome.key.encode())
-        h.update(b"\x00")
-        h.update(outcome.status.encode())
-        h.update(b"\x00")
-        h.update(repr_fn(outcome.value).encode())
-        h.update(b"\x01")
-    return h.hexdigest()

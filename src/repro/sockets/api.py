@@ -61,6 +61,11 @@ class Node:
     def udp_socket(self) -> UdpSocket:
         return self.udp.socket()
 
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19) of both stacks."""
+        self.udp.dispose()
+        self.tcp.dispose()
+
 
 def node_for(host: Host, tcp_options: Optional[TcpOptions] = None) -> Node:
     """Idempotently attach a :class:`Node` to a host."""

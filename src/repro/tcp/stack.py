@@ -180,6 +180,12 @@ class TcpStack:
             key: l for key, l in self.listeners.items() if l is not listener
         }
 
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19): connections, then both tables."""
+        for conn in self.connections.values():
+            conn.dispose()
+        self.connections, self.listeners = {}, {}
+
     # -- demux ---------------------------------------------------------------
 
     def _receive(self, packet: IPPacket) -> None:

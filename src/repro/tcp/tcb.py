@@ -986,6 +986,20 @@ class TcpConnection:
             self._closed_reported = True
             if self.on_closed:
                 self.on_closed(reason)
+        self._drop_application()
+
+    def _drop_application(self) -> None:
+        """CLOSED and reported: arms and calls nothing again (else a cycle)."""
+        self.rtx_timer = _UNSTARTED
+        self.on_established = self.on_data = self.on_remote_close = None
+        self.on_closed = self.on_send_space = None
+
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19): timers, callbacks and ft-TCP hooks."""
+        self._drop_application()
+        self.ack_timer = self.persist_timer = self.time_wait_timer = _UNSTARTED
+        self.deposit_limit = self.transmit_limit = self.output_filter = None
+        self.on_deposit_data = self.on_retransmission_observed = self.on_retransmit = None
 
     def __repr__(self) -> str:
         return (

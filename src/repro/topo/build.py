@@ -58,6 +58,11 @@ class CompiledMesh:
     def client_node(self, name: str, tcp_options: Optional[TcpOptions] = None) -> Node:
         return node_for(self.clients[name], tcp_options)
 
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19); the topology closes the simulator."""
+        for part in (self.topo, *self.daemons.values(), *self.ft_nodes.values()):
+            part.dispose()
+
     def rack_of(self, server_name: str) -> str:
         """Name of the redirector a server hangs off."""
         for neighbor in self.spec.neighbors(server_name):

@@ -20,6 +20,7 @@ from typing import Optional
 
 from repro.apps.echo import EchoClient
 from repro.invariants.monitors import attach_mesh_invariants
+from repro.netsim.simulator import Disposable
 
 from .build import CompiledMesh, compile_spec
 from .generators import generate
@@ -82,7 +83,7 @@ def _quantile(sorted_values: list[float], q: float) -> float:
     return sorted_values[idx]
 
 
-class MeshScenario:
+class MeshScenario(Disposable):
     """One workload run over one compiled mesh."""
 
     def __init__(
@@ -102,6 +103,9 @@ class MeshScenario:
                 self.mesh.services,
             )
         self.clients: list[EchoClient] = []
+
+    def dispose(self) -> None:
+        self.mesh.dispose()
 
     # -- workload ------------------------------------------------------
 
@@ -224,7 +228,8 @@ class MeshScenario:
 def run_mesh_scenario(
     spec: TopologySpec, workload: Optional[MeshWorkload] = None
 ) -> MeshReport:
-    return MeshScenario(spec, workload).run()
+    with MeshScenario(spec, workload) as scenario:
+        return scenario.run()
 
 
 def mesh_task(kind: str, gen_params: dict, workload_params: dict, seed: int = 0) -> dict:

@@ -132,6 +132,12 @@ class UdpStack:
             key: s for key, s in self._bindings.items() if s is not sock
         }
 
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19): silence and unbind every socket."""
+        for sock in self._bindings.values():
+            sock.on_datagram = None
+        self._bindings = {}
+
     def _allocate_ephemeral(self, ip: Optional[IPAddress]) -> int:
         for _ in range(EPHEMERAL_PORT_END - EPHEMERAL_PORT_START + 1):
             port = self._next_ephemeral

@@ -198,6 +198,9 @@ class TestStatePruning:
             remote_ip = None
             remote_port = 0
 
+            def dispose(self):  # a pruned state's connection is disposed
+                pass
+
         for i in range(300):
             ft_port.states[(testbed.client.ip, 10_000 + i)] = FtConnectionState(
                 ft_port, FakeConn(), gated=False

@@ -175,3 +175,33 @@ class TestMeshScenarios:
         assert small.faults == []
         assert small.mesh["workload"]["connections"] <= 2
         assert small.n_backups == spec.n_backups
+
+
+class TestCliSavesFindsOutsideTheCorpus:
+    """ROADMAP 1d: three tier-1 tests glob ``tests/fuzz_corpus/``, so a
+    casual ``repro fuzz`` that finds something must not write there."""
+
+    def test_forced_find_lands_in_the_working_directory(self, tmp_path, monkeypatch, capsys):
+        from repro.invariants.fuzz import CORPUS_DIR, load_reproducer, main
+
+        def corpus():
+            return {p.name: p.read_bytes() for p in CORPUS_DIR.iterdir()}
+
+        before = corpus()
+        monkeypatch.chdir(tmp_path)
+        argv = ["--runs", "1", "--seed", "0", "--mutate", "deposit_gate", "--shrink-budget", "10"]
+        assert main(argv) == 0
+        assert "1 violating" in capsys.readouterr().out
+        assert corpus() == before
+        saved = tmp_path / "fuzz-finds" / "deposit_gate-seed0.json"
+        assert load_reproducer(saved)["found_with_mutation"] == "deposit_gate"
+        # Adding to the corpus is the explicit form.
+        assert main(argv + ["--out", str(tmp_path / "corpus")]) == 0
+        assert (tmp_path / "corpus" / "deposit_gate-seed0.json").exists()
+
+    def test_help_says_how_a_find_joins_the_corpus(self, capsys):
+        from repro.invariants.fuzz import main
+
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "--out tests/fuzz_corpus" in " ".join(capsys.readouterr().out.split())

@@ -207,6 +207,40 @@ def test_compaction_preserves_order_and_live_events():
     assert order == list(range(0, 200, 10))
 
 
+def test_close_drops_the_queue_keeps_the_counters_and_ends_scheduling():
+    sim = Simulator()
+    fired = []
+    timer = Timer(sim, lambda: fired.append("timer"))
+    timer.start(5.0)
+    for t in (1.0, 2.0, 9.0):
+        sim.post(t, fired.append, t)
+    sim.run(until=3.0)
+    sim.close()
+    sim.close()  # idempotent
+    assert fired == [1.0, 2.0]
+    assert (sim.events_processed, sim.peak_queue_len, sim.pending_events, sim.now) == (2, 4, 0, 3.0)
+    for use in (sim.run, lambda: sim.post(0.0, print), lambda: sim.post_at(4.0, print),
+                lambda: sim.schedule(0.0, print), lambda: timer.start(1.0)):
+        with pytest.raises(SimulationError, match="closed"):
+            use()
+    assert Simulator().run() == 0.0  # only this instance is closed
+
+
+def test_close_from_inside_an_event_is_refused():
+    sim = Simulator()
+    seen = []
+
+    def closing():
+        with pytest.raises(SimulationError):
+            sim.close()
+        seen.append("tried")
+
+    sim.post(1.0, closing)
+    sim.post(2.0, seen.append, "later")
+    sim.run()
+    assert seen == ["tried", "later"]
+
+
 class TestTimer:
     def test_fires_once(self):
         sim = Simulator()

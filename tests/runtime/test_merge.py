@@ -5,7 +5,6 @@ import pytest
 from repro.runtime import (
     DeterministicMerger,
     TaskOutcome,
-    batch_fingerprint,
     concat_stdout,
     ordered_outcomes,
 )
@@ -60,20 +59,3 @@ class TestOrderedReduction:
     def test_concat_stdout_in_canonical_order(self):
         assert concat_stdout(self.OUTCOMES, ["a", "b"]) == "A\nB\n"
         assert concat_stdout(self.OUTCOMES, ["b", "a"]) == "B\nA\n"
-
-    def test_batch_fingerprint_ignores_arrival_and_tracks_values(self):
-        reordered = {"a": self.OUTCOMES["a"], "b": self.OUTCOMES["b"]}
-        assert batch_fingerprint(self.OUTCOMES, ["a", "b"]) == batch_fingerprint(
-            reordered, ["a", "b"]
-        )
-        changed = dict(self.OUTCOMES)
-        changed["b"] = _ok("b", 999)
-        assert batch_fingerprint(changed, ["a", "b"]) != batch_fingerprint(
-            self.OUTCOMES, ["a", "b"]
-        )
-        # Status participates too (an error never fingerprints like a pass).
-        failed = dict(self.OUTCOMES)
-        failed["b"] = TaskOutcome(key="b", status="error", value=2)
-        assert batch_fingerprint(failed, ["a", "b"]) != batch_fingerprint(
-            self.OUTCOMES, ["a", "b"]
-        )
