@@ -18,10 +18,10 @@ Per replicated port this module maintains:
 * *chain updates* — the management protocol re-chains replicas and
   promotes a backup to primary during fail-over;
 * the *catch-up log* and *chain splice* — hooks for the recovery
-  subsystem (EXTENSION, DESIGN.md §8): every connection records the
-  client byte stream it deposited so a replacement replica can be
-  brought up to speed live, and a two-phase splice extends the chain
-  with the joiner as the new last backup.
+  subsystem (EXTENSION, DESIGN.md §8): where something can consume it,
+  a connection records the client byte stream it deposited so a
+  replacement replica can be brought up to speed live, and a two-phase
+  splice extends the chain with the joiner as the new last backup.
 """
 
 from __future__ import annotations
@@ -91,35 +91,57 @@ class CatchupLog:
     program (EXTENSION — recovery subsystem, DESIGN.md §8).
 
     Deposits arrive in order starting at stream offset 0, so the log is
-    a list of contiguous chunks.  ``size`` is the next expected offset;
-    a hole (hook attached late) or exceeding ``limit`` marks the log
+    one append-only buffer.  ``size`` is the next expected offset; a
+    hole (hook attached late) or exceeding ``limit`` marks the log
     ``truncated`` and frees the memory — the connection then cannot be
     transferred."""
 
-    __slots__ = ("limit", "size", "truncated", "_chunks")
+    __slots__ = ("limit", "size", "truncated", "_buf")
 
     def __init__(self, limit: int = DEFAULT_CATCHUP_LOG_LIMIT):
         self.limit = limit
         self.size = 0
         self.truncated = False
         #: Created by the first deposit recorded.
-        self._chunks: Optional[list[bytes]] = None
+        self._buf: Optional[bytearray] = None
 
     def record(self, start: int, data: bytes) -> None:
         if self.truncated:
             return
         if start != self.size or self.size + len(data) > self.limit:
             self.truncated = True
-            self._chunks = None
+            self._buf = None
             return
         if self.size:
-            self._chunks.append(data)
+            self._buf += data
         else:
-            self._chunks = [data]
+            self._buf = bytearray(data)
         self.size += len(data)
 
     def contents(self) -> bytes:
-        return b"".join(self._chunks or ())
+        return bytes(self._buf or b"")
+
+    def slice(self, start: int, n: int) -> bytes:
+        """At most ``n`` stream bytes from offset ``start``."""
+        return bytes((self._buf or b"")[start : start + n])
+
+
+class _NotRetained(CatchupLog):
+    """The log of a connection whose stream nobody can consume
+    (DESIGN.md §8, "who retains the client stream"): born truncated,
+    records nothing.  Its fields are class attributes, so the one
+    shared instance cannot be written to."""
+
+    __slots__ = ()
+    limit = size = 0
+    truncated = True
+    _buf = None
+
+    def __init__(self):
+        pass
+
+
+_NOT_RETAINED = _NotRetained()
 
 
 class FtConnectionState:
@@ -165,8 +187,11 @@ class FtConnectionState:
         # Messages that arrived before the handshake fixed IRS (a list
         # while there are any).
         self._pending_raw: Optional[list[AckChannelMessage]] = None
-        #: Client stream retained for live joins (recovery subsystem).
-        self.catchup_log = CatchupLog(port.catchup_log_limit)
+        #: Client stream retained for live joins (recovery subsystem),
+        #: when the port has a consumer for it.
+        self.catchup_log = (
+            CatchupLog(port.catchup_log_limit) if port.retains_stream else _NOT_RETAINED
+        )
         #: Strategy-private per-connection state (DESIGN.md §15) —
         #: ``None`` for backends that keep everything in the effective
         #: watermark fields above.
@@ -334,6 +359,11 @@ class FtPort:
         #: gated, how replica progress is folded in, and whom a quiet
         #: acknowledgement channel incriminates.
         self.strategy = create_strategy(strategy, self)
+        #: Whether connections accepted from now on keep their client
+        #: stream (DESIGN.md §8): true for a strategy that reads the
+        #: log, set for a live joiner and by the service's
+        #: ``retain_client_streams``.  Never cleared.
+        self.retains_stream = self.strategy.reads_catchup_log
         self.listener: Optional[Listener] = None
         self.predecessor_ip: Optional[IPAddress] = None
         #: Until the first chain update arrives a lone primary has no
@@ -1108,6 +1138,8 @@ class FtStack:
             strategy=options.strategy,
         )
         ft_port.joining = joining
+        # The joiner's log size is the join's progress counter.
+        ft_port.retains_stream |= joining
         ft_port.bind(on_accept, tcp_options, register=not joining)
         self.ports[key] = ft_port
         return ft_port

@@ -123,6 +123,7 @@ class ReplicatedTcpService:
         #: when present, ``recommission`` runs the live-join protocol
         #: (in-flight connections included) instead of the cold path.
         self.recovery: Optional["RecoveryManager"] = None
+        self._retains_streams = False
 
     def add_primary(self, node: FtNode) -> ReplicaHandle:
         return self._add(node, PortMode.PRIMARY)
@@ -130,7 +131,7 @@ class ReplicatedTcpService:
     def add_backup(self, node: FtNode) -> ReplicaHandle:
         return self._add(node, PortMode.BACKUP)
 
-    def _add(self, node: FtNode, mode: PortMode) -> ReplicaHandle:
+    def _add(self, node: FtNode, mode: PortMode, joining: bool = False) -> ReplicaHandle:
         if self.authority_ip is not None:
             node.daemon.set_service_authority(
                 self.service_ip, self.port, self.authority_ip
@@ -138,8 +139,9 @@ class ReplicatedTcpService:
         node.stack.setportopt(self.port, mode, self.detector, self.strategy)
         on_accept = self.server_factory(node.host_server)
         ft_port = node.stack.listen_replicated(
-            self.service_ip, self.port, on_accept, self.tcp_options
+            self.service_ip, self.port, on_accept, self.tcp_options, joining=joining
         )
+        ft_port.retains_stream |= self._retains_streams
         handle = ReplicaHandle(node, ft_port)
         ft_port.on_demoted = lambda: self._on_replica_demoted(ft_port)
         self.replicas.append(handle)
@@ -151,19 +153,17 @@ class ReplicatedTcpService:
         failure detector and without registering at the redirector —
         it catches up in-flight connections via state transfer first,
         and only enters the multicast set at the chain splice."""
-        if self.authority_ip is not None:
-            node.daemon.set_service_authority(
-                self.service_ip, self.port, self.authority_ip
-            )
-        node.stack.setportopt(self.port, PortMode.BACKUP, self.detector, self.strategy)
-        on_accept = self.server_factory(node.host_server)
-        ft_port = node.stack.listen_replicated(
-            self.service_ip, self.port, on_accept, self.tcp_options, joining=True
-        )
-        handle = ReplicaHandle(node, ft_port)
-        ft_port.on_demoted = lambda: self._on_replica_demoted(ft_port)
-        self.replicas.append(handle)
-        return handle
+        return self._add(node, PortMode.BACKUP, joining=True)
+
+    def retain_client_streams(self) -> None:
+        """Arm the service for live joins: every replica, present and
+        future, keeps the client stream of each connection it accepts
+        from now on, so a joiner can replay it (DESIGN.md §8).
+        Connections already open stay untransferable.  Called by an
+        attaching :class:`~repro.recovery.RecoveryManager`."""
+        self._retains_streams = True
+        for handle in self.replicas:
+            handle.ft_port.retains_stream = True
 
     def _on_replica_demoted(self, ft_port: FtPort) -> None:
         """A Demote fail-stopped one of our replicas (it was acting on

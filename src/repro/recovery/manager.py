@@ -84,6 +84,7 @@ class RecoveryManager:
         daemon.on_failure_report = self._on_failure_report
         daemon.on_join_ready = self._on_join_ready
         service.recovery = self
+        service.retain_client_streams()
         self.timeline.record(self.sim.now, self._degree())
         self._poll_timer = Timer(self.sim, self._poll)
         self._poll_timer.start(poll_interval)

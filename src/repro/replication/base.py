@@ -60,6 +60,9 @@ class ReplicationStrategy:
     #: ``"linear"`` — the paper's daisy chain; ``"star"`` — all backups
     #: hang directly off the primary.
     layout = "linear"
+    #: Whether the backend itself reads connections' catch-up logs, so
+    #: its ports retain the client stream with no recovery manager.
+    reads_catchup_log = False
 
     def __init__(self, port: "FtPort"):
         self.port = port

@@ -50,6 +50,7 @@ class CheckpointStrategy(BroadcastStrategy):
 
     name = "checkpoint"
     layout = "star"
+    reads_catchup_log = True  # _repair_lagging
 
     interval = DEFAULT_CHECKPOINT_INTERVAL
     repair_threshold = DEFAULT_REPAIR_THRESHOLD
@@ -109,16 +110,11 @@ class CheckpointStrategy(BroadcastStrategy):
             log = state.catchup_log
             if log.truncated or conn.irs is None:
                 continue
-            contents = None
             for ip, view in state.repl.views.items():
                 if log.size - view.deposited <= self.repair_threshold:
                     continue
-                if contents is None:
-                    contents = log.contents()
                 start = view.deposited
-                data = contents[start : start + port.catchup_chunk_size]
-                if not data:
-                    continue
+                data = log.slice(start, port.catchup_chunk_size)
                 snap = ConnSnapshot(
                     client_ip=conn.remote_ip,
                     client_port=conn.remote_port,

@@ -174,9 +174,10 @@ class _Worker:
     (a chunk of one or more tasks, consumed front to back as results
     stream in)."""
 
-    __slots__ = ("process", "conn", "index", "tasks", "started_at")
+    __slots__ = ("process", "conn", "index", "pin_core", "tasks", "started_at")
 
     def __init__(self, ctx, index: int, pin_core: Optional[int]):
+        self.pin_core = pin_core
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=_worker_main,
@@ -225,9 +226,10 @@ class ScenarioPool:
     """Run batches of independent tasks over ``jobs`` persistent worker
     processes (see the module docstring for the scheduling contract).
 
-    Use as a context manager, or call :meth:`close` when done.  With
-    ``pin_cores=True`` worker *i* is pinned to core ``i % cpu_count``
-    (best effort), so workers neither share a core nor migrate.
+    Use as a context manager, or call :meth:`close` when done.  Where
+    the process may run on at least ``jobs`` cores, each worker is
+    pinned to one of its own (best effort), so workers neither share a
+    core nor migrate; elsewhere they run unpinned.
     """
 
     def __init__(
@@ -236,7 +238,6 @@ class ScenarioPool:
         *,
         cache=None,
         default_timeout: Optional[float] = None,
-        pin_cores: bool = False,
         start_method: Optional[str] = None,
     ):
         if jobs < 1:
@@ -244,7 +245,12 @@ class ScenarioPool:
         self.jobs = jobs
         self.cache = cache
         self.default_timeout = default_timeout
-        self.pin_cores = pin_cores
+        try:
+            cores = sorted(os.sched_getaffinity(0))
+        except AttributeError:  # not Linux
+            cores = []
+        #: One core per worker, or nothing to pin to.
+        self._cores = cores if len(cores) >= jobs else []
         self._ctx = get_context(start_method or default_start_method())
         self._workers: list[_Worker] = []
         self._next_index = itertools.count()
@@ -255,7 +261,8 @@ class ScenarioPool:
 
     def _spawn_worker(self) -> _Worker:
         index = next(self._next_index)
-        pin = index % (os.cpu_count() or 1) if self.pin_cores else None
+        taken = {w.pin_core for w in self._workers}
+        pin = next((c for c in self._cores if c not in taken), None)
         worker = _Worker(self._ctx, index, pin)
         self._workers.append(worker)
         return worker

@@ -91,6 +91,9 @@ class FtTestbed:
             detector=detector or DetectorParams(threshold=4, cooldown=1.0),
             tcp_options=tcp_options,
         )
+        if n_spares:
+            # Hand-driven joins need what a RecoveryManager would arm.
+            self.service.retain_client_streams()
         self.primary_handle = self.service.add_primary(self.nodes[0])
         self.backup_handles = [
             self.service.add_backup(n) for n in self.nodes[1 : 1 + n_backups]

@@ -9,7 +9,8 @@ byte stream intact at the client, and the chain back at full degree.
 
 from repro.core import DetectorParams
 from repro.experiments.testbeds import build_ft_system
-from repro.recovery import RecoveryManager, SparePool
+from repro.invariants import attach_invariants
+from repro.recovery import RecoveryManager, SparePool, snapshot_connections
 
 PORT = 5001
 
@@ -22,8 +23,8 @@ def echo_factory(host_server):
     return on_accept
 
 
-def build(n_spares=1):
-    system = build_ft_system(
+def build_unmanaged(n_spares=1):
+    return build_ft_system(
         seed=0,
         n_backups=1,
         n_spares=n_spares,
@@ -31,13 +32,20 @@ def build(n_spares=1):
         factory=echo_factory,
         port=PORT,
     )
-    manager = RecoveryManager(
+
+
+def attach_manager(system):
+    return RecoveryManager(
         system.service,
         system.redirector_daemon,
         SparePool(system.spare_nodes),
         target_degree=2,
     )
-    return system, manager
+
+
+def build(n_spares=1):
+    system = build_unmanaged(n_spares)
+    return system, attach_manager(system)
 
 
 def start_client(system, chunks, size=400, interval=0.05, at=2.5):
@@ -123,3 +131,37 @@ def test_crash_restore_crash_again():
     ]
     assert bytes(received) == bytes(sent)
     assert manager.timeline.degree_at(system.sim.now) == 2
+
+
+def test_manager_attached_late_transfers_only_later_connections():
+    """Nothing retains a client stream until something can consume it
+    (DESIGN.md §8): a connection opened before the manager attached is
+    untransferable and keeps running on the replicas it has; one opened
+    after is transferred and gated on the joiner."""
+    system = build_unmanaged()
+    invset = attach_invariants(system)
+    primary = system.service.replicas[0].ft_port
+    conn_a, sent_a, received_a = start_client(system, chunks=200, at=0.5)
+    system.run_for(2.0)
+    assert len(sent_a) >= 8192
+    assert snapshot_connections(primary) == ([], set())
+
+    manager = attach_manager(system)
+    conn_b, sent_b, received_b = start_client(system, chunks=200, at=0.5)
+    system.sim.schedule(2.0, system.servers[1].crash)  # the chain's tail
+    system.run_until(60.0)
+
+    spare = system.spare_nodes[0]
+    assert manager.joins_completed == 1 and manager.joins_aborted == 0
+    assert manager.incidents[0].connections_transferred == 1
+    assert list(entry_for(system).replicas) == [system.nodes[0].ip, spare.ip]
+    states = {key[1]: state for key, state in primary.states.items()}
+    state_a, state_b = states[conn_a.local_port], states[conn_b.local_port]
+    assert state_b.gated and state_b.successor_ip == spare.ip
+    assert not state_a.gated and state_a.catchup_log.truncated
+    joiner = system.service.replicas[-1].ft_port
+    assert [key[1] for key in joiner.states] == [conn_b.local_port]
+    for sent, received in ((sent_a, received_a), (sent_b, received_b)):
+        assert len(sent) == 200 * 400
+        assert bytes(received) == bytes(sent)
+    assert invset.violations == []

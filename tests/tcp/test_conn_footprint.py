@@ -7,7 +7,9 @@ about 10 % above what they cost when the budget was set (2 169 B and
 17.9 objects on CPython 3.11; the eager layout before it cost 6 565 B
 and 38.5).  The behaviour tests pin *when* each piece a short
 connection never needs comes into being: not before its first use, and
-exactly then.
+exactly then.  The retention tests hold the client stream to its
+consumers (DESIGN.md §8): replicas nobody can join from keep none of
+it, armed ones keep it once.
 """
 
 from __future__ import annotations
@@ -15,9 +17,13 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
+import pytest
+
 from repro.apps.echo import echo_server_factory
+from repro.experiments.testbeds import build_primary_backup
 from repro.netsim.packet import TCPFlags, TCPSegment
 from repro.netsim.simulator import Timer
+from repro.recovery import RecoveryManager
 from repro.tcp import TcpOptions, TcpState
 from repro.tcp.seqnum import seq_add
 from repro.tcp.tcb import _UNSTARTED
@@ -199,12 +205,58 @@ def test_catchup_chunks_created_by_first_deposit_and_by_live_join():
 
     for replica in (0, 1):
         idle_log, busy_log = logs(tb.ft_port(replica))
-        assert idle_log._chunks is None and idle_log.size == 0
+        assert idle_log._buf is None and idle_log.size == 0
         assert busy_log.contents() == payload
     # Live join: the joiner replays the donor's log and so rebuilds its own.
     joiner_port = tb.service.provision_joiner(tb.spare_nodes[0]).ft_port
     tb.ft_port(1).begin_catchup_feed(tb.spare_nodes[0].ip)
     tb.run_for(1.0)
     idle_log, busy_log = logs(joiner_port)
-    assert idle_log._chunks is None and idle_log.contents() == b""
+    assert idle_log._buf is None and idle_log.contents() == b""
     assert busy_log.contents() == payload
+
+
+# -- the client stream is kept where something can consume it, and once -------
+
+
+def _held_after_ttcp(run, buflen, nbuf):
+    """Traced bytes the whole system still holds once the client has its
+    last ACK, and each replica's catch-up log."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run.run(buflen, nbuf=nbuf, timeout=60.0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.completed
+    ports = [handle.ft_port for handle in run.owned[0].service.replicas]
+    logs = [state.catchup_log for port in ports for state in port.states.values()]
+    assert len(logs) == 3
+    return held, logs
+
+
+@pytest.mark.parametrize("strategy", ["chain", "broadcast"])
+def test_replicas_nobody_can_join_from_keep_no_client_stream(strategy):
+    with build_primary_backup(n_backups=2, strategy=strategy) as run:
+        held, logs = _held_after_ttcp(run, buflen=1024, nbuf=1024)
+        assert held < 64 * 1024  # one retained copy alone would be 1 MiB
+        assert all(log.truncated and log.size == 0 for log in logs)
+
+
+@pytest.mark.parametrize("strategy, managed", [("chain", True), ("checkpoint", False)])
+def test_armed_replicas_keep_the_client_stream_once(strategy, managed):
+    """A recovery manager arms retention; the checkpoint backend reads
+    the log itself and retains without one.  64-byte writes: one object
+    per deposit would cost 1.6 x the stream."""
+    buflen, nbuf = 64, 4096
+    stream = bytes(range(buflen)) * nbuf
+    with build_primary_backup(n_backups=2, strategy=strategy) as run:
+        system = run.owned[0]
+        if managed:
+            RecoveryManager(system.service, system.redirector_daemon)
+        held, logs = _held_after_ttcp(run, buflen, nbuf)
+        assert all(log.contents() == stream for log in logs)
+        assert held <= 3 * 1.15 * len(stream) + 64 * 1024
