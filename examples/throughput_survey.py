@@ -4,7 +4,7 @@ measurement configurations of the paper's §5, printed side by side with
 the published reference values.
 
 Run:  python examples/throughput_survey.py          (~5 s)
-      python -m repro.experiments.figure4            (full sweep)
+      python -m repro experiments --only "Figure 4"  # full sweep
 """
 
 from repro.experiments.figure4 import PAPER_REFERENCE, check_shape, run_figure4

@@ -10,18 +10,18 @@ Usage::
 import sys
 from importlib import import_module
 
-#: command -> (module whose ``main(argv)`` runs it, help line).
+#: command -> ("module [leading args]" whose ``main(argv)`` runs it, help line).
 COMMANDS = {
     "experiments": (
         "repro.experiments.runner",
-        "[--fast] [--jobs N] [--only S]   run the full evaluation",
+        "[--fast] [--jobs N] [--only S] [--certify]   run the evaluation",
     ),
     "fuzz": (
         "repro.invariants.fuzz",
         "--runs N --seed S | --replay FILE   fuzz fault schedules under monitors",
     ),
     "mesh": (
-        "repro.experiments.mesh_scaling",
+        "repro.experiments.runner --only D5",
         "[--fast|--certify] [--jobs N]   datacenter-mesh scaling sweep (D5)",
     ),
 }
@@ -43,8 +43,8 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    module, _usage = COMMANDS[args[0]]
-    return import_module(module).main(args[1:])
+    module, *prefix = COMMANDS[args[0]][0].split()
+    return import_module(module).main([*prefix, *args[1:]])
 
 
 if __name__ == "__main__":

@@ -1,12 +1,9 @@
-"""Experiment harness: one module per paper figure/table plus ablations.
+"""Experiment harness: one module per paper figure/table, ablation or demo.
 
-* ``figure4``         — the paper's throughput figure (4 configurations)
-* ``backups_sweep``   — A1: chain length
-* ``failover``        — A2/D1: detector threshold, fail-over, transparency
-* ``ack_channel_loss``— A3: unreliable acknowledgement channel
-* ``fragmentation``   — A4: MTU/fragmentation effects
-* ``receive_path``    — A5: gated receive-path design variants
-* ``runner``          — run everything
+The registry is :data:`repro.experiments.runner.EXPERIMENTS` (each
+module's ``EXPERIMENT`` record, in report order); run it with
+``python -m repro experiments``.  This package itself exports only the
+testbed builders, so importing it loads no experiment module.
 """
 
 from .testbeds import (

@@ -14,22 +14,21 @@ Two workloads expose the two sides of the trade:
   deposit/output gate with no follow-up message coming; recovery rides
   on a client RTO retransmission — response-time spikes and client
   retransmissions grow with the loss rate.
-
-Run with:  python -m repro.experiments.ack_channel_loss
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.apps.echo import EchoClient, echo_server_factory
 from repro.apps.ttcp import TTCP_TCP_OPTIONS, TtcpSender
 from repro.core import DetectorParams
 from repro.metrics.stats import percentile
 from repro.metrics.tables import Table
+from repro.runtime import Task
 
+from .experiment import Experiment
 from .testbeds import build_ft_system
 
 #: The sweep isolates the channel trade-off, so the failure estimator is
@@ -111,32 +110,6 @@ def run_echo(
         )
 
 
-def run_sweep(
-    loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
-    seed: int = 0,
-    nbuf: int = 512,
-    n_requests: int = 200,
-) -> list[AckLossOutcome]:
-    outcomes = []
-    for rate in loss_rates:
-        throughput, completed = run_bulk(rate, seed=seed, nbuf=nbuf)
-        mean_ms, p95_ms, stalls, retrans = run_echo(
-            rate, seed=seed, n_requests=n_requests
-        )
-        outcomes.append(
-            AckLossOutcome(
-                loss_rate=rate,
-                bulk_throughput_kB_per_sec=throughput,
-                bulk_completed=completed,
-                echo_mean_ms=mean_ms,
-                echo_p95_ms=p95_ms,
-                echo_stalls=stalls,
-                client_retransmissions=retrans,
-            )
-        )
-    return outcomes
-
-
 def check_shape(outcomes: list[AckLossOutcome]) -> list[str]:
     problems = []
     for outcome in outcomes:
@@ -160,15 +133,29 @@ def check_shape(outcomes: list[AckLossOutcome]) -> list[str]:
     return problems
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
-    fast = "--fast" in args
-    rates = (0.0, 0.2) if fast else DEFAULT_LOSS_RATES
-    outcomes = run_sweep(
-        loss_rates=rates,
-        nbuf=128 if fast else 512,
-        n_requests=100 if fast else 200,
-    )
+def _params(fast: bool) -> tuple[Sequence[float], int, int]:
+    """Loss rates, bulk nbuf and echo requests for this mode."""
+    return ((0.0, 0.2), 128, 100) if fast else (DEFAULT_LOSS_RATES, 512, 200)
+
+
+def _points(fast: bool) -> list[Task]:
+    rates, nbuf, n_requests = _params(fast)
+    return [
+        Task(f"bulk@{rate}", run_bulk, kwargs={"loss_rate": rate, "nbuf": nbuf},
+             cost=nbuf * 7e-5)
+        for rate in rates
+    ] + [
+        Task(f"echo@{rate}", run_echo, kwargs={"loss_rate": rate, "n_requests": n_requests},
+             cost=n_requests * 2e-4)
+        for rate in rates
+    ]
+
+
+def _report(fast: bool, values: dict) -> list[str]:
+    outcomes = [
+        AckLossOutcome(rate, *values[f"bulk@{rate}"], *values[f"echo@{rate}"])
+        for rate in _params(fast)[0]
+    ]
     table = Table(
         "A3: acknowledgement-channel loss (primary + 1 backup)",
         [
@@ -192,18 +179,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             ]
         )
     print(table)
-    problems = check_shape(outcomes)
-    if problems:
-        print("\nSHAPE CHECK FAILURES:")
-        for p in problems:
-            print(f"  - {p}")
-        return 1
-    print(
-        "\nShape check: OK (bulk tolerant; request/response pays in client "
-        "retransmissions, as §4.3 predicts)"
-    )
-    return 0
+    return check_shape(outcomes)
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+EXPERIMENT = Experiment(
+    "A3 acknowledgement-channel loss",
+    _points,
+    _report,
+    ok="bulk tolerant; request/response pays in client retransmissions, as §4.3 predicts",
+)

@@ -9,21 +9,19 @@ against heartbeat detection across three axes:
 * detection latency with an IDLE service (the estimator's blind spot:
   no traffic, no retransmissions, no detection);
 * idle background overhead (heartbeat messages per second vs zero).
-
-Run with:  python -m repro.experiments.detector_comparison
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.apps.echo import echo_server_factory
 from repro.core import DetectorParams
 from repro.core.heartbeat import enable_heartbeats
 from repro.metrics.tables import Table
+from repro.runtime import Task
 
+from .experiment import Experiment
 from .testbeds import build_ft_system
 
 
@@ -102,25 +100,6 @@ def _run_crash(
         return latency, msgs_per_sec
 
 
-def run_comparison(
-    heartbeat_period: float = 0.5,
-    seed: int = 0,
-) -> list[DetectorOutcome]:
-    outcomes = []
-    for use_hb, name in ((False, "retransmission (paper)"), (True, "heartbeat")):
-        active, _ = _run_crash(use_hb, active_client=True, heartbeat_period=heartbeat_period, seed=seed)
-        idle, idle_rate = _run_crash(use_hb, active_client=False, heartbeat_period=heartbeat_period, seed=seed)
-        outcomes.append(
-            DetectorOutcome(
-                detector=name if not use_hb else f"heartbeat (p={heartbeat_period}s)",
-                active_latency=active,
-                idle_latency=idle,
-                idle_messages_per_sec=idle_rate,
-            )
-        )
-    return outcomes
-
-
 def check_shape(outcomes: list[DetectorOutcome]) -> list[str]:
     problems = []
     paper = next(o for o in outcomes if "paper" in o.detector)
@@ -140,10 +119,26 @@ def check_shape(outcomes: list[DetectorOutcome]) -> list[str]:
     return problems
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
-    period = 0.5
-    outcomes = run_comparison(heartbeat_period=period)
+HEARTBEAT_PERIOD = 0.5
+DETECTORS = (("retransmission (paper)", False), (f"heartbeat (p={HEARTBEAT_PERIOD}s)", True))
+
+
+def _points(fast: bool) -> list[Task]:
+    return [
+        Task(f"{name}/{'active' if active else 'idle'}", _run_crash,
+             kwargs={"use_heartbeats": use_hb, "active_client": active,
+                     "heartbeat_period": HEARTBEAT_PERIOD},
+             cost=0.06 if active else 0.005)
+        for name, use_hb in DETECTORS
+        for active in (True, False)
+    ]
+
+
+def _report(fast: bool, values: dict) -> list[str]:
+    outcomes = [
+        DetectorOutcome(name, values[f"{name}/active"][0], *values[f"{name}/idle"])
+        for name, _use_hb in DETECTORS
+    ]
     table = Table(
         "A7: failure-detector comparison (primary crash)",
         ["detector", "active-client latency [s]", "idle-service latency [s]", "idle msgs/s"],
@@ -158,18 +153,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             ]
         )
     print(table)
-    problems = check_shape(outcomes)
-    if problems:
-        print("\nSHAPE CHECK FAILURES:")
-        for p in problems:
-            print(f"  - {p}")
-        return 1
-    print(
-        "\nShape check: OK (the paper's estimator is free and traffic-driven; "
-        "heartbeats pay constant overhead to also cover idle services)"
-    )
-    return 0
+    return check_shape(outcomes)
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+EXPERIMENT = Experiment(
+    "A7 failure-detector comparison", _points, _report,
+    ok="the paper's estimator is free and traffic-driven; heartbeats pay "
+    "constant overhead to also cover idle services",
+)

@@ -11,20 +11,18 @@ and measures:
 
 D1 demonstrates client transparency: a continuous stream crosses a
 primary crash with no client-visible connection event.
-
-Run with:  python -m repro.experiments.failover
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from repro.core import DetectorParams
 from repro.faults.injection import FaultPlan
 from repro.metrics.tables import Table
+from repro.runtime import Task
 
+from .experiment import Experiment
 from .testbeds import build_ft_system
 
 
@@ -151,15 +149,6 @@ def run_congestion_false_positive(
         )
 
 
-def run_threshold_sweep(
-    thresholds: Sequence[int] = (2, 4, 6, 8),
-    seed: int = 0,
-) -> tuple[list[FailoverOutcome], list[FalsePositiveOutcome]]:
-    crashes = [run_crash_failover(t, seed=seed) for t in thresholds]
-    false_pos = [run_congestion_false_positive(t, seed=seed) for t in thresholds]
-    return crashes, false_pos
-
-
 def check_shape(crashes: list[FailoverOutcome]) -> list[str]:
     problems = []
     for outcome in crashes:
@@ -177,10 +166,25 @@ def check_shape(crashes: list[FailoverOutcome]) -> list[str]:
     return problems
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
-    thresholds = (2, 4) if "--fast" in args else (2, 4, 6, 8)
-    crashes, false_pos = run_threshold_sweep(thresholds=thresholds)
+def _thresholds(fast: bool) -> tuple[int, ...]:
+    return (2, 4) if fast else (2, 4, 6, 8)
+
+
+def _points(fast: bool) -> list[Task]:
+    thresholds = _thresholds(fast)
+    return [
+        Task(f"crash@{t}", run_crash_failover, kwargs={"threshold": t}, cost=0.02)
+        for t in thresholds
+    ] + [
+        Task(f"false-positive@{t}", run_congestion_false_positive, kwargs={"threshold": t},
+             cost=0.06)
+        for t in thresholds
+    ]
+
+
+def _report(fast: bool, values: dict) -> list[str]:
+    thresholds = _thresholds(fast)
+    crashes = [values[f"crash@{t}"] for t in thresholds]
     table = Table(
         "A2: detector threshold trade-off (primary crash mid-transfer)",
         ["threshold", "failover latency [s]", "client stall [s]", "complete", "client events"],
@@ -201,7 +205,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         "A2b: false positives under a 3s congestion burst (no crash)",
         ["threshold", "failure reports", "reconfigurations", "spurious shutdowns"],
     )
-    for outcome in false_pos:
+    for t in thresholds:
+        outcome = values[f"false-positive@{t}"]
         table2.add_row(
             [
                 outcome.threshold,
@@ -211,15 +216,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             ]
         )
     print(table2)
-    problems = check_shape(crashes)
-    if problems:
-        print("\nSHAPE CHECK FAILURES:")
-        for p in problems:
-            print(f"  - {p}")
-        return 1
-    print("\nShape check: OK (every crash detected, client fully transparent)")
-    return 0
+    return check_shape(crashes)
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+EXPERIMENT = Experiment(
+    "A2 fail-over / detector threshold", _points, _report,
+    ok="every crash detected, client fully transparent",
+)

@@ -1,22 +1,20 @@
 """Figure 4: ttcp throughput vs packet size for the four configurations.
 
-Regenerates the paper's only results figure.  Run with::
-
-    python -m repro.experiments.figure4 [--fast]
-
-Reference values eyeballed from the published figure (kB/s) are in
+Regenerates the paper's only results figure
+(``python -m repro experiments --only "Figure 4"``).  Reference values
+eyeballed from the published figure (kB/s) are in
 :data:`PAPER_REFERENCE`; EXPERIMENTS.md records paper-vs-measured.
 """
 
 from __future__ import annotations
 
-import sys
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.metrics.tables import format_comparison
 from repro.runtime import Task
 from repro.workloads.generators import FIGURE4_PACKET_SIZES
 
+from .experiment import Experiment
 from .testbeds import FIGURE4_BUILDERS
 
 #: Approximate series read off the paper's Figure 4 (kB/s).  The exact
@@ -34,7 +32,7 @@ CONFIG_ORDER = ("clean", "no_redirection", "primary_only", "primary_backup")
 
 def run_point(config: str, size: int, nbuf: int = 2048, seed: int = 0) -> float:
     """One sweep point: throughput [kB/s] for one configuration at one
-    packet size.  This is the shard unit the parallel runner fans out."""
+    packet size; the unit the runner fans out."""
     builder = FIGURE4_BUILDERS[config]
     with builder(seed=seed) as run:
         result = run.run(buflen=size, nbuf=nbuf)
@@ -90,46 +88,35 @@ def check_shape(results: dict[str, list[float]]) -> list[str]:
     return problems
 
 
-def _params(args: Sequence[str]) -> tuple[list[int], int]:
-    sizes = list(FIGURE4_PACKET_SIZES)
-    nbuf = 512 if "--fast" in args else 2048
-    return sizes, nbuf
+def _nbuf(fast: bool) -> int:
+    return 512 if fast else 2048
 
 
-def shard(args: Sequence[str]) -> list[Task]:
-    """Parallel-runner hook: one task per (configuration, size) point."""
-    sizes, nbuf = _params(args)
+def _points(fast: bool) -> list[Task]:
+    nbuf = _nbuf(fast)
     return [
-        Task(
-            key=f"{config}@{size}",
-            fn=run_point,
-            kwargs={"config": config, "size": size, "nbuf": nbuf},
-            cost=float(size) * nbuf,
-        )
+        # Each configuration in order adds a layer of per-packet work.
+        Task(f"{config}@{size}", run_point,
+             kwargs={"config": config, "size": size, "nbuf": nbuf},
+             cost=nbuf * 2.5e-5 * (1 + CONFIG_ORDER.index(config)))
         for config in CONFIG_ORDER
-        for size in sizes
+        for size in FIGURE4_PACKET_SIZES
     ]
 
 
-def merge_shards(args: Sequence[str], values: dict[str, float]) -> int:
-    """Parallel-runner hook: reassemble sweep points (in canonical
-    config/size order) and print the exact report ``main`` prints."""
-    sizes, nbuf = _params(args)
+def _report(fast: bool, values: dict[str, float]) -> list[str]:
+    sizes = list(FIGURE4_PACKET_SIZES)
     results = {
         config: [values[f"{config}@{size}"] for size in sizes]
         for config in CONFIG_ORDER
     }
-    return _report(results, sizes, nbuf)
-
-
-def _report(results: dict[str, list[float]], sizes: list[int], nbuf: int) -> int:
     print(
         format_comparison(
             "Figure 4: ttcp throughput [kB/s] vs packet size [bytes]",
             "size",
             sizes,
             results,
-            note=f"(nbuf={nbuf} buffers per run; paper used default ttcp settings)",
+            note=f"(nbuf={_nbuf(fast)} buffers per run; paper used default ttcp settings)",
         )
     )
     print()
@@ -141,23 +128,10 @@ def _report(results: dict[str, list[float]], sizes: list[int], nbuf: int) -> int
             PAPER_REFERENCE,
         )
     )
-    problems = check_shape(results)
-    if problems:
-        print("\nSHAPE CHECK FAILURES:")
-        for p in problems:
-            print(f"  - {p}")
-        return 1
-    print("\nShape check: OK (rising curves, correct configuration ordering)")
-    return 0
+    return check_shape(results)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
-    # Serial execution runs the very same shard tasks in canonical
-    # order, so `--jobs N` output is byte-identical by construction.
-    values = {task.key: task.fn(**task.kwargs) for task in shard(args)}
-    return merge_shards(args, values)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+EXPERIMENT = Experiment(
+    "Figure 4 (main result)", _points, _report,
+    ok="rising curves, correct configuration ordering",
+)

@@ -13,21 +13,20 @@ reproduce that effect and its HydraNet-specific cousin:
   fits the server-side MTU and fragments at the redirector.  Capping
   the MSS by the encapsulation overhead avoids it (the knob an operator
   would turn).
-
-Run with:  python -m repro.experiments.fragmentation
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.apps.ttcp import UdpTtcpSender, UdpTtcpSink
 from repro.metrics.tables import Table
 from repro.netsim import Simulator, Topology
+from repro.runtime import Task
 from repro.sockets import node_for
 
+from .experiment import Experiment
 from .testbeds import (
     CLIENT_486,
     REDIRECTOR_486,
@@ -50,47 +49,47 @@ class FragOutcome:
     throughput_kB_per_sec: float
 
 
+def run_mtu_point(size: int, nbuf: int = 512, seed: int = 0) -> FragOutcome:
+    """UDP ttcp of one datagram size: datagrams beyond 1472 bytes
+    fragment at the (CPU-bound) client, reproducing the classic
+    throughput dip Figure 4's commentary refers to."""
+    sim = Simulator(seed=seed)
+    with Topology(sim) as topo:
+        client = topo.add_host("client", CLIENT_486)
+        router = topo.add_router("router", REDIRECTOR_486)
+        server = topo.add_host("server", SERVER_P120)
+        topo.connect(client, router, mtu=1500, **_link_kw(queue_capacity=256))
+        topo.connect(router, server, mtu=1500, **_link_kw(queue_capacity=256))
+        topo.build_routes()
+        server_node = node_for(server)
+        sink = UdpTtcpSink(server_node, port=5002)
+        client_node = node_for(client)
+        sender = UdpTtcpSender(
+            client_node, str(server.ip), 5002, buflen=size, nbuf=nbuf
+        )
+        sender.start()
+        sim.run(until=600.0)
+        result = sink.result(buflen=size, nbuf=nbuf)
+        if result.datagrams_received < nbuf * 0.9:
+            raise RuntimeError(
+                f"mtu sweep @ {size}B lost too much "
+                f"({result.datagrams_received}/{nbuf})"
+            )
+        return FragOutcome(
+            label="datagram-size",
+            value=size,
+            fragments_created=server.kernel.reassembler.reassembled > 0,
+            throughput_kB_per_sec=result.throughput_kB_per_sec,
+        )
+
+
 def run_mtu_sweep(
     sizes: Sequence[int] = MTU_SWEEP_SIZES,
     nbuf: int = 512,
     seed: int = 0,
 ) -> list[FragOutcome]:
-    """UDP ttcp across the MTU boundary: datagrams beyond 1472 bytes
-    fragment at the (CPU-bound) client, reproducing the classic
-    throughput dip Figure 4's commentary refers to."""
-    outcomes = []
-    for size in sizes:
-        sim = Simulator(seed=seed)
-        with Topology(sim) as topo:
-            client = topo.add_host("client", CLIENT_486)
-            router = topo.add_router("router", REDIRECTOR_486)
-            server = topo.add_host("server", SERVER_P120)
-            topo.connect(client, router, mtu=1500, **_link_kw(queue_capacity=256))
-            topo.connect(router, server, mtu=1500, **_link_kw(queue_capacity=256))
-            topo.build_routes()
-            server_node = node_for(server)
-            sink = UdpTtcpSink(server_node, port=5002)
-            client_node = node_for(client)
-            sender = UdpTtcpSender(
-                client_node, str(server.ip), 5002, buflen=size, nbuf=nbuf
-            )
-            sender.start()
-            sim.run(until=600.0)
-            result = sink.result(buflen=size, nbuf=nbuf)
-            if result.datagrams_received < nbuf * 0.9:
-                raise RuntimeError(
-                    f"mtu sweep @ {size}B lost too much "
-                    f"({result.datagrams_received}/{nbuf})"
-                )
-            outcomes.append(
-                FragOutcome(
-                    label="datagram-size",
-                    value=size,
-                    fragments_created=server.kernel.reassembler.reassembled > 0,
-                    throughput_kB_per_sec=result.throughput_kB_per_sec,
-                )
-            )
-    return outcomes
+    """UDP ttcp across the MTU boundary, one point per size."""
+    return [run_mtu_point(size, nbuf=nbuf, seed=seed) for size in sizes]
 
 
 def run_tunnel_fragmentation(nbuf: int = 512, seed: int = 0) -> list[FragOutcome]:
@@ -143,13 +142,21 @@ def check_shape(
     return problems
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
-    fast = "--fast" in args
-    nbuf = 128 if fast else 512
-    sizes = (1024, 1472, 1500, 2048) if fast else MTU_SWEEP_SIZES
-    mtu_outcomes = run_mtu_sweep(sizes=sizes, nbuf=nbuf)
-    tunnel_outcomes = run_tunnel_fragmentation(nbuf=nbuf)
+def _params(fast: bool) -> tuple[Sequence[int], int]:
+    return ((1024, 1472, 1500, 2048), 128) if fast else (MTU_SWEEP_SIZES, 512)
+
+
+def _points(fast: bool) -> list[Task]:
+    sizes, nbuf = _params(fast)
+    return [
+        Task(f"mtu@{size}", run_mtu_point, kwargs={"size": size, "nbuf": nbuf},
+             cost=nbuf * 4e-5)
+        for size in sizes
+    ] + [Task("tunnel", run_tunnel_fragmentation, kwargs={"nbuf": nbuf}, cost=nbuf * 1e-4)]
+
+
+def _report(fast: bool, values: dict) -> list[str]:
+    mtu_outcomes = [values[f"mtu@{size}"] for size in _params(fast)[0]]
     table = Table(
         "A4a: UDP datagram size across the 1500B MTU",
         ["datagram size", "fragments?", "throughput [kB/s]"],
@@ -158,22 +165,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         table.add_row([int(o.value), o.fragments_created, o.throughput_kB_per_sec])
     print(table)
     print()
-    table2 = Table(
+    table = Table(
         "A4b: tunnelling-induced fragmentation (redirected primary)",
         ["configuration", "fragments?", "throughput [kB/s]"],
     )
-    for o in tunnel_outcomes:
-        table2.add_row([o.label, o.fragments_created, o.throughput_kB_per_sec])
-    print(table2)
-    problems = check_shape(mtu_outcomes, tunnel_outcomes)
-    if problems:
-        print("\nSHAPE CHECK FAILURES:")
-        for p in problems:
-            print(f"  - {p}")
-        return 1
-    print("\nShape check: OK (throughput dips past the MTU; tunnelling fragments full-MSS segments)")
-    return 0
+    for o in values["tunnel"]:
+        table.add_row([o.label, o.fragments_created, o.throughput_kB_per_sec])
+    print(table)
+    return check_shape(mtu_outcomes, values["tunnel"])
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+EXPERIMENT = Experiment(
+    "A4 fragmentation", _points, _report,
+    ok="throughput dips past the MTU; tunnelling fragments full-MSS segments",
+)

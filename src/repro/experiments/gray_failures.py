@@ -27,17 +27,15 @@ output never stalls longer than the bound while a healthy quorum
 remains), the client stream is an exact echo prefix, and the lying and
 slow-heavy adversaries get excised with the chain degree restored.
 
-Run with:  python -m repro.experiments.gray_failures [--fast]
-           [--certify] [--report PATH]
+``--certify`` runs fail-over onto a 10x-slow survivor instead, computed
+inline and in a pool worker with equal results.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 from repro.apps.echo import echo_server_factory
@@ -48,6 +46,7 @@ from repro.metrics.tables import Table
 from repro.recovery import RecoveryManager, SparePool
 from repro.runtime import Task
 
+from .experiment import Certify, Experiment
 from .testbeds import build_ft_system
 
 #: The successor under attack is hs_1 (the primary's direct successor).
@@ -259,15 +258,16 @@ def run_variant(variant: Variant, seed: int = 0) -> GrayRunResult:
         fingerprint = hashlib.sha256()
         fingerprint.update(bytes(received))
         fingerprint.update(
-            json.dumps(
+            json.JSONEncoder(sort_keys=True)
+            .encode(
                 {
                     "variant": variant.name,
                     "received": len(received),
                     "violations": violated,
                     "excised": excision_at[0] is not None,
-                },
-                sort_keys=True,
-            ).encode()
+                }
+            )
+            .encode()
         )
 
         return GrayRunResult(
@@ -326,9 +326,15 @@ def check_shape(result: GrayRunResult) -> list[str]:
     return problems
 
 
-def _report(results: list[GrayRunResult], fast: bool) -> int:
-    by_name = {r.variant: r for r in results}
-    failstop = by_name.get("fail_stop")
+def _points(fast: bool) -> list[Task]:
+    return [
+        Task(variant.name, run_variant, kwargs={"variant": variant}, cost=0.45)
+        for variant in _grid(fast)
+    ]
+
+
+def _report(fast: bool, values: dict[str, GrayRunResult]) -> list[str]:
+    failstop = values.get("fail_stop")
     table = Table(
         "D6: gray-failure adversary sweep (victim = the primary's "
         f"successor; fault at t={FAULT_AT:.0f}s, degradation timeout "
@@ -345,8 +351,8 @@ def _report(results: list[GrayRunResult], fast: bool) -> int:
             "degr rep",
         ],
     )
-    failures = []
-    for result in results:
+    problems = []
+    for result in values.values():
         ratio = (
             f"{result.goodput / failstop.goodput:5.2f}x"
             if failstop is not None and failstop.goodput > 0
@@ -369,131 +375,47 @@ def _report(results: list[GrayRunResult], fast: bool) -> int:
                 result.degradation_reports,
             ]
         )
-        problems = check_shape(result)
-        if problems:
-            failures.append((result.variant, problems))
+        problems.extend(f"[{result.variant}] {p}" for p in check_shape(result))
     print(table)
-    print()
-    if failures:
-        print("SHAPE CHECK FAILURES:")
-        for variant, problems in failures:
-            for p in problems:
-                print(f"  - [{variant}] {p}")
-        return 1
+    return problems
+
+
+#: The certification scenario: hs_1 starts crawling at t=6, the primary
+#: crashes at t=10 — the chain must promote a survivor and keep the
+#: client stream flowing without ever stalling past the liveness bound,
+#: with every monitor green.
+CERTIFY_VARIANT = Variant("failover_under_slow", slow=10.0, crash_primary=True)
+
+
+def _certify_check(values: dict[str, GrayRunResult]) -> list[str]:
+    result = values[CERTIFY_VARIANT.name]
     print(
-        "Shape check: OK (all monitors green, no stall beyond the "
-        "liveness bound, lying replicas flagged and excised, client "
-        "streams exact)"
+        f"certify {result.variant}: stall {result.max_stall:.2f}s, "
+        f"goodput {result.goodput / 1000:.1f} kB/s, "
+        f"promotions {result.promotions}, "
+        f"fingerprint {result.fingerprint[:16]}…"
     )
-    return 0
-
-
-def shard(args) -> list[Task]:
-    """Parallel-runner hook: one task per adversary grid point."""
-    return [
-        Task(
-            key=variant.name,
-            fn=run_variant,
-            kwargs={"variant": variant},
-            cost=HORIZON * (1 + N_BACKUPS),
-        )
-        for variant in _grid("--fast" in args)
-    ]
-
-
-def merge_shards(args, values: dict[str, GrayRunResult]) -> int:
-    order = [v.name for v in _grid("--fast" in args)]
-    return _report([values[name] for name in order], "--fast" in args)
-
-
-def _certify() -> int:
-    """The ISSUE-7 certification gate: fail-over under a 10x-slow
-    surviving replica.  hs_1 starts crawling at t=6, the primary
-    crashes at t=10 — the chain must promote a survivor and keep the
-    client stream flowing without ever stalling past the liveness
-    bound, with every monitor green; and a pooled (4-worker) run must
-    fingerprint-match the serial run."""
-    from repro.runtime import ScenarioPool, Task, task_fingerprint
-
-    variant = Variant("failover_under_slow", slow=10.0, crash_primary=True)
-    serial = run_variant(variant)
-    task = Task(key=variant.name, fn=run_variant, kwargs={"variant": variant})
-    task.fingerprint = task_fingerprint(task)
-    with ScenarioPool(jobs=4) as pool:
-        outcome = pool.run_one(task)
     problems = []
-    if not outcome.ok:
-        problems.append(f"pooled run failed: {outcome.status} ({outcome.error})")
-    else:
-        pooled = outcome.value
-        if pooled.fingerprint != serial.fingerprint:
-            problems.append(
-                f"fingerprint mismatch: serial {serial.fingerprint[:16]}… "
-                f"!= jobs=4 {pooled.fingerprint[:16]}…"
-            )
-    if serial.violated_monitors:
-        problems.append(f"monitor violations: {serial.violated_monitors}")
-    if serial.max_stall > LIVENESS_BOUND:
+    if result.violated_monitors:
+        problems.append(f"monitor violations: {result.violated_monitors}")
+    if result.max_stall > LIVENESS_BOUND:
         problems.append(
-            f"output stalled {serial.max_stall:.2f}s during fail-over "
+            f"output stalled {result.max_stall:.2f}s during fail-over "
             f"under a 10x-slow replica (bound {LIVENESS_BOUND:.0f}s)"
         )
-    if serial.promotions < 1:
+    if result.promotions < 1:
         problems.append("no survivor was ever promoted to primary")
-    if not serial.stream_intact:
+    if not result.stream_intact:
         problems.append("client stream not an exact echo prefix")
-    print(
-        f"certify {variant.name}: stall {serial.max_stall:.2f}s, "
-        f"goodput {serial.goodput / 1000:.1f} kB/s, "
-        f"promotions {serial.promotions}, "
-        f"fingerprint {serial.fingerprint[:16]}…"
-    )
-    if problems:
-        for p in problems:
-            print(f"  CERTIFY FAIL: {p}")
-        return 1
-    print("certify: OK (serial and jobs=4 fingerprints equal, monitors green)")
-    return 0
+    return problems
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
-    if "--certify" in args:
-        return _certify()
-    values = {task.key: task.fn(**task.kwargs) for task in shard(args)}
-    status = merge_shards(args, values)
-    if "--report" in args:
-        path = Path(args[args.index("--report") + 1])
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(
-                {
-                    "experiment": "D6 gray failures",
-                    "status": "ok" if status == 0 else "failed",
-                    "results": [
-                        {
-                            "variant": r.variant,
-                            "max_stall": r.max_stall,
-                            "goodput": r.goodput,
-                            "failover_time": r.failover_time,
-                            "excised": r.excised,
-                            "final_degree": r.final_degree,
-                            "promotions": r.promotions,
-                            "lie_reports": r.lie_reports,
-                            "degradation_reports": r.degradation_reports,
-                            "violated_monitors": r.violated_monitors,
-                            "fingerprint": r.fingerprint,
-                        }
-                        for r in values.values()
-                    ],
-                },
-                indent=1,
-                sort_keys=True,
-            )
-            + "\n"
-        )
-    return status
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+EXPERIMENT = Experiment(
+    "D6 gray failures (adversary catalogue)", _points, _report,
+    ok="all monitors green, no stall beyond the liveness bound, lying "
+    "replicas flagged and excised, client streams exact",
+    certify=Certify(
+        lambda: [Task(CERTIFY_VARIANT.name, run_variant, kwargs={"variant": CERTIFY_VARIANT})],
+        _certify_check,
+    ),
+)

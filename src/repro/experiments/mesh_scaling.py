@@ -13,29 +13,24 @@ an equality gate across ``--jobs`` levels: serial and parallel runs
 print byte-identical reports.
 
 ``--certify`` runs the headline scenario instead: a 3-tier fat-tree
-with 120 replicated services and 10,500 concurrent client connections
-(ISSUE 6 acceptance gate); its fingerprint must match across jobs
-levels.
-
-Run with:  python -m repro.experiments.mesh_scaling [--fast] [--jobs N]
-                                                    [--certify] [--report PATH]
+with 120 replicated services and 10,500 concurrent client connections,
+computed inline and in a pool worker with equal results.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.runtime import ScenarioPool, Task, task_fingerprint
+from repro.metrics.tables import format_comparison
+from repro.runtime import Task
 from repro.topo import MeshWorkload, generate, run_mesh_scenario
+
+from .experiment import Certify, Experiment
 
 SATURATION_FACTOR = 2.0
 
-#: The certification scenario (ISSUE 6): ≥2 mesh tiers, ≥100 replicated
-#: services, ≥10k concurrent connections.
+#: The certification scenario: ≥2 mesh tiers, ≥100 replicated services,
+#: ≥10k concurrent connections.
 CERTIFY_KIND = "fat_tree"
 CERTIFY_PARAMS = dict(
     pods=4,
@@ -63,7 +58,7 @@ def sweep_point(
     request_size: int = 512,
     seed: int = 0,
 ) -> dict:
-    """One sweep point — the shard unit the parallel runner fans out."""
+    """One sweep point."""
     spec = generate(kind, gen_params, seed=seed)
     workload = MeshWorkload(
         connections=connections,
@@ -97,117 +92,44 @@ def certify_point(seed: int = 0) -> dict:
     return out
 
 
-def _grid(args: Sequence[str]):
-    fast = "--fast" in args
+#: Generator parameters every sweep shape shares.
+_SHARED = dict(backups=1, bandwidth_bps=10_000_000.0)
+#: Sweep shapes: (label, generator family, generator parameters).
+FAT_TREE = (
+    "fat-tree",
+    "fat_tree",
+    dict(pods=2, edges_per_pod=2, servers_per_edge=2, clients_per_edge=1, cores=2, **_SHARED),
+)
+HIER_3 = (
+    "hier-3",
+    "hierarchical",
+    dict(levels=3, fanout=2, servers_per_leaf=2, clients_per_leaf=1, **_SHARED),
+)
+
+
+def _hub_spoke(spokes: int) -> tuple:
+    params = dict(spokes=spokes, servers_per_spoke=2, clients_per_spoke=1, **_SHARED)
+    return ("hub-spoke", "hub_and_spoke", params)
+
+
+def _grid(fast: bool):
+    """Shapes, service counts, connection counts and request size."""
     if fast:
-        shapes = [
-            (
-                "hub-spoke",
-                "hub_and_spoke",
-                dict(
-                    spokes=2,
-                    servers_per_spoke=2,
-                    clients_per_spoke=1,
-                    backups=1,
-                    bandwidth_bps=10_000_000.0,
-                ),
-            ),
-            (
-                "fat-tree",
-                "fat_tree",
-                dict(
-                    pods=2,
-                    edges_per_pod=2,
-                    servers_per_edge=2,
-                    clients_per_edge=1,
-                    cores=2,
-                    backups=1,
-                    bandwidth_bps=10_000_000.0,
-                ),
-            ),
-        ]
-        services_levels = (4,)
-        conns_levels = (40, 160)
-        request_size = 256
-    else:
-        shapes = [
-            (
-                "fat-tree",
-                "fat_tree",
-                dict(
-                    pods=2,
-                    edges_per_pod=2,
-                    servers_per_edge=2,
-                    clients_per_edge=1,
-                    cores=2,
-                    backups=1,
-                    bandwidth_bps=10_000_000.0,
-                ),
-            ),
-            (
-                "hub-spoke",
-                "hub_and_spoke",
-                dict(
-                    spokes=4,
-                    servers_per_spoke=2,
-                    clients_per_spoke=1,
-                    backups=1,
-                    bandwidth_bps=10_000_000.0,
-                ),
-            ),
-            (
-                "hier-3",
-                "hierarchical",
-                dict(
-                    levels=3,
-                    fanout=2,
-                    servers_per_leaf=2,
-                    clients_per_leaf=1,
-                    backups=1,
-                    bandwidth_bps=10_000_000.0,
-                ),
-            ),
-        ]
-        services_levels = (8, 16)
-        conns_levels = (100, 300, 900)
-        request_size = 512
-    return shapes, services_levels, conns_levels, request_size
+        return [_hub_spoke(2), FAT_TREE], (4,), (40, 160), 256
+    return [FAT_TREE, _hub_spoke(4), HIER_3], (8, 16), (100, 300, 900), 512
 
 
-def shard(args: Sequence[str]) -> list[Task]:
-    """Parallel-runner hook: one task per (shape, services, conns)."""
-    shapes, services_levels, conns_levels, request_size = _grid(args)
-    tasks = []
-    for label, kind, base_params in shapes:
-        for n_services in services_levels:
-            params = dict(base_params, services=n_services)
-            for conns in conns_levels:
-                tasks.append(
-                    Task(
-                        key=f"{label}/s{n_services}/c{conns}",
-                        fn=sweep_point,
-                        kwargs=dict(
-                            kind=kind,
-                            gen_params=params,
-                            connections=conns,
-                            request_size=request_size,
-                        ),
-                        cost=float(conns) * n_services,
-                    )
-                )
-    return tasks
-
-
-def _series(args: Sequence[str], values: dict) -> list[tuple[str, list[dict]]]:
-    shapes, services_levels, conns_levels, _size = _grid(args)
-    out = []
-    for label, _kind, _params in shapes:
-        for n_services in services_levels:
-            points = [
-                values[f"{label}/s{n_services}/c{conns}"] for conns in conns_levels
-            ]
-            out.append((f"{label} × {n_services} services", points))
-    return out
+def _points(fast: bool) -> list[Task]:
+    shapes, services_levels, conns_levels, request_size = _grid(fast)
+    return [
+        Task(f"{label}/s{n_services}/c{conns}", sweep_point,
+             kwargs=dict(kind=kind, gen_params=dict(params, services=n_services),
+                         connections=conns, request_size=request_size),
+             cost=conns * 1.4e-3)
+        for label, kind, params in shapes
+        for n_services in services_levels
+        for conns in conns_levels
+    ]
 
 
 def _saturation(points: list[dict]) -> Optional[dict]:
@@ -221,13 +143,16 @@ def _saturation(points: list[dict]) -> Optional[dict]:
     return None
 
 
-def merge_shards(args: Sequence[str], values: dict) -> int:
-    """Parallel-runner hook: reassemble the sweep, print the exact
-    report ``main`` prints."""
-    from repro.metrics.tables import format_comparison
-
-    _shapes, _services_levels, conns_levels, _size = _grid(args)
-    series = _series(args, values)
+def _report(fast: bool, values: dict) -> list[str]:
+    shapes, services_levels, conns_levels, _size = _grid(fast)
+    series = [
+        (
+            f"{label} × {n_services} services",
+            [values[f"{label}/s{n_services}/c{conns}"] for conns in conns_levels],
+        )
+        for label, _kind, _params in shapes
+        for n_services in services_levels
+    ]
     results = {
         label: [round(p["p95_ms"], 3) for p in points] for label, points in series
     }
@@ -279,99 +204,28 @@ def merge_shards(args: Sequence[str], values: dict) -> int:
                 f"(p95 {base:.2f} -> {knee['p95_ms']:.2f} ms, "
                 f"{knee['p95_ms'] / (base or 1e-9):.1f}x)"
             )
-    if problems:
-        print("\nSHAPE CHECK FAILURES:")
-        for p in problems:
-            print(f"  - {p}")
-        return 1
-    print(
-        "\nShape check: OK (monitors green at every point, base loads "
-        "completed; saturation points identified above)"
-    )
-    return 0
+    return problems
 
 
-def _parse(args: Sequence[str]) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.mesh_scaling",
-        description="Mesh scaling sweep over the topology subsystem.",
-    )
-    parser.add_argument("--fast", action="store_true", help="shrink the sweep (CI)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
-    parser.add_argument(
-        "--certify",
-        action="store_true",
-        help="run the 120-service / 10.5k-connection acceptance scenario",
-    )
-    parser.add_argument("--report", type=Path, default=None, metavar="PATH")
-    return parser.parse_args(args)
-
-
-def _run_tasks(tasks: list[Task], jobs: int) -> dict:
-    for task in tasks:
-        task.fingerprint = task_fingerprint(task)
-    with ScenarioPool(jobs=jobs) as pool:
-        outcomes = pool.run(tasks)
-    failed = {k: o for k, o in outcomes.items() if not o.ok}
-    if failed:
-        for key, outcome in sorted(failed.items()):
-            print(f"TASK {key} {outcome.status.upper()}:")
-            print(outcome.error or "(no traceback)")
-        raise RuntimeError(f"{len(failed)} task(s) failed")
-    return {k: o.value for k, o in outcomes.items()}
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
-    opts = _parse(args)
-    shard_args = ["--fast"] if opts.fast else []
-
-    if opts.certify:
-        values = _run_tasks(
-            [Task(key="certify", fn=certify_point, cost=1.0, timeout=3600.0)],
-            opts.jobs,
+def _certify_check(values: dict) -> list[str]:
+    report = values["certify"]
+    print("D5 certify: 3-tier fat-tree, 120 services, 10,500 connections")
+    for field, value in report.items():
+        if field not in ("spec_fingerprint", "violations", "mesh_counters"):
+            print(f"  {field}: {value}")
+    problems = [f"invariant violation: {v}" for v in report["violations"]]
+    if report["completed"] < report["connections"]:
+        problems.append(
+            f"only {report['completed']}/{report['connections']} connections completed"
         )
-        report = values["certify"]
-        print("D5 certify: 3-tier fat-tree, 120 services, 10,500 connections")
-        for field in (
-            "spec_name",
-            "tiers",
-            "connections",
-            "completed",
-            "errors",
-            "peak_concurrent",
-            "sim_seconds",
-            "median_response",
-            "p95_response",
-            "events_processed",
-            "fingerprint",
-            "green",
-        ):
-            print(f"  {field}: {report[field]}")
-        if report["violations"]:
-            print("  violations:")
-            for v in report["violations"]:
-                print(f"    - {v}")
-        status = 0 if (report["green"] and report["peak_concurrent"] >= 10_000) else 1
-        if opts.report is not None:
-            opts.report.parent.mkdir(parents=True, exist_ok=True)
-            opts.report.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-        return status
-
-    values = _run_tasks(shard(shard_args), opts.jobs)
-    status = merge_shards(shard_args, values)
-    if opts.report is not None:
-        opts.report.parent.mkdir(parents=True, exist_ok=True)
-        opts.report.write_text(
-            json.dumps(
-                {"points": values, "jobs": opts.jobs, "fast": opts.fast, "status": status},
-                indent=1,
-                sort_keys=True,
-            )
-            + "\n"
-        )
-    return status
+    if report["peak_concurrent"] < 10_000:
+        problems.append(f"peak concurrency {report['peak_concurrent']} < 10,000")
+    return problems
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+EXPERIMENT = Experiment(
+    "D5 mesh scaling (datacenter mesh)", _points, _report,
+    ok="monitors green at every point, base loads completed; saturation "
+    "points identified above",
+    certify=Certify(lambda: [Task("certify", certify_point, cost=60.0)], _certify_check),
+)

@@ -15,21 +15,19 @@ measures both sides of the trade on a lossy channel path:
   stay flat where the UDP channel stalls until a client RTO;
 * the price is channel traffic: roughly one ack per message plus
   retransmissions, visible in the message counters.
-
-Run with:  python -m repro.experiments.ordered_channel
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from repro.apps.echo import EchoClient, echo_server_factory
 from repro.core import DetectorParams
 from repro.metrics.stats import percentile
 from repro.metrics.tables import Table
+from repro.runtime import Task
 
+from .experiment import Experiment
 from .testbeds import build_ft_system
 
 _QUIET_DETECTOR = DetectorParams(threshold=1_000_000)
@@ -93,18 +91,6 @@ def run_channel(
         )
 
 
-def run_sweep(
-    loss_rates: Sequence[float] = (0.0, 0.1, 0.2),
-    seed: int = 0,
-    n_requests: int = 200,
-) -> list[ChannelOutcome]:
-    outcomes = []
-    for rate in loss_rates:
-        outcomes.append(run_channel(False, rate, seed=seed, n_requests=n_requests))
-        outcomes.append(run_channel(True, rate, seed=seed, n_requests=n_requests))
-    return outcomes
-
-
 def check_shape(outcomes: list[ChannelOutcome]) -> list[str]:
     problems = []
     by_key = {(o.channel, o.loss_rate): o for o in outcomes}
@@ -128,11 +114,18 @@ def check_shape(outcomes: list[ChannelOutcome]) -> list[str]:
     return problems
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
-    fast = "--fast" in args
-    rates = (0.0, 0.2) if fast else (0.0, 0.1, 0.2)
-    outcomes = run_sweep(loss_rates=rates, n_requests=100 if fast else 200)
+def _points(fast: bool) -> list[Task]:
+    rates, n_requests = ((0.0, 0.2), 100) if fast else ((0.0, 0.1, 0.2), 200)
+    return [
+        Task(f"{'ordered' if ordered else 'udp'}@{rate}", run_channel,
+             kwargs={"ordered": ordered, "loss_rate": rate, "n_requests": n_requests},
+             cost=n_requests * 2e-4)
+        for rate in rates
+        for ordered in (False, True)
+    ]
+
+
+def _report(fast: bool, values: dict) -> list[str]:
     table = Table(
         "A6: UDP vs reliable-ordered acknowledgement channel (echo, lossy channel)",
         [
@@ -145,7 +138,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             "chan rtx",
         ],
     )
-    for o in outcomes:
+    for o in values.values():
         table.add_row(
             [
                 o.channel,
@@ -158,18 +151,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             ]
         )
     print(table)
-    problems = check_shape(outcomes)
-    if problems:
-        print("\nSHAPE CHECK FAILURES:")
-        for p in problems:
-            print(f"  - {p}")
-        return 1
-    print(
-        "\nShape check: OK (ordering repairs channel loss itself, at the cost "
-        "of channel acks/retransmissions — the trade §4.3 describes)"
-    )
-    return 0
+    return check_shape(list(values.values()))
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+EXPERIMENT = Experiment(
+    "A6 ordered acknowledgement channel", _points, _report,
+    ok="ordering repairs channel loss itself, at the cost of channel "
+    "acks/retransmissions — the trade §4.3 describes",
+)

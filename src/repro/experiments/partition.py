@@ -24,13 +24,10 @@ non-faulty run with the same seed and workload, at most one replica
 holds primary mode per epoch at every sample point, the fence caught
 stale output (or zombie signals) from the ex-primary, and the
 ex-primary is back as a backup with chain degree restored to target.
-
-Run with:  python -m repro.experiments.partition
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,6 +38,7 @@ from repro.metrics.tables import Table
 from repro.recovery import RecoveryManager, SparePool
 from repro.runtime import Task
 
+from .experiment import Experiment
 from .testbeds import build_ft_system
 
 TARGET_DEGREE = 2
@@ -282,32 +280,15 @@ def check_shape(result: PartitionRunResult) -> list[str]:
     return problems
 
 
-def _variants(args) -> list[str]:
-    return ["symmetric"] if "--fast" in args else ["symmetric", "oneway"]
-
-
-def shard(args) -> list[Task]:
-    """Parallel-runner hook: one task per partition variant (each is a
-    full 90-simulated-second run plus its non-faulty baseline — the
-    longest jobs in the suite, so they dispatch first)."""
+def _points(fast: bool) -> list[Task]:
+    """One task per variant: a 90-simulated-second run plus its baseline."""
     return [
-        Task(
-            key=variant,
-            fn=run_partition,
-            kwargs={"variant": variant},
-            cost=2e9,  # dwarfs every sweep point: dispatch these first
-        )
-        for variant in _variants(args)
+        Task(variant, run_partition, kwargs={"variant": variant}, cost=0.3)
+        for variant in (["symmetric"] if fast else ["symmetric", "oneway"])
     ]
 
 
-def merge_shards(args, values: dict[str, PartitionRunResult]) -> int:
-    """Parallel-runner hook: print the exact report ``main`` prints
-    from per-variant results, in canonical variant order."""
-    return _report([(v, values[v]) for v in _variants(args)])
-
-
-def _report(results: list[tuple[str, PartitionRunResult]]) -> int:
+def _report(fast: bool, values: dict[str, PartitionRunResult]) -> list[str]:
     table = Table(
         "D4: primary partitioned mid-transfer (epoch fencing, "
         f"{PARTITION_FOR:.0f}s partition at t={PARTITION_AT:.0f}s)",
@@ -322,8 +303,8 @@ def _report(results: list[tuple[str, PartitionRunResult]]) -> int:
             "rejoined",
         ],
     )
-    failures = []
-    for variant, result in results:
+    problems = []
+    for variant, result in values.items():
         table.add_row(
             [
                 variant,
@@ -336,31 +317,13 @@ def _report(results: list[tuple[str, PartitionRunResult]]) -> int:
                 "yes" if result.rejoined_as_backup else "NO",
             ]
         )
-        problems = check_shape(result)
-        if problems:
-            failures.append((variant, problems))
+        problems.extend(f"[{variant}] {p}" for p in check_shape(result))
     print(table)
-    print()
-    if failures:
-        print("SHAPE CHECK FAILURES:")
-        for variant, problems in failures:
-            for p in problems:
-                print(f"  - [{variant}] {p}")
-        return 1
-    print(
-        "Shape check: OK (one primary per epoch throughout, stale output "
-        "fenced, client stream byte-identical to the non-faulty run, "
-        "ex-primary demoted and rejoined)"
-    )
-    return 0
+    return problems
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
-    # Serial path: the same shard tasks, inline, in canonical order.
-    values = {task.key: task.fn(**task.kwargs) for task in shard(args)}
-    return merge_shards(args, values)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+EXPERIMENT = Experiment(
+    "D4 partition / split-brain fencing", _points, _report,
+    ok="one primary per epoch throughout, stale output fenced, client stream "
+    "byte-identical to the non-faulty run, ex-primary demoted and rejoined",
+)

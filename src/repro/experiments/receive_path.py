@@ -13,19 +13,17 @@ in-order data the deposit gate cannot admit yet:
 * ``no-staging``    — drop gated data outright; rely on client
   retransmissions ("message delivery picks up where it was
   interrupted", §4.3).  The most literal reading of the deposit rule.
-
-Run with:  python -m repro.experiments.receive_path
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.apps.ttcp import TTCP_TCP_OPTIONS, TtcpSender
 from repro.metrics.tables import Table
+from repro.runtime import Task
 
+from .experiment import Experiment
 from .testbeds import build_ft_system
 
 VARIANTS = {
@@ -73,10 +71,6 @@ def run_variant(
         )
 
 
-def run_all(buflen: int = 1024, nbuf: int = 256, seed: int = 0) -> list[VariantOutcome]:
-    return [run_variant(v, buflen=buflen, nbuf=nbuf, seed=seed) for v in VARIANTS]
-
-
 def check_shape(outcomes: list[VariantOutcome]) -> list[str]:
     problems = []
     by_name = {o.variant: o for o in outcomes}
@@ -98,15 +92,21 @@ def check_shape(outcomes: list[VariantOutcome]) -> list[str]:
     return problems
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
-    nbuf = 64 if "--fast" in args else 256
-    outcomes = run_all(nbuf=nbuf)
+def _points(fast: bool) -> list[Task]:
+    nbuf = 64 if fast else 256
+    return [
+        Task(variant, run_variant, kwargs={"variant": variant, "nbuf": nbuf},
+             cost=nbuf * 1.5e-4)
+        for variant in VARIANTS
+    ]
+
+
+def _report(fast: bool, values: dict) -> list[str]:
     table = Table(
         "A5: replica receive path under deposit gating (1024B ttcp, primary+backup)",
         ["variant", "throughput [kB/s]", "client rtx", "client RTOs", "complete"],
     )
-    for o in outcomes:
+    for o in values.values():
         table.add_row(
             [
                 o.variant,
@@ -117,18 +117,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             ]
         )
     print(table)
-    problems = check_shape(outcomes)
-    if problems:
-        print("\nSHAPE CHECK FAILURES:")
-        for p in problems:
-            print(f"  - {p}")
-        return 1
-    print(
-        "\nShape check: OK (staging eliminates the client-timeout penalty the "
-        "paper measured and predicted could be fixed)"
-    )
-    return 0
+    return check_shape(list(values.values()))
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+EXPERIMENT = Experiment(
+    "A5 receive-path ablation", _points, _report,
+    ok="staging eliminates the client-timeout penalty the paper measured and "
+    "predicted could be fixed",
+)

@@ -16,22 +16,20 @@ and covers the next failure.
 Reported per incident: MTTR (degradation -> chain back at target
 degree), catch-up duration, connections transferred, and state-transfer
 bytes; plus the availability at target degree over the whole run.
-
-Run with:  python -m repro.experiments.recovery
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core import DetectorParams
 from repro.faults.injection import FaultPlan
 from repro.metrics.recovery import summarize_incidents
 from repro.metrics.tables import Table
 from repro.recovery import RecoveryManager, SparePool
+from repro.runtime import Task
 
+from .experiment import Experiment
 from .testbeds import build_ft_system
 
 TARGET_DEGREE = 2
@@ -170,11 +168,13 @@ def check_shape(result: RecoveryRunResult) -> list[str]:
     return problems
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
-    cycles = 1 if "--fast" in args else 2
-    result = run_recovery_cycles(cycles=cycles)
+def _points(fast: bool) -> list[Task]:
+    cycles = 1 if fast else 2
+    return [Task("run", run_recovery_cycles, kwargs={"cycles": cycles}, cost=cycles * 0.12)]
 
+
+def _report(fast: bool, values: dict) -> list[str]:
+    result = values["run"]
     table = Table(
         "D3: recovery incidents (alternating primary/backup crashes, "
         f"target degree {TARGET_DEGREE}, one spare)",
@@ -204,17 +204,10 @@ def main(argv: Optional[list[str]] = None) -> int:
           f"(horizon {result.horizon:.0f}s)")
     print(f"client stream: {result.bytes_received}/{result.bytes_sent} bytes, "
           f"{'intact' if result.stream_intact else 'CORRUPT'}")
-
-    problems = check_shape(result)
-    if problems:
-        print("\nSHAPE CHECK FAILURES:")
-        for p in problems:
-            print(f"  - {p}")
-        return 1
-    print("\nShape check: OK (every failure repaired autonomously, "
-          "client never disturbed)")
-    return 0
+    return check_shape(result)
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+EXPERIMENT = Experiment(
+    "D3 autonomous recovery (live state transfer)", _points, _report,
+    ok="every failure repaired autonomously, client never disturbed",
+)

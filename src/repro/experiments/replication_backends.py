@@ -15,25 +15,18 @@ the replication discipline cost, and does it still hold up?":
 The backend list is the registry (``available_strategies()``), not a
 hand-kept tuple: a newly registered strategy shows up in this table —
 and in the shape check — automatically.
-
-``--json PATH`` writes the comparison as machine-readable JSON (the CI
-backend-matrix job uploads it as an artifact).
-
-Run with:  python -m repro.experiments.replication_backends
 """
 
 from __future__ import annotations
 
-import json
-import sys
-from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 from repro.metrics.tables import Table
 from repro.replication import available_strategies
 from repro.runtime import Task
 
 from . import backups_sweep, failover, partition
+from .experiment import Experiment
 
 BACKENDS = available_strategies()
 
@@ -100,18 +93,6 @@ def _assemble(
     )
 
 
-def run_backend_comparison(nbuf: int = 256, seed: int = 0) -> list[BackendRow]:
-    return [
-        _assemble(
-            backend,
-            run_overhead(backend, nbuf=nbuf, seed=seed),
-            run_failover(backend, seed=seed),
-            run_partition_probe(backend, seed=seed),
-        )
-        for backend in BACKENDS
-    ]
-
-
 def check_shape(rows: list[BackendRow]) -> list[str]:
     problems = []
     by_name = {row.backend: row for row in rows}
@@ -142,71 +123,33 @@ def check_shape(rows: list[BackendRow]) -> list[str]:
     return problems
 
 
-def _params(args: Sequence[str]) -> int:
-    """Returns the ttcp nbuf for this mode (shared by shard + merge)."""
-    return 64 if "--fast" in args else 256
+def _nbuf(fast: bool) -> int:
+    return 64 if fast else 256
 
 
-def _json_path(args: Sequence[str]) -> Optional[str]:
-    args = list(args)
-    if "--json" in args:
-        i = args.index("--json")
-        if i + 1 >= len(args):
-            raise SystemExit("--json requires a path argument")
-        return args[i + 1]
-    return None
-
-
-def shard(args: Sequence[str]) -> list[Task]:
-    """Parallel-runner hook: three probes per backend."""
-    nbuf = _params(args)
-    tasks = []
-    for backend in BACKENDS:
-        tasks.append(
-            Task(
-                key=f"ttcp@{backend}",
-                fn=run_overhead,
-                kwargs={"backend": backend, "nbuf": nbuf},
-                cost=float(TTCP_BUFLEN) * nbuf * 4,
-            )
+def _points(fast: bool) -> list[Task]:
+    """Three probes per backend."""
+    nbuf = _nbuf(fast)
+    return [
+        task
+        for b in BACKENDS
+        for task in (
+            Task(f"ttcp@{b}", run_overhead, kwargs={"backend": b, "nbuf": nbuf},
+                 cost=nbuf * 1.3e-4),
+            Task(f"failover@{b}", run_failover, kwargs={"backend": b}, cost=0.02),
+            # Two 90-simulated-second runs (faulty + baseline).
+            Task(f"partition@{b}", run_partition_probe, kwargs={"backend": b}, cost=0.3),
         )
-        tasks.append(
-            Task(
-                key=f"failover@{backend}",
-                fn=run_failover,
-                kwargs={"backend": backend},
-                cost=6e8,
-            )
-        )
-        tasks.append(
-            Task(
-                key=f"partition@{backend}",
-                fn=run_partition_probe,
-                kwargs={"backend": backend},
-                # Two 90-simulated-second runs (faulty + baseline).
-                cost=2e9,
-            )
-        )
-    return tasks
-
-
-def merge_shards(args: Sequence[str], values: dict) -> int:
-    rows = [
-        _assemble(
-            backend,
-            values[f"ttcp@{backend}"],
-            values[f"failover@{backend}"],
-            values[f"partition@{backend}"],
-        )
-        for backend in BACKENDS
     ]
-    return _report(args, rows)
 
 
-def _report(args: Sequence[str], rows: list[BackendRow]) -> int:
-    nbuf = _params(args)
+def _report(fast: bool, values: dict) -> list[str]:
+    rows = [
+        _assemble(b, *(values[f"{probe}@{b}"] for probe in ("ttcp", "failover", "partition")))
+        for b in BACKENDS
+    ]
     table = Table(
-        f"D7: replication backends compared (ttcp {TTCP_BUFLEN}B x {nbuf}, "
+        f"D7: replication backends compared (ttcp {TTCP_BUFLEN}B x {_nbuf(fast)}, "
         "2 backups; crash + symmetric partition probes)",
         [
             "backend",
@@ -229,36 +172,10 @@ def _report(args: Sequence[str], rows: list[BackendRow]) -> int:
             ]
         )
     print(table)
-    path = _json_path(args)
-    if path:
-        payload = {
-            "experiment": "D7 replication backends",
-            "params": {"ttcp_buflen": TTCP_BUFLEN, "ttcp_nbuf": nbuf,
-                       "detector_threshold": DETECTOR_THRESHOLD},
-            "backends": {row.backend: asdict(row) for row in rows},
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {path}")
-    problems = check_shape(rows)
-    if problems:
-        print("\nSHAPE CHECK FAILURES:")
-        for p in problems:
-            print(f"  - {p}")
-        return 1
-    print(
-        "\nShape check: OK (every backend survives crash + partition "
-        "with the client untouched)"
-    )
-    return 0
+    return check_shape(rows)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
-    values = {task.key: task.fn(**task.kwargs) for task in shard(args)}
-    return merge_shards(args, values)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+EXPERIMENT = Experiment(
+    "D7 replication backends", _points, _report,
+    ok="every backend survives crash + partition with the client untouched",
+)

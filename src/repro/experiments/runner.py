@@ -1,44 +1,43 @@
-"""Run every experiment in the reproduction and print the full report.
+"""Run the reproduction's experiments and print the full report.
 
 Usage::
 
-    python -m repro.experiments.runner [--fast] [--jobs N] [--only SUBSTR]
-                                       [--report PATH] [--cache]
+    python -m repro experiments [--fast] [--jobs N] [--only SUBSTR]
+                                [--report PATH] [--cache [--cache-dir D]]
+                                [--task-timeout SECONDS] [--certify]
 
-The suite is a batch of independent, seed-deterministic simulations, so
-``--jobs N`` fans it out over N worker processes through
-:mod:`repro.runtime`: whole experiments run in parallel with each
-other, and experiments that expose a ``shard()`` hook (Figure 4, the A1
-backups sweep, the D4 partition demo) additionally split into one task
-per sweep point.  Results are reassembled in canonical declaration
-order, so stdout is byte-identical at every jobs level; wall-clock
-timing goes to stderr and to the ``--report`` JSON instead.
+Every experiment module exports one :class:`~.experiment.Experiment`
+record and :data:`EXPERIMENTS` lists them; this module is the only
+entry point.  It fans every point of every selected experiment out over
+``--jobs`` worker processes (:mod:`repro.runtime`) and prints the
+reports strictly in declaration order, so stdout is byte-identical at
+every jobs level; wall-clock timing goes to stderr and to the
+``--report`` JSON instead.
 
 ``--only SUBSTR`` selects experiments by title substring; ``--report``
-writes a machine-readable per-experiment summary (status + wall time)
-for CI time profiling; ``--cache`` memoizes sweep points on disk keyed
-by (source fingerprint, scenario fingerprint) so re-runs of unchanged
-scenarios are free.  Exit codes are unchanged: 0 all OK, 1 failures.
-Each experiment module is also runnable on its own.
+writes a JSON summary (status, wall time, and every point's key,
+arguments and value); ``--cache`` memoizes points on disk keyed by
+(source fingerprint, scenario fingerprint) so re-runs of unchanged
+scenarios are free.  ``--certify`` runs the selected experiments'
+acceptance scenarios instead, each inline and in a pool worker, and
+requires the two values to be equal.  Exit codes: 0 all OK, 1 a
+failure, 2 bad arguments or no experiment selected.
 """
 
 from __future__ import annotations
 
-import argparse
-import importlib
+import dataclasses
 import json
+import math
 import os
 import sys
 import time
+import traceback
+from argparse import ArgumentParser, ArgumentTypeError
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
-from repro.runtime import (
-    ResultCache,
-    ScenarioPool,
-    Task,
-    task_fingerprint,
-)
+from repro.runtime import ResultCache, ScenarioPool, Task, task_fingerprint
 
 from . import (
     ack_channel_loss,
@@ -56,52 +55,47 @@ from . import (
     replication_backends,
     scaling_benefit,
 )
+from .experiment import Experiment
 
-EXPERIMENTS = [
-    ("Figure 4 (main result)", figure4),
-    ("A1 backups sweep", backups_sweep),
-    ("A2 fail-over / detector threshold", failover),
-    ("A3 acknowledgement-channel loss", ack_channel_loss),
-    ("A4 fragmentation", fragmentation),
-    ("A5 receive-path ablation", receive_path),
-    ("A6 ordered acknowledgement channel", ordered_channel),
-    ("A7 failure-detector comparison", detector_comparison),
-    ("D2 service scaling (load diffusion)", scaling_benefit),
-    ("D3 autonomous recovery (live state transfer)", recovery),
-    ("D4 partition / split-brain fencing", partition),
-    ("D5 mesh scaling (datacenter mesh)", mesh_scaling),
-    ("D6 gray failures (adversary catalogue)", gray_failures),
-    ("D7 replication backends", replication_backends),
+EXPERIMENTS: list[Experiment] = [
+    figure4.EXPERIMENT,
+    backups_sweep.EXPERIMENT,
+    failover.EXPERIMENT,
+    ack_channel_loss.EXPERIMENT,
+    fragmentation.EXPERIMENT,
+    receive_path.EXPERIMENT,
+    ordered_channel.EXPERIMENT,
+    detector_comparison.EXPERIMENT,
+    scaling_benefit.EXPERIMENT,
+    recovery.EXPERIMENT,
+    partition.EXPERIMENT,
+    mesh_scaling.EXPERIMENT,
+    gray_failures.EXPERIMENT,
+    replication_backends.EXPERIMENT,
 ]
 
-#: Relative wall-clock hints for whole-module tasks (measured serial
-#: seconds; only the ordering matters for longest-job-first dispatch).
-_MODULE_COST = {
-    "failover": 0.7,
-    "ack_channel_loss": 0.7,
-    "recovery": 0.5,
-    "ordered_channel": 0.4,
-    "fragmentation": 0.3,
-    "detector_comparison": 0.3,
-    "receive_path": 0.2,
-}
+
+def _positive(kind):
+    """Flag type: ``kind(text)``, rejected (exit 2, usage line) unless > 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # "invalid int value: 'x'"
+    return parse
 
 
-def _module_task(module_name: str, args: list[str]) -> int:
-    """Worker entry point for experiments without a ``shard`` hook:
-    import the module fresh in the worker and run its ``main``."""
-    module = importlib.import_module(module_name)
-    return module.main(list(args))
-
-
-def _parse(args: Optional[list[str]]) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner",
-        description="Run the full HydraNet-FT evaluation suite.",
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
+        prog="python -m repro experiments",
+        description="Run the HydraNet-FT evaluation suite.",
     )
     parser.add_argument("--fast", action="store_true", help="shrink the sweeps (CI)")
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_positive(int), default=1, metavar="N",
         help="worker processes (default 1 = serial, in-process)",
     )
     parser.add_argument(
@@ -110,7 +104,7 @@ def _parse(args: Optional[list[str]]) -> argparse.Namespace:
     )
     parser.add_argument(
         "--report", type=Path, metavar="PATH", default=None,
-        help="write a JSON summary (per-experiment status + wall time)",
+        help="write a JSON summary (per-experiment status, wall time, point values)",
     )
     parser.add_argument(
         "--cache", action="store_true",
@@ -121,126 +115,170 @@ def _parse(args: Optional[list[str]]) -> argparse.Namespace:
         help="cache directory (default: $REPRO_CACHE_DIR or ./.repro-cache)",
     )
     parser.add_argument(
-        "--task-timeout", type=float, default=900.0, metavar="SECONDS",
+        "--task-timeout", type=_positive(float), default=900.0, metavar="SECONDS",
         help="per-task timeout when --jobs > 1 (default 900)",
     )
-    return parser.parse_args(args)
+    parser.add_argument(
+        "--certify", action="store_true",
+        help="run the acceptance scenarios (inline and pooled, values must match)",
+    )
+    return parser
+
+
+def _jsonable(value: Any) -> Any:
+    """Plain JSON data for a point's kwargs or value (dataclasses become
+    dicts, tuples lists, non-finite floats and other objects strings)."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        value = dataclasses.asdict(value)
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    return repr(value)
+
+
+_CERTIFY_OK = "inline and pooled values equal, acceptance checks pass"
+
+
+def _verdict(problems: list[str], ok: str, certify: bool) -> bool:
+    if problems:
+        print("\nCERTIFY FAILURES:" if certify else "\nSHAPE CHECK FAILURES:")
+        for problem in problems:
+            print(f"  - {problem}")
+        return False
+    print(f"\n{'Certify' if certify else 'Shape check'}: OK ({ok})")
+    return True
+
+
+def _run(tasks: list[Task], jobs: int, cache=None):
+    with ScenarioPool(jobs=jobs, cache=cache) as pool:
+        return pool.run(tasks), pool.stats.task_seconds
+
+
+def _section(exp: Experiment, tasks: list[Task], outcomes, pooled, opts) -> dict:
+    """Print one experiment's section; returns its ``--report`` row.
+    ``pooled`` holds the pool-worker outcomes of a certify run."""
+    banner = f"### {exp.title} ###"
+    print("\n" + "#" * len(banner))
+    print(banner)
+    print("#" * len(banner) + "\n")
+    keys = [task.key for task in tasks]
+    outs = [outcomes[key] for key in keys] + [pooled[key] for key in keys if pooled]
+    errors = []
+    for o in outs:
+        if not o.ok:
+            print(f"TASK {o.key} {o.status.upper()}:")
+            if o.stdout:
+                print(o.stdout, end="")
+            print(o.error or "(no traceback)")
+            errors.append({"task": o.key, "status": o.status, "error": o.error})
+    ok = False
+    if not errors:
+        values = {key.split("/", 1)[1]: outcomes[key].value for key in keys}
+        try:
+            if opts.certify:
+                problems = [
+                    f"{key}: the pooled run's value differs from the inline run's"
+                    for key in keys
+                    if pooled[key].value != outcomes[key].value
+                ] + exp.certify.check(values)
+            else:
+                problems = exp.report(opts.fast, values)
+        except Exception:
+            # A broken report fails its own experiment, not the batch.
+            key = keys[0].split("/", 1)[0] + "/report"
+            error = traceback.format_exc()
+            print(f"TASK {key} ERROR:")
+            print(error, end="")
+            errors.append({"task": key, "status": "error", "error": error})
+        else:
+            ok = _verdict(problems, _CERTIFY_OK if opts.certify else exp.ok, opts.certify)
+    print(f"\n[{exp.title}: {'OK' if ok else 'FAILED'}]")
+    return {
+        "title": exp.title,
+        "status": "ok" if ok else "failed",
+        # Serial-equivalent seconds: the sum of this experiment's task
+        # walls regardless of jobs level.
+        "wall_seconds": round(sum(o.wall_seconds for o in outs), 3),
+        "tasks": len(outs),
+        "cached": sum(1 for o in outs if o.cached),
+        "errors": errors,
+        "points": [
+            {
+                "key": task.key.split("/", 1)[1],
+                "kwargs": _jsonable(task.kwargs),
+                "value": _jsonable(outcomes[task.key].value),
+            }
+            for task in tasks
+        ],
+    }
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    opts = _parse(argv if argv is not None else sys.argv[1:])
-    exp_args = ["--fast"] if opts.fast else []
-
+    opts = build_parser().parse_args(argv)
+    candidates = [
+        (idx, exp)
+        for idx, exp in enumerate(EXPERIMENTS)
+        if exp.certify is not None or not opts.certify
+    ]
     selected = [
-        (idx, title, module)
-        for idx, (title, module) in enumerate(EXPERIMENTS)
-        if opts.only is None or opts.only.lower() in title.lower()
+        (idx, exp)
+        for idx, exp in candidates
+        if opts.only is None or opts.only.lower() in exp.title.lower()
     ]
     if not selected:
-        print(f"no experiment title matches --only {opts.only!r}; titles are:")
-        for title, _module in EXPERIMENTS:
-            print(f"  - {title}")
+        kind = "certifiable experiment" if opts.certify else "experiment"
+        print(f"no {kind} title matches --only {opts.only!r}; titles are:")
+        for _idx, exp in candidates:
+            print(f"  - {exp.title}")
         return 2
 
-    cache = ResultCache(root=opts.cache_dir) if opts.cache else None
-
-    # Build the batch: one task per shard for opted-in experiments, one
-    # whole-module task otherwise.  Keys embed the declaration index so
-    # canonical order == declaration order.
-    tasks: list[Task] = []
-    exp_keys: dict[int, list[str]] = {}
-    sharded: dict[int, bool] = {}
-    for idx, title, module in selected:
-        if hasattr(module, "shard"):
-            sharded[idx] = True
-            keys = []
-            for task in module.shard(exp_args):
-                task.key = f"{idx:02d}/{task.key}"
-                task.timeout = opts.task_timeout
-                task.fingerprint = task_fingerprint(task)
-                tasks.append(task)
-                keys.append(task.key)
-            exp_keys[idx] = keys
-        else:
-            sharded[idx] = False
-            task = Task(
-                key=f"{idx:02d}/main",
-                fn=_module_task,
-                args=(module.__name__, exp_args),
-                cost=_MODULE_COST.get(module.__name__.rsplit(".", 1)[-1], 1.0),
-                timeout=opts.task_timeout,
-            )
+    # One task per point; keys embed the declaration index so canonical
+    # order is declaration order.
+    points: dict[int, list[Task]] = {}
+    for idx, exp in selected:
+        points[idx] = exp.certify.points() if opts.certify else exp.points(opts.fast)
+        for task in points[idx]:
+            task.key = f"{idx:02d}/{task.key}"
+            task.timeout = opts.task_timeout
             task.fingerprint = task_fingerprint(task)
-            tasks.append(task)
-            exp_keys[idx] = [task.key]
+    tasks = [task for idx, _exp in selected for task in points[idx]]
 
+    # A certify run computes every value twice, inline then in a pool
+    # worker, and never reads the cache.
+    cache = ResultCache(root=opts.cache_dir) if opts.cache and not opts.certify else None
     batch_start = time.time()
-    with ScenarioPool(jobs=opts.jobs, cache=cache) as pool:
-        outcomes = pool.run(tasks)
-        stats = pool.stats
+    outcomes, task_seconds = _run(tasks, 1 if opts.certify else opts.jobs, cache)
+    pooled = {}
+    if opts.certify:
+        pooled, pooled_seconds = _run(tasks, max(2, opts.jobs))
+        task_seconds += pooled_seconds
     total_wall = time.time() - batch_start
 
     # Deterministic report assembly, strictly in declaration order.
-    failures = []
-    report_rows = []
-    for idx, title, module in selected:
-        banner = f"### {title} ###"
-        print("\n" + "#" * len(banner))
-        print(banner)
-        print("#" * len(banner) + "\n")
-        outs = [outcomes[key] for key in exp_keys[idx]]
-        errors = [o for o in outs if not o.ok]
-        if errors:
-            for o in errors:
-                print(f"TASK {o.key} {o.status.upper()}:")
-                if o.stdout:
-                    print(o.stdout, end="")
-                print(o.error or "(no traceback)")
-            status = 1
-        elif sharded[idx]:
-            values = {
-                key.split("/", 1)[1]: outcomes[key].value for key in exp_keys[idx]
-            }
-            status = module.merge_shards(exp_args, values)
-        else:
-            outcome = outs[0]
-            print(outcome.stdout, end="")
-            status = outcome.value
-        print(f"\n[{title}: {'OK' if status == 0 else 'FAILED'}]")
-        if status != 0:
-            failures.append(title)
-        report_rows.append(
-            {
-                "title": title,
-                "status": "ok" if status == 0 else "failed",
-                # Serial-equivalent seconds: the sum of this
-                # experiment's task walls regardless of jobs level.
-                "wall_seconds": round(sum(o.wall_seconds for o in outs), 3),
-                "tasks": len(outs),
-                "cached": sum(1 for o in outs if o.cached),
-                "errors": [
-                    {"task": o.key, "status": o.status, "error": o.error}
-                    for o in errors
-                ],
-            }
-        )
-
+    report_rows = [
+        _section(exp, points[idx], outcomes, pooled, opts) for idx, exp in selected
+    ]
+    failures = [row["title"] for row in report_rows if row["status"] != "ok"]
     print("\n" + "=" * 60)
     if failures:
         print("FAILED experiments:")
         for title in failures:
             print(f"  - {title}")
     else:
-        print(
-            f"All {len(selected)} experiments completed with shape checks OK."
-        )
+        checks = "certify" if opts.certify else "shape"
+        print(f"All {len(selected)} experiments completed with {checks} checks OK.")
 
     # Wall-clock is machine- and jobs-dependent: keep it off stdout so
     # serial and parallel runs stay byte-identical there.
     print(
         f"[runner: {len(tasks)} tasks, jobs={opts.jobs}, "
-        f"{total_wall:.1f}s wall, {stats.task_seconds:.1f}s task time, "
-        f"{stats.cache_hits} cache hits]",
+        f"{total_wall:.1f}s wall, {task_seconds:.1f}s task time, "
+        f"{cache.hits if cache else 0} cache hits]",
         file=sys.stderr,
     )
 
@@ -249,9 +287,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             "jobs": opts.jobs,
             "fast": opts.fast,
             "only": opts.only,
+            "certify": opts.certify,
             "cores": os.cpu_count(),
             "total_wall_seconds": round(total_wall, 3),
-            "task_seconds": round(stats.task_seconds, 3),
+            "task_seconds": round(task_seconds, 3),
             "experiments": report_rows,
             "cache": {
                 "enabled": cache is not None,

@@ -10,26 +10,22 @@ and without a nearby HydraNet replica:
 * per-request latency (distance + origin load);
 * packets handled by the origin host (load diffusion);
 * bytes carried on the long-haul link (network load).
-
-Run with:  python -m repro.experiments.scaling_benefit
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-from repro.runtime import Task
 
 from repro.apps.httpd import httpd_factory, install_httpd
 from repro.hydranet import HostServer, Redirector, RedirectorDaemon
 from repro.metrics.stats import percentile
 from repro.metrics.tables import Table
 from repro.netsim import IPAddress, Simulator, Topology
+from repro.runtime import Task
 from repro.sockets import node_for
 from repro.workloads import HttpWorkload
 
+from .experiment import Experiment
 from .testbeds import CLIENT_486, REDIRECTOR_486, SERVER_P120, _link_kw
 
 SERVICE_IP = "192.20.225.20"
@@ -128,65 +124,30 @@ def check_shape(baseline: ScalingOutcome, scaled: ScalingOutcome) -> list[str]:
     return problems
 
 
-def _requests(args: Sequence[str]) -> int:
-    return 4 if "--fast" in args else 8
-
-
-def shard(args: Sequence[str]) -> list[Task]:
-    """Parallel-runner hook: the two configurations are independent
-    simulations, so they fan out as separate tasks."""
-    requests = _requests(args)
+def _points(fast: bool) -> list[Task]:
+    requests = 4 if fast else 8
     return [
-        Task(
-            key="origin-only",
-            fn=run_scaling,
-            kwargs={"with_replica": False, "requests_per_client": requests},
-            # The origin round-trips cost 45ms each: the baseline
-            # simulates more time than the replicated run.
-            cost=2.0,
-        ),
-        Task(
-            key="with-replica",
-            fn=run_scaling,
-            kwargs={"with_replica": True, "requests_per_client": requests},
-            cost=1.0,
-        ),
+        Task(key, run_scaling, cost=0.01,
+             kwargs={"with_replica": replica, "requests_per_client": requests})
+        for key, replica in (("origin-only", False), ("with-replica", True))
     ]
 
 
-def merge_shards(args: Sequence[str], values: dict) -> int:
-    """Parallel-runner hook: print the exact report ``main`` prints."""
-    return _report(values["origin-only"], values["with-replica"])
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
-    values = {task.key: task.fn(**task.kwargs) for task in shard(args)}
-    return merge_shards(args, values)
-
-
-def _report(baseline: ScalingOutcome, scaled: ScalingOutcome) -> int:
+def _report(fast: bool, values: dict) -> list[str]:
     table = Table(
         "D2: service scaling — clients 1ms from the redirector, origin 45ms away",
         ["configuration", "mean [ms]", "p95 [ms]", "origin packets", "long-haul bytes"],
     )
-    for o in (baseline, scaled):
+    for o in values.values():
         table.add_row(
             [o.label, o.mean_latency_ms, o.p95_latency_ms, o.origin_packets, o.long_haul_bytes]
         )
     print(table)
-    problems = check_shape(baseline, scaled)
-    if problems:
-        print("\nSHAPE CHECK FAILURES:")
-        for p in problems:
-            print(f"  - {p}")
-        return 1
-    print(
-        "\nShape check: OK (the nearby replica cuts latency, origin load, "
-        "and long-haul traffic — §1's load diffusion)"
-    )
-    return 0
+    return check_shape(values["origin-only"], values["with-replica"])
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+EXPERIMENT = Experiment(
+    "D2 service scaling (load diffusion)", _points, _report,
+    ok="the nearby replica cuts latency, origin load, and long-haul traffic "
+    "— §1's load diffusion",
+)

@@ -1042,7 +1042,7 @@ def load_reproducer(path: Path) -> dict:
 # -- CLI ----------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro fuzz",
         description="Fuzz HydraNet-FT fault schedules with invariant "
@@ -1099,7 +1099,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--cache-dir", type=Path, default=None, help="result-cache directory"
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
 
     if args.replay is not None:
         entry = load_reproducer(args.replay)

@@ -1,20 +1,27 @@
 """The experiment runner and package entry points."""
 
+import dataclasses
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 
 
 def test_runner_lists_all_experiments():
+    from repro.experiments.experiment import Experiment
     from repro.experiments.runner import EXPERIMENTS
 
-    titles = [t for t, _ in EXPERIMENTS]
+    titles = [exp.title for exp in EXPERIMENTS]
     assert any("Figure 4" in t for t in titles)
     for tag in ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "D2", "D3", "D4"):
         assert any(tag in t for t in titles), tag
-    # Every listed module is runnable and has the standard interface.
-    for _, module in EXPERIMENTS:
-        assert callable(module.main)
+    # Every entry is a record with real points in both modes.
+    for exp in EXPERIMENTS:
+        assert isinstance(exp, Experiment), exp
+        for fast in (True, False):
+            keys = [task.key for task in exp.points(fast)]
+            assert keys and len(set(keys)) == len(keys), (exp.title, fast)
 
 
 def _run_main_module(*args):
@@ -45,20 +52,90 @@ def test_main_module_prints_overview():
 
 def test_single_experiment_fast_mode_runs():
     """Each experiment whose sweep-level shape check no other tier-1
-    test runs, end to end through its main() (a failed check raises)."""
-    from importlib import import_module
+    test runs, end to end through the runner."""
+    from repro.experiments import runner
 
-    for tag, name in (
-        ("A2", "failover"),
-        ("A3", "ack_channel_loss"),
-        ("A5", "receive_path"),
-        ("A6", "ordered_channel"),
-        ("A7", "detector_comparison"),
-        ("D3", "recovery"),
-    ):
+    for tag in ("A2", "A3", "A5", "A6", "A7", "D3"):
         buffer = io.StringIO()
-        with redirect_stdout(buffer):
-            status = import_module(f"repro.experiments.{name}").main(["--fast"])
+        with redirect_stdout(buffer), redirect_stderr(io.StringIO()):
+            status = runner.main(["--fast", "--only", tag])
         text = buffer.getvalue()
-        assert status == 0, name
+        assert status == 0, tag
         assert tag in text and "Shape check: OK" in text
+
+
+@pytest.fixture
+def nothing_runs(monkeypatch):
+    """Make any attempt to run a point fail the test."""
+    from repro.experiments import runner
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rejected command line started the pool")
+
+    monkeypatch.setattr(runner, "ScenarioPool", refuse)
+
+
+@pytest.mark.parametrize("command", ["experiments", "mesh"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--jobs", "0"],
+        ["--jobs", "-2"],
+        ["--jobs", "two"],
+        ["--task-timeout", "0"],
+        ["--task-timeout", "-1.5"],
+        ["--fats"],
+        ["--fast", "--bogus", "1"],
+    ],
+    ids=" ".join,
+)
+def test_bad_flags_exit_2_with_usage(command, flags, nothing_runs, capsys):
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["experiments", "mesh"])
+def test_help_runs_nothing(command, nothing_runs, capsys):
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--fats", "--help"])
+    assert exc.value.code == 0
+    assert "--certify" in capsys.readouterr().out
+
+
+def test_failing_report_does_not_take_the_batch_down(monkeypatch, tmp_path):
+    """A report that raises fails its own experiment; the experiments
+    after it are still reported and the JSON report is still written."""
+    from repro.experiments import runner
+
+    by_tag = {exp.title[:2]: exp for exp in runner.EXPERIMENTS}
+
+    def broken(fast, values):
+        raise KeyError("report-bug")
+
+    monkeypatch.setattr(
+        runner,
+        "EXPERIMENTS",
+        [dataclasses.replace(by_tag["A4"], report=broken), by_tag["A5"]],
+    )
+    path = tmp_path / "report.json"
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        status = runner.main(["--fast", "--report", str(path)])
+    text = out.getvalue()
+    assert status == 1
+    assert "TASK 00/report ERROR:" in text and "KeyError: 'report-bug'" in text
+    assert "[A4 fragmentation: FAILED]" in text
+    assert "[A5 receive-path ablation: OK]" in text
+    assert text.endswith("FAILED experiments:\n  - A4 fragmentation\n")
+    broken_row, ok_row = json.loads(path.read_text())["experiments"]
+    assert broken_row["status"] == "failed"
+    [error] = broken_row["errors"]
+    assert error["task"] == "00/report" and "report-bug" in error["error"]
+    assert ok_row["status"] == "ok" and ok_row["errors"] == []

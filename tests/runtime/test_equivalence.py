@@ -53,11 +53,13 @@ class TestRunnerEquivalence:
         assert "A1 backups sweep: OK" in serial_out
 
     def test_unsharded_experiment_report_byte_identical(self):
+        """A2 once ran as one whole-module task; its points now fan out
+        like every other experiment's."""
         serial_status, serial_out = _run_main(
-            runner.main, ["--fast", "--only", "A5", "--jobs", "1"]
+            runner.main, ["--fast", "--only", "A2", "--jobs", "1"]
         )
         parallel_status, parallel_out = _run_main(
-            runner.main, ["--fast", "--only", "A5", "--jobs", "2"]
+            runner.main, ["--fast", "--only", "A2", "--jobs", "4"]
         )
         assert serial_status == parallel_status == 0
         assert serial_out == parallel_out
@@ -81,7 +83,11 @@ class TestRunnerEquivalence:
         assert row["title"] == "A5 receive-path ablation"
         assert row["status"] == "ok"
         assert row["wall_seconds"] > 0
-        assert row["tasks"] == 1
+        assert row["tasks"] == 3
+        assert [p["key"] for p in row["points"]] == ["staged", "conservative", "no-staging"]
+        staged = row["points"][0]
+        assert staged["kwargs"] == {"variant": "staged", "nbuf": 64}
+        assert staged["value"]["completed"] is True
 
     def test_cache_rerun_is_hit_and_byte_identical(self, tmp_path):
         argv = [
