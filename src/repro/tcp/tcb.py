@@ -601,12 +601,23 @@ class TcpConnection:
         self._retransmit_head()
         self.rtx_timer.start(self.rto.rto)
 
+    def _transmit_end(self) -> int:
+        """Stream offset no output may reach: the buffer's end, or the
+        transmit gate's ceiling below it (a retransmission is output
+        too)."""
+        end = self.send_buffer.end
+        if self.transmit_limit is not None:
+            ceiling = self.transmit_limit()
+            if ceiling is not None and ceiling < end:
+                return ceiling
+        return end
+
     def _retransmit_head(self) -> None:
         if self.on_retransmit is not None:
             self.on_retransmit()
         if self.snd_una < self.send_buffer.end:
             start = self.snd_una
-            limit = self.send_buffer.end
+            limit = self._transmit_end()
             if self.sack_enabled:
                 hole = self.scoreboard.first_hole(self.snd_una, min(self.snd_max, limit))
                 if hole is None:
@@ -647,7 +658,7 @@ class TcpConnection:
             return
         # Window probe: one byte of data past the window edge.
         if self.snd_nxt < self.send_buffer.end:
-            data = self.send_buffer.read(self.snd_nxt, 1)
+            data = self.send_buffer.read(self.snd_nxt, min(1, self._transmit_end() - self.snd_nxt))
             if data:
                 self._send_data_segment(self.snd_nxt, data[:1], retransmit=True)
         else:
