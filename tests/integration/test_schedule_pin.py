@@ -104,6 +104,9 @@ SHAPES = {
 
 #: (shape, seed) -> pin.  The first five columns were recorded at the parent
 #: of PR 18, the peak queue length and the throughput at the parent of PR 20.
+#: fuzz_checkpoint-11 builds one segment fewer since retransmissions are
+#: gated: the promoted primary's kick no longer builds [5168, 5704) past its
+#: ceiling of 0 (the promotion fence used to swallow it).
 PINS = {
     ("clean", 1): (4250, "600.0", 409600, 607, 1214, 95, "577.8239736006672"),
     ("clean", 2): (4418, "600.0", 425984, 631, 1262, 95, "579.1666213467629"),
@@ -123,7 +126,7 @@ PINS = {
     ("fuzz_broadcast", 7): (1153, "37.0", 96864, 109, 293, 117),
     ("fuzz_broadcast", 62): (1031, "29.4", 84576, 95, 257, 101),
     ("fuzz_checkpoint", 2): (1543, "48.9", 51200, 76, 211, 28),
-    ("fuzz_checkpoint", 11): (17514, "61.8", 199856, 815, 3882, 386),
+    ("fuzz_checkpoint", 11): (17514, "61.8", 199856, 814, 3882, 386),
 }
 
 
