@@ -33,6 +33,7 @@ from repro.netsim.addressing import IPAddress, as_address
 from repro.netsim.packet import TCPSegment
 from repro.netsim.simulator import Timer
 from repro.hydranet.mgmt import ConnSnapshot, StateSnapshot
+from repro.tcp.buffers import UNGATED
 from repro.tcp.seqnum import seq_add, seq_diff
 from repro.tcp.stack import Listener, deterministic_iss
 from repro.tcp.tcb import TcpConnection, TcpState
@@ -155,7 +156,7 @@ class FtConnectionState:
     __slots__ = (
         "port", "conn", "created_at", "gated", "successor_sent_upto",
         "successor_deposited_upto", "successor_ip", "last_successor_msg",
-        "last_report_sent", "_successor_epoch", "_pending_raw", "catchup_log",
+        "last_report_sent", "_successor_epoch", "catchup_log",
         "repl", "monitor",
     )
 
@@ -184,9 +185,6 @@ class FtConnectionState:
         #: (reordered or fenced) and are dropped.  Reset when the
         #: successor changes: epochs are only comparable per sender.
         self._successor_epoch = 0
-        # Messages that arrived before the handshake fixed IRS (a list
-        # while there are any).
-        self._pending_raw: Optional[list[AckChannelMessage]] = None
         #: Client stream retained for live joins (recovery subsystem),
         #: when the port has a consumer for it.
         self.catchup_log = (
@@ -199,6 +197,20 @@ class FtConnectionState:
         #: The invariant monitors' record of this connection, made by
         #: the first monitor hook that needs it.
         self.monitor = None
+
+    def push_gates(self) -> None:
+        """Publish this connection's commit points into its TCB (paper
+        §4.1): the successor's reported watermarks while gated,
+        ``UNGATED`` otherwise.  The one writer of both — called
+        wherever ``gated`` or a ``successor_*_upto`` changes; the TCB
+        acts on them at its next read, or at once via
+        ``conn.gates_changed()``."""
+        conn = self.conn
+        if self.gated:
+            conn.reassembler.ceiling = self.successor_deposited_upto
+            conn.send_buffer.commit = self.successor_sent_upto
+        else:
+            conn.reassembler.ceiling = conn.send_buffer.commit = UNGATED
 
     # -- recovery hooks -------------------------------------------------
 
@@ -232,16 +244,7 @@ class FtConnectionState:
         self.last_report_sent = port.sim.now
         port.ack_endpoint.send(message, port.predecessor_ip)
 
-    # -- gates and hooks installed into the TCB ------------------------
-    # These remain the TCB's (and the mutation harness's) entry points;
-    # the ceiling computation itself belongs to the replication
-    # strategy (DESIGN.md §15), filtering to the port.
-
-    def deposit_ceiling(self) -> Optional[int]:
-        return self.port.strategy.deposit_ceiling(self)
-
-    def transmit_ceiling(self) -> Optional[int]:
-        return self.port.strategy.transmit_ceiling(self)
+    # -- hook installed into the TCB --------------------------------------
 
     def filter_output(self, segment: TCPSegment) -> bool:
         return self.port._filter_output(self, segment)
@@ -277,6 +280,7 @@ class FtConnectionState:
             self.successor_sent_upto = sent
         if deposited > self.successor_deposited_upto:
             self.successor_deposited_upto = deposited
+        self.push_gates()
 
     def _progress_plausible(self, sent: int, deposited: int) -> bool:
         """Bounded-plausibility check on a successor's claimed progress
@@ -292,12 +296,6 @@ class FtConnectionState:
         if sent > conn.send_buffer.end + PROGRESS_SLACK:
             return False
         return True
-
-    def _drain_pending(self) -> None:
-        if self._pending_raw and self.conn.irs is not None:
-            pending, self._pending_raw = self._pending_raw, None
-            for message in pending:
-                self._apply_wire(message.seq_next, message.ack, message.epoch)
 
     def blocked_on_successor(self) -> bool:
         """True when this connection cannot make progress until the
@@ -499,14 +497,15 @@ class FtPort:
         state = FtConnectionState(self, conn, gated=self.has_successor)
         self.states[key] = state
         conn.clamp_future_acks = True
-        conn.deposit_limit = state.deposit_ceiling
-        conn.transmit_limit = state.transmit_ceiling
+        state.push_gates()
         conn.output_filter = state.filter_output
         conn.on_deposit_data = state.record_deposit
         # A replica's own retransmissions are the failure signal for
         # server-push traffic: with the primary dead, nothing ACKs the
         # stream, so every live replica's TCP starts retransmitting.
         conn.on_retransmission_observed = conn.on_retransmit = self._on_retransmission
+        # The stack fixed IRS before calling here, so reports that beat
+        # the SYN are applied now, once.
         for message, sender in self._pending_msgs.pop(key, ()):
             state.apply(message, sender)
 

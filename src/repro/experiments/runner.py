@@ -33,11 +33,11 @@ import os
 import sys
 import time
 import traceback
-from argparse import ArgumentParser, ArgumentTypeError
+from argparse import ArgumentParser
 from pathlib import Path
 from typing import Any, Optional
 
-from repro.runtime import ResultCache, ScenarioPool, Task, task_fingerprint
+from repro.runtime import ResultCache, ScenarioPool, Task, positive, task_fingerprint
 
 from . import (
     ack_channel_loss,
@@ -75,19 +75,6 @@ EXPERIMENTS: list[Experiment] = [
 ]
 
 
-def _positive(kind):
-    """Flag type: ``kind(text)``, rejected (exit 2, usage line) unless > 0."""
-
-    def parse(text: str):
-        value = kind(text)
-        if not value > 0:
-            raise ArgumentTypeError(f"must be > 0, got {text}")
-        return value
-
-    parse.__name__ = kind.__name__  # "invalid int value: 'x'"
-    return parse
-
-
 def build_parser() -> ArgumentParser:
     parser = ArgumentParser(
         prog="python -m repro experiments",
@@ -95,7 +82,7 @@ def build_parser() -> ArgumentParser:
     )
     parser.add_argument("--fast", action="store_true", help="shrink the sweeps (CI)")
     parser.add_argument(
-        "--jobs", type=_positive(int), default=1, metavar="N",
+        "--jobs", type=positive(int), default=1, metavar="N",
         help="worker processes (default 1 = serial, in-process)",
     )
     parser.add_argument(
@@ -115,7 +102,7 @@ def build_parser() -> ArgumentParser:
         help="cache directory (default: $REPRO_CACHE_DIR or ./.repro-cache)",
     )
     parser.add_argument(
-        "--task-timeout", type=_positive(float), default=900.0, metavar="SECONDS",
+        "--task-timeout", type=positive(float), default=900.0, metavar="SECONDS",
         help="per-task timeout when --jobs > 1 (default 900)",
     )
     parser.add_argument(

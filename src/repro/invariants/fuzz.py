@@ -837,31 +837,35 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
 
 
 @contextmanager
+def _ungated(buffer: str, field: str):
+    """Patch the one writer of the commit points so that it always
+    publishes ``UNGATED`` into ``conn.<buffer>.<field>``."""
+    from repro.core.ft_tcp import FtConnectionState
+    from repro.tcp.buffers import UNGATED
+
+    original = FtConnectionState.push_gates
+
+    def push_gates(self):
+        original(self)
+        setattr(getattr(self.conn, buffer), field, UNGATED)
+
+    FtConnectionState.push_gates = push_gates
+    try:
+        yield
+    finally:
+        FtConnectionState.push_gates = original
+
+
 def _mutate_deposit_gate():
     """Disable the deposit gate: replicas deposit without waiting for
     the successor's acknowledgement — the Atomicity monitors must fire."""
-    from repro.core.ft_tcp import FtConnectionState
-
-    original = FtConnectionState.deposit_ceiling
-    FtConnectionState.deposit_ceiling = lambda self: None
-    try:
-        yield
-    finally:
-        FtConnectionState.deposit_ceiling = original
+    return _ungated("reassembler", "ceiling")
 
 
-@contextmanager
 def _mutate_output_gate():
     """Disable the output gate: the primary sends response bytes before
     the successor reported matching sequence numbers."""
-    from repro.core.ft_tcp import FtConnectionState
-
-    original = FtConnectionState.transmit_ceiling
-    FtConnectionState.transmit_ceiling = lambda self: None
-    try:
-        yield
-    finally:
-        FtConnectionState.transmit_ceiling = original
+    return _ungated("send_buffer", "commit")
 
 
 @contextmanager
@@ -1043,6 +1047,10 @@ def load_reproducer(path: Path) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Imported here, as main() imports the pool: code that only runs
+    # scenarios (the ledger's fault_churn) must not load multiprocessing.
+    from repro.runtime import positive
+
     parser = argparse.ArgumentParser(
         prog="python -m repro fuzz",
         description="Fuzz HydraNet-FT fault schedules with invariant "
@@ -1079,14 +1087,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=positive(int),
         default=1,
         metavar="N",
         help="worker processes for the scenario batch (default 1 = in-process)",
     )
     parser.add_argument(
         "--task-timeout",
-        type=float,
+        type=positive(float),
         default=300.0,
         metavar="SECONDS",
         help="per-scenario timeout when --jobs > 1 (default 300)",

@@ -100,10 +100,9 @@ def install_connection(ft_port: "FtPort", snap: ConnSnapshot) -> bool:
     remote_ip = as_address(snap.client_ip)
     if conn_key(local_ip, listener.port, remote_ip, snap.client_port) in stack.connections:
         return False
-    conn = stack.spawn(listener, local_ip, remote_ip, snap.client_port, snap.iss)
+    conn = stack.spawn(listener, local_ip, remote_ip, snap.client_port, snap.iss, snap.irs)
     # The handshake already happened (on the donor); synthesize its
     # outcome so send()/recv() work immediately.
-    conn.irs = snap.irs
     conn.peer_window = snap.peer_window
     conn.state = TcpState.ESTABLISHED
     listener.connections_accepted += 1

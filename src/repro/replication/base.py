@@ -13,8 +13,6 @@ via :func:`create_strategy`.  The ft-TCP layer keeps ownership of the
 TCB hooks, the failure detector, the catch-up log, and the epoch/fence
 machinery; the strategy decides
 
-* how the deposit and output gates compute their ceilings
-  (:meth:`deposit_ceiling` / :meth:`transmit_ceiling`),
 * what a backup's filtered output turns into
   (:meth:`filter_backup_output`),
 * how progress reports from other replicas are folded into the
@@ -33,6 +31,13 @@ contract is what lets the suspicion machinery (quiet checks, graceful
 degradation, the OutputLiveness monitor) work unchanged across
 backends — for a multi-member backend the effective watermark is the
 member-wise minimum and the named replica is the straggler.
+
+The gates themselves are not computed on demand: whenever a strategy
+changes ``state.gated`` or an effective watermark it calls
+``state.push_gates()``, which writes the TCB's output-commit point
+(``send_buffer.commit``) and deposit ceiling (``reassembler.ceiling``).
+Every TCP emitter reads through the commit point, so none can run past
+it.
 
 The redirector lays replicas out per strategy: ``layout = "linear"``
 is the paper's chain (each replica reports to its predecessor),
@@ -81,18 +86,6 @@ class ReplicationStrategy:
         ``state.repl``); ``None`` when the backend needs none."""
         return None
 
-    # -- gates -------------------------------------------------------------
-
-    def deposit_ceiling(self, state: "FtConnectionState") -> Optional[int]:
-        """Stream offset up to which this replica may deposit client
-        bytes (``None`` = unlimited)."""
-        raise NotImplementedError
-
-    def transmit_ceiling(self, state: "FtConnectionState") -> Optional[int]:
-        """Stream offset up to which this replica may externalize
-        response bytes (``None`` = unlimited)."""
-        raise NotImplementedError
-
     # -- replica output / progress reports ---------------------------------
 
     def filter_backup_output(
@@ -110,7 +103,7 @@ class ReplicationStrategy:
         sender: "IPAddress",
     ) -> None:
         """Fold a progress report from ``sender`` into the effective
-        watermarks of ``state``."""
+        watermarks of ``state`` (and push the gates)."""
         raise NotImplementedError
 
     def suppress_primary_output(
@@ -144,7 +137,7 @@ class ReplicationStrategy:
 
     def splice_gate(self, state: "FtConnectionState", joiner_ip: "IPAddress") -> None:
         """A live joiner now holds state for ``state``'s connection:
-        start gating it on the joiner."""
+        start gating it on the joiner (and push the gates)."""
 
     def on_enter_primary(self) -> None:
         """This replica just entered primary mode for a new epoch."""

@@ -50,13 +50,10 @@ class _MemberView:
 class _BroadcastConnState:
     """Per-connection member views (stored as ``state.repl``)."""
 
-    __slots__ = ("views", "pending", "fence")
+    __slots__ = ("views", "fence")
 
     def __init__(self):
         self.views: dict["IPAddress", _MemberView] = {}
-        # Reports that arrived before the handshake fixed IRS (a list
-        # while there are any).
-        self.pending: Optional[list[tuple[AckChannelMessage, "IPAddress"]]] = None
         # Promotion fence: ``(sent, deposited)`` watermarks this
         # replica had already reached — ungated — when it became
         # primary.  Client-visible output stays suppressed until the
@@ -94,20 +91,6 @@ class BroadcastStrategy(ReplicationStrategy):
                 blob.views[ip] = _MemberView(last_msg=now)
             self._refresh(state)
         return blob
-
-    # -- gates -------------------------------------------------------------
-
-    def deposit_ceiling(self, state: "FtConnectionState") -> Optional[int]:
-        self._drain_pending(state)
-        if not state.gated:
-            return None
-        return state.successor_deposited_upto
-
-    def transmit_ceiling(self, state: "FtConnectionState") -> Optional[int]:
-        self._drain_pending(state)
-        if not state.gated:
-            return None
-        return state.successor_sent_upto
 
     # -- replica output / progress reports ---------------------------------
 
@@ -157,12 +140,6 @@ class BroadcastStrategy(ReplicationStrategy):
             # gate.
             return
         view.last_msg = self.port.sim.now
-        if state.conn.irs is None:
-            if blob.pending is None:
-                blob.pending = [(message, sender)]
-            elif len(blob.pending) < 32:
-                blob.pending.append((message, sender))
-            return
         self._apply_member(state, view, sender, message)
         self._refresh(state)
 
@@ -197,36 +174,26 @@ class BroadcastStrategy(ReplicationStrategy):
         if deposited > view.deposited:
             view.deposited = deposited
 
-    def _drain_pending(self, state: "FtConnectionState") -> None:
-        blob = state.repl
-        if blob.pending and state.conn.irs is not None:
-            pending, blob.pending = blob.pending, None
-            for message, sender in pending:
-                view = blob.views.get(sender)
-                if view is not None:
-                    self._apply_member(state, view, sender, message)
-            self._refresh(state)
-
     def _refresh(self, state: "FtConnectionState") -> None:
-        """Recompute the effective (minimum) watermarks and name the
-        straggler, so all successor-generic machinery — gates, quiet
-        checks, degradation clock, OutputLiveness — just works."""
-        if not state.gated:
-            return
+        """Recompute the effective (minimum) watermarks, name the
+        straggler and push the gates, so all successor-generic
+        machinery — gates, quiet checks, degradation clock,
+        OutputLiveness — just works."""
         views = state.repl.views
-        if not views:
+        if state.gated and not views:
             # Every gating member left the set: the gate would never
             # open again, so this connection runs ungated (mirrors the
             # chain's successor-left ungating).
             state.gated = False
-            return
-        state.successor_sent_upto = min(v.sent for v in views.values())
-        state.successor_deposited_upto = min(v.deposited for v in views.values())
-        straggler = min(
-            views, key=lambda ip: (views[ip].sent + views[ip].deposited, str(ip))
-        )
-        state.successor_ip = straggler
-        state.last_successor_msg = views[straggler].last_msg
+        if state.gated:
+            state.successor_sent_upto = min(v.sent for v in views.values())
+            state.successor_deposited_upto = min(v.deposited for v in views.values())
+            straggler = min(
+                views, key=lambda ip: (views[ip].sent + views[ip].deposited, str(ip))
+            )
+            state.successor_ip = straggler
+            state.last_successor_msg = views[straggler].last_msg
+        state.push_gates()
 
     # -- suspicion ---------------------------------------------------------
 

@@ -35,20 +35,6 @@ class ChainStrategy(ReplicationStrategy):
     name = "chain"
     layout = "linear"
 
-    # -- gates -------------------------------------------------------------
-
-    def deposit_ceiling(self, state: "FtConnectionState") -> Optional[int]:
-        state._drain_pending()
-        if not state.gated:
-            return None
-        return state.successor_deposited_upto
-
-    def transmit_ceiling(self, state: "FtConnectionState") -> Optional[int]:
-        state._drain_pending()
-        if not state.gated:
-            return None
-        return state.successor_sent_upto
-
     # -- replica output / progress reports ---------------------------------
 
     def filter_backup_output(
@@ -80,12 +66,6 @@ class ChainStrategy(ReplicationStrategy):
             state._successor_epoch = 0
         state.successor_ip = sender
         state.last_successor_msg = self.port.sim.now
-        if state.conn.irs is None:
-            if state._pending_raw is None:
-                state._pending_raw = [message]
-            elif len(state._pending_raw) < 16:
-                state._pending_raw.append(message)
-            return
         state._apply_wire(message.seq_next, message.ack, message.epoch)
 
     # -- suspicion ---------------------------------------------------------
@@ -114,9 +94,11 @@ class ChainStrategy(ReplicationStrategy):
             # connections on it.
             for state in port.states.values():
                 state.gated = False
+                state.push_gates()
 
     def splice_gate(self, state: "FtConnectionState", joiner_ip: "IPAddress") -> None:
         state.gated = True
+        state.push_gates()
         state.successor_ip = joiner_ip
         # Not silence — the splice just happened; give the joiner a
         # full quiet period before suspecting it.

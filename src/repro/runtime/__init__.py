@@ -21,7 +21,7 @@ from .merge import (
     concat_stdout,
     ordered_outcomes,
 )
-from .pool import PoolStats, ScenarioPool, Task, TaskOutcome, default_start_method
+from .pool import PoolStats, ScenarioPool, Task, TaskOutcome, default_start_method, positive
 
 __all__ = [
     "DeterministicMerger",
@@ -34,6 +34,7 @@ __all__ = [
     "default_cache_dir",
     "default_start_method",
     "ordered_outcomes",
+    "positive",
     "source_fingerprint",
     "task_fingerprint",
 ]

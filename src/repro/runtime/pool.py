@@ -43,13 +43,28 @@ import itertools
 import os
 import time
 import traceback
+from argparse import ArgumentTypeError
 from contextlib import redirect_stdout
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Callable, Optional
 
-__all__ = ["Task", "TaskOutcome", "PoolStats", "ScenarioPool", "default_start_method"]
+__all__ = ["Task", "TaskOutcome", "PoolStats", "ScenarioPool", "default_start_method", "positive"]
+
+
+def positive(kind):
+    """Flag type for a pool parameter (``--jobs``, ``--task-timeout``):
+    ``kind(text)``, rejected (exit 2, usage line) unless > 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # "invalid int value: 'x'"
+    return parse
 
 
 def default_start_method() -> str:

@@ -13,6 +13,11 @@ The receive path is split in two stages on purpose:
 Plain TCP deposits staged bytes immediately; HydraNet-FT's ft-TCP gates
 the deposit on the acknowledgement channel (paper §4.3), which is why
 the stage boundary exists.
+
+The gates are two plain ints the ft-TCP layer pushes: a send buffer's
+``commit`` (no byte at or past it is ever read out for sending) and a
+reassembler's ``ceiling`` (no byte at or past it is deposited).  Both
+are ``UNGATED`` on a connection nothing gates.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from collections import deque
 from typing import Optional
+
+#: The commit point of an ungated stream: past any stream offset.
+UNGATED = 1 << 62
 
 
 class BufferError(RuntimeError):
@@ -54,10 +62,13 @@ class SendBuffer:
     between ``base`` and ``end`` is retained for retransmission.  When
     ``preserve_boundaries`` is set, reads never span an application
     write boundary — each write becomes its own segment (the paper's
-    measurement mode).
+    measurement mode).  ``commit`` is the output-commit point: ``read``
+    never returns a byte at or past it, so every sender is gated.
     """
 
-    __slots__ = ("capacity", "preserve_boundaries", "_starts", "_chunks", "_head", "base", "end")
+    __slots__ = (
+        "capacity", "preserve_boundaries", "_starts", "_chunks", "_head", "base", "end", "commit",
+    )
 
     def __init__(self, capacity: int, preserve_boundaries: bool = False):
         self.capacity = capacity
@@ -73,6 +84,8 @@ class SendBuffer:
         #: attributes (read on every segment), written only here.
         self.base = 0
         self.end = 0
+        #: Written by the ft-TCP layer alone (``FtConnectionState.push_gates``).
+        self.commit = UNGATED
 
     @property
     def free_space(self) -> int:
@@ -97,11 +110,15 @@ class SendBuffer:
         return accept
 
     def read(self, offset: int, max_len: int) -> bytes:
-        """Bytes starting at ``offset``, up to ``max_len`` (less when
-        boundary preservation stops at a write boundary)."""
+        """Bytes starting at ``offset``, up to ``max_len`` and never at or
+        past ``commit`` (less when boundary preservation stops at a
+        write boundary)."""
         if offset < self.base:
             raise BufferError(f"offset {offset} below base {self.base}")
-        if offset >= self.end or max_len <= 0:
+        stop = self.commit if self.commit < self.end else self.end
+        if max_len > stop - offset:
+            max_len = stop - offset
+        if max_len <= 0:
             return b""
         starts = self._starts
         chunks = self._chunks
@@ -110,7 +127,7 @@ class SendBuffer:
         i = bisect_right(starts, offset, self._head) - 1
         chunk = chunks[i]
         piece = chunk[offset - starts[i] : offset - starts[i] + max_len]
-        if self.preserve_boundaries or len(piece) == max_len or offset + len(piece) == self.end:
+        if self.preserve_boundaries or len(piece) == max_len:
             return piece
         pieces = [piece]
         remaining = max_len - len(piece)
@@ -156,7 +173,7 @@ class Reassembler:
 
     __slots__ = (
         "_head", "_queue", "staged_bytes", "in_order_end", "take_point",
-        "_fragments", "_frag_offsets", "out_of_order_bytes", "duplicate_bytes",
+        "_fragments", "_frag_offsets", "out_of_order_bytes", "duplicate_bytes", "ceiling",
     )
 
     def __init__(self):
@@ -177,6 +194,9 @@ class Reassembler:
         self._frag_offsets: Optional[list[int]] = None
         self.out_of_order_bytes = 0
         self.duplicate_bytes = 0
+        #: The deposit ceiling: staged bytes at or past it stay staged.
+        #: Written by the ft-TCP layer alone (``FtConnectionState.push_gates``).
+        self.ceiling = UNGATED
 
     def out_of_order_ranges(self) -> list[tuple[int, int]]:
         """Disjoint [start, end) stream ranges held beyond the in-order

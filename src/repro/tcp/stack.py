@@ -222,20 +222,23 @@ class TcpStack:
     ) -> None:
         policy = listener.iss_policy or self.default_iss
         iss = policy(packet.dst, listener.port, packet.src, segment.src_port)
-        self.spawn(listener, packet.dst, packet.src, segment.src_port, iss).open_passive(segment)
+        conn = self.spawn(listener, packet.dst, packet.src, segment.src_port, iss, segment.seq)
+        conn.open_passive(segment)
 
     def spawn(
-        self, listener: Listener, local_ip: IPAddress, remote_ip: IPAddress, remote_port, iss
+        self, listener: Listener, local_ip: IPAddress, remote_ip: IPAddress, remote_port, iss, irs
     ) -> TcpConnection:
         """A new connection of ``listener``, in the table and configured
         by the listener's hook — what a SYN creates, and what a live
-        joiner synthesizes from a snapshot."""
+        joiner synthesizes from a snapshot.  Both sequence spaces are
+        fixed before the hook runs."""
         nic = self.host.kernel.route_lookup(remote_ip)
         opts = listener.options
         mss = opts.effective_mss(nic.mtu if nic is not None else 1500)
         conn = TcpConnection(
             self, local_ip, listener.port, remote_ip, remote_port, opts, mss, iss, listener
         )
+        conn.irs = irs
         self.connections[conn_key(local_ip, listener.port, remote_ip, remote_port)] = conn
         if listener.configure_connection is not None:
             listener.configure_connection(conn)

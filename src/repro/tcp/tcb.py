@@ -8,13 +8,17 @@ persist probes, and the full close/TIME_WAIT dance.
 
 HydraNet-FT hooks (paper §4):
 
-* ``deposit_limit`` — callable returning the highest stream offset
-  (exclusive) that may be *deposited* into the socket buffer; the
-  ft-TCP backup chain drives this from acknowledgement-channel
+* the deposit gate — ``reassembler.ceiling``, the stream offset
+  (exclusive) up to which staged bytes may be *deposited* into the
+  socket buffer; the ft-TCP layer pushes it from acknowledgement-channel
   messages.  ACKs we emit only ever cover deposited data.
-* ``transmit_limit`` — callable returning the highest stream offset
-  (exclusive) that may be *transmitted*; gates outgoing data (and FIN)
-  the same way.
+* the output gate — ``send_buffer.commit``, the stream offset
+  (exclusive) up to which bytes may be *transmitted*; the FIN goes out
+  only once it is past the FIN's offset.  ``SendBuffer.read`` never
+  returns a byte past it, so every emitter (new data, RTO, fast
+  retransmit, SACK, the promotion ``kick``, the persist probe) is gated
+  by construction.  Both are ``buffers.UNGATED`` on plain TCP; the ft
+  layer calls ``gates_changed`` when a moved gate should act at once.
 * ``output_filter`` — inspects every outgoing segment; returning True
   suppresses the actual send (backups report flow-control fields up the
   acknowledgement channel instead of talking to the client).
@@ -106,7 +110,7 @@ class TcpConnection:
         "segments_sent", "segments_received", "retransmitted_segments",
         "suppressed_segments", "bytes_sent", "bytes_received",
         "on_established", "on_data", "on_remote_close", "on_closed", "on_send_space",
-        "clamp_future_acks", "deposit_limit", "transmit_limit", "output_filter",
+        "clamp_future_acks", "output_filter",
         "on_deposit_data", "on_retransmission_observed", "on_retransmit",
         "_closed_reported",
     )
@@ -205,8 +209,6 @@ class TcpConnection:
         #: (and with it the send buffer) forever on a joiner whose
         #: catch-up replay lags the client's ack point.
         self.clamp_future_acks = False
-        self.deposit_limit: Optional[Callable[[], Optional[int]]] = None
-        self.transmit_limit: Optional[Callable[[], Optional[int]]] = None
         self.output_filter: Optional[Callable[[TCPSegment], bool]] = None
         #: Called as ``on_deposit_data(start_offset, data)`` for every
         #: deposit — the ft layer's catch-up log records the client
@@ -327,8 +329,8 @@ class TcpConnection:
     # ------------------------------------------------------------------
 
     def gates_changed(self) -> None:
-        """Re-evaluate deposit and transmit gates (called by the ft
-        layer when acknowledgement-channel state advances)."""
+        """Deposit and send what the gates now admit (called by the ft
+        layer after it pushes new gate values)."""
         progressed = self._try_deposit()
         if progressed and self.irs is not None and self.state not in (
             TcpState.CLOSED,
@@ -468,7 +470,6 @@ class TcpConnection:
         if self.state in _NO_OUTPUT_STATES:
             return
         options = self.options
-        transmit_limit = self.transmit_limit
         congestion = self.congestion
         mss = self.mss
         while True:
@@ -478,13 +479,8 @@ class TcpConnection:
             window = congestion.window(peer_window if peer_window > 0 else 0)
             snd_nxt = self.snd_nxt
             usable = self.snd_una + window - snd_nxt
-            available = send_buffer.end - snd_nxt
-            if transmit_limit is not None:
-                ceiling = transmit_limit()
-                if ceiling is not None:
-                    limited = ceiling - snd_nxt
-                    if limited < available:
-                        available = limited
+            commit = send_buffer.commit
+            available = (commit if commit < send_buffer.end else send_buffer.end) - snd_nxt
             if available <= 0:
                 break
             if usable <= 0:
@@ -545,10 +541,8 @@ class TcpConnection:
         fin_offset = self.send_buffer.end
         if not self.fin_queued or self.fin_sent or self.snd_nxt < fin_offset:
             return
-        if self.transmit_limit is not None:
-            ceiling = self.transmit_limit()
-            if ceiling is not None and ceiling <= fin_offset:
-                return  # gated, like the bytes before it
+        if self.send_buffer.commit <= fin_offset:
+            return  # gated, like the bytes before it
         self.fin_sent = True
         segment = self._make_segment(
             FLAG_FIN | FLAG_ACK, seq=self._seq_for(self.snd_nxt)
@@ -601,23 +595,12 @@ class TcpConnection:
         self._retransmit_head()
         self.rtx_timer.start(self.rto.rto)
 
-    def _transmit_end(self) -> int:
-        """Stream offset no output may reach: the buffer's end, or the
-        transmit gate's ceiling below it (a retransmission is output
-        too)."""
-        end = self.send_buffer.end
-        if self.transmit_limit is not None:
-            ceiling = self.transmit_limit()
-            if ceiling is not None and ceiling < end:
-                return ceiling
-        return end
-
     def _retransmit_head(self) -> None:
         if self.on_retransmit is not None:
             self.on_retransmit()
         if self.snd_una < self.send_buffer.end:
             start = self.snd_una
-            limit = self._transmit_end()
+            limit = self.send_buffer.end
             if self.sack_enabled:
                 hole = self.scoreboard.first_hole(self.snd_una, min(self.snd_max, limit))
                 if hole is None:
@@ -658,7 +641,7 @@ class TcpConnection:
             return
         # Window probe: one byte of data past the window edge.
         if self.snd_nxt < self.send_buffer.end:
-            data = self.send_buffer.read(self.snd_nxt, min(1, self._transmit_end() - self.snd_nxt))
+            data = self.send_buffer.read(self.snd_nxt, 1)
             if data:
                 self._send_data_segment(self.snd_nxt, data[:1], retransmit=True)
         else:
@@ -858,17 +841,15 @@ class TcpConnection:
         if had_payload:
             self.bytes_received += dlen
             if (
-                not self.options.stage_gated_data
-                and self.deposit_limit is not None
+                end > reassembler.ceiling
                 and end > reassembler.in_order_end
+                and not self.options.stage_gated_data
             ):
-                ceiling = self.deposit_limit()
-                if ceiling is not None and end > ceiling:
-                    # Conservative-kernel emulation: data the deposit
-                    # gate cannot admit yet is dropped outright; the
-                    # client's retransmission will pick up where message
-                    # delivery was interrupted (paper §4.3/§5).
-                    return
+                # Conservative-kernel emulation: data the deposit gate
+                # cannot admit yet is dropped outright; the client's
+                # retransmission will pick up where message delivery
+                # was interrupted (paper §4.3/§5).
+                return
             # Stream offset past which arriving data is dropped: the
             # advertised edge, or (conservative mode) the buffer's own.
             rfc_edge = self.options.rfc_window_edge
@@ -915,10 +896,9 @@ class TcpConnection:
         the FIN was consumed."""
         progressed = False
         reassembler = self.reassembler
-        deposit_limit = self.deposit_limit
-        ceiling = deposit_limit() if deposit_limit is not None else None
+        ceiling = reassembler.ceiling
         target = reassembler.in_order_end
-        if ceiling is not None and ceiling < target:
+        if ceiling < target:
             target = ceiling
         n = target - reassembler.take_point
         if n > 0:
@@ -951,7 +931,7 @@ class TcpConnection:
             and not self.fin_deposited
             and reassembler.take_point >= fin_offset
             and reassembler.in_order_end >= fin_offset
-            and (ceiling is None or ceiling > fin_offset)
+            and ceiling > fin_offset
         ):
             self.fin_deposited = True
             progressed = True
@@ -1009,7 +989,7 @@ class TcpConnection:
         """Teardown (DESIGN.md §19): timers, callbacks and ft-TCP hooks."""
         self._drop_application()
         self.ack_timer = self.persist_timer = self.time_wait_timer = _UNSTARTED
-        self.deposit_limit = self.transmit_limit = self.output_filter = None
+        self.output_filter = None
         self.on_deposit_data = self.on_retransmission_observed = self.on_retransmit = None
 
     def __repr__(self) -> str:

@@ -205,3 +205,19 @@ class TestCliSavesFindsOutsideTheCorpus:
         with pytest.raises(SystemExit):
             main(["--help"])
         assert "--out tests/fuzz_corpus" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--jobs", "0"], ["--jobs", "-1"], ["--task-timeout", "0"], ["--task-timeout", "-2.5"]],
+    ids=" ".join,
+)
+def test_cli_rejects_bad_pool_numbers_with_usage(flags, capsys):
+    """ROADMAP 9a: exit 2 and a usage line, not a pool traceback."""
+    from repro.invariants.fuzz import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--runs", "0", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "Traceback" not in err

@@ -21,10 +21,11 @@ SEGMENTS = 512
 
 #: shape -> (builder, Python calls allowed per link packet).  Reached
 #: when the budget was set: clean 24.99 (parent 45.28), chain 47.46
-#: (parent 68.02).
+#: (parent 68.02).  Chain tightened when the gates became pushed fields
+#: instead of pulled callbacks: 47.39 -> 45.81 (clean stays 24.83).
 BUDGETS = {
     "clean": (build_clean, 26.2),
-    "chain": (lambda seed: build_primary_backup(seed, n_backups=2, strategy="chain"), 49.6),
+    "chain": (lambda seed: build_primary_backup(seed, n_backups=2, strategy="chain"), 48.1),
 }
 
 

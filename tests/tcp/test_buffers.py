@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.tcp import Reassembler, SendBuffer, SocketBuffer
-from repro.tcp.buffers import BufferError
+from repro.tcp.buffers import UNGATED, BufferError
 
 
 class TestSendBuffer:
@@ -118,19 +118,22 @@ class TestSendBuffer:
                     st.integers(min_value=-1, max_value=50),
                 ),
                 st.tuples(st.just("ack"), st.integers(min_value=0, max_value=400)),
+                st.tuples(st.just("commit"), st.integers(min_value=0, max_value=400)),
             ),
             min_size=1,
             max_size=60,
         ),
     )
     def test_matches_bytearray_model(self, preserve, ops):
-        """append / read / ack_to against a flat bytearray of the whole
-        stream plus the list of write boundaries."""
+        """append / read / ack_to / a moving commit point against a flat
+        bytearray of the whole stream plus the list of write boundaries:
+        a read never passes the commit point."""
         capacity = 128
         buf = SendBuffer(capacity, preserve_boundaries=preserve)
         stream = bytearray()
         boundaries = []  # end offset of every accepted write
         base = 0
+        commit = UNGATED
         for op in ops:
             end = len(stream)
             if op[0] == "append":
@@ -146,10 +149,13 @@ class TestSendBuffer:
                     with pytest.raises(BufferError):
                         buf.read(offset, max_len)
                     continue
-                stop = min(end, offset + max(0, max_len))
-                if preserve and offset < end:
+                stop = min(end, commit, offset + max(0, max_len))
+                if preserve and offset < stop:
                     stop = min(stop, next(b for b in boundaries if b > offset))
                 assert buf.read(offset, max_len) == bytes(stream[offset:stop])
+            elif op[0] == "commit":
+                # Anywhere, behind the base too: a promotion can pull it back.
+                commit = buf.commit = op[1] % (end + 3)
             else:
                 offset = op[1] % (end + 3)
                 if offset > end:

@@ -25,6 +25,7 @@ from repro.netsim.packet import TCPFlags, TCPSegment
 from repro.netsim.simulator import Timer
 from repro.recovery import RecoveryManager
 from repro.tcp import TcpOptions, TcpState
+from repro.tcp.buffers import UNGATED
 from repro.tcp.seqnum import seq_add
 from repro.tcp.tcb import _UNSTARTED
 
@@ -159,12 +160,12 @@ def test_in_order_transfer_never_creates_a_queue():
 
 def test_staged_queue_created_by_gated_deposit():
     _net, client, server = _established_pair()
-    server.deposit_limit = lambda: 0  # the gate holds everything
+    server.reassembler.ceiling = 0  # the gate holds everything
     server.segment_arrived(_data_segment(client, server, 0, b"a" * 100))
     assert server.reassembler._queue is None  # one held chunk needs no queue
     server.segment_arrived(_data_segment(client, server, 100, b"b" * 100))
     assert list(server.reassembler._queue) == [b"b" * 100]
-    server.deposit_limit = None
+    server.reassembler.ceiling = UNGATED
     server.gates_changed()
     assert server.socket_buffer.total_deposited == 200
     assert server.reassembler.staged_bytes == 0
