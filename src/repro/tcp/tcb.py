@@ -13,9 +13,9 @@ HydraNet-FT hooks (paper §4):
   socket buffer; the ft-TCP layer pushes it from acknowledgement-channel
   messages.  ACKs we emit only ever cover deposited data.
 * the output gate — ``send_buffer.commit``, the stream offset
-  (exclusive) up to which bytes may be *transmitted*; the FIN goes out
-  only once it is past the FIN's offset.  ``SendBuffer.read`` never
-  returns a byte past it, so every emitter (new data, RTO, fast
+  (exclusive) up to which bytes may be *transmitted*; the FIN goes out,
+  or again, only while it is past the FIN's offset.  ``SendBuffer.read``
+  never returns a byte past it, so every emitter (new data, RTO, fast
   retransmit, SACK, the promotion ``kick``, the persist probe) is gated
   by construction.  Both are ``buffers.UNGATED`` on plain TCP; the ft
   layer calls ``gates_changed`` when a moved gate should act at once.
@@ -614,7 +614,7 @@ class TcpConnection:
                 if data:
                     self._send_data_segment(start, data, retransmit=True)
                     return
-        if self.fin_sent and not self.fin_acked:
+        if self.fin_sent and not self.fin_acked and self.send_buffer.commit > self.send_buffer.end:
             self.retransmitted_segments += 1
             self._emit(
                 self._make_segment(

@@ -135,6 +135,24 @@ def test_retransmission_with_nothing_sendable_keeps_the_timer(path, monkeypatch)
     assert conn.rtx_timer.running
 
 
+def test_fin_retransmission_waits_for_the_commit_point(monkeypatch):
+    """The FIN went out, then the commit point fell back to its offset:
+    the RTO resends nothing until the commit point passes it again."""
+    _net, conn, emitted = _sender(monkeypatch)
+    _in_flight(conn, una=QUEUED, nxt=QUEUED)
+    conn.send_buffer.commit = QUEUED + 1
+    conn.close()
+    assert conn.fin_sent
+    emitted.clear()
+    conn.send_buffer.commit = QUEUED
+    conn._on_rto()
+    assert emitted == []
+    assert conn.rtx_timer.running
+    conn.send_buffer.commit = QUEUED + 1
+    conn._on_rto()
+    assert [segment.flags & TCPFlags.FIN for segment in emitted] == [TCPFlags.FIN]
+
+
 def test_sack_hole_is_filled_only_below_the_commit_point(monkeypatch):
     _net, conn, emitted = _sender(monkeypatch, sack=True)
     assert conn.sack_enabled
