@@ -34,11 +34,11 @@ from repro.netsim.packet import TCPSegment
 from repro.netsim.simulator import Timer
 from repro.hydranet.mgmt import ConnSnapshot, StateSnapshot
 from repro.tcp.buffers import UNGATED
-from repro.tcp.seqnum import seq_add, seq_diff
+from repro.tcp.seqnum import seq_add
 from repro.tcp.stack import Listener, deterministic_iss
 from repro.tcp.tcb import TcpConnection, TcpState
 
-from repro.replication import create_strategy
+from repro.replication import MemberTable, create_strategy
 
 from .ack_channel import AckChannelEndpoint, AckChannelMessage
 from .failure_detector import RetransmissionDetector
@@ -71,16 +71,6 @@ DEFAULT_CATCHUP_CHUNK = 4096
 #: keep the pipe busy across one mgmt RTT, small enough that a burst
 #: can never overflow a bottleneck drop-tail queue.
 CATCHUP_WINDOW = 4
-
-#: Watermark-plausibility slack (DESIGN.md §14).  A successor's honest
-#: progress can lead this replica's local view by in-flight window
-#: amounts (at most a receive window ≈ 64 kB each way); a claim beyond
-#: local knowledge plus this slack is provably impossible and treated
-#: as lying evidence.  Generous enough that no honest skew ever trips
-#: it, small enough that a meaningful lie (such as a 1 MB inflation)
-#: cannot hide inside it.
-PROGRESS_SLACK = 256 * 1024
-
 
 class FtError(RuntimeError):
     pass
@@ -148,16 +138,9 @@ _NOT_RETAINED = _NotRetained()
 class FtConnectionState:
     """Per-connection fault-tolerance state on one replica."""
 
-    #: Class-level so the mutation harness can disable watermark
-    #: plausibility checking and prove ``ProgressTruthfulness`` notices
-    #: (tests/invariants/test_mutation).
-    validate_progress = True
-
     __slots__ = (
-        "port", "conn", "created_at", "gated", "successor_sent_upto",
-        "successor_deposited_upto", "successor_ip", "last_successor_msg",
-        "last_report_sent", "_successor_epoch", "catchup_log",
-        "repl", "monitor",
+        "port", "conn", "created_at", "gated", "members",
+        "last_report_sent", "catchup_log", "monitor",
     )
 
     def __init__(self, port: "FtPort", conn: TcpConnection, gated: bool):
@@ -171,44 +154,34 @@ class FtConnectionState:
         #: us.  The one way it turns back on is a chain splice: the
         #: joiner then provably holds live state for this connection.
         self.gated = gated
-        # Successor progress in stream offsets.
-        self.successor_sent_upto = 0
-        self.successor_deposited_upto = 0
-        self.successor_ip: Optional[IPAddress] = None
-        self.last_successor_msg: Optional[float] = None
+        #: What the members this connection is gated on reported, and
+        #: the effective watermarks the gates read (DESIGN.md §15.1).
+        self.members = MemberTable()
         #: When this replica last reported its own progress upstream
         #: (segment-driven or announced) — the keepalive only fills
         #: gaps the data path leaves.
         self.last_report_sent: Optional[float] = None
-        #: Highest epoch seen from the *current* successor — progress
-        #: reports stamped with an older epoch are stale-view traffic
-        #: (reordered or fenced) and are dropped.  Reset when the
-        #: successor changes: epochs are only comparable per sender.
-        self._successor_epoch = 0
         #: Client stream retained for live joins (recovery subsystem),
         #: when the port has a consumer for it.
         self.catchup_log = (
             CatchupLog(port.catchup_log_limit) if port.retains_stream else _NOT_RETAINED
         )
-        #: Strategy-private per-connection state (DESIGN.md §15) —
-        #: ``None`` for backends that keep everything in the effective
-        #: watermark fields above.
-        self.repl = port.strategy.connection_state(self)
         #: The invariant monitors' record of this connection, made by
         #: the first monitor hook that needs it.
         self.monitor = None
 
     def push_gates(self) -> None:
         """Publish this connection's commit points into its TCB (paper
-        §4.1): the successor's reported watermarks while gated,
-        ``UNGATED`` otherwise.  The one writer of both — called
-        wherever ``gated`` or a ``successor_*_upto`` changes; the TCB
-        acts on them at its next read, or at once via
+        §4.1): the members' effective watermarks while gated,
+        ``UNGATED`` otherwise.  The one writer of both — called by the
+        member table's refresh and where a connection is ungated; the
+        TCB acts on them at its next read, or at once via
         ``conn.gates_changed()``."""
         conn = self.conn
         if self.gated:
-            conn.reassembler.ceiling = self.successor_deposited_upto
-            conn.send_buffer.commit = self.successor_sent_upto
+            members = self.members
+            conn.reassembler.ceiling = members.deposited
+            conn.send_buffer.commit = members.sent
         else:
             conn.reassembler.ceiling = conn.send_buffer.commit = UNGATED
 
@@ -222,6 +195,21 @@ class FtConnectionState:
             invariants.on_deposit(self, start, data)
         self.catchup_log.record(start, data)
         self.port._forward_delta(self, start, data)
+
+    def snapshot(self, start: int, data: bytes) -> ConnSnapshot:
+        """This connection with client stream bytes ``data`` from
+        offset ``start``: a base-transfer piece or a catch-up delta."""
+        conn = self.conn
+        return ConnSnapshot(
+            client_ip=conn.remote_ip,
+            client_port=conn.remote_port,
+            iss=conn.iss,
+            irs=conn.irs,
+            input=data,
+            input_start=start,
+            client_acked=conn.snd_una,
+            peer_window=conn.peer_window,
+        )
 
     def announce(self) -> None:
         """Report this replica's current progress on the
@@ -252,50 +240,7 @@ class FtConnectionState:
     # -- ack-channel input ----------------------------------------------
 
     def apply(self, message: AckChannelMessage, sender: IPAddress) -> None:
-        self.port.strategy.on_report(self, message, sender)
-
-    def _apply_wire(self, seq_next: int, ack: int, epoch: int = 0) -> None:
-        conn = self.conn
-        port = self.port
-        if epoch < self._successor_epoch:
-            # A report from a view the successor itself has already
-            # left (delayed/re-queued in flight): acting on it could
-            # regress our notion of a *different* chain's progress.
-            port.stale_epoch_dropped += 1
-            return
-        self._successor_epoch = epoch
-        sent = seq_diff(seq_next, seq_add(conn.iss, 1))
-        deposited = seq_diff(ack, seq_add(conn.irs, 1))
-        if self.validate_progress and not self._progress_plausible(sent, deposited):
-            # The successor claims progress beyond what the client can
-            # possibly have produced: lying evidence, never apply it.
-            port._note_lie_evidence(self)
-            return
-        invariants = port.sim.invariants
-        if invariants is not None:
-            # Accepted reports only: the monitors' successor view must
-            # mirror what this replica actually acts on.
-            invariants.on_successor_report(self, seq_next, ack)
-        if sent > self.successor_sent_upto:
-            self.successor_sent_upto = sent
-        if deposited > self.successor_deposited_upto:
-            self.successor_deposited_upto = deposited
-        self.push_gates()
-
-    def _progress_plausible(self, sent: int, deposited: int) -> bool:
-        """Bounded-plausibility check on a successor's claimed progress
-        (DESIGN.md §14).  The successor deposits the same client stream
-        we see and computes the same deterministic response, so neither
-        watermark can honestly lead our local state by more than
-        in-flight window amounts — ``PROGRESS_SLACK`` over-approximates
-        those.  Regressions need no check: the monotonic-max update
-        already ignores them."""
-        conn = self.conn
-        if deposited > conn.reassembler.in_order_end + PROGRESS_SLACK:
-            return False
-        if sent > conn.send_buffer.end + PROGRESS_SLACK:
-            return False
-        return True
+        self.members.report(self, message, sender)
 
     def blocked_on_successor(self) -> bool:
         """True when this connection cannot make progress until the
@@ -304,28 +249,29 @@ class FtConnectionState:
             return False
         conn = self.conn
         reasm = conn.reassembler
+        members = self.members
         if (
             reasm.in_order_end > reasm.take_point
-            and self.successor_deposited_upto <= reasm.take_point
+            and members.deposited <= reasm.take_point
         ):
             return True  # deposit-gated data is waiting
         if (
             conn.send_buffer.end > conn.snd_nxt
-            and self.successor_sent_upto <= conn.snd_nxt
+            and members.sent <= conn.snd_nxt
         ):
             return True  # output-gated data is waiting
         if (
             conn.fin_queued
             and not conn.fin_sent
-            and self.successor_sent_upto <= conn.send_buffer.end
+            and members.sent <= conn.send_buffer.end
         ):
             return True  # FIN is gated
         return False
 
     def successor_silence(self) -> float:
-        """Seconds since the successor was last heard for this
+        """Seconds since the straggler was last heard for this
         connection (since creation if never heard)."""
-        last = self.last_successor_msg
+        last = self.members.last_heard
         if last is None:
             last = self.created_at
         return self.port.sim.now - last
@@ -497,7 +443,10 @@ class FtPort:
         state = FtConnectionState(self, conn, gated=self.has_successor)
         self.states[key] = state
         conn.clamp_future_acks = True
-        state.push_gates()
+        if state.gated:
+            for ip in self.strategy.gating_targets():
+                state.members.admit(state, ip)
+        state.members.refresh(state)
         conn.output_filter = state.filter_output
         conn.on_deposit_data = state.record_deposit
         # A replica's own retransmissions are the failure signal for
@@ -522,7 +471,8 @@ class FtPort:
         if self.shut_down:
             return True  # a removed replica is silent
         if self.is_primary:
-            if self.strategy.suppress_primary_output(state, segment):
+            members = state.members
+            if members.fence is not None and members.fence_holds(state):
                 return True
             # The primary talks to the client normally, stamping its
             # view epoch so the redirector can fence stale output.
@@ -583,8 +533,8 @@ class FtPort:
             return
         suspects = []
         # A replica gone quiet on the acknowledgement channel while
-        # connections are gated on it (which one, the strategy knows).
-        suspect = self.strategy.quiet_successor()
+        # connections are gated on it.
+        suspect = self._quiet_member()
         if suspect is not None:
             suspects.append(suspect)
         self.daemon.report_failure(self.service_ip, self.port, suspects)
@@ -600,10 +550,22 @@ class FtPort:
                 else self.epoch
             )
 
-    def _note_lie_evidence(
-        self, state: FtConnectionState, suspect: Optional[IPAddress] = None
-    ) -> None:
-        """A successor's progress report failed the plausibility check.
+    def _quiet_member(self) -> Optional[IPAddress]:
+        """The first member gone quiet past ``successor_quiet`` on a
+        gated connection, if any."""
+        if not self.has_successor:
+            return None
+        quiet = self.detector_params.successor_quiet
+        now = self.sim.now
+        for state in self.states.values():
+            if state.gated:
+                suspect = state.members.quiet_member(now, quiet)
+                if suspect is not None:
+                    return suspect
+        return None
+
+    def _note_lie_evidence(self, suspect: IPAddress) -> None:
+        """``suspect``'s progress report failed the plausibility check.
         The report is already discarded; here we escalate: repeated
         lying evidence is reported to the redirector, whose congestion
         rule (several reports against the same suspect inside its
@@ -617,10 +579,6 @@ class FtPort:
             or self.joining
             or self.host_server.crashed
         ):
-            return
-        if suspect is None:
-            suspect = state.successor_ip
-        if suspect is None:
             return
         now = self.sim.now
         if (
@@ -664,7 +622,8 @@ class FtPort:
                 and state.successor_silence() > quiet
             ):
                 self._last_liveness_report = now
-                suspects = [state.successor_ip] if state.successor_ip else []
+                straggler = state.members.straggler
+                suspects = [straggler] if straggler else []
                 self.daemon.report_failure(self.service_ip, self.port, suspects)
                 return
 
@@ -698,7 +657,7 @@ class FtPort:
         watermarks make *zero progress* past ``degradation_timeout`` is
         a wedged or lying gray failure.  The progress requirement is the
         load-shedding guard: a merely slow (or saturated) successor
-        still advances ``successor_sent_upto``/``successor_deposited_upto``
+        still advances the effective watermarks (``state.members``)
         every tick, which resets the stall clock, so honest congestion is
         never excised.  A truly wedged one is reported to the redirector;
         the congestion rule then excises it from the chain (the recovery
@@ -713,7 +672,8 @@ class FtPort:
             if not stalled:
                 self._blocked.pop(key, None)
                 continue
-            marks = (state.successor_sent_upto, state.successor_deposited_upto)
+            members = state.members
+            marks = (members.sent, members.deposited)
             since, seen = self._blocked.get(key, (now, None))
             if seen != marks:
                 # Watermarks advanced (or first stalled tick): restart
@@ -722,7 +682,7 @@ class FtPort:
                 continue
             if reported or now - since <= timeout:
                 continue
-            if state.successor_ip is None or state.successor_silence() > quiet:
+            if members.straggler is None or state.successor_silence() > quiet:
                 continue  # silent successor: the classic path handles it
             if (
                 self._last_degradation_report is not None
@@ -732,7 +692,7 @@ class FtPort:
             self._last_degradation_report = now
             self.degradation_reports += 1
             self.daemon.report_failure(
-                self.service_ip, self.port, [state.successor_ip]
+                self.service_ip, self.port, [members.straggler]
             )
             reported = True
 
@@ -829,20 +789,9 @@ class FtPort:
         conn = state.conn
         key = (conn.remote_ip, conn.remote_port)
         for joiner_ip, keys in self._catchup_feeds.items():
-            if key not in keys:
-                continue
-            snap = ConnSnapshot(
-                client_ip=conn.remote_ip,
-                client_port=conn.remote_port,
-                iss=conn.iss,
-                irs=conn.irs,
-                input=data,
-                input_start=start,
-                client_acked=conn.snd_una,
-                peer_window=conn.peer_window,
-            )
-            self._send_delta(snap, joiner_ip)
-            self.catchup_bytes_sent += len(data)
+            if key in keys:
+                self._send_delta(state.snapshot(start, data), joiner_ip)
+                self.catchup_bytes_sent += len(data)
 
     def install_base_snapshot(self, snapshot: StateSnapshot) -> None:
         """Joiner side: install the donor's base snapshot (synthesize
@@ -933,7 +882,7 @@ class FtPort:
                 key = (as_address(raw_key[0]), raw_key[1])
                 state = self.states.get(key)
                 if state is not None:
-                    self.strategy.splice_gate(state, joiner_ip)
+                    state.members.splice(state, joiner_ip)
 
     # -- reconfiguration -------------------------------------------------------------
 
@@ -953,7 +902,6 @@ class FtPort:
         self.chain_updates_applied += 1
         old_predecessor = self.predecessor_ip
         self.predecessor_ip = update.predecessor_ip
-        had_successor = self.has_successor
         self.has_successor = update.has_successor
         if update.is_primary:
             if self.is_primary:
@@ -975,9 +923,9 @@ class FtPort:
                     self.mode = PortMode.BACKUP
                     self.demotions += 1
         # Membership consequences (who gates on whom now) belong to
-        # the strategy — the chain ungates when its one successor
-        # leaves, a star backend reconciles its member views.
-        self.strategy.on_chain_update(update, had_successor, old_predecessor)
+        # the strategy — every backend ungates when no successor is
+        # left, a star backend also reconciles its member views.
+        self.strategy.on_chain_update(update, old_predecessor)
         for state in list(self.states.values()):
             state.conn.gates_changed()
 

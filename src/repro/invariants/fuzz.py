@@ -886,14 +886,14 @@ def _mutate_progress_check():
     """Disable progress-report plausibility validation: a lying backup's
     inflated watermarks are applied verbatim — ProgressTruthfulness
     (and, downstream, the gate monitors) must fire under ``--gray``."""
-    from repro.core.ft_tcp import FtConnectionState
+    from repro.replication import MemberTable
 
-    original = FtConnectionState.validate_progress
-    FtConnectionState.validate_progress = False
+    original = MemberTable.validate_progress
+    MemberTable.validate_progress = False
     try:
         yield
     finally:
-        FtConnectionState.validate_progress = original
+        MemberTable.validate_progress = original
 
 
 @contextmanager
@@ -923,7 +923,7 @@ def _mutate_excision():
     degradation = FtPort._degradation_check
     lie_evidence = FtPort._note_lie_evidence
     FtPort._degradation_check = lambda self, now, quiet: None
-    FtPort._note_lie_evidence = lambda self, state, suspect=None: None
+    FtPort._note_lie_evidence = lambda self, suspect: None
     try:
         yield
     finally:

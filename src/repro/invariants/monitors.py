@@ -295,16 +295,10 @@ class ProgressTruthfulnessMonitor(_Monitor):
         state: "FtConnectionState",
         seq_next: int,
         ack: int,
-        claimant=None,
+        claimant,
     ) -> None:
         conn = state.conn
-        if claimant is None:
-            # Chain semantics: the report can only come from the one
-            # successor.  Multi-member backends pass the actual sender
-            # so a fast member's claim is never booked against the
-            # straggler currently named in ``successor_ip``.
-            claimant = state.successor_ip
-        if conn.irs is None or claimant is None or ack == 0:
+        if conn.irs is None or ack == 0:
             return  # ack=0 is the no-claim sentinel of ack-less segments
         claimed = seq_diff(ack, seq_add(conn.irs, 1))
         key = (_client_key(state), str(claimant))
@@ -357,7 +351,8 @@ class OutputLivenessMonitor(_Monitor):
             if state.conn.state == TcpState.CLOSED or not state.blocked_on_successor():
                 self._stalled.pop(key, None)
                 continue
-            marks = (state.successor_sent_upto, state.successor_deposited_upto)
+            members = state.members
+            marks = (members.sent, members.deposited)
             entry = self._stalled.setdefault(key, [now, False, marks])
             if entry[2] != marks:
                 entry[0], entry[2] = now, marks
@@ -365,13 +360,13 @@ class OutputLivenessMonitor(_Monitor):
             stalled_for = now - entry[0]
             if entry[1] or stalled_for <= self.bound:
                 continue
-            if state.successor_ip is None or state.successor_silence() > self.alive_quiet:
+            if members.straggler is None or state.successor_silence() > self.alive_quiet:
                 continue  # successor not demonstrably alive
             entry[1] = True
             self.report(
                 f"{port.host_server.name} output blocked {stalled_for:.3f}s "
                 f"(bound {self.bound:.3f}s) on live successor "
-                f"{state.successor_ip}",
+                f"{members.straggler}",
                 _client_key(state),
             )
 
@@ -451,16 +446,15 @@ class InvariantSet:
         self.progress_truthfulness.on_deposit(state, start, data)
 
     def on_successor_report(
-        self, state: "FtConnectionState", seq_next: int, ack: int, claimant=None
+        self, state: "FtConnectionState", seq_next: int, ack: int, claimant
     ) -> None:
         """Raw flow-control fields from the acknowledgement channel —
         converted to stream offsets here, independently of the ft-TCP
         bookkeeping the gates read.  Fired for *accepted* reports only
         (the ft-TCP layer drops checksum/epoch/plausibility rejects
         before they reach any gate — or this hook).  ``claimant`` is
-        the reporting replica when the backend tracks several per
-        connection; ``None`` means chain semantics (the single
-        successor named in the state)."""
+        the reporting replica, so a fast member's claim is never booked
+        against whichever member currently limits the gate."""
         self.stats["successor_reports"] += 1
         conn = state.conn
         if conn.irs is None:

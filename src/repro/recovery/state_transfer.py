@@ -52,18 +52,7 @@ def snapshot_connections(
             or state.catchup_log.truncated
         ):
             continue
-        snaps.append(
-            ConnSnapshot(
-                client_ip=conn.remote_ip,
-                client_port=conn.remote_port,
-                iss=conn.iss,
-                irs=conn.irs,
-                input=state.catchup_log.contents(),
-                input_start=0,
-                client_acked=conn.snd_una,
-                peer_window=conn.peer_window,
-            )
-        )
+        snaps.append(state.snapshot(0, state.catchup_log.contents()))
         keys.add(key)
     return snaps, keys
 

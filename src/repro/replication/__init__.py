@@ -11,9 +11,12 @@ from .base import (
 from .broadcast import BroadcastStrategy
 from .chain import ChainStrategy
 from .checkpoint import CheckpointStrategy
+from .members import MemberTable, MemberView
 
 __all__ = [
     "STRATEGIES",
+    "MemberTable",
+    "MemberView",
     "ReplicationStrategy",
     "ChainStrategy",
     "BroadcastStrategy",

@@ -15,29 +15,16 @@ machinery; the strategy decides
 
 * what a backup's filtered output turns into
   (:meth:`filter_backup_output`),
-* how progress reports from other replicas are folded into the
-  per-connection watermarks (:meth:`on_report`),
-* which replica a quiet acknowledgement channel incriminates
-  (:meth:`quiet_successor`),
+* which replicas a new connection is gated on
+  (:meth:`gating_targets`),
 * how membership changes re-gate existing connections
-  (:meth:`on_chain_update` / :meth:`splice_gate` /
-  :meth:`on_enter_primary`).
+  (:meth:`on_chain_update` / :meth:`on_enter_primary`).
 
-Every strategy maintains ``state.successor_sent_upto`` /
-``state.successor_deposited_upto`` as the *effective* gating
-watermarks and ``state.successor_ip`` / ``state.last_successor_msg``
-as the replica those watermarks are currently limited by.  That
-contract is what lets the suspicion machinery (quiet checks, graceful
-degradation, the OutputLiveness monitor) work unchanged across
-backends — for a multi-member backend the effective watermark is the
-member-wise minimum and the named replica is the straggler.
-
-The gates themselves are not computed on demand: whenever a strategy
-changes ``state.gated`` or an effective watermark it calls
-``state.push_gates()``, which writes the TCB's output-commit point
-(``send_buffer.commit``) and deposit ceiling (``reassembler.ceiling``).
-Every TCP emitter reads through the commit point, so none can run past
-it.
+What the gates read is not the strategy's: every backend keeps one
+:class:`~repro.replication.members.MemberTable` per connection
+(``state.members``), which applies reports, answers the quiet check,
+splices joiners in and pushes the gates.  Backends differ in data
+(``single_successor``) and in when backups report.
 
 The redirector lays replicas out per strategy: ``layout = "linear"``
 is the paper's chain (each replica reports to its predecessor),
@@ -49,7 +36,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
-    from repro.core.ack_channel import AckChannelMessage
     from repro.core.ft_tcp import FtConnectionState, FtPort
     from repro.hydranet.mgmt import ChainUpdate
     from repro.netsim.addressing import IPAddress
@@ -68,6 +54,11 @@ class ReplicationStrategy:
     #: Whether the backend itself reads connections' catch-up logs, so
     #: its ports retain the client stream with no recovery manager.
     reads_catchup_log = False
+    #: How a connection's member table admits members
+    #: (:mod:`repro.replication.members`): ``True`` — the chain's one
+    #: successor, whoever reports; ``False`` — the star's
+    #: :meth:`gating_targets`, with the promotion fence.
+    single_successor = True
 
     def __init__(self, port: "FtPort"):
         self.port = port
@@ -81,12 +72,7 @@ class ReplicationStrategy:
     def on_shutdown(self) -> None:
         """Called when the owning port fail-stops."""
 
-    def connection_state(self, state: "FtConnectionState"):
-        """Per-connection strategy-private state (stored as
-        ``state.repl``); ``None`` when the backend needs none."""
-        return None
-
-    # -- replica output / progress reports ---------------------------------
+    # -- replica output ------------------------------------------------------
 
     def filter_backup_output(
         self, state: "FtConnectionState", segment: "TCPSegment"
@@ -96,48 +82,27 @@ class ReplicationStrategy:
         progress information the backend propagates leaves here."""
         raise NotImplementedError
 
-    def on_report(
-        self,
-        state: "FtConnectionState",
-        message: "AckChannelMessage",
-        sender: "IPAddress",
-    ) -> None:
-        """Fold a progress report from ``sender`` into the effective
-        watermarks of ``state`` (and push the gates)."""
-        raise NotImplementedError
-
-    def suppress_primary_output(
-        self, state: "FtConnectionState", segment: "TCPSegment"
-    ) -> bool:
-        """Return True to hold back a *primary's* client-visible
-        segment.  The chain never needs this (a promoted replica's TCP
-        state was gated on its successor all along); star backends use
-        it as a promotion fence — an ungated ex-backup's acknowledgement
-        state may lead the member claims, and externalizing it would let
-        the client discard bytes a member still lacks."""
-        return False
-
-    # -- suspicion ---------------------------------------------------------
-
-    def quiet_successor(self) -> Optional["IPAddress"]:
-        """The replica (if any) that has gone quiet on the
-        acknowledgement channel while connections are gated on it."""
-        return None
-
     # -- membership --------------------------------------------------------
 
+    def gating_targets(self) -> tuple["IPAddress", ...]:
+        """The replicas a connection accepted while gated starts out
+        waiting on.  The chain knows its successor only once it
+        reports, so: none."""
+        return ()
+
     def on_chain_update(
-        self,
-        update: "ChainUpdate",
-        had_successor: bool,
-        old_predecessor: Optional["IPAddress"],
+        self, update: "ChainUpdate", old_predecessor: Optional["IPAddress"]
     ) -> None:
         """Membership changed (the port already adopted the common
-        fields: predecessor, has_successor, epoch bookkeeping)."""
-
-    def splice_gate(self, state: "FtConnectionState", joiner_ip: "IPAddress") -> None:
-        """A live joiner now holds state for ``state``'s connection:
-        start gating it on the joiner (and push the gates)."""
+        fields: predecessor, has_successor, epoch bookkeeping).  With
+        no successor left, every connection runs ungated — a connection
+        is only ever gated while its port has a successor, so this
+        changes nothing for one already ungated."""
+        port = self.port
+        if not port.has_successor:
+            for state in port.states.values():
+                state.gated = False
+                state.push_gates()
 
     def on_enter_primary(self) -> None:
         """This replica just entered primary mode for a new epoch."""

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.hydranet.mgmt import ConnSnapshot, StateSnapshot
 from repro.netsim.simulator import Timer
 from repro.tcp.tcb import TcpState
 
@@ -110,30 +109,10 @@ class CheckpointStrategy(BroadcastStrategy):
             log = state.catchup_log
             if log.truncated or conn.irs is None:
                 continue
-            for ip, view in state.repl.views.items():
+            for ip, view in state.members.views.items():
                 if log.size - view.deposited <= self.repair_threshold:
                     continue
-                start = view.deposited
-                data = log.slice(start, port.catchup_chunk_size)
-                snap = ConnSnapshot(
-                    client_ip=conn.remote_ip,
-                    client_port=conn.remote_port,
-                    iss=conn.iss,
-                    irs=conn.irs,
-                    input=data,
-                    input_start=start,
-                    client_acked=conn.snd_una,
-                    peer_window=conn.peer_window,
-                )
-                port.daemon.send_snapshot(
-                    StateSnapshot(
-                        service_ip=port.service_ip,
-                        port=port.port,
-                        donor_ip=port.host_server.ip,
-                        conns=(snap,),
-                        delta=True,
-                    ),
-                    ip,
-                )
+                data = log.slice(view.deposited, port.catchup_chunk_size)
+                port._send_delta(state.snapshot(view.deposited, data), ip)
                 self.repair_chunks_sent += 1
                 port.catchup_bytes_sent += len(data)

@@ -76,8 +76,8 @@ def test_gates_open_monotonically(testbed):
     conn.on_established = lambda: conn.send(b"g" * 5000)
     testbed.run_for(2.0)
     state = list(testbed.primary_handle.ft_port.states.values())[0]
-    sent_before = state.successor_sent_upto
-    deposited_before = state.successor_deposited_upto
+    sent_before = state.members.sent
+    deposited_before = state.members.deposited
     assert sent_before > 0
     # Replay an old (stale) message: gates must not regress.
     stale = AckChannelMessage(
@@ -89,8 +89,8 @@ def test_gates_open_monotonically(testbed):
         ack=state.conn.irs + 1,
     )
     state.apply(stale, testbed.servers[1].ip)
-    assert state.successor_sent_upto == sent_before
-    assert state.successor_deposited_upto == deposited_before
+    assert state.members.sent == sent_before
+    assert state.members.deposited == deposited_before
 
 
 def test_backup_reports_flow_info_for_pure_acks(testbed):
@@ -135,7 +135,7 @@ def test_corrupt_messages_dropped_before_dispatch(testbed):
     testbed.run_for(2.0)
     endpoint = testbed.nodes[0].ack_endpoint
     state = list(testbed.primary_handle.ft_port.states.values())[0]
-    sent_before = state.successor_sent_upto
+    sent_before = state.members.sent
     good = AckChannelMessage(
         service_ip=IPAddress(SERVICE_IP),
         service_port=SERVICE_PORT,
@@ -148,7 +148,7 @@ def test_corrupt_messages_dropped_before_dispatch(testbed):
     assert not corrupt.checksum_valid()
     endpoint._dispatch(corrupt, testbed.servers[1].ip)
     assert endpoint.messages_corrupt_dropped == 1
-    assert state.successor_sent_upto == sent_before
+    assert state.members.sent == sent_before
 
 
 def test_stale_epoch_reports_dropped(testbed):
@@ -196,7 +196,7 @@ def test_implausible_progress_claim_rejected(testbed):
     testbed.run_for(2.0)
     port = testbed.primary_handle.ft_port
     state = list(port.states.values())[0]
-    deposited_before = state.successor_deposited_upto
+    deposited_before = state.members.deposited
     lie = AckChannelMessage(
         service_ip=IPAddress(SERVICE_IP),
         service_port=SERVICE_PORT,
@@ -208,7 +208,7 @@ def test_implausible_progress_claim_rejected(testbed):
     assert lie.checksum_valid()
     state.apply(lie, testbed.servers[1].ip)
     assert port.implausible_reports == 1
-    assert state.successor_deposited_upto == deposited_before
+    assert state.members.deposited == deposited_before
 
 
 def test_congestion_shutdown_of_responsive_replica():

@@ -157,7 +157,7 @@ def test_manager_attached_late_transfers_only_later_connections():
     assert list(entry_for(system).replicas) == [system.nodes[0].ip, spare.ip]
     states = {key[1]: state for key, state in primary.states.items()}
     state_a, state_b = states[conn_a.local_port], states[conn_b.local_port]
-    assert state_b.gated and state_b.successor_ip == spare.ip
+    assert state_b.gated and state_b.members.straggler == spare.ip
     assert not state_a.gated and state_a.catchup_log.truncated
     joiner = system.service.replicas[-1].ft_port
     assert [key[1] for key in joiner.states] == [conn_b.local_port]

@@ -126,10 +126,9 @@ class TestProgressTruthfulnessUnit:
     """DESIGN.md §14: claims are cross-checked against the claiming
     replica's *actual* deposits, independent of the ft-TCP gates."""
 
-    def _state(self, name="hs_0", successor="10.0.0.3", irs=0):
+    def _state(self, name="hs_0", irs=0):
         state = _fake_state(name)
         state.conn.irs = irs
-        state.successor_ip = successor
         return state
 
     def test_truthful_claim_is_clean(self, invset):
@@ -138,7 +137,9 @@ class TestProgressTruthfulnessUnit:
         backup.port.host_server.ip = "10.0.0.3"
         invset.progress_truthfulness.on_deposit(backup, 0, b"x" * 4096)
         # irs=0: ack = 1 + deposited bytes claimed.
-        invset.progress_truthfulness.on_claim(primary, seq_next=1, ack=1 + 4096)
+        invset.progress_truthfulness.on_claim(
+            primary, seq_next=1, ack=1 + 4096, claimant="10.0.0.3"
+        )
         assert invset.violations == []
 
     def test_inflated_claim_violates(self, invset):
@@ -148,7 +149,7 @@ class TestProgressTruthfulnessUnit:
         invset.progress_truthfulness.on_deposit(backup, 0, b"x" * 4096)
         slack = invset.progress_truthfulness.SLACK
         invset.progress_truthfulness.on_claim(
-            primary, seq_next=1, ack=1 + 4096 + slack + 1
+            primary, seq_next=1, ack=1 + 4096 + slack + 1, claimant="10.0.0.3"
         )
         assert invset.violated_monitors() == ["progress-truthfulness"]
 
@@ -158,12 +159,16 @@ class TestProgressTruthfulnessUnit:
         backup.port.host_server.ip = "10.0.0.3"
         invset.progress_truthfulness.on_deposit(backup, 0, b"x" * 100)
         slack = invset.progress_truthfulness.SLACK
-        invset.progress_truthfulness.on_claim(primary, seq_next=1, ack=1 + 100 + slack)
+        invset.progress_truthfulness.on_claim(
+            primary, seq_next=1, ack=1 + 100 + slack, claimant="10.0.0.3"
+        )
         assert invset.violations == []
 
     def test_no_claim_sentinel_ignored(self, invset):
         primary = self._state()
-        invset.progress_truthfulness.on_claim(primary, seq_next=1, ack=0)
+        invset.progress_truthfulness.on_claim(
+            primary, seq_next=1, ack=0, claimant="10.0.0.3"
+        )
         assert invset.violations == []
 
 
@@ -175,8 +180,9 @@ def _liveness_port(blocked=True, silence=0.1, marks=(10, 10)):
     state.conn.state = TcpState.ESTABLISHED
     state.blocked_on_successor = lambda: blocked
     state.successor_silence = lambda: silence
-    state.successor_ip = "10.0.0.3"
-    state.successor_sent_upto, state.successor_deposited_upto = marks
+    state.members = SimpleNamespace(
+        sent=marks[0], deposited=marks[1], straggler="10.0.0.3"
+    )
     port = SimpleNamespace(
         states={("10.0.0.9", 40000): state},
         host_server=SimpleNamespace(name="hs_0"),
@@ -217,7 +223,7 @@ class TestOutputLivenessUnit:
         port, state = _liveness_port()
         invset.output_liveness.on_liveness_tick(port)
         invset.sim.now += 1.5
-        state.successor_deposited_upto += 1  # progress!
+        state.members.deposited += 1  # progress!
         invset.output_liveness.on_liveness_tick(port)
         invset.sim.now += 1.5
         invset.output_liveness.on_liveness_tick(port)  # 1.5s since reset
