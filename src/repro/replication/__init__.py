@@ -11,12 +11,11 @@ from .base import (
 from .broadcast import BroadcastStrategy
 from .chain import ChainStrategy
 from .checkpoint import CheckpointStrategy
-from .members import MemberTable, MemberView
+from .members import MemberTable
 
 __all__ = [
     "STRATEGIES",
     "MemberTable",
-    "MemberView",
     "ReplicationStrategy",
     "ChainStrategy",
     "BroadcastStrategy",

@@ -24,7 +24,7 @@ What the gates read is not the strategy's: every backend keeps one
 :class:`~repro.replication.members.MemberTable` per connection
 (``state.members``), which applies reports, answers the quiet check,
 splices joiners in and pushes the gates.  Backends differ in data
-(``single_successor``) and in when backups report.
+(``layout``) and in when backups report.
 
 The redirector lays replicas out per strategy: ``layout = "linear"``
 is the paper's chain (each replica reports to its predecessor),
@@ -49,16 +49,14 @@ class ReplicationStrategy:
     #: redirector knows which layout to push.
     name = "abstract"
     #: ``"linear"`` — the paper's daisy chain; ``"star"`` — all backups
-    #: hang directly off the primary.
+    #: hang directly off the primary.  Also how a connection's member
+    #: table admits members (:mod:`repro.replication.members`): linear —
+    #: the one successor, whoever reports; star — the
+    #: :meth:`gating_targets`, with the promotion fence.
     layout = "linear"
     #: Whether the backend itself reads connections' catch-up logs, so
     #: its ports retain the client stream with no recovery manager.
     reads_catchup_log = False
-    #: How a connection's member table admits members
-    #: (:mod:`repro.replication.members`): ``True`` — the chain's one
-    #: successor, whoever reports; ``False`` — the star's
-    #: :meth:`gating_targets`, with the promotion fence.
-    single_successor = True
 
     def __init__(self, port: "FtPort"):
         self.port = port

@@ -11,8 +11,8 @@ externalizes only once every backup has reported sequence ≥ ``k``),
 which collapses the chain's N serial report hops into one parallel
 hop.
 
-Each connection's member table holds one view per backup
-(``single_successor = False``); this class keeps those views in step
+Each connection's member table holds one view per backup (the star
+layout); this class keeps those views in step
 with the redirector's replica list and arms the promotion fence at
 promotion (DESIGN.md §15.3).
 """
@@ -36,7 +36,6 @@ class BroadcastStrategy(ReplicationStrategy):
 
     name = "broadcast"
     layout = "star"
-    single_successor = False
 
     def __init__(self, port):
         super().__init__(port)

@@ -7,7 +7,7 @@ progress report on the acknowledgement channel toward the
 
 What a connection waits on is its
 :class:`~repro.replication.members.MemberTable` with at most one view:
-``single_successor`` makes it follow whichever replica reports, so this
+the linear layout makes it follow whichever replica reports, so this
 class holds only the report cadence: one report per filtered segment.
 """
 
@@ -31,7 +31,6 @@ class ChainStrategy(ReplicationStrategy):
 
     name = "chain"
     layout = "linear"
-    single_successor = True
 
     # -- replica output ------------------------------------------------------
 

@@ -14,13 +14,13 @@ module is that bookkeeping, once, for every backend:
 * a star table holds one view per gating target.  It admits nobody
   else, and a table emptied by membership ungates the connection.
 
-The backend says which through ``ReplicationStrategy.single_successor``.
+The backend's ``ReplicationStrategy.layout`` says which: ``"linear"``
+is the chain, ``"star"`` the star.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Container, Mapping, Optional
+from typing import TYPE_CHECKING, Container, Optional
 
 from repro.tcp.seqnum import seq_add, seq_diff
 
@@ -37,11 +37,6 @@ if TYPE_CHECKING:
 #: it, small enough that a meaningful lie (such as a 1 MB inflation)
 #: cannot hide inside it.
 PROGRESS_SLACK = 256 * 1024
-
-#: The views of a table nobody was admitted to yet — every ungated
-#: connection's: shared and read-only, replaced by a dict at the first
-#: ``admit`` (DESIGN.md §18).
-_NO_VIEWS: Mapping = MappingProxyType({})
 
 
 class MemberView:
@@ -72,7 +67,7 @@ class MemberTable:
     __slots__ = ("views", "sent", "deposited", "straggler", "last_heard", "fence")
 
     def __init__(self):
-        self.views: Mapping["IPAddress", MemberView] = _NO_VIEWS
+        self.views: dict["IPAddress", MemberView] = {}
         #: Effective watermarks: the member-wise minimum while gated.
         self.sent = 0
         self.deposited = 0
@@ -97,12 +92,10 @@ class MemberTable:
         views = self.views
         view = views.get(ip)
         if view is None:
-            if views and port.strategy.single_successor:
+            if views and port.strategy.layout == "linear":
                 view = views.popitem()[1]
             else:
                 view = MemberView()
-            if views is _NO_VIEWS:
-                views = self.views = {}
             views[ip] = view
         view.last_msg = port.sim.now
         return view
@@ -119,7 +112,7 @@ class MemberTable:
         state.gated = True
         self.admit(state, joiner_ip)
         port = state.port
-        if not (was_gated or port.strategy.single_successor) and port.is_primary:
+        if not was_gated and port.strategy.layout == "star" and port.is_primary:
             # In the star layout the spliced port is the (client-
             # visible) primary.  If it ran ungated until now, its
             # acknowledgements lead the joiner's catch-up cut by
@@ -141,7 +134,7 @@ class MemberTable:
         port = state.port
         view = self.views.get(sender)
         if view is None:
-            if not port.strategy.single_successor:
+            if port.strategy.layout == "star":
                 # Not a replica this connection is gated on (a fenced
                 # stale member, or a joiner that never held state for
                 # this connection): its claims must not widen nor
@@ -206,7 +199,7 @@ class MemberTable:
             if straggler is not None:
                 self.sent, self.deposited = sent, deposited
                 self.straggler, self.last_heard = straggler, heard
-            elif not state.port.strategy.single_successor:
+            elif state.port.strategy.layout == "star":
                 # Every gating member left the set: the gate would never
                 # open again, so this connection runs ungated.
                 state.gated = False

@@ -32,7 +32,7 @@ class FakeState:
             send_buffer=SimpleNamespace(end=10_000),
         )
         self.port = SimpleNamespace(
-            strategy=SimpleNamespace(single_successor=not star),
+            strategy=SimpleNamespace(layout="star" if star else "linear"),
             sim=SimpleNamespace(now=1.0, invariants=None),
             stale_epoch_dropped=0,
             is_primary=True,
