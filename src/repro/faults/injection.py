@@ -26,25 +26,22 @@ class FaultEvent:
 class FaultPlan:
     """A declarative schedule of faults; keeps a log of what fired.
 
-    Schedules are validated at declaration time: negative times are
-    rejected, and overlapping crash windows on the same host (which
-    would silently double-crash it and un-crash it at the *first*
-    recovery) raise ``ValueError`` instead of producing a plan that
-    does not mean what it says.
+    Schedules are validated at declaration time: bad arguments, negative
+    times, empty windows and overlapping windows of one kind on one
+    target raise ``ValueError`` and reserve nothing, instead of
+    producing a plan that does not mean what it says (two overlapping
+    crash windows would un-crash the host at the *first* recovery; two
+    overlapping save-and-restore windows would restore the *faulted*
+    value captured by the later one, leaving the fault in place).
     """
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         self.log: list[FaultEvent] = []
-        #: host name -> [(crash time, recovery time)]; an open-ended
-        #: ``crash_at`` holds ``inf`` until a ``recover_at`` trims it.
-        self._crash_windows: dict[str, list[list[float]]] = {}
-        #: (fault kind, target name) -> [(start, end)] for windowed
-        #: link/host faults that save-and-restore an attribute: two
-        #: overlapping windows of the same kind would restore the
-        #: *faulted* value captured by the later window, silently
-        #: leaving the fault in place forever.
-        self._attr_windows: dict[tuple[str, str], list[list[float]]] = {}
+        #: (fault kind, target name) -> [[start, end]]; an open-ended
+        #: window (``crash_at``, a partition without duration) ends at
+        #: ``inf`` — for crashes until a ``recover_at`` trims it.
+        self._windows: dict[tuple[str, str], list[list[float]]] = {}
 
     def _record(self, kind: str, target: str) -> None:
         self.log.append(FaultEvent(self.sim.now, kind, target))
@@ -54,55 +51,57 @@ class FaultPlan:
         if at < 0:
             raise ValueError(f"{what} must be >= 0, got {at}")
 
-    def _reserve_crash_window(self, host: Host, start: float, end: float) -> None:
-        windows = self._crash_windows.setdefault(host.name, [])
-        for s, e in windows:
-            if start < e and s < end:
-                raise ValueError(
-                    f"crash window [{start}, {end}) for {host.name} overlaps "
-                    f"an existing window [{s}, {e})"
-                )
-        windows.append([start, end])
-
-    def _reserve_attr_window(
-        self, kind: str, target: str, start: float, end: float
-    ) -> None:
+    def _reserve(self, keys: list, start: float, end: float) -> None:
+        """Reserve ``[start, end)`` under every ``(kind, target)`` key,
+        all or nothing: the one window check of every fault."""
+        kind, target = keys[0]
         self._check_time(start, f"{kind} start time")
         if end <= start:
-            raise ValueError(
-                f"{kind} window [{start}, {end}) for {target} is empty"
-            )
-        windows = self._attr_windows.setdefault((kind, target), [])
-        for s, e in windows:
-            if start < e and s < end:
-                raise ValueError(
-                    f"{kind} window [{start}, {end}) for {target} overlaps "
-                    f"an existing window [{s}, {e})"
-                )
-        windows.append([start, end])
+            raise ValueError(f"{kind} window [{start}, {end}) for {target} is empty")
+        for key in keys:
+            for s, e in self._windows.get(key, ()):
+                if start < e and s < end:
+                    raise ValueError(
+                        f"{key[0]} window [{start}, {end}) for {key[1]} overlaps "
+                        f"an existing window [{s}, {e})"
+                    )
+        for key in keys:
+            self._windows.setdefault(key, []).append([start, end])
+
+    def _window(self, kinds, target, at, duration, apply, restore, keys=None) -> None:
+        """The one path of every windowed fault: reserve ``[at, at +
+        duration)`` under ``keys`` (default ``(kinds[0], target)``),
+        then run ``apply`` at ``at`` and ``restore`` at the end, logging
+        the start and heal kinds of ``kinds`` against ``target``.
+        ``duration=None`` is open-ended: nothing heals."""
+        end = float("inf") if duration is None else at + duration
+        self._reserve(keys or [(kinds[0], target)], at, end)
+        started, healed = kinds
+
+        def start() -> None:
+            apply()
+            self._record(started, target)
+
+        def heal() -> None:
+            restore()
+            self._record(healed, target)
+
+        self.sim.schedule_at(at, start)
+        if duration is not None:
+            self.sim.schedule_at(end, heal)
 
     # -- host faults ------------------------------------------------------
 
     def crash_at(self, host: Host, at: float) -> None:
         """Fail-stop crash at absolute time ``at``."""
-        self._check_time(at, "crash time")
-        self._reserve_crash_window(host, at, float("inf"))
-
-        def fire() -> None:
-            host.crash()
-            self._record("crash", host.name)
-
-        self.sim.schedule_at(at, fire)
+        self._window(("crash", None), host.name, at, None, host.crash, None)
 
     def recover_at(self, host: Host, at: float) -> None:
         self._check_time(at, "recovery time")
         # Close the newest open-ended window this recovery ends, so a
         # later crash of the same host doesn't falsely overlap it.
-        candidates = [
-            w
-            for w in self._crash_windows.get(host.name, [])
-            if w[1] == float("inf") and w[0] <= at
-        ]
+        windows = self._windows.get(("crash", host.name), [])
+        candidates = [w for w in windows if w[1] == float("inf") and w[0] <= at]
         if candidates:
             max(candidates, key=lambda w: w[0])[1] = at
 
@@ -135,58 +134,25 @@ class FaultPlan:
 
     # -- link faults --------------------------------------------------------
 
-    def _reserve_partition(
-        self, link: Link, directions: tuple[str, ...], start: float, end: float
-    ) -> None:
-        """Reserve per-direction partition windows, atomically: either
-        every direction's window is valid and recorded, or nothing is.
-        Overlapping partitions on the same direction would compose
-        silently — the earlier window's heal re-raises the channel in
-        the middle of the later window — exactly the save-and-restore
-        hazard ``_reserve_attr_window`` exists for."""
-        self._check_time(start, "partition start time")
-        if end <= start:
-            raise ValueError(
-                f"partition window [{start}, {end}) for {link.name} is empty"
-            )
-        keys = [("partition", f"{link.name}:{d}") for d in directions]
-        for key in keys:
-            for s, e in self._attr_windows.get(key, []):
-                if start < e and s < end:
-                    raise ValueError(
-                        f"partition window [{start}, {end}) for {key[1]} "
-                        f"overlaps an existing window [{s}, {e})"
-                    )
-        for key in keys:
-            self._attr_windows.setdefault(key, []).append([start, end])
-
     def partition_at(self, link: Link, at: float, duration: Optional[float] = None) -> None:
         """Take a link down at ``at``; heal after ``duration`` if given.
 
-        Overlapping partition windows on the same link (either flavour,
-        full or one-way, sharing a direction) raise ``ValueError``."""
-        end = float("inf") if duration is None else at + duration
-        self._reserve_partition(link, ("a_to_b", "b_to_a"), at, end)
-
-        def down() -> None:
-            link.set_up(False)
-            self._record("partition", link.name)
-
-        self.sim.schedule_at(at, down)
-        if duration is not None:
-
-            def up() -> None:
-                link.set_up(True)
-                self._record("heal", link.name)
-
-            self.sim.schedule_at(at + duration, up)
+        A partition holds both directions of the link, so overlapping
+        partition windows (either flavour, full or one-way, sharing a
+        direction) raise ``ValueError``: the earlier heal would re-raise
+        the channel in the middle of the later window."""
+        self._window(
+            ("partition", "heal"),
+            link.name,
+            at,
+            duration,
+            lambda: link.set_up(False),
+            lambda: link.set_up(True),
+            keys=[("partition", f"{link.name}:{d}") for d in ("a_to_b", "b_to_a")],
+        )
 
     def partition_oneway_at(
-        self,
-        link: Link,
-        direction: str,
-        at: float,
-        duration: Optional[float] = None,
+        self, link: Link, direction: str, at: float, duration: Optional[float] = None
     ) -> None:
         """Take ONE direction of a link down at ``at`` (heal after
         ``duration`` if given), leaving the other direction up.
@@ -196,70 +162,52 @@ class FaultPlan:
         that can still *transmit* towards clients while being deaf to
         the management plane keeps acting on its stale view — the case
         the redirector's epoch fence exists for (DESIGN.md §9)."""
-        channels = {"a_to_b": link.a_to_b, "b_to_a": link.b_to_a}
-        channel = channels.get(direction)
-        if channel is None:
-            raise ValueError(
-                f"direction must be 'a_to_b' or 'b_to_a', got {direction!r}"
-            )
-        end = float("inf") if duration is None else at + duration
-        self._reserve_partition(link, (direction,), at, end)
-
-        def down() -> None:
-            channel.up = False
-            self._record("partition-oneway", f"{link.name}:{direction}")
-
-        self.sim.schedule_at(at, down)
-        if duration is not None:
-
-            def up() -> None:
-                channel.up = True
-                self._record("heal-oneway", f"{link.name}:{direction}")
-
-            self.sim.schedule_at(at + duration, up)
+        channel = _channel_of(link, direction)
+        where = f"{link.name}:{direction}"
+        self._window(
+            ("partition-oneway", "heal-oneway"),
+            where,
+            at,
+            duration,
+            lambda: setattr(channel, "up", False),
+            lambda: setattr(channel, "up", True),
+            keys=[("partition", where)],
+        )
 
     def loss_burst(self, link: Link, at: float, duration: float, loss_rate: float) -> None:
-        """Temporarily raise the link's loss rate (both directions).
-
-        Overlapping bursts on the same link would restore the *bursty*
-        rate captured by the later window, so they raise ``ValueError``
-        just like overlapping crash windows."""
-        self._reserve_attr_window("loss-burst", link.name, at, at + duration)
+        """Temporarily raise the link's loss rate (both directions)."""
+        if not 0.0 <= loss_rate <= 1.0:
+            raise ValueError(f"loss_rate must be in [0, 1], got {loss_rate}")
         original = (link.a_to_b.loss_rate, link.b_to_a.loss_rate)
-
-        def start() -> None:
-            link.set_loss_rate(loss_rate)
-            self._record("loss-burst", link.name)
-
-        def stop() -> None:
-            link.a_to_b.loss_rate, link.b_to_a.loss_rate = original
-            self._record("loss-heal", link.name)
-
-        self.sim.schedule_at(at, start)
-        self.sim.schedule_at(at + duration, stop)
+        self._window(
+            ("loss-burst", "loss-heal"),
+            link.name,
+            at,
+            duration,
+            lambda: link.set_loss_rate(loss_rate),
+            lambda: _set_both(link, "loss_rate", original),
+        )
 
     def congest(
         self, link: Link, at: float, duration: float, bandwidth_factor: float = 0.1
     ) -> None:
         """Model congestion as a temporary bandwidth collapse — the
-        "spurious unavailability" the paper wants to fail-stop.
-
-        Overlapping congestion windows on the same link raise
-        ``ValueError`` (same rationale as ``loss_burst``)."""
-        self._reserve_attr_window("congest", link.name, at, at + duration)
+        "spurious unavailability" the paper wants to fail-stop."""
+        if not 0.0 < bandwidth_factor <= 1.0:
+            raise ValueError(
+                f"bandwidth_factor must be in (0, 1], got {bandwidth_factor}"
+            )
         original = (link.a_to_b.bandwidth_bps, link.b_to_a.bandwidth_bps)
-
-        def start() -> None:
-            link.a_to_b.bandwidth_bps = original[0] * bandwidth_factor
-            link.b_to_a.bandwidth_bps = original[1] * bandwidth_factor
-            self._record("congest", link.name)
-
-        def stop() -> None:
-            link.a_to_b.bandwidth_bps, link.b_to_a.bandwidth_bps = original
-            self._record("decongest", link.name)
-
-        self.sim.schedule_at(at, start)
-        self.sim.schedule_at(at + duration, stop)
+        self._window(
+            ("congest", "decongest"),
+            link.name,
+            at,
+            duration,
+            lambda: _set_both(
+                link, "bandwidth_bps", [bw * bandwidth_factor for bw in original]
+            ),
+            lambda: _set_both(link, "bandwidth_bps", original),
+        )
 
     def flap(
         self,
@@ -272,8 +220,7 @@ class FaultPlan:
         """A flapping link: down for ``duty_down`` then up for the rest
         of each ``period``, repeated ``cycles`` times."""
         for i in range(cycles):
-            at = start + i * period
-            self.partition_at(link, at, duration=duty_down)
+            self.partition_at(link, start + i * period, duration=duty_down)
 
     def events_of(self, kind: str) -> list[FaultEvent]:
         return [e for e in self.log if e.kind == kind]
@@ -285,6 +232,12 @@ def _channel_of(link: Link, direction: str):
     if channel is None:
         raise ValueError(f"direction must be 'a_to_b' or 'b_to_a', got {direction!r}")
     return channel
+
+
+def _set_both(link: Link, attr: str, values) -> None:
+    """Set ``attr`` of ``link``'s two channels (a_to_b, b_to_a)."""
+    setattr(link.a_to_b, attr, values[0])
+    setattr(link.b_to_a, attr, values[1])
 
 
 def _ack_payload(packet):
@@ -303,10 +256,7 @@ def _ack_payload(packet):
     if not isinstance(dgram, UDPDatagram) or dgram.dst_port != ACK_CHANNEL_PORT:
         return None
     data = dgram.data
-    if isinstance(data, SequencedAckMessage):
-        inner = data.inner
-    else:
-        inner = data
+    inner = data.inner if isinstance(data, SequencedAckMessage) else data
     if not isinstance(inner, AckChannelMessage):
         return None
     return dgram, inner
@@ -341,28 +291,19 @@ class GrayFaultPlan(FaultPlan):
         still acks, just *late*."""
         if factor < 1.0:
             raise ValueError(f"slowdown factor must be >= 1, got {factor}")
-        self._reserve_attr_window("slow-host", host.name, at, at + duration)
-
-        def start() -> None:
-            host.cpu_multiplier = factor
-            self._record("slow-host", host.name)
-
-        def stop() -> None:
-            host.cpu_multiplier = 1.0
-            self._record("slow-heal", host.name)
-
-        self.sim.schedule_at(at, start)
-        self.sim.schedule_at(at + duration, stop)
+        self._window(
+            ("slow-host", "slow-heal"),
+            host.name,
+            at,
+            duration,
+            lambda: setattr(host, "cpu_multiplier", factor),
+            lambda: setattr(host, "cpu_multiplier", 1.0),
+        )
 
     # -- asymmetric loss --------------------------------------------------
 
     def asymmetric_loss_at(
-        self,
-        link: Link,
-        direction: str,
-        at: float,
-        duration: float,
-        loss_rate: float,
+        self, link: Link, direction: str, at: float, duration: float, loss_rate: float
     ) -> None:
         """Raise the loss rate of ONE direction of ``link`` — the other
         direction stays clean, so naive liveness checks that only watch
@@ -370,21 +311,15 @@ class GrayFaultPlan(FaultPlan):
         if not 0.0 <= loss_rate <= 1.0:
             raise ValueError(f"loss_rate must be in [0, 1], got {loss_rate}")
         channel = _channel_of(link, direction)
-        self._reserve_attr_window(
-            "asym-loss", f"{link.name}:{direction}", at, at + duration
-        )
         original = channel.loss_rate
-
-        def start() -> None:
-            channel.loss_rate = loss_rate
-            self._record("asym-loss", f"{link.name}:{direction}")
-
-        def stop() -> None:
-            channel.loss_rate = original
-            self._record("asym-heal", f"{link.name}:{direction}")
-
-        self.sim.schedule_at(at, start)
-        self.sim.schedule_at(at + duration, stop)
+        self._window(
+            ("asym-loss", "asym-heal"),
+            f"{link.name}:{direction}",
+            at,
+            duration,
+            lambda: setattr(channel, "loss_rate", loss_rate),
+            lambda: setattr(channel, "loss_rate", original),
+        )
 
     # -- ack-channel taps -------------------------------------------------
 
@@ -392,31 +327,22 @@ class GrayFaultPlan(FaultPlan):
         self, link: Link, direction: str, kind: str, at: float, duration: float, tap
     ) -> None:
         channel = _channel_of(link, direction)
+        where = f"{link.name}:{direction}"
         # One tap per channel: overlapping taps of any kind would
         # silently shadow each other, so all tap kinds share a window
         # reservation on the channel.
-        self._reserve_attr_window(
-            "ack-tap", f"{link.name}:{direction}", at, at + duration
+        self._window(
+            (kind, f"{kind}-heal"),
+            where,
+            at,
+            duration,
+            lambda: setattr(channel, "tap", tap),
+            lambda: setattr(channel, "tap", None),
+            keys=[("ack-tap", where)],
         )
 
-        def start() -> None:
-            channel.tap = tap
-            self._record(kind, f"{link.name}:{direction}")
-
-        def stop() -> None:
-            channel.tap = None
-            self._record(f"{kind}-heal", f"{link.name}:{direction}")
-
-        self.sim.schedule_at(at, start)
-        self.sim.schedule_at(at + duration, stop)
-
     def corrupt_ack_at(
-        self,
-        link: Link,
-        direction: str,
-        at: float,
-        duration: float,
-        rate: float = 0.5,
+        self, link: Link, direction: str, at: float, duration: float, rate: float = 0.5
     ) -> None:
         """Flip a high bit in the seq/ack watermarks of ack-channel
         progress reports crossing the channel (probability ``rate`` per
@@ -448,11 +374,9 @@ class GrayFaultPlan(FaultPlan):
             )
             data = dgram.data
             if isinstance(data, SequencedAckMessage):
-                data = SequencedAckMessage(data.seq, bad)
-            else:
-                data = bad
+                bad = SequencedAckMessage(data.seq, bad)
             mutated = dc_replace(
-                packet, payload=UDPDatagram(dgram.src_port, dgram.dst_port, data)
+                packet, payload=UDPDatagram(dgram.src_port, dgram.dst_port, bad)
             )
             self._record("corrupt-ack", channel.name)
             channel.destination.deliver(mutated)
@@ -504,8 +428,6 @@ class GrayFaultPlan(FaultPlan):
         if inflate <= 0:
             raise ValueError(f"inflate must be > 0, got {inflate}")
         endpoint = node.ack_endpoint
-        name = getattr(node, "name", str(node))
-        self._reserve_attr_window("lie-progress", name, at, at + duration)
         original_send = None
 
         def lying_send(message, dst_ip) -> None:
@@ -520,16 +442,20 @@ class GrayFaultPlan(FaultPlan):
                 )
             original_send(message, dst_ip)
 
-        def start() -> None:
+        def apply() -> None:
             nonlocal original_send
             original_send = endpoint.send
             endpoint.send = lying_send
-            self._record("lie-progress", name)
 
-        def stop() -> None:
+        def restore() -> None:
             if endpoint.send is lying_send:
                 endpoint.send = original_send
-            self._record("lie-heal", name)
 
-        self.sim.schedule_at(at, start)
-        self.sim.schedule_at(at + duration, stop)
+        self._window(
+            ("lie-progress", "lie-heal"),
+            getattr(node, "name", str(node)),
+            at,
+            duration,
+            apply,
+            restore,
+        )

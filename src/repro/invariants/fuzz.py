@@ -26,7 +26,7 @@ import hashlib
 import json
 import random
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace as dc_replace
 from pathlib import Path
 from typing import Optional
 
@@ -44,10 +44,10 @@ from repro.experiments.testbeds import (
 )
 from repro.faults import FaultPlan, GrayFaultPlan
 from repro.hydranet import HostServer, Redirector, RedirectorDaemon
-from repro.netsim import Simulator, Topology
+from repro.netsim import Simulator, Topology, TopologyError
 from repro.replication import available_strategies
 from repro.sockets import node_for
-from repro.topo import MeshScenario, MeshWorkload
+from repro.topo import MeshScenario, MeshWorkload, TopoBuildError
 from repro.topo import generate as generate_topology
 
 from .monitors import attach_invariants
@@ -118,6 +118,11 @@ class ScenarioResult:
 # -- scenario generation ----------------------------------------------------
 
 
+def fault_time(op: dict) -> float:
+    """When a fault op starts: its ``at`` (a crash cycle's ``start``)."""
+    return op.get("at", op.get("start", 0.0))
+
+
 def _drop_overlapping_partitions(faults: list) -> list:
     """Drop partition ops whose window overlaps an earlier partition
     window on the same link direction (generation order):
@@ -126,29 +131,23 @@ def _drop_overlapping_partitions(faults: list) -> list:
     the middle of the later window.  Runs *after* every RNG draw, so
     pre-existing seeds keep their streams — only the (previously
     silently-miscomposed) overlapping op disappears."""
-    taken: dict[str, list[tuple[float, float]]] = {}
+    windows = FaultPlan(None)
     kept = []
     for op in faults:
         kind = op.get("op")
         if kind in ("partition", "partition_oneway"):
-            start = op["at"]
-            end = (
-                float("inf")
-                if op.get("duration") is None
-                else start + op["duration"]
-            )
             directions = (
                 (op["direction"],) if kind == "partition_oneway" else ("a_to_b", "b_to_a")
             )
-            keys = [f"{op['link']}:{d}" for d in directions]
-            if any(
-                start < e and s < end
-                for key in keys
-                for s, e in taken.get(key, [])
-            ):
+            duration = op.get("duration")
+            try:
+                windows._reserve(
+                    [("partition", f"{op['link']}:{d}") for d in directions],
+                    op["at"],
+                    float("inf") if duration is None else op["at"] + duration,
+                )
+            except ValueError:
                 continue
-            for key in keys:
-                taken.setdefault(key, []).append((start, end))
         kept.append(op)
     return kept
 
@@ -248,7 +247,7 @@ def _gen_faults(rng: random.Random, n_backups: int, duration: float) -> list:
                 }
             )
     faults = _drop_overlapping_partitions(faults)
-    faults.sort(key=lambda f: f.get("at", f.get("start", 0.0)))
+    faults.sort(key=fault_time)
     return faults
 
 
@@ -338,7 +337,7 @@ def _gen_gray_faults(rng: random.Random, n_backups: int, duration: float) -> lis
             if op["op"] == "reorder_ack":
                 op["delay"] = round(rng.uniform(0.02, 0.2), 3)
             faults.append(op)
-    faults.sort(key=lambda f: f.get("at", f.get("start", 0.0)))
+    faults.sort(key=fault_time)
     return faults
 
 
@@ -400,7 +399,7 @@ def _gen_mesh_faults(rng: random.Random, spokes: int, duration: float) -> list:
                 }
             )
     faults = _drop_overlapping_partitions(faults)
-    faults.sort(key=lambda f: f.get("at", f.get("start", 0.0)))
+    faults.sort(key=fault_time)
     return faults
 
 
@@ -490,8 +489,7 @@ def generate_spec(
         # Drawn *after* every classic draw so the classic stream — and
         # therefore every pre-existing seed's scenario — is unchanged.
         spec.faults = sorted(
-            spec.faults + _gen_gray_faults(rng, n_backups, duration),
-            key=lambda f: f.get("at", f.get("start", 0.0)),
+            spec.faults + _gen_gray_faults(rng, n_backups, duration), key=fault_time
         )
         # Gray faults only bite while traffic is in flight: a one-shot
         # echo blast finishes in well under a second, long before any
@@ -499,10 +497,7 @@ def generate_spec(
         # *observed* stalling anything.  Replace the workload with a
         # paced stream spanning every fault window (plus headroom for
         # the excision + fail-over round the defenses are allowed).
-        last_fault_end = max(
-            (f.get("at", f.get("start", 0.0)) + f.get("duration", 0.0))
-            for f in spec.faults
-        )
+        last_fault_end = max(fault_time(f) + f.get("duration", 0.0) for f in spec.faults)
         spec.workload = {
             "kind": "paced_echo",
             "chunk": rng.choice([1024, 2048]),
@@ -582,99 +577,43 @@ def build_fuzz_system(spec: ScenarioSpec) -> FtSystem:
     )
 
 
-def _apply_faults(system: FtSystem, spec: ScenarioSpec) -> FaultPlan:
-    # GrayFaultPlan is a strict superset of FaultPlan: classic ops
-    # behave identically, so one plan class serves both modes.
-    plan = GrayFaultPlan(system.sim)
-    hosts = {hs.name: hs for hs in system.servers}
-    nodes = {node.host_server.name: node for node in system.nodes}
+#: Fault op -> (plan method, kind of target).  A ``link`` op names its
+#: link in the ``link`` key, the others their host or ``FtNode`` in
+#: ``target``; the op's remaining keys are the method's keyword
+#: arguments, defaults included.
+FAULT_OPS = {
+    "crash": ("crash_at", "host"),
+    "crash_for": ("crash_for", "host"),
+    "crash_cycle": ("crash_cycle", "host"),
+    "partition": ("partition_at", "link"),
+    "partition_oneway": ("partition_oneway_at", "link"),
+    "loss_burst": ("loss_burst", "link"),
+    "slow_host": ("slow_host_at", "host"),
+    "asym_loss": ("asymmetric_loss_at", "link"),
+    "corrupt_ack": ("corrupt_ack_at", "link"),
+    "reorder_ack": ("reorder_ack_at", "link"),
+    "lie_progress": ("lie_progress_at", "node"),
+}
 
-    def link_for(name: str):
-        if name == "client":
-            return system.topo.find_link("client", "redirector")
-        return system.topo.find_link("redirector", name)
 
-    for op in spec.faults:
-        kind = op["op"]
-        if kind == "crash":
-            plan.crash_at(hosts[op["target"]], op["at"])
-        elif kind == "crash_for":
-            plan.crash_for(hosts[op["target"]], op["at"], op["duration"])
-        elif kind == "crash_cycle":
-            plan.crash_cycle(
-                hosts[op["target"]],
-                op["start"],
-                op["period"],
-                op["downtime"],
-                op["count"],
-            )
-        elif kind == "partition":
-            plan.partition_at(link_for(op["link"]), op["at"], op.get("duration"))
-        elif kind == "partition_oneway":
-            plan.partition_oneway_at(
-                link_for(op["link"]), op["direction"], op["at"], op.get("duration")
-            )
-        elif kind == "loss_burst":
-            plan.loss_burst(
-                link_for(op["link"]), op["at"], op["duration"], op["loss_rate"]
-            )
-        elif kind == "slow_host":
-            plan.slow_host_at(
-                hosts[op["target"]], op["at"], op["duration"], op.get("factor", 10.0)
-            )
-        elif kind == "asym_loss":
-            plan.asymmetric_loss_at(
-                link_for(op["link"]),
-                op["direction"],
-                op["at"],
-                op["duration"],
-                op["loss_rate"],
-            )
-        elif kind == "corrupt_ack":
-            plan.corrupt_ack_at(
-                link_for(op["link"]),
-                op["direction"],
-                op["at"],
-                op["duration"],
-                op.get("rate", 0.5),
-            )
-        elif kind == "reorder_ack":
-            plan.reorder_ack_at(
-                link_for(op["link"]),
-                op["direction"],
-                op["at"],
-                op["duration"],
-                op.get("delay", 0.05),
-                op.get("rate", 0.5),
-            )
-        elif kind == "lie_progress":
-            plan.lie_progress_at(
-                nodes[op["target"]],
-                op["at"],
-                op["duration"],
-                op.get("inflate", 1_000_000),
-            )
-        elif kind == "recommission":
-            target = op["target"]
-
-            def fire(name=target):
-                host = hosts[name]
-                if host.crashed:
-                    host.recover()
-                handle = next(
-                    (
-                        h
-                        for h in system.service.replicas
-                        if h.node.host_server.name == name
-                    ),
-                    None,
-                )
-                if handle is not None:
-                    system.service.recommission(handle)
-
-            system.sim.schedule_at(op["at"], fire)
-        else:
+def _apply_faults(sim, faults: list, targets: dict, recommission=None) -> GrayFaultPlan:
+    """The one fault-op interpreter, for classic and mesh runs alike.
+    ``targets`` maps each target kind of :data:`FAULT_OPS` to the
+    topology's name resolver; ``recommission(name)``, classic runs
+    only, fires the ``recommission`` op.  GrayFaultPlan is a strict
+    superset of FaultPlan: classic ops behave identically."""
+    plan = GrayFaultPlan(sim)
+    for op in faults:
+        args = dict(op)
+        kind = args.pop("op", None)
+        if kind == "recommission" and recommission is not None:
+            sim.schedule_at(args["at"], recommission, args["target"])
+            continue
+        if kind not in FAULT_OPS:
             raise ValueError(f"unknown fault op {kind!r}")
+        method, role = FAULT_OPS[kind]
+        target = targets[role](args.pop("link" if role == "link" else "target"))
+        getattr(plan, method)(target, **args)
     return plan
 
 
@@ -694,30 +633,13 @@ def _run_mesh_scenario(spec: ScenarioSpec) -> ScenarioResult:
     workload = MeshWorkload(**dict(cfg.get("workload", {}), deadline=spec.duration))
     with MeshScenario(topo_spec, workload) as scenario:
         mesh, invset = scenario.mesh, scenario.invariants
-
-        plan = FaultPlan(mesh.sim)
-        hosts = {**mesh.host_servers, **mesh.redirectors}
-
-        def link_for(name: str):
-            for neighbor in topo_spec.neighbors(name):
-                if neighbor != name and neighbor in mesh.redirectors:
-                    return mesh.topo.find_link(name, neighbor)
-            raise ValueError(f"no redirector uplink for mesh host {name!r}")
-
-        for op in spec.faults:
-            kind = op["op"]
-            if kind == "crash":
-                plan.crash_at(hosts[op["target"]], op["at"])
-            elif kind == "crash_for":
-                plan.crash_for(hosts[op["target"]], op["at"], op["duration"])
-            elif kind == "partition":
-                plan.partition_at(link_for(op["link"]), op["at"], op.get("duration"))
-            elif kind == "loss_burst":
-                plan.loss_burst(
-                    link_for(op["link"]), op["at"], op["duration"], op["loss_rate"]
-                )
-            else:
-                raise ValueError(f"unknown mesh fault op {kind!r}")
+        targets = {
+            "host": {**mesh.host_servers, **mesh.redirectors}.__getitem__,
+            # A host's uplink to its redirector (a spoke's: to the hub).
+            "link": lambda name: mesh.topo.find_link(name, mesh.rack_of(name)),
+            "node": mesh.ft_nodes.__getitem__,
+        }
+        _apply_faults(mesh.sim, spec.faults, targets)
 
         report = scenario.run()
         return ScenarioResult(
@@ -740,7 +662,23 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
         invset = attach_invariants(system)
         if spec.gray:
             invset.output_liveness.bound = GRAY_LIVENESS_BOUND
-        _apply_faults(system, spec)
+        hosts = {hs.name: hs for hs in system.servers}
+
+        def recommission(name: str) -> None:
+            if hosts[name].crashed:
+                hosts[name].recover()
+            for handle in system.service.replicas:
+                if handle.node.host_server.name == name:
+                    system.service.recommission(handle)
+                    break
+
+        targets = {
+            "host": hosts.__getitem__,
+            # hs_i and the client: the link to the redirector.
+            "link": lambda name: system.topo.find_link("redirector", name),
+            "node": {node.host_server.name: node for node in system.nodes}.__getitem__,
+        }
+        _apply_faults(system.sim, spec.faults, targets, recommission)
 
         workload = spec.workload
         got = bytearray()
@@ -1111,28 +1049,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.replay is not None:
-        entry = load_reproducer(args.replay)
+        try:
+            entry = load_reproducer(args.replay)
+            # A zero-length dry run declares the whole schedule: bad
+            # input fails here, as a usage error, before the real run.
+            run_scenario(dc_replace(entry["spec"], duration=0.0))
+        except (
+            OSError, ValueError, LookupError, TypeError, TopologyError, TopoBuildError
+        ) as exc:
+            parser.error(f"cannot replay {args.replay}: {type(exc).__name__}: {exc}")
         result = run_with_mutation(entry["spec"], args.mutate)
         print(f"replay {args.replay.name}: fingerprint {result.fingerprint[:16]}…")
         for violation in result.violations:
             print(f"  {violation}")
-        if args.mutate is None:
-            expected = entry.get("clean_fingerprint")
-            if result.violations:
-                print("FAIL: violations on unmutated code")
-                return 2
-            if expected and result.fingerprint != expected:
-                print(f"FAIL: fingerprint drifted (expected {expected[:16]}…)")
-                return 3
+        clean = args.mutate is None
+        expected = entry.get("clean_fingerprint" if clean else "mutated_fingerprint")
+        if clean and result.violations:
+            print("FAIL: violations on unmutated code")
+            return 2
+        if expected and result.fingerprint != expected:
+            print(f"FAIL: fingerprint drifted (expected {expected[:16]}…)")
+            return 3
+        if clean:
             print("OK: clean, fingerprint matches")
         else:
-            expected = entry.get("mutated_fingerprint")
-            if expected and result.fingerprint != expected:
-                print(f"FAIL: fingerprint drifted (expected {expected[:16]}…)")
-                return 3
             print(f"violated: {result.violated_monitors or 'nothing'}")
         return 0
 

@@ -13,7 +13,7 @@ from copy import deepcopy
 from dataclasses import replace
 from typing import Callable
 
-from .fuzz import ScenarioSpec
+from .fuzz import ScenarioSpec, fault_time
 
 
 class _Budget:
@@ -135,9 +135,7 @@ def shrink_spec(
             break
 
     # 3. Halve the run duration (never below the last fault + margin).
-    last_fault = max(
-        (op.get("at", op.get("start", 0.0)) for op in spec.faults), default=0.0
-    )
+    last_fault = max(map(fault_time, spec.faults), default=0.0)
     floor = max(5.0, last_fault - 2.0 + 5.0)
     while spec.duration > floor and tracker.spend():
         candidate = replace(spec, duration=max(floor, round(spec.duration / 2, 1)))

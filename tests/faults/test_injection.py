@@ -1,5 +1,7 @@
 """Tests for deterministic fault injection."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.faults import FaultPlan, GrayFaultPlan
@@ -418,3 +420,108 @@ def test_partition_records_heal_events(net):
         ("heal-oneway", 5.0),
     ]
     assert link.up and link.a_to_b.up
+
+
+def test_loss_burst_and_congest_validate_at_declaration(net):
+    """A loss rate outside [0, 1] or a bandwidth factor outside (0, 1]
+    raises when declared and reserves nothing — not inside ``sim.run``
+    when the window opens (or, for a zero factor, at the first packet)."""
+    sim, topo, a, b, link, received = net
+    plan = FaultPlan(sim)
+    for loss_rate in (1.5, -0.1):
+        with pytest.raises(ValueError):
+            plan.loss_burst(link, 1.0, duration=1.0, loss_rate=loss_rate)
+    for factor in (0.0, -1.0, 1.5):
+        with pytest.raises(ValueError):
+            plan.congest(link, 1.0, duration=1.0, bandwidth_factor=factor)
+    plan.loss_burst(link, 1.0, duration=1.0, loss_rate=1.0)
+    plan.congest(link, 1.0, duration=1.0, bandwidth_factor=1.0)
+    sim.schedule(1.5, ping, a, b)
+    sim.run(until=5.0)
+    assert received == []
+    assert [e.kind for e in plan.log] == ["loss-burst", "congest", "loss-heal", "decongest"]
+
+
+def _liar():
+    return SimpleNamespace(
+        name="liar", ack_endpoint=SimpleNamespace(send=lambda message, dst_ip: None)
+    )
+
+
+#: Every windowed fault: (declare(plan, env, at, duration), read the
+#: faulted value, (start kind, heal kind) in the log).
+WINDOWED = {
+    "partition": (
+        lambda plan, env, at, d: plan.partition_at(env.link, at, d),
+        lambda env: (env.link.a_to_b.up, env.link.b_to_a.up),
+        ("partition", "heal"),
+    ),
+    "partition_oneway": (
+        lambda plan, env, at, d: plan.partition_oneway_at(env.link, "a_to_b", at, d),
+        lambda env: env.link.a_to_b.up,
+        ("partition-oneway", "heal-oneway"),
+    ),
+    "loss_burst": (
+        lambda plan, env, at, d: plan.loss_burst(env.link, at, d, loss_rate=0.5),
+        lambda env: (env.link.a_to_b.loss_rate, env.link.b_to_a.loss_rate),
+        ("loss-burst", "loss-heal"),
+    ),
+    "congest": (
+        lambda plan, env, at, d: plan.congest(env.link, at, d, bandwidth_factor=0.5),
+        lambda env: (env.link.a_to_b.bandwidth_bps, env.link.b_to_a.bandwidth_bps),
+        ("congest", "decongest"),
+    ),
+    "slow_host": (
+        lambda plan, env, at, d: plan.slow_host_at(env.host, at, d, factor=4.0),
+        lambda env: env.host.cpu_multiplier,
+        ("slow-host", "slow-heal"),
+    ),
+    "asym_loss": (
+        lambda plan, env, at, d: plan.asymmetric_loss_at(
+            env.link, "a_to_b", at, d, loss_rate=0.5
+        ),
+        lambda env: env.link.a_to_b.loss_rate,
+        ("asym-loss", "asym-heal"),
+    ),
+    "corrupt_ack": (
+        lambda plan, env, at, d: plan.corrupt_ack_at(env.link, "a_to_b", at, d),
+        lambda env: env.link.a_to_b.tap,
+        ("corrupt-ack-window", "corrupt-ack-window-heal"),
+    ),
+    "reorder_ack": (
+        lambda plan, env, at, d: plan.reorder_ack_at(env.link, "a_to_b", at, d),
+        lambda env: env.link.a_to_b.tap,
+        ("reorder-ack-window", "reorder-ack-window-heal"),
+    ),
+    "lie_progress": (
+        lambda plan, env, at, d: plan.lie_progress_at(env.node, at, d),
+        lambda env: env.node.ack_endpoint.send,
+        ("lie-progress", "lie-heal"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(WINDOWED))
+def test_every_windowed_fault_reserves_applies_and_heals(net, kind):
+    sim, topo, a, b, link, received = net
+    link.a_to_b.loss_rate = 0.01  # a non-default value for the heal to restore
+    env = SimpleNamespace(link=link, host=b, node=_liar())
+    declare, read, (started, healed) = WINDOWED[kind]
+    plan = GrayFaultPlan(sim)
+    before = read(env)
+    declare(plan, env, 1.0, 2.0)  # [1, 3)
+    with pytest.raises(ValueError):
+        declare(plan, env, 2.0, 2.0)  # overlaps [1, 3)
+    # Touching is fine — and proves the refused [2, 4) reserved nothing.
+    declare(plan, env, 3.0, 1.0)
+    for at, duration in ((5.0, 0.0), (5.0, -1.0), (-1.0, 1.0)):
+        with pytest.raises(ValueError):
+            declare(plan, env, at, duration)
+    during = []
+    sim.schedule_at(2.0, lambda: during.append(read(env)))
+    sim.run(until=10.0)
+    assert during != [before]
+    assert read(env) == before
+    assert [(e.time, e.kind) for e in plan.log] == [
+        (1.0, started), (3.0, healed), (3.0, started), (4.0, healed)
+    ]

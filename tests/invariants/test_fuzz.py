@@ -1,6 +1,9 @@
 """The fuzzer itself: deterministic generation, deterministic replay,
 and the ddmin shrinker's contract."""
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from repro.invariants.fuzz import ScenarioSpec, generate_spec, run_scenario
@@ -177,6 +180,52 @@ class TestMeshScenarios:
         assert small.n_backups == spec.n_backups
 
 
+class TestMeshTakesTheWholeVocabulary:
+    """Mesh runs read every fault op off the one interpreter, gray ops
+    included, with targets resolved on the mesh."""
+
+    SPEC = ScenarioSpec(
+        seed=7,
+        workload={"kind": "mesh"},
+        duration=20.0,
+        faults=[
+            {"op": "slow_host", "target": "srv_s0n0", "at": 2.6, "duration": 3.0},
+            {
+                "op": "asym_loss",
+                "link": "srv_s0n1",
+                "direction": "b_to_a",
+                "at": 2.7,
+                "duration": 2.0,
+                "loss_rate": 0.5,
+            },
+        ],
+        mesh={
+            "kind": "hub_and_spoke",
+            "params": {
+                "spokes": 1,
+                "servers_per_spoke": 2,
+                "clients_per_spoke": 1,
+                "services": 2,
+                "backups": 1,
+            },
+            "workload": {
+                "connections": 10,
+                "requests_per_conn": 16,
+                "request_size": 256,
+                "think_time": 0.05,
+                "start_window": 0.5,
+            },
+        },
+    )
+
+    def test_gray_ops_run_on_a_mesh_under_armed_monitors(self):
+        first = run_scenario(self.SPEC)
+        assert first.violated_monitors == [], first.violations[:2]
+        assert run_scenario(self.SPEC).fingerprint == first.fingerprint
+        unfaulted = run_scenario(replace(self.SPEC, faults=[]))
+        assert unfaulted.fingerprint != first.fingerprint
+
+
 class TestCliSavesFindsOutsideTheCorpus:
     """ROADMAP 1d: three tier-1 tests glob ``tests/fuzz_corpus/``, so a
     casual ``repro fuzz`` that finds something must not write there."""
@@ -221,3 +270,42 @@ def test_cli_rejects_bad_pool_numbers_with_usage(flags, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and "Traceback" not in err
+
+
+_SPEC = ScenarioSpec(seed=3, duration=6.0).to_json()
+_BURST = {"op": "loss_burst", "link": "hs_0", "at": 2.5, "duration": 1.0, "loss_rate": 0.5}
+
+
+@pytest.mark.parametrize(
+    "name, body, reason",
+    [
+        ("missing.json", None, "No such file"),
+        ("not-json.json", "{not json", "JSONDecodeError"),
+        ("no-spec.json", json.dumps({"clean_fingerprint": "0" * 64}), "'spec'"),
+        (
+            "unknown-op.json",
+            json.dumps({"spec": dict(_SPEC, faults=[{"op": "meteor"}])}),
+            "unknown fault op 'meteor'",
+        ),
+        (
+            "refused.json",
+            json.dumps({"spec": dict(_SPEC, faults=[_BURST, _BURST])}),
+            "overlaps an existing window",
+        ),
+    ],
+    ids=["missing", "not-json", "no-spec", "unknown-op", "refused"],
+)
+def test_replay_rejects_bad_input_with_usage(name, body, reason, tmp_path, capsys):
+    """ROADMAP 9a: a file that cannot be replayed is a usage error that
+    names the file and the reason — exit 2, no traceback."""
+    from repro.invariants.fuzz import main
+
+    path = tmp_path / name
+    if body is not None:
+        path.write_text(body)
+    with pytest.raises(SystemExit) as exc:
+        main(["--replay", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "Traceback" not in err
+    assert name in err.splitlines()[-1] and reason in err.splitlines()[-1]
