@@ -994,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fuzz HydraNet-FT fault schedules with invariant "
         "monitors armed; shrink and save reproducers on violation.",
     )
-    parser.add_argument("--runs", type=int, default=50)
+    parser.add_argument("--runs", type=positive(int), default=50)
     parser.add_argument("--seed", type=int, default=0, help="base scenario seed")
     parser.add_argument("--replay", type=Path, help="replay one corpus JSON file")
     parser.add_argument(

@@ -258,15 +258,23 @@ class TestCliSavesFindsOutsideTheCorpus:
 
 @pytest.mark.parametrize(
     "flags",
-    [["--jobs", "0"], ["--jobs", "-1"], ["--task-timeout", "0"], ["--task-timeout", "-2.5"]],
+    [
+        ["--jobs", "0"],
+        ["--jobs", "-1"],
+        ["--task-timeout", "0"],
+        ["--task-timeout", "-2.5"],
+        ["--runs", "0"],
+        ["--runs", "-3"],
+    ],
     ids=" ".join,
 )
 def test_cli_rejects_bad_pool_numbers_with_usage(flags, capsys):
-    """ROADMAP 9a: exit 2 and a usage line, not a pool traceback."""
+    """ROADMAP 9a: exit 2 and a usage line, not a pool traceback, and
+    never a "0 runs" pass when the run count is not positive."""
     from repro.invariants.fuzz import main
 
     with pytest.raises(SystemExit) as exc:
-        main(["--runs", "0", *flags])
+        main(["--runs", "1", *flags])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and "Traceback" not in err
