@@ -32,7 +32,16 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.netsim.addressing import IPAddress, as_address
 from repro.netsim.packet import TCPSegment
 from repro.netsim.simulator import Timer
-from repro.hydranet.mgmt import ConnSnapshot, StateSnapshot
+from repro.hydranet.mgmt import (
+    ChainSplice,
+    ChainUpdate,
+    ConnSnapshot,
+    Demote,
+    JoinRequest,
+    PromotionGrant,
+    Shutdown,
+    StateSnapshot,
+)
 from repro.tcp.buffers import UNGATED
 from repro.tcp.seqnum import seq_add
 from repro.tcp.stack import Listener, deterministic_iss
@@ -47,13 +56,6 @@ from .replicated_port import DetectorParams, PortMode, ReplicatedPortTable
 if TYPE_CHECKING:
     from repro.hydranet.daemons import HostServerDaemon
     from repro.hydranet.host_server import HostServer
-    from repro.hydranet.mgmt import (
-        ChainSplice,
-        ChainUpdate,
-        Demote,
-        JoinRequest,
-        PromotionGrant,
-    )
     from repro.tcp.options import TcpOptions
 
 ClientKey = tuple[IPAddress, int]
@@ -354,7 +356,9 @@ class FtPort:
         self.promotions = 0
         self.demotions = 0
         self.chain_updates_applied = 0
-        self._last_liveness_report: Optional[float] = None
+        #: Failure-report kind -> sim time of the last one sent (the
+        #: per-kind cooldown of :meth:`_report`).
+        self._last_report: dict[str, float] = {}
         #: Gray-failure defenses (DESIGN.md §14): implausible progress
         #: reports rejected, stale-epoch reports dropped, and failure
         #: reports raised against a lying or slow-but-alive successor.
@@ -362,8 +366,6 @@ class FtPort:
         self.stale_epoch_dropped = 0
         self.lie_reports = 0
         self.degradation_reports = 0
-        self._last_lie_report: Optional[float] = None
-        self._last_degradation_report: Optional[float] = None
         #: client key -> (sim time its connection's stall clock last
         #: (re)started, successor watermarks observed then) — degradation
         #: mode only.  Any advance resets the clock: a saturated-but-
@@ -526,19 +528,34 @@ class FtPort:
         if last is not None and last == segment.seq and segment.seq_span > 0:
             self.detector.observe_retransmission()
 
+    def _report(self, suspects: list, kind: Optional[str] = None) -> bool:
+        """Send failure evidence to the redirector; the one sender for
+        every kind.  Whether it went out is returned.  A ``kind`` is
+        rate-limited to one report per detector cooldown; the
+        retransmission detector's own reports (``kind=None``) are paced
+        by the detector."""
+        if (
+            self.daemon is None
+            or self.shut_down
+            or self.joining
+            or self.host_server.crashed
+        ):
+            return False
+        if kind is not None:
+            now = self.sim.now
+            last = self._last_report.get(kind)
+            if last is not None and now - last < self.detector_params.cooldown:
+                return False
+            self._last_report[kind] = now
+        self.daemon.report_failure(self.service_ip, self.port, suspects)
+        return True
+
     def _report_failure(self) -> None:
-        if self.daemon is None or self.shut_down or self.joining:
-            return
-        if self.host_server.crashed:
-            return
-        suspects = []
         # A replica gone quiet on the acknowledgement channel while
         # connections are gated on it.
         suspect = self._quiet_member()
-        if suspect is not None:
-            suspects.append(suspect)
-        self.daemon.report_failure(self.service_ip, self.port, suspects)
-        if not self.is_primary and not suspects:
+        suspects = [] if suspect is None else [suspect]
+        if self._report(suspects) and not self.is_primary and not suspects:
             # Client retransmissions with no quiet successor point
             # upstream — the primary is suspect.  Bid for promotion;
             # primary mode still requires the redirector's grant
@@ -573,25 +590,10 @@ class FtPort:
         and once removed, any report the zombie still sends triggers
         the demote fence (DESIGN.md §9)."""
         self.implausible_reports += 1
-        if (
-            self.daemon is None
-            or self.shut_down
-            or self.joining
-            or self.host_server.crashed
-        ):
-            return
-        now = self.sim.now
-        if (
-            self._last_lie_report is not None
-            and now - self._last_lie_report < self.detector_params.cooldown
-        ):
-            return
-        self._last_lie_report = now
-        self.lie_reports += 1
-        # Reported directly (not via _report_failure): lying evidence
-        # names a definite suspect and must never double as a
-        # promotion bid.
-        self.daemon.report_failure(self.service_ip, self.port, [suspect])
+        # Not via _report_failure: lying evidence names a definite
+        # suspect and must never double as a promotion bid.
+        if self._report([suspect], "lie"):
+            self.lie_reports += 1
 
     def _liveness_check(self) -> None:
         if self.shut_down or self.host_server.crashed:
@@ -610,21 +612,14 @@ class FtPort:
         now = self.sim.now
         if self.detector_params.degradation_timeout is not None:
             self._degradation_check(now, quiet)
-        if (
-            self._last_liveness_report is not None
-            and now - self._last_liveness_report < self.detector_params.cooldown
-        ):
-            return
         for state in self.states.values():
             if (
                 state.conn.state != TcpState.CLOSED
                 and state.blocked_on_successor()
                 and state.successor_silence() > quiet
             ):
-                self._last_liveness_report = now
                 straggler = state.members.straggler
-                suspects = [straggler] if straggler else []
-                self.daemon.report_failure(self.service_ip, self.port, suspects)
+                self._report([straggler] if straggler else [], "liveness")
                 return
 
     def _keepalive_announce(self) -> None:
@@ -684,17 +679,9 @@ class FtPort:
                 continue
             if members.straggler is None or state.successor_silence() > quiet:
                 continue  # silent successor: the classic path handles it
-            if (
-                self._last_degradation_report is not None
-                and now - self._last_degradation_report < self.detector_params.cooldown
-            ):
-                continue
-            self._last_degradation_report = now
-            self.degradation_reports += 1
-            self.daemon.report_failure(
-                self.service_ip, self.port, [members.straggler]
-            )
-            reported = True
+            if self._report([members.straggler], "degradation"):
+                self.degradation_reports += 1
+                reported = True
 
     # -- live join (recovery subsystem, EXTENSION) ----------------------------
 
@@ -856,7 +843,7 @@ class FtPort:
             bytes_received=self.catchup_bytes_received,
         )
 
-    def apply_chain_splice(self, splice: "ChainSplice") -> None:
+    def apply_chain_splice(self, splice: ChainSplice) -> None:
         """Second phase of the two-phase cut-over.  The same message
         goes to the old tail (start gating the transferred connections
         on the joiner) and to the joiner (you are live: here is your
@@ -886,7 +873,7 @@ class FtPort:
 
     # -- reconfiguration -------------------------------------------------------------
 
-    def apply_chain_update(self, update: "ChainUpdate") -> None:
+    def apply_chain_update(self, update: ChainUpdate) -> None:
         """React to the redirector's view of the chain (paper §4.4).
 
         Epoch/seq gate the unordered mgmt layer: a layout older than
@@ -939,7 +926,7 @@ class FtPort:
             return
         self.daemon.request_promotion(self.service_ip, self.port, epoch)
 
-    def apply_promotion_grant(self, grant: "PromotionGrant") -> None:
+    def apply_promotion_grant(self, grant: PromotionGrant) -> None:
         """The redirector granted us ``grant.epoch`` — enter primary
         mode (or, if already primary, adopt the granted epoch)."""
         if self.shut_down:
@@ -963,7 +950,7 @@ class FtPort:
         for state in list(self.states.values()):
             state.conn.kick()
 
-    def apply_demote(self, message: "Demote") -> None:
+    def apply_demote(self, message: Demote) -> None:
         """Fenced off: a view newer than ours exists and we were still
         acting on the old one.  Fail-stop locally — go silent, kill our
         (stale) connections — and hand the node back through
@@ -1019,6 +1006,22 @@ class FtPort:
         self.listener = self._liveness_timer = self.on_demoted = self.daemon = None
 
 
+#: The per-port management messages, and how the port they name takes
+#: each.  Called through the port instance, so a method patched on
+#: :class:`FtPort` is the one that runs.
+_PORT_MESSAGES: dict[type, Callable[[FtPort, object], None]] = {
+    ChainUpdate: lambda port, m: port.apply_chain_update(m),
+    Shutdown: lambda port, m: port.shutdown(),
+    JoinRequest: lambda port, m: port.begin_catchup_feed(m.joiner_ip),
+    StateSnapshot: lambda port, m: (
+        port.apply_delta(m) if m.delta else port.install_base_snapshot(m)
+    ),
+    ChainSplice: lambda port, m: port.apply_chain_splice(m),
+    PromotionGrant: lambda port, m: port.apply_promotion_grant(m),
+    Demote: lambda port, m: port.apply_demote(m),
+}
+
+
 class FtStack:
     """All replicated ports of one host server, plus daemon wiring."""
 
@@ -1034,13 +1037,7 @@ class FtStack:
         self.port_table = ReplicatedPortTable()
         self.ports: dict[tuple[IPAddress, int], FtPort] = {}
         if daemon is not None:
-            daemon.on_chain_update = self._dispatch_chain_update
-            daemon.on_shutdown = self._dispatch_shutdown
-            daemon.on_join_request = self._dispatch_join_request
-            daemon.on_state_snapshot = self._dispatch_state_snapshot
-            daemon.on_chain_splice = self._dispatch_chain_splice
-            daemon.on_promotion_grant = self._dispatch_promotion_grant
-            daemon.on_demote = self._dispatch_demote
+            daemon.handlers.update(dict.fromkeys(_PORT_MESSAGES, self._dispatch_to_port))
 
     def setportopt(
         self,
@@ -1111,42 +1108,8 @@ class FtStack:
             ft_port.dispose()
         self.daemon = None
 
-    def _dispatch_chain_update(self, update: "ChainUpdate") -> None:
-        ft_port = self.ports.get((as_address(update.service_ip), update.port))
-        if ft_port is not None:
-            ft_port.apply_chain_update(update)
-
-    def _dispatch_shutdown(self, message) -> None:
-        key = (as_address(message.service_ip), message.port)
-        ft_port = self.ports.get(key)
-        if ft_port is not None:
-            ft_port.shutdown()
-
-    def _dispatch_join_request(self, request: "JoinRequest") -> None:
-        ft_port = self.ports.get((as_address(request.service_ip), request.port))
-        if ft_port is not None:
-            ft_port.begin_catchup_feed(request.joiner_ip)
-
-    def _dispatch_state_snapshot(self, snapshot: StateSnapshot) -> None:
-        ft_port = self.ports.get((as_address(snapshot.service_ip), snapshot.port))
-        if ft_port is None:
-            return
-        if snapshot.delta:
-            ft_port.apply_delta(snapshot)
-        else:
-            ft_port.install_base_snapshot(snapshot)
-
-    def _dispatch_chain_splice(self, splice: "ChainSplice") -> None:
-        ft_port = self.ports.get((as_address(splice.service_ip), splice.port))
-        if ft_port is not None:
-            ft_port.apply_chain_splice(splice)
-
-    def _dispatch_promotion_grant(self, grant: "PromotionGrant") -> None:
-        ft_port = self.ports.get((as_address(grant.service_ip), grant.port))
-        if ft_port is not None:
-            ft_port.apply_promotion_grant(grant)
-
-    def _dispatch_demote(self, message: "Demote") -> None:
+    def _dispatch_to_port(self, message, src_ip: IPAddress) -> None:
+        """Hand a per-port management message to the port it names."""
         ft_port = self.ports.get((as_address(message.service_ip), message.port))
         if ft_port is not None:
-            ft_port.apply_demote(message)
+            _PORT_MESSAGES[type(message)](ft_port, message)

@@ -129,8 +129,9 @@ class HeartbeatDetector:
         self.zombie_heartbeats = 0
         self._timer = Timer(self.sim, self._sweep)
         self._timer.start(period)
+        daemon.handlers[Heartbeat] = self.on_heartbeat
 
-    def on_heartbeat(self, message: Heartbeat) -> None:
+    def on_heartbeat(self, message: Heartbeat, src_ip: IPAddress) -> None:
         from repro.hydranet.redirector import ServiceKey
 
         service_key = ServiceKey(as_address(message.service_ip), message.port)
@@ -220,9 +221,9 @@ class HeartbeatDetector:
         self._timer.stop()
 
     def dispose(self) -> None:
-        """Teardown (DESIGN.md §19): timer; enable_heartbeats' filter."""
+        """Teardown (DESIGN.md §19): timer; the daemon's Heartbeat handler."""
         self._timer = None
-        vars(self.daemon).pop("_on_message", None)
+        self.daemon.handlers.pop(Heartbeat, None)
 
 
 def enable_heartbeats(
@@ -236,16 +237,6 @@ def enable_heartbeats(
     """Wire heartbeat detection for one service: a detector on the
     redirector plus a sender per replica."""
     detector = HeartbeatDetector(redirector_daemon, period, tolerance)
-    original = redirector_daemon._on_message
-
-    def with_heartbeats(message, src_ip, src_port):
-        if isinstance(message, Heartbeat):
-            detector.on_heartbeat(message)
-            return
-        original(message, src_ip, src_port)
-
-    redirector_daemon._on_message = with_heartbeats
-    redirector_daemon.channel.on_message = with_heartbeats
     senders = [
         HeartbeatSender(node.daemon, service_ip, port, period) for node in ft_nodes
     ]

@@ -67,7 +67,7 @@ class FtNode:
 
     def dispose(self) -> None:
         """Teardown (DESIGN.md §19) of the three parts."""
-        self.daemon.channel.dispose()
+        self.daemon.dispose()
         self.ack_endpoint.dispose()
         self.stack.dispose()
 

@@ -2,8 +2,10 @@
 
 The redirector daemon owns the redirector table and the acknowledgement-
 channel chain layout; host-server daemons register/unregister replicas,
-report failures, and apply chain updates to the local ft-TCP machinery
-via callbacks (wired up by :mod:`repro.core.service`).
+report failures, and hand chain updates to the local ft-TCP machinery.
+Each daemon routes every incoming message through one ``handlers``
+table (message type -> ``handler(message, src_ip)``); other parts
+register their own message types there.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .mgmt import (
     FailureReport,
     JOIN_RETRY,
     JoinReady,
-    JoinRequest,
     MGMT_PORT,
     MgmtMessage,
     Ping,
@@ -35,19 +36,14 @@ from .mgmt import (
     PromotionRequest,
     Register,
     ReliableUdp,
+    Shutdown,
     StateSnapshot,
     Unregister,
 )
 from .redirector import Redirector, ServiceKey
 
-
-@dataclass
-class Shutdown(MgmtMessage):
-    """Redirector → replica: you have been removed from the set; stop
-    serving (fail-stop enforcement for spuriously unavailable servers)."""
-
-    service_ip: IPAddress
-    port: int
+#: A management message handler: ``handler(message, src_ip)``.
+Handler = Callable[[MgmtMessage, IPAddress], None]
 
 
 @dataclass
@@ -111,21 +107,26 @@ class _Reconfiguration:
 class RedirectorDaemon:
     """Runs on a redirector; owns its table and the replica chains."""
 
-    def __init__(
-        self,
-        redirector: Redirector,
-        ping_timeout: float = 0.75,
-        congestion_report_threshold: int = 3,
-        congestion_report_window: float = 10.0,
-    ):
+    #: Liveness probe deadline (seconds); silent replicas are re-pinged
+    #: at each third of it.
+    PING_TIMEOUT = 0.75
+    #: Congestion rule: this many reports against one suspect inside
+    #: the window remove it even though it answers pings.
+    CONGESTION_REPORT_THRESHOLD = 3
+    CONGESTION_REPORT_WINDOW = 10.0
+    #: Away from the authority, evidence is batched this long.
+    AGGREGATION_WINDOW = 0.25
+    #: A failure summary stops climbing after this many hops.
+    MAX_SUMMARY_HOPS = 8
+    #: At most one Demote per (service, target) per interval.
+    DEMOTE_MIN_INTERVAL = 1.0
+
+    def __init__(self, redirector: Redirector):
         from repro.sockets.api import node_for
 
         self.redirector = redirector
         self.sim: Simulator = redirector.sim
         self.node = node_for(redirector)
-        self.ping_timeout = ping_timeout
-        self.congestion_report_threshold = congestion_report_threshold
-        self.congestion_report_window = congestion_report_window
         sock = self.node.udp_socket()
         sock.bind(MGMT_PORT)
         self.channel = ReliableUdp(self.sim, sock, self._on_message)
@@ -148,8 +149,6 @@ class RedirectorDaemon:
         self._authority: dict[ServiceKey, IPAddress] = {}
         #: Failure evidence being aggregated: key -> [suspect set, count].
         self._agg: dict[ServiceKey, list] = {}
-        self.aggregation_window = 0.25
-        self.max_summary_hops = 8
         self.table_syncs_forwarded = 0
         self.stale_syncs_dropped = 0
         self.failure_summaries_sent = 0
@@ -180,20 +179,31 @@ class RedirectorDaemon:
         self._strategy: dict[ServiceKey, str] = {}
         #: Demote rate limiting per (service key, target).
         self._last_demote: dict[tuple[ServiceKey, IPAddress], float] = {}
-        self.demote_min_interval = 1.0
         self.promotions_granted = 0
         self.promotions_refused = 0
         redirector.on_fenced = self._on_fenced
         #: Wired by the recovery manager (EXTENSION, DESIGN.md §8):
-        #: observe membership changes / failure reports / join
-        #: completions without owning the reconfiguration machinery.
+        #: observe membership changes and failure reports without
+        #: owning the reconfiguration machinery.
         self.on_membership_change: Optional[Callable[[ServiceKey], None]] = None
         self.on_failure_report: Optional[Callable[[FailureReport], None]] = None
-        self.on_join_ready: Optional[Callable[[JoinReady], None]] = None
+        #: Message type -> handler: the one dispatch path.  Heartbeat
+        #: detection and the recovery manager add their own types.
+        self.handlers: dict[type, Handler] = {
+            Register: self._handle_register,
+            Unregister: self._handle_unregister,
+            FailureReport: self._handle_failure_report,
+            FailureSummary: self._handle_failure_summary,
+            Pong: self._handle_pong,
+            TableSync: self._handle_table_sync,
+            PromotionRequest: self._handle_promotion_request,
+        }
 
     def dispose(self) -> None:
-        """Teardown (DESIGN.md §19): channel; the redirector's fence hook."""
+        """Teardown (DESIGN.md §19): channel; handlers; the redirector's
+        fence hook."""
         self.channel.dispose()
+        self.handlers = {}
         self.redirector.on_fenced = None
 
     # -- message handling ------------------------------------------------
@@ -213,25 +223,11 @@ class RedirectorDaemon:
         self.add_peer(self.parent)
 
     def _on_message(self, message: MgmtMessage, src_ip: IPAddress, src_port: int) -> None:
-        if isinstance(message, Register):
-            self._handle_register(message)
-        elif isinstance(message, Unregister):
-            self._handle_unregister(message)
-        elif isinstance(message, FailureReport):
-            self._handle_failure_report(message)
-        elif isinstance(message, Pong):
-            self._handle_pong(message, src_ip)
-        elif isinstance(message, TableSync):
-            self._handle_table_sync(message, src_ip)
-        elif isinstance(message, FailureSummary):
-            self._handle_failure_summary(message)
-        elif isinstance(message, PromotionRequest):
-            self._handle_promotion_request(message)
-        elif isinstance(message, JoinReady):
-            if self.on_join_ready is not None:
-                self.on_join_ready(message)
+        handler = self.handlers.get(type(message))
+        if handler is not None:
+            handler(message, src_ip)
 
-    def _handle_register(self, msg: Register) -> None:
+    def _handle_register(self, msg: Register, src_ip: IPAddress) -> None:
         # A re-registering replica withdraws any stale Shutdown still
         # being retried toward it.
         key = ServiceKey(as_address(msg.service_ip), msg.port)
@@ -254,7 +250,7 @@ class RedirectorDaemon:
         self._strategy[key] = msg.strategy
         self._push_chain_updates(ServiceKey(as_address(msg.service_ip), msg.port))
 
-    def _handle_unregister(self, msg: Unregister) -> None:
+    def _handle_unregister(self, msg: Unregister, src_ip: IPAddress) -> None:
         key = ServiceKey(as_address(msg.service_ip), msg.port)
         entry = self.redirector.entry_for(msg.service_ip, msg.port)
         was_ft = entry.fault_tolerant if entry else False
@@ -355,52 +351,60 @@ class RedirectorDaemon:
         authority = self._authority.get(key)
         return authority is None or authority == self.redirector.ip
 
-    def _handle_failure_report(self, msg: FailureReport) -> None:
+    def _handle_failure_report(self, msg: FailureReport, src_ip: IPAddress) -> None:
+        self._weigh_evidence(msg, 1, 0, reporter=as_address(msg.reporter_ip))
+
+    def _handle_failure_summary(self, msg: FailureSummary, src_ip: IPAddress) -> None:
+        self.failure_summaries_received += 1
+        self._weigh_evidence(msg, msg.reports, msg.hops)
+
+    def _weigh_evidence(
+        self, msg, reports: int, hops: int, reporter: Optional[IPAddress] = None
+    ) -> None:
+        """The one evidence path, for a direct report from ``reporter``
+        and for a summary standing in for ``reports`` of them."""
         key = ServiceKey(as_address(msg.service_ip), msg.port)
         entry = self.redirector.table.get(key)
         if entry is None or not entry.fault_tolerant:
             return
+        suspects = [as_address(s) for s in msg.suspects]
         if not self._is_authority(key):
-            # Edge role: we merely host replicas (or forward traffic)
-            # for a service owned elsewhere.  Batch local evidence and
-            # let it climb the hierarchy as one summary.
-            self._aggregate_failure(
-                key, tuple(as_address(s) for s in msg.suspects), reports=1
-            )
+            # Edge or mid-tier role: the service is owned elsewhere.
+            # Batch the evidence and let it climb as one summary.
+            self._aggregate_failure(key, suspects, reports, hops)
             return
-        reporter = as_address(msg.reporter_ip)
-        if reporter not in entry.replicas:
-            # A report from outside the replica set is a zombie of an
-            # old view (e.g. a fenced ex-primary whose queued reports
-            # surface after a partition heals).  Acting on it could
-            # remove the *real* primary — never do; fail-stop the
-            # sender instead if its view is provably stale.
-            self.fencing.record_near_miss()
-            self._send_demote(key, reporter, entry.epoch)
-            return
-        if self.on_failure_report is not None:
-            self.on_failure_report(msg)
+        if reporter is not None:
+            if reporter not in entry.replicas:
+                # A report from outside the replica set is a zombie of
+                # an old view (e.g. a fenced ex-primary whose queued
+                # reports surface after a partition heals).  Acting on
+                # it could remove the *real* primary — never do;
+                # fail-stop the sender instead if its view is provably
+                # stale.
+                self.fencing.record_near_miss()
+                self._send_demote(key, reporter, entry.epoch)
+                return
+            if self.on_failure_report is not None:
+                self.on_failure_report(msg)
         # Congestion rule: a suspect that stays "alive" but keeps being
         # reported gets shut down anyway (fail-stop for spurious
-        # unavailability, paper §1/§4.4).
+        # unavailability, paper §1/§4.4).  A summary counts as the
+        # reports it aggregates, capped at the threshold so one summary
+        # cannot manufacture more evidence than the rule needs.
         now = self.sim.now
-        for suspect in msg.suspects:
-            suspect = as_address(suspect)
+        threshold = self.CONGESTION_REPORT_THRESHOLD
+        for suspect in suspects:
             history = self._report_history.setdefault((key, suspect), [])
-            history.append(now)
-            history[:] = [t for t in history if now - t <= self.congestion_report_window]
-            if (
-                len(history) >= self.congestion_report_threshold
-                and suspect in entry.replicas
-            ):
+            history.extend([now] * min(reports, threshold))
+            history[:] = [t for t in history if now - t <= self.CONGESTION_REPORT_WINDOW]
+            if len(history) >= threshold and suspect in entry.replicas:
                 self._remove_and_rechain(key, {suspect})
                 return
-        if key in self._reconfigs:
-            return  # probe already in flight
-        self._start_probe(key)
+        if key not in self._reconfigs:
+            self._start_probe(key)  # else a probe is already in flight
 
     def _aggregate_failure(
-        self, key: ServiceKey, suspects: tuple, reports: int, hops: int = 0
+        self, key: ServiceKey, suspects: list, reports: int, hops: int
     ) -> None:
         """Batch failure evidence for a service owned elsewhere; the
         first piece of evidence arms a flush timer, later pieces merge
@@ -408,7 +412,7 @@ class RedirectorDaemon:
         agg = self._agg.get(key)
         if agg is None:
             self._agg[key] = [set(suspects), reports, hops]
-            self.sim.schedule(self.aggregation_window, self._flush_summary, key)
+            self.sim.schedule(self.AGGREGATION_WINDOW, self._flush_summary, key)
             return
         agg[0].update(suspects)
         agg[1] += reports
@@ -419,7 +423,7 @@ class RedirectorDaemon:
         if agg is None:
             return
         suspects, reports, hops = agg
-        if hops >= self.max_summary_hops:
+        if hops >= self.MAX_SUMMARY_HOPS:
             return  # misconfigured mesh (cycle / no authority): stop climbing
         authority = self._authority.get(key)
         if authority is not None and authority != self.redirector.ip:
@@ -441,44 +445,6 @@ class RedirectorDaemon:
             target,
         )
 
-    def _handle_failure_summary(self, msg: FailureSummary) -> None:
-        self.failure_summaries_received += 1
-        key = ServiceKey(as_address(msg.service_ip), msg.port)
-        entry = self.redirector.table.get(key)
-        if entry is None or not entry.fault_tolerant:
-            return
-        if not self._is_authority(key):
-            # Mid-tier: merge and keep climbing toward the authority.
-            self._aggregate_failure(
-                key,
-                tuple(as_address(s) for s in msg.suspects),
-                reports=msg.reports,
-                hops=msg.hops,
-            )
-            return
-        # Authority: a summary stands in for the individual reports it
-        # aggregates — feed the congestion rule (capped at threshold so
-        # one summary cannot manufacture more evidence than the rule
-        # needs) and verify liveness by probing, exactly as for a
-        # directly received report.
-        now = self.sim.now
-        for suspect in msg.suspects:
-            suspect = as_address(suspect)
-            if suspect not in entry.replicas:
-                continue
-            history = self._report_history.setdefault((key, suspect), [])
-            history.extend(
-                [now] * min(msg.reports, self.congestion_report_threshold)
-            )
-            history[:] = [
-                t for t in history if now - t <= self.congestion_report_window
-            ]
-            if len(history) >= self.congestion_report_threshold:
-                self._remove_and_rechain(key, {suspect})
-                return
-        if key not in self._reconfigs:
-            self._start_probe(key)
-
     def _start_probe(self, key: ServiceKey) -> None:
         entry = self.redirector.table.get(key)
         if entry is None:
@@ -493,9 +459,9 @@ class RedirectorDaemon:
         # Re-ping the non-responders midway through the window — a
         # fail-stopped host stays silent through every retry, so clean
         # fail-stop detection concludes at the same deadline as before.
-        self.sim.schedule(self.ping_timeout / 3, self._reping, key, reconfig)
-        self.sim.schedule(2 * self.ping_timeout / 3, self._reping, key, reconfig)
-        self.sim.schedule(self.ping_timeout, self._finish_probe, key, reconfig)
+        self.sim.schedule(self.PING_TIMEOUT / 3, self._reping, key, reconfig)
+        self.sim.schedule(2 * self.PING_TIMEOUT / 3, self._reping, key, reconfig)
+        self.sim.schedule(self.PING_TIMEOUT, self._finish_probe, key, reconfig)
 
     def _reping(self, key: ServiceKey, reconfig: "_Reconfiguration") -> None:
         if self._reconfigs.get(key) is not reconfig:
@@ -603,11 +569,10 @@ class RedirectorDaemon:
 
     # -- promotion arbitration and fencing (DESIGN.md §9) -------------------
 
-    def _handle_promotion_request(self, msg: PromotionRequest) -> None:
+    def _handle_promotion_request(self, msg: PromotionRequest, src_ip: IPAddress) -> None:
         key = ServiceKey(as_address(msg.service_ip), msg.port)
         requester = as_address(msg.requester_ip)
         entry = self.redirector.table.get(key)
-        self.fencing.promotion_requests += 1
         if entry is None or not entry.fault_tolerant:
             return
         if requester not in entry.replicas:
@@ -620,7 +585,6 @@ class RedirectorDaemon:
             if entry.epoch > granted_epoch:
                 self._granted[key] = (entry.epoch, requester)
                 self.promotions_granted += 1
-                self.fencing.promotion_grants += 1
             elif grantee != requester:
                 # At most one grant per epoch; a second bidder loses.
                 self._refuse_promotion(key, requester, entry.epoch)
@@ -638,7 +602,6 @@ class RedirectorDaemon:
 
     def _refuse_promotion(self, key: ServiceKey, target: IPAddress, epoch: int) -> None:
         self.promotions_refused += 1
-        self.fencing.promotion_refusals += 1
         self.fencing.record_near_miss()
         self._send_demote(key, target, epoch)
 
@@ -657,7 +620,7 @@ class RedirectorDaemon:
         a Demote can never kill the granted primary of the epoch)."""
         now = self.sim.now
         last = self._last_demote.get((key, target))
-        if last is not None and now - last < self.demote_min_interval:
+        if last is not None and now - last < self.DEMOTE_MIN_INTERVAL:
             return
         self._last_demote[(key, target)] = now
         self.fencing.demotes_sent += 1
@@ -729,18 +692,18 @@ class HostServerDaemon:
         sock = host_server.node.udp_socket()
         sock.bind(MGMT_PORT)
         self.channel = ReliableUdp(self.sim, sock, self._on_message)
-        #: Wired by the ft layer (repro.core.service).
-        self.on_chain_update: Optional[Callable[[ChainUpdate], None]] = None
-        self.on_shutdown: Optional[Callable[[Shutdown], None]] = None
-        self.on_join_request: Optional[Callable[[JoinRequest], None]] = None
-        self.on_state_snapshot: Optional[Callable[[StateSnapshot], None]] = None
-        self.on_chain_splice: Optional[Callable[[ChainSplice], None]] = None
-        self.on_promotion_grant: Optional[Callable[[PromotionGrant], None]] = None
-        self.on_demote: Optional[Callable[[Demote], None]] = None
-        self.chain_updates_received = 0
+        #: Message type -> handler: the one dispatch path.  The ft
+        #: layer (:class:`~repro.core.ft_tcp.FtStack`) adds the
+        #: per-port messages.
+        self.handlers: dict[type, Handler] = {Ping: self._handle_ping}
         self.failure_reports_sent = 0
         self.promotion_requests_sent = 0
         self.promotion_give_ups = 0
+
+    def dispose(self) -> None:
+        """Teardown (DESIGN.md §19): channel; handlers."""
+        self.channel.dispose()
+        self.handlers = {}
 
     @property
     def ip(self) -> IPAddress:
@@ -823,27 +786,9 @@ class HostServerDaemon:
     # -- incoming ---------------------------------------------------------
 
     def _on_message(self, message: MgmtMessage, src_ip: IPAddress, src_port: int) -> None:
-        if isinstance(message, Ping):
-            self.channel.send_unreliable(Pong(nonce=message.nonce), src_ip, src_port)
-        elif isinstance(message, ChainUpdate):
-            self.chain_updates_received += 1
-            if self.on_chain_update is not None:
-                self.on_chain_update(message)
-        elif isinstance(message, Shutdown):
-            if self.on_shutdown is not None:
-                self.on_shutdown(message)
-        elif isinstance(message, JoinRequest):
-            if self.on_join_request is not None:
-                self.on_join_request(message)
-        elif isinstance(message, StateSnapshot):
-            if self.on_state_snapshot is not None:
-                self.on_state_snapshot(message)
-        elif isinstance(message, ChainSplice):
-            if self.on_chain_splice is not None:
-                self.on_chain_splice(message)
-        elif isinstance(message, PromotionGrant):
-            if self.on_promotion_grant is not None:
-                self.on_promotion_grant(message)
-        elif isinstance(message, Demote):
-            if self.on_demote is not None:
-                self.on_demote(message)
+        handler = self.handlers.get(type(message))
+        if handler is not None:
+            handler(message, src_ip)
+
+    def _handle_ping(self, message: Ping, src_ip: IPAddress) -> None:
+        self.channel.send_unreliable(Pong(nonce=message.nonce), src_ip)

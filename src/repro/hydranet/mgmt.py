@@ -18,6 +18,8 @@ Messages
   retransmissions detected; suspected replica(s) attached.
 * ``Ping``/``Pong`` — redirector probes replica liveness during
   reconfiguration (deliberately unreliable).
+* ``Shutdown`` — redirector → replica: removed from the set, stop
+  serving.
 * ``Ack`` — reliable-layer acknowledgement.
 
 View/epoch fencing messages (EXTENSION — split-brain prevention, see
@@ -176,6 +178,15 @@ class Demote(MgmtMessage):
     service_ip: IPAddress
     port: int
     epoch: int = 0
+
+
+@dataclass
+class Shutdown(MgmtMessage):
+    """Redirector → replica: you have been removed from the set; stop
+    serving (fail-stop enforcement for spuriously unavailable servers)."""
+
+    service_ip: IPAddress
+    port: int
 
 
 @dataclass

@@ -33,9 +33,6 @@ class FencingMetrics:
         #: (service key) -> ordered list of epoch changes.
         self.epoch_timelines: dict = {}
         self.segments_fenced = 0
-        self.promotion_requests = 0
-        self.promotion_grants = 0
-        self.promotion_refusals = 0
         self.demotes_sent = 0
         #: Distinct (service, stale epoch) pairs whose owner was caught
         #: still transmitting, plus refused bids and zombie signals.
@@ -63,35 +60,16 @@ class FencingMetrics:
     def timeline_for(self, key) -> list[EpochChange]:
         return list(self.epoch_timelines.get(key, []))
 
-    def current_epoch(self, key) -> int:
-        timeline = self.epoch_timelines.get(key)
-        return timeline[-1].epoch if timeline else 0
-
-    def summary(self) -> dict:
-        """Aggregate view for experiment tables."""
-        changes = sum(len(t) for t in self.epoch_timelines.values())
-        return {
-            "epoch_changes": changes,
-            "segments_fenced": self.segments_fenced,
-            "promotion_requests": self.promotion_requests,
-            "promotion_grants": self.promotion_grants,
-            "promotion_refusals": self.promotion_refusals,
-            "demotes_sent": self.demotes_sent,
-            "near_misses": self.near_misses,
-        }
-
 
 def primary_overlap(samples: list[tuple[float, int]]) -> float:
     """Total time during which more than one replica reported primary
     mode *for the same epoch*, from ``(time, primaries_in_epoch)``
     samples taken by an experiment.  Piecewise-constant between samples;
-    the fencing invariant is that this is always ``0.0``."""
+    the fencing invariant is that this is always ``0.0``.  A trailing
+    violation is unbounded and charged nothing: the caller sees the
+    nonzero final sample directly."""
     overlap = 0.0
     for (t0, count), (t1, _next) in zip(samples, samples[1:]):
         if count > 1:
             overlap += t1 - t0
-    if samples and samples[-1][1] > 1:
-        # A trailing violation is unbounded; charge nothing here — the
-        # caller sees the nonzero final sample directly.
-        pass
     return overlap

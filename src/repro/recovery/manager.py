@@ -37,7 +37,7 @@ from repro.hydranet.daemons import RedirectorDaemon
 from repro.hydranet.mgmt import JOIN_RETRY, FailureReport, JoinReady, JoinRequest
 from repro.hydranet.redirector import ServiceKey
 from repro.metrics.recovery import DegreeTimeline, RecoveryIncident
-from repro.netsim.addressing import as_address
+from repro.netsim.addressing import IPAddress, as_address
 from repro.netsim.simulator import Timer
 
 from .spare_pool import SparePool
@@ -82,7 +82,7 @@ class RecoveryManager:
         self.joins_aborted = 0
         daemon.on_membership_change = self._on_membership_change
         daemon.on_failure_report = self._on_failure_report
-        daemon.on_join_ready = self._on_join_ready
+        daemon.handlers[JoinReady] = self._on_join_ready
         service.recovery = self
         service.retain_client_streams()
         self.timeline.record(self.sim.now, self._degree())
@@ -92,7 +92,8 @@ class RecoveryManager:
     def dispose(self) -> None:
         """Teardown (DESIGN.md §19): poll timer; daemon and service hooks."""
         self.daemon.on_membership_change = self.daemon.on_failure_report = None
-        self.daemon.on_join_ready = self._poll_timer = self.service.recovery = None
+        self.daemon.handlers.pop(JoinReady, None)
+        self._poll_timer = self.service.recovery = None
 
     # -- observation ------------------------------------------------------
 
@@ -195,7 +196,7 @@ class RecoveryManager:
         )
         return handle
 
-    def _on_join_ready(self, msg: JoinReady) -> None:
+    def _on_join_ready(self, msg: JoinReady, src_ip: IPAddress) -> None:
         join = self._join
         if (
             join is None

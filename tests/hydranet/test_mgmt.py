@@ -6,6 +6,7 @@ import pytest
 
 from repro.hydranet import (
     ARBITRATION_RETRY,
+    ChainUpdate,
     HostServerDaemon,
     JOIN_RETRY,
     MGMT_PORT,
@@ -13,6 +14,7 @@ from repro.hydranet import (
     RedirectorDaemon,
     ReliableUdp,
     RetryPolicy,
+    Shutdown,
 )
 from repro.sockets import node_for
 
@@ -174,8 +176,8 @@ class TestRegistration:
     def test_chain_updates_reach_members(self, managed):
         hnet, rd, da, db = managed
         updates_a, updates_b = [], []
-        da.on_chain_update = updates_a.append
-        db.on_chain_update = updates_b.append
+        da.handlers[ChainUpdate] = lambda m, src: updates_a.append(m)
+        db.handlers[ChainUpdate] = lambda m, src: updates_b.append(m)
         da.register(SERVICE, 80, "primary")
         db.register(SERVICE, 80, "backup")
         hnet.run(until=5.0)
@@ -188,7 +190,7 @@ class TestRegistration:
     def test_unregister_primary_promotes_backup(self, managed):
         hnet, rd, da, db = managed
         updates_b = []
-        db.on_chain_update = updates_b.append
+        db.handlers[ChainUpdate] = lambda m, src: updates_b.append(m)
         da.register(SERVICE, 80, "primary")
         db.register(SERVICE, 80, "backup")
         hnet.run(until=5.0)
@@ -218,7 +220,7 @@ class TestFailureHandling:
     def test_dead_primary_removed_and_backup_promoted(self, managed):
         hnet, rd, da, db = self.register_pair(managed)
         updates_b = []
-        db.on_chain_update = updates_b.append
+        db.handlers[ChainUpdate] = lambda m, src: updates_b.append(m)
         hnet.hs_a.crash()
         db.report_failure(SERVICE, 80)
         hnet.run(until=15.0)
@@ -238,7 +240,7 @@ class TestFailureHandling:
     def test_dead_backup_removed(self, managed):
         hnet, rd, da, db = self.register_pair(managed)
         shutdowns = []
-        da.on_shutdown = shutdowns.append
+        da.handlers[Shutdown] = lambda m, src: shutdowns.append(m)
         hnet.hs_b.crash()
         da.report_failure(SERVICE, 80)
         hnet.run(until=15.0)
