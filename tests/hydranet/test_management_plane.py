@@ -38,8 +38,11 @@ class Stray(MgmtMessage):
 def spy(daemon):
     """Record every message the daemon sends, reliable or not."""
     sent = []
-    daemon.channel.send = lambda msg, dst, **kw: sent.append((msg, dst))
-    daemon.channel.send_unreliable = lambda msg, dst, port=MGMT_PORT: sent.append((msg, dst))
+
+    def record(msg, dst, *args, **kwargs):
+        sent.append((msg, dst))
+
+    daemon.channel.send = daemon.channel.send_unreliable = record
     return sent
 
 
