@@ -9,6 +9,7 @@ survives untouched.
 Run:  python examples/quickstart.py
 """
 
+from repro.apps.echo import echo_server_factory  # deterministic on every replica
 from repro.core import DetectorParams, FtNode, ReplicatedTcpService
 from repro.hydranet import HostServer, Redirector, RedirectorDaemon
 from repro.netsim import Simulator, Topology
@@ -16,16 +17,6 @@ from repro.sockets import node_for
 
 SERVICE_IP = "192.20.225.20"  # the paper's example service address
 PORT = 7
-
-
-def echo_factory(host_server):
-    """Every replica runs this deterministic echo server."""
-
-    def on_accept(conn):
-        conn.on_data = conn.send
-        conn.on_remote_close = conn.close
-
-    return on_accept
 
 
 def main():
@@ -51,7 +42,7 @@ def main():
     # --- HydraNet-FT deployment --------------------------------------
     RedirectorDaemon(redirector)
     service = ReplicatedTcpService(
-        SERVICE_IP, PORT, echo_factory, detector=DetectorParams(threshold=3)
+        SERVICE_IP, PORT, echo_server_factory, detector=DetectorParams(threshold=3)
     )
     service.add_primary(FtNode(hs_a, redirector.ip))
     service.add_backup(FtNode(hs_b, redirector.ip))

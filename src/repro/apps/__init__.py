@@ -1,6 +1,6 @@
 """Workload applications: ttcp, echo, a tiny httpd, media streaming."""
 
-from .echo import EchoClient, EchoStats, echo_server_factory, install_echo_server
+from .echo import EchoClient, EchoStats, EchoStream, echo_server_factory, install_echo_server
 from .httpd import (
     HttpClient,
     HttpResponse,
@@ -25,6 +25,7 @@ from .ttcp import (
 __all__ = [
     "EchoClient",
     "EchoStats",
+    "EchoStream",
     "echo_server_factory",
     "install_echo_server",
     "HttpClient",

@@ -1,9 +1,11 @@
-"""Echo service: the simplest deterministic replicated server, plus a
-request/response client driver used in fail-over experiments."""
+"""Echo service: the simplest deterministic replicated server, plus
+the client drivers of the experiments and the fuzzer: a
+request/response client and a one-connection byte stream."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Callable, Optional
 
 from repro.sockets.api import Node
@@ -139,3 +141,53 @@ class EchoClient:
         self.closed_at = self.sim.now
         if not self.done and reason != "closed":
             self.stats.errors.append(reason)
+
+
+class EchoStream:
+    """One client connection streaming to a service (echo or sink):
+
+    * **bulk** (``total_bytes``): byte ``i`` is ``i % 251``, written in
+      ``chunk``-byte pieces from establishment on as send space allows;
+    * **paced** (``every``): chunk ``k`` is ``chunk`` copies of ``k % 251``,
+      one every ``every`` s from ``start`` (absolute) until ``until``.
+
+    Records ``sent`` (only what ``conn.send`` accepted: a chunk the send
+    buffer takes in part counts its accepted prefix), ``received`` and the
+    close ``events`` (``closed:<reason>``, ``remote-close``)."""
+
+    def __init__(self, node: Node, server_ip, port: int, chunk: int = 2048,
+                 total_bytes: Optional[int] = None, every: Optional[float] = None,
+                 start: float = 0.0, until: float = inf):
+        if (total_bytes is None) == (every is None):
+            raise ValueError("EchoStream needs exactly one of total_bytes and every")
+        self.sim, self.chunk, self.every, self.until = node.sim, chunk, every, until
+        self.sent, self.received = bytearray(), bytearray()
+        self.events: list[str] = []
+        self._beats = 0
+        conn = self.conn = node.connect(server_ip, port)
+        conn.on_data = self.received.extend
+        events = self.events
+        conn.on_closed = lambda reason: events.append(f"closed:{reason}")
+        conn.on_remote_close = lambda: events.append("remote-close")
+        if every is None:
+            self._payload = (bytes(range(251)) * (total_bytes // 251 + 1))[:total_bytes]
+            conn.on_established = conn.on_send_space = self._push
+        else:
+            self.sim.post_at(start, self._pace)
+
+    def _push(self) -> None:
+        payload, sent = self._payload, self.sent
+        while len(sent) < len(payload):
+            at = len(sent)
+            n = self.conn.send(payload[at : at + self.chunk])
+            if n == 0:
+                return
+            sent += payload[at : at + n]
+
+    def _pace(self) -> None:
+        if self.sim.now >= self.until:
+            return
+        data = bytes([self._beats % 251]) * self.chunk
+        self.sent += data[: self.conn.send(data)]
+        self._beats += 1
+        self.sim.post(self.every, self._pace)

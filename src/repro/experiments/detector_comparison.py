@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.apps.echo import echo_server_factory
+from repro.apps.echo import EchoStream, echo_server_factory
 from repro.core import DetectorParams
 from repro.core.heartbeat import enable_heartbeats
 from repro.metrics.tables import Table
 from repro.runtime import Task
 
 from .experiment import Experiment
+from .failover import promotion_watch
 from .testbeds import build_ft_system
 
 
@@ -31,16 +32,6 @@ class DetectorOutcome:
     active_latency: float
     idle_latency: float
     idle_messages_per_sec: float
-
-
-def _promotion_watch(system, promoted_at: dict) -> None:
-    def watch():
-        if system.service.replicas[1].ft_port.is_primary:
-            promoted_at["t"] = system.sim.now
-        else:
-            system.sim.schedule(0.05, watch)
-
-    system.sim.schedule(0.0, watch)
 
 
 def _run_crash(
@@ -74,23 +65,15 @@ def _run_crash(
                 tolerance=heartbeat_tolerance,
             )
         if active_client:
-            conn = system.client_node.connect(system.service_ip, 7)
-            payload = bytes(i % 256 for i in range(400_000))
-            sent = {"n": 0}
-
-            def pump():
-                while sent["n"] < len(payload):
-                    n = conn.send(payload[sent["n"] : sent["n"] + 2048])
-                    sent["n"] += n
-                    if n == 0:
-                        return
-
-            conn.on_established = pump
-            conn.on_send_space = pump
+            stream = EchoStream(
+                system.client_node, system.service_ip, 7, total_bytes=400_000
+            )
+            # The client never reads its echo: its receive window closes
+            # and only its own data keeps the retransmission signal alive.
+            stream.conn.on_data = None
         crash_at = system.sim.now + 0.5
-        promoted_at: dict = {}
         system.sim.schedule_at(crash_at, system.servers[0].crash)
-        system.sim.schedule_at(crash_at, lambda: _promotion_watch(system, promoted_at))
+        promoted_at = promotion_watch(system, crash_at)
         system.run_until(horizon)
         latency = promoted_at["t"] - crash_at if "t" in promoted_at else float("inf")
         total_heartbeats = sum(s.sent for s in senders)

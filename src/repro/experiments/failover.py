@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.apps.echo import EchoStream
 from repro.core import DetectorParams
 from repro.faults.injection import FaultPlan
 from repro.metrics.tables import Table
@@ -44,38 +45,38 @@ class FalsePositiveOutcome:
     spurious_shutdowns: int
 
 
-def _streaming_client(system, total_bytes: int = 200_000, chunk: int = 2048):
-    conn = system.client_node.connect(system.service_ip, system.port)
-    got = {"bytes": 0, "last_progress": [system.sim.now], "gaps": [0.0]}
-    events: list[str] = []
-    payload = bytes(i % 256 for i in range(total_bytes))
-    sent = {"n": 0}
-
-    def pump():
-        while sent["n"] < total_bytes:
-            n = conn.send(payload[sent["n"] : sent["n"] + chunk])
-            sent["n"] += n
-            if n == 0:
-                break
+def _streaming_client(system, total_bytes: int = 200_000):
+    """A bulk stream, plus the gaps in its ACK progress: a fail-over
+    shows up as a stall in the client's ``snd_una``."""
+    stream = EchoStream(
+        system.client_node, system.service_ip, system.port, total_bytes=total_bytes
+    )
+    conn, gaps, last = stream.conn, [0.0], [system.sim.now, 0]
 
     def track_progress():
-        # Track ACK progress at the client: a fail-over shows up as a
-        # stall in snd_una advancement.
-        advanced = conn.snd_una > got["bytes"]
-        if advanced:
-            gap = system.sim.now - got["last_progress"][0]
-            got["gaps"].append(gap)
-            got["last_progress"][0] = system.sim.now
-            got["bytes"] = conn.snd_una
+        if conn.snd_una > last[1]:
+            gaps.append(system.sim.now - last[0])
+            last[:] = system.sim.now, conn.snd_una
         if conn.snd_una < total_bytes and system.sim.pending_events:
             system.sim.schedule(0.05, track_progress)
 
-    conn.on_established = pump
-    conn.on_send_space = pump
-    conn.on_closed = lambda reason: events.append(f"closed:{reason}")
-    conn.on_remote_close = lambda: events.append("remote-close")
     system.sim.schedule(0.05, track_progress)
-    return conn, got, events
+    return stream, gaps
+
+
+def promotion_watch(system, crash_at: float) -> dict:
+    """Poll every 50 ms from ``crash_at`` (absolute) until the first
+    backup is primary; the returned dict gets its time under ``"t"``."""
+    promoted_at: dict = {}
+
+    def watch():
+        if system.service.replicas[1].ft_port.is_primary:
+            promoted_at["t"] = system.sim.now
+        else:
+            system.sim.schedule(0.05, watch)
+
+    system.sim.schedule_at(crash_at, watch)
+    return promoted_at
 
 
 def run_crash_failover(
@@ -95,27 +96,19 @@ def run_crash_failover(
         detector=DetectorParams(threshold=threshold, cooldown=1.0),
         strategy=strategy,
     ) as system:
-        conn, got, events = _streaming_client(system, total_bytes)
+        stream, gaps = _streaming_client(system, total_bytes)
         plan = FaultPlan(system.sim)
         plan.crash_at(system.servers[0], crash_at)
-        promoted_at = {}
-
-        def watch_promotion():
-            if system.service.replicas[1].ft_port.is_primary:
-                promoted_at["t"] = system.sim.now
-            else:
-                system.sim.schedule(0.05, watch_promotion)
-
-        system.sim.schedule(crash_at, watch_promotion)
+        promoted_at = promotion_watch(system, crash_at)
         system.run_until(horizon)
         detected = "t" in promoted_at
         return FailoverOutcome(
             threshold=threshold,
             detected=detected,
             failover_latency=(promoted_at["t"] - crash_at) if detected else float("inf"),
-            client_stall=max(got["gaps"]),
-            transfer_complete=conn.snd_una >= total_bytes,
-            client_events=events,
+            client_stall=max(gaps),
+            transfer_complete=stream.conn.snd_una >= total_bytes,
+            client_events=stream.events,
         )
 
 
@@ -133,7 +126,7 @@ def run_congestion_false_positive(
         n_backups=1,
         detector=DetectorParams(threshold=threshold, cooldown=1.0),
     ) as system:
-        _conn, _got, _events = _streaming_client(system, total_bytes=400_000)
+        _streaming_client(system, total_bytes=400_000)
         plan = FaultPlan(system.sim)
         link = system.topo.find_link("redirector", "hs_0")
         plan.loss_burst(link, burst_at, burst_duration, loss_rate=0.6)

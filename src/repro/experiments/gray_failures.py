@@ -38,7 +38,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.apps.echo import echo_server_factory
+from repro.apps.echo import EchoStream, echo_server_factory
 from repro.core import DetectorParams
 from repro.faults import GrayFaultPlan
 from repro.invariants import attach_invariants
@@ -187,28 +187,16 @@ def run_variant(variant: Variant, seed: int = 0) -> GrayRunResult:
         if variant.crash_primary:
             plan.crash_at(system.servers[0], CRASH_PRIMARY_AT)
 
-        conn = system.client_node.connect(system.service_ip, system.port)
-        sent = bytearray()
-        received = bytearray()
+        stream = EchoStream(system.client_node, system.service_ip, system.port, chunk=CHUNK,
+                            every=SEND_EVERY, start=TRAFFIC_START, until=TRAFFIC_UNTIL)
+        sent, received = stream.sent, stream.received
         arrivals: list[tuple[float, int]] = []
 
         def on_data(data: bytes) -> None:
             received.extend(data)
             arrivals.append((system.sim.now, len(data)))
 
-        conn.on_data = on_data
-        counter = [0]
-
-        def pump():
-            if system.sim.now >= TRAFFIC_UNTIL:
-                return
-            data = bytes([counter[0] % 256]) * CHUNK
-            accepted = conn.send(data)
-            sent.extend(data[:accepted])
-            counter[0] += 1
-            system.sim.schedule(SEND_EVERY, pump)
-
-        system.sim.schedule_at(TRAFFIC_START, pump)
+        stream.conn.on_data = on_data
 
         # Chain sampler: when does the victim leave the redirector's view?
         victim_ip = victim_node.ip

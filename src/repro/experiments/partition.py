@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.apps.echo import EchoStream, echo_server_factory
 from repro.core import DetectorParams
 from repro.faults.injection import FaultPlan
 from repro.metrics.fencing import primary_overlap
@@ -45,14 +46,6 @@ TARGET_DEGREE = 2
 PARTITION_AT = 5.0
 PARTITION_FOR = 25.0
 SAMPLE_PERIOD = 0.25
-
-
-def _echo_factory(host_server):
-    def on_accept(conn):
-        conn.on_data = conn.send
-        conn.on_remote_close = conn.close
-
-    return on_accept
 
 
 def _direction_toward(link, endpoint_name: str) -> str:
@@ -93,43 +86,30 @@ class PartitionRunResult:
     samples: list[tuple[float, int]] = field(repr=False, default_factory=list)
 
 
-def _run_workload(system, traffic_until: float, horizon: float):
-    """Continuous echo traffic: returns (sent, received, events)."""
-    conn = system.client_node.connect(system.service_ip, system.port)
-    received = bytearray()
-    sent = bytearray()
-    conn.on_data = received.extend
-    events: list[str] = []
-    conn.on_closed = lambda reason: events.append(f"closed:{reason}")
-    counter = [0]
+def _build(seed: int, strategy: str):
+    return build_ft_system(
+        seed=seed,
+        n_backups=1,
+        detector=DetectorParams(threshold=3, cooldown=1.0),
+        factory=echo_server_factory,
+        strategy=strategy,
+    )
 
-    def pump():
-        if system.sim.now >= traffic_until:
-            return
-        data = bytes([counter[0] % 256]) * 400
-        conn.send(data)
-        sent.extend(data)
-        counter[0] += 1
-        system.sim.schedule(0.05, pump)
 
-    system.sim.schedule(0.5, pump)
-    return sent, received, events
+def _run_workload(system, traffic_until: float) -> EchoStream:
+    """Continuous echo traffic: 400 B every 50 ms from t = 2.5 s."""
+    return EchoStream(system.client_node, system.service_ip, system.port,
+                      chunk=400, every=0.05, start=2.5, until=traffic_until)
 
 
 def _baseline_received(
     seed: int, traffic_until: float, horizon: float, strategy: str = "chain"
 ) -> bytes:
     """The same workload with no fault injected."""
-    with build_ft_system(
-        seed=seed,
-        n_backups=1,
-        detector=DetectorParams(threshold=3, cooldown=1.0),
-        factory=_echo_factory,
-        strategy=strategy,
-    ) as system:
-        _sent, received, _events = _run_workload(system, traffic_until, horizon)
+    with _build(seed, strategy) as system:
+        stream = _run_workload(system, traffic_until)
         system.run_until(horizon)
-        return bytes(received)
+        return bytes(stream.received)
 
 
 def run_partition(
@@ -141,13 +121,7 @@ def run_partition(
     traffic_until = 60.0
     baseline = _baseline_received(seed, traffic_until, horizon, strategy=strategy)
 
-    with build_ft_system(
-        seed=seed,
-        n_backups=1,
-        detector=DetectorParams(threshold=3, cooldown=1.0),
-        factory=_echo_factory,
-        strategy=strategy,
-    ) as system:
+    with _build(seed, strategy) as system:
         manager = RecoveryManager(
             system.service,
             system.redirector_daemon,
@@ -171,7 +145,7 @@ def run_partition(
                 link, _direction_toward(link, "hs_0"), at, duration=PARTITION_FOR
             )
 
-        sent, received, events = _run_workload(system, traffic_until, horizon)
+        stream = _run_workload(system, traffic_until)
 
         # Invariant sampler: at most one replica in primary mode per epoch.
         samples: list[tuple[float, int]] = []
@@ -210,11 +184,11 @@ def run_partition(
         return PartitionRunResult(
             variant=variant,
             horizon=horizon,
-            bytes_sent=len(sent),
-            bytes_received=len(received),
-            stream_intact=bytes(received) == bytes(sent),
-            matches_baseline=bytes(received) == baseline,
-            client_events=events,
+            bytes_sent=len(stream.sent),
+            bytes_received=len(stream.received),
+            stream_intact=stream.received == stream.sent,
+            matches_baseline=stream.received == baseline,
+            client_events=stream.events,
             epoch_changes=len(fencing.timeline_for(key)),
             final_epoch=entry.epoch,
             segments_fenced=fencing.segments_fenced,

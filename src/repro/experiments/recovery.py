@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.apps.echo import EchoStream, echo_server_factory
 from repro.core import DetectorParams
 from repro.faults.injection import FaultPlan
 from repro.metrics.recovery import summarize_incidents
@@ -35,14 +36,6 @@ from .testbeds import build_ft_system
 TARGET_DEGREE = 2
 CYCLE_PERIOD = 30.0
 DOWNTIME = 8.0
-
-
-def _echo_factory(host_server):
-    def on_accept(conn):
-        conn.on_data = conn.send
-        conn.on_remote_close = conn.close
-
-    return on_accept
 
 
 @dataclass
@@ -68,7 +61,7 @@ def run_recovery_cycles(cycles: int = 2, seed: int = 0) -> RecoveryRunResult:
         n_backups=1,
         n_spares=1,
         detector=DetectorParams(threshold=3, cooldown=1.0),
-        factory=_echo_factory,
+        factory=echo_server_factory,
     ) as system:
         manager = RecoveryManager(
             system.service,
@@ -97,25 +90,8 @@ def run_recovery_cycles(cycles: int = 2, seed: int = 0) -> RecoveryRunResult:
         horizon = last_recovery + 40.0
         traffic_until = horizon - 25.0
 
-        conn = system.client_node.connect(system.service_ip, system.port)
-        received = bytearray()
-        sent = bytearray()
-        conn.on_data = received.extend
-        events: list[str] = []
-        conn.on_closed = lambda reason: events.append(f"closed:{reason}")
-        conn.on_remote_close = lambda: events.append("remote-close")
-        counter = [0]
-
-        def pump():
-            if system.sim.now >= traffic_until:
-                return
-            data = bytes([counter[0] % 256]) * 400
-            conn.send(data)
-            sent.extend(data)
-            counter[0] += 1
-            system.sim.schedule(0.05, pump)
-
-        system.sim.schedule(2.5, pump)
+        stream = EchoStream(system.client_node, system.service_ip, system.port,
+                            chunk=400, every=0.05, start=4.5, until=traffic_until)
         system.run_until(horizon)
 
         return RecoveryRunResult(
@@ -127,10 +103,10 @@ def run_recovery_cycles(cycles: int = 2, seed: int = 0) -> RecoveryRunResult:
             incidents=list(manager.incidents),
             availability=manager.timeline.availability(TARGET_DEGREE, until=horizon),
             final_degree=manager.timeline.degree_at(system.sim.now),
-            bytes_sent=len(sent),
-            bytes_received=len(received),
-            stream_intact=bytes(received) == bytes(sent),
-            client_events=events,
+            bytes_sent=len(stream.sent),
+            bytes_received=len(stream.received),
+            stream_intact=stream.received == stream.sent,
+            client_events=stream.events,
         )
 
 

@@ -172,17 +172,26 @@ def build_ft_system(
     ordered_channel: bool = False,
     n_spares: int = 0,
     strategy: str = "chain",
+    latency: float = LINK_LATENCY,
+    mtu: int = 1500,
+    loss: float = 0.0,
+    env_offset: bool = True,
 ) -> FtSystem:
     """General FT deployment builder (era profiles, Figure-4 topology).
 
     ``n_spares`` adds idle host servers (daemon + ack endpoint wired,
     nothing bound) for the recovery subsystem's spare pool.
+    ``latency`` and ``mtu`` apply to every link, ``loss`` to the
+    client's link only.
 
     The ``REPRO_SEED_OFFSET`` environment variable (default 0) is added
     to ``seed`` — CI's chaos job runs the integration suite under
     several offsets so seed-sensitive races (fail-over vs. partition
-    timing) get coverage without editing every test."""
-    seed = seed + int(os.environ.get("REPRO_SEED_OFFSET", "0") or 0)
+    timing) get coverage without editing every test.  ``env_offset=False``
+    opts out, as the fuzzer does: its replays must be byte-identical
+    in every environment."""
+    if env_offset:
+        seed += int(os.environ.get("REPRO_SEED_OFFSET", "0") or 0)
     sim = Simulator(seed=seed)
     topo = Topology(sim)
     client = topo.add_host("client", CLIENT_486)
@@ -193,9 +202,10 @@ def build_ft_system(
         hs = HostServer(sim, f"hs_{i}", SERVER_P120)
         topo.add(hs)
         servers.append(hs)
-    topo.connect(client, redirector, **_link_kw())
+    link_kw = _link_kw(latency=latency, mtu=mtu)
+    topo.connect(client, redirector, loss_rate=loss, **link_kw)
     for hs in servers:
-        topo.connect(redirector, hs, **_link_kw())
+        topo.connect(redirector, hs, **link_kw)
     topo.add_external_network(f"{SERVICE_IP}/32", redirector)
     topo.build_routes()
     daemon = RedirectorDaemon(redirector)

@@ -30,23 +30,14 @@ from dataclasses import asdict, dataclass, field, replace as dc_replace
 from pathlib import Path
 from typing import Optional
 
-from repro.apps.echo import echo_server_factory
-from repro.apps.ttcp import TTCP_TCP_OPTIONS, TtcpSender, ttcp_sink_factory
-from repro.core import DetectorParams, FtNode, ReplicatedTcpService
-from repro.experiments.testbeds import (
-    CLIENT_486,
-    LINK_BANDWIDTH,
-    LINK_QUEUE,
-    REDIRECTOR_486,
-    SERVER_P120,
-    SERVICE_IP,
-    FtSystem,
-)
+from repro.apps.echo import EchoStream, echo_server_factory
+from repro.apps.ttcp import TtcpSender, ttcp_sink_factory
+from repro.core import DetectorParams
+from repro.experiments.testbeds import TTCP_PORT, FtSystem, build_ft_system
 from repro.faults import FaultPlan, GrayFaultPlan
-from repro.hydranet import HostServer, Redirector, RedirectorDaemon
-from repro.netsim import Simulator, Topology, TopologyError
+from repro.hydranet import Redirector
+from repro.netsim import TopologyError
 from repro.replication import available_strategies
-from repro.sockets import node_for
 from repro.topo import MeshScenario, MeshWorkload, TopoBuildError
 from repro.topo import generate as generate_topology
 
@@ -511,69 +502,28 @@ def generate_spec(
 
 
 def build_fuzz_system(spec: ScenarioSpec) -> FtSystem:
-    """Like :func:`~repro.experiments.testbeds.build_ft_system` but with
-    the fuzzer's topology knobs and *without* the ``REPRO_SEED_OFFSET``
+    """The classic testbed (:func:`~repro.experiments.testbeds.build_ft_system`)
+    with the scenario's topology knobs, *without* the ``REPRO_SEED_OFFSET``
     shift — corpus replay must be byte-identical in every environment."""
     echo = spec.workload.get("kind", "echo") == "echo"
-    factory = echo_server_factory if echo else ttcp_sink_factory
-    port = 7 if echo else 5001
-    sim = Simulator(seed=spec.seed)
-    topo = Topology(sim)
-    link_kw = dict(
-        bandwidth_bps=LINK_BANDWIDTH,
-        latency=spec.latency,
-        queue_capacity=LINK_QUEUE,
-        mtu=spec.mtu,
-    )
-    client = topo.add_host("client", CLIENT_486)
-    redirector = Redirector(sim, "redirector", REDIRECTOR_486)
-    topo.add(redirector)
-    servers = []
-    for i in range(1 + spec.n_backups + spec.n_spares):
-        hs = HostServer(sim, f"hs_{i}", SERVER_P120)
-        topo.add(hs)
-        servers.append(hs)
-    topo.connect(client, redirector, loss_rate=spec.loss, **link_kw)
-    for hs in servers:
-        topo.connect(redirector, hs, **link_kw)
-    topo.add_external_network(f"{SERVICE_IP}/32", redirector)
-    topo.build_routes()
-    daemon = RedirectorDaemon(redirector)
-    nodes = [FtNode(hs, redirector.ip) for hs in servers]
-    spare_nodes = nodes[1 + spec.n_backups :]
-    detector = DetectorParams(
-        threshold=3,
-        cooldown=1.0,
-        # Gray scenarios arm graceful degradation so slow-but-alive
-        # successors get excised instead of stalling output forever.
-        degradation_timeout=GRAY_DEGRADATION_TIMEOUT if spec.gray else None,
-    )
-    service = ReplicatedTcpService(
-        SERVICE_IP,
-        port,
-        factory,
-        detector=detector,
-        tcp_options=TTCP_TCP_OPTIONS,
+    return build_ft_system(
+        seed=spec.seed,
+        n_backups=spec.n_backups,
+        n_spares=spec.n_spares,
+        detector=DetectorParams(
+            threshold=3,
+            cooldown=1.0,
+            # Gray scenarios arm graceful degradation so slow-but-alive
+            # successors get excised instead of stalling output forever.
+            degradation_timeout=GRAY_DEGRADATION_TIMEOUT if spec.gray else None,
+        ),
+        factory=echo_server_factory if echo else ttcp_sink_factory,
+        port=7 if echo else TTCP_PORT,
         strategy=spec.backend,
-    )
-    service.add_primary(nodes[0])
-    for node in nodes[1 : 1 + spec.n_backups]:
-        service.add_backup(node)
-    sim.run(until=2.0)  # registration + chain setup
-    client_node = node_for(client, TTCP_TCP_OPTIONS)
-    return FtSystem(
-        sim,
-        topo,
-        client,
-        client_node,
-        redirector,
-        daemon,
-        servers,
-        nodes,
-        service,
-        SERVICE_IP,
-        port,
-        spare_nodes,
+        latency=spec.latency,
+        mtu=spec.mtu,
+        loss=spec.loss,
+        env_offset=False,
     )
 
 
@@ -681,67 +631,43 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
         _apply_faults(system.sim, spec.faults, targets, recommission)
 
         workload = spec.workload
-        got = bytearray()
-        payload = b""
-        paced_sent = bytearray()
         kind = workload.get("kind", "echo")
-        if kind == "echo":
-            total = workload["total_bytes"]
-            chunk = workload.get("chunk", 2048)
-            payload = (bytes(range(251)) * (total // 251 + 1))[:total]
-            conn = system.client_node.connect(system.service_ip, system.port)
-            sent = {"n": 0}
-
-            def pump():
-                while sent["n"] < total:
-                    n = conn.send(payload[sent["n"] : sent["n"] + chunk])
-                    sent["n"] += n
-                    if n == 0:
-                        return
-
-            conn.on_established = pump
-            conn.on_send_space = pump
-            conn.on_data = got.extend
-        elif kind == "paced_echo":
-            # Gray-failure workload: a steady stream for the whole fault
-            # horizon, so a wedged/lying successor has live output to
-            # stall.  The payload is whatever the socket accepted — the
-            # prefix check below runs against it after the horizon.
-            chunk = workload.get("chunk", 2048)
-            every = workload.get("every", 0.025)
-            until = workload.get("until", 2.0 + spec.duration)
-            conn = system.client_node.connect(system.service_ip, system.port)
-            beat = {"n": 0}
-
-            def pace():
-                if system.sim.now >= until:
-                    return
-                data = bytes([beat["n"] % 251]) * chunk
-                accepted = conn.send(data)
-                paced_sent.extend(data[:accepted])
-                beat["n"] += 1
-                system.sim.schedule(every, pace)
-
-            conn.on_data = got.extend
-            system.sim.schedule_at(2.5, pace)
+        stream = None
+        if kind in ("echo", "paced_echo"):
+            # paced_echo is the gray-failure workload: a steady stream for
+            # the whole fault horizon, so a wedged/lying successor has live
+            # output to stall.
+            pacing = (
+                {"total_bytes": workload["total_bytes"]}
+                if kind == "echo"
+                else {
+                    "every": workload.get("every", 0.025),
+                    "start": 2.5,
+                    "until": workload.get("until", 2.0 + spec.duration),
+                }
+            )
+            stream = EchoStream(
+                system.client_node,
+                system.service_ip,
+                system.port,
+                chunk=workload.get("chunk", 2048),
+                **pacing,
+            )
         else:
-            sender = TtcpSender(
+            TtcpSender(
                 system.client_node,
                 system.service_ip,
                 system.port,
                 buflen=workload.get("buflen", 1024),
                 nbuf=workload.get("nbuf", 40),
-            )
-            sender.start()
+            ).start()
 
         system.sim.run(until=2.0 + spec.duration)
-        pace = None  # it reschedules itself: a cycle through its own cell, holding the system
 
-        if paced_sent:
-            payload = bytes(paced_sent)
+        got = bytes(stream.received) if stream is not None else b""
         # Safety, not liveness: with every replica dead the client stalls —
         # fine — but the bytes it *did* get must be the true echo prefix.
-        if payload and bytes(got) != payload[: len(got)]:
+        if stream is not None and got != stream.sent[: len(got)]:
             invset.report(
                 "stream-integrity",
                 f"client received {len(got)} bytes that are not a prefix of "
@@ -749,7 +675,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
             )
 
         fingerprint = hashlib.sha256()
-        fingerprint.update(bytes(got))
+        fingerprint.update(got)
         streams = invset.stream_integrity.digest()
         fingerprint.update(
             json.dumps(

@@ -2,9 +2,17 @@
 
 import pytest
 
-from repro.apps import EchoClient, MediaClient, install_echo_server, media_server_factory, render_frame
+from repro.apps import (
+    EchoClient,
+    EchoStream,
+    MediaClient,
+    install_echo_server,
+    media_server_factory,
+    render_frame,
+)
 from repro.netsim import Simulator, Topology, ZERO_COST
 from repro.sockets import node_for
+from repro.tcp.options import TcpOptions
 
 
 @pytest.fixture()
@@ -62,6 +70,57 @@ class TestEcho:
         echo.start()
         sim.run(until=30.0)
         assert echo.stats.errors == ["refused"]
+
+
+def small_buffer_net(send_buffer_size):
+    """Client and echo server; the client's send buffer holds
+    ``send_buffer_size`` bytes."""
+    sim = Simulator()
+    topo = Topology(sim)
+    client = topo.add_host("client", ZERO_COST)
+    server = topo.add_host("server", ZERO_COST)
+    topo.connect(client, server)
+    topo.build_routes()
+    install_echo_server(node_for(server))
+    options = TcpOptions(send_buffer_size=send_buffer_size)
+    return sim, node_for(client, options), server.ip
+
+
+class TestEchoStream:
+    def test_bulk_delivers_the_whole_payload_in_order(self):
+        sim, client, server_ip = small_buffer_net(4096)
+        stream = EchoStream(client, server_ip, 7, total_bytes=30_000)
+        sim.run(until=30.0)
+        payload = bytes(i % 251 for i in range(30_000))
+        assert stream.sent == payload
+        assert stream.received == payload
+        assert stream.events == []
+
+    def test_paced_stops_at_until(self):
+        sim, client, server_ip = small_buffer_net(65535)
+        stream = EchoStream(
+            client, server_ip, 7, chunk=100, every=0.5, start=1.0, until=3.0
+        )
+        sim.run(until=10.0)
+        # Chunks at t = 1.0, 1.5, 2.0, 2.5; none at or after 3.0.
+        assert stream.sent == b"".join(bytes([k]) * 100 for k in range(4))
+        assert stream.received == stream.sent
+
+    def test_sent_counts_only_accepted_bytes(self):
+        sim, client, server_ip = small_buffer_net(1000)
+        stream = EchoStream(
+            client, server_ip, 7, chunk=1500, every=1.0, start=1.0, until=1.5
+        )
+        sim.run(until=10.0)
+        assert stream.sent == bytes(1000)
+        assert stream.received == stream.sent
+
+    def test_needs_exactly_one_mode(self):
+        sim, client, server_ip = small_buffer_net(1000)
+        with pytest.raises(ValueError):
+            EchoStream(client, server_ip, 7)
+        with pytest.raises(ValueError):
+            EchoStream(client, server_ip, 7, total_bytes=10, every=1.0)
 
 
 class TestMedia:

@@ -39,6 +39,20 @@ class TestTestbeds:
         assert len(entry.replicas) == 3
         assert entry.primary == system.servers[0].ip
 
+    def test_seed_offset_applies_unless_opted_out(self, monkeypatch):
+        from repro.experiments import testbeds
+
+        seeds = []
+        real = testbeds.Simulator
+        monkeypatch.setattr(
+            testbeds, "Simulator", lambda seed: seeds.append(seed) or real(seed=seed)
+        )
+        monkeypatch.setenv("REPRO_SEED_OFFSET", "100")
+        for env_offset in (True, False):
+            with build_ft_system(seed=5, n_backups=0, env_offset=env_offset):
+                pass
+        assert seeds == [105, 5]
+
     def test_determinism_across_builds(self):
         r1 = build_primary_backup(seed=7).run(buflen=128, nbuf=64)
         r2 = build_primary_backup(seed=7).run(buflen=128, nbuf=64)
@@ -84,6 +98,13 @@ class TestFailoverExperiment:
         assert outcome.transfer_complete
         assert outcome.client_events == []
         assert 0 < outcome.failover_latency < 30.0
+
+    def test_latency_is_measured_from_the_crash(self):
+        # The promotion watch polls from the crash instant: a 2 s late
+        # first poll used to floor every latency at 2.0 s.
+        from repro.experiments.failover import run_crash_failover
+
+        assert run_crash_failover(1).failover_latency < 2.0
 
     def test_congestion_burst_generates_reports(self):
         from repro.experiments.failover import run_congestion_false_positive

@@ -7,6 +7,7 @@ promoted, the spare auto-joined as the new last backup, the in-flight
 byte stream intact at the client, and the chain back at full degree.
 """
 
+from repro.apps.echo import echo_server_factory
 from repro.core import DetectorParams
 from repro.experiments.testbeds import build_ft_system
 from repro.invariants import attach_invariants
@@ -15,21 +16,13 @@ from repro.recovery import RecoveryManager, SparePool, snapshot_connections
 PORT = 5001
 
 
-def echo_factory(host_server):
-    def on_accept(conn):
-        conn.on_data = conn.send
-        conn.on_remote_close = conn.close
-
-    return on_accept
-
-
 def build_unmanaged(n_spares=1):
     return build_ft_system(
         seed=0,
         n_backups=1,
         n_spares=n_spares,
         detector=DetectorParams(threshold=3, cooldown=1.0),
-        factory=echo_factory,
+        factory=echo_server_factory,
         port=PORT,
     )
 

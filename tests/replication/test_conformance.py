@@ -16,6 +16,7 @@ chain to.
 
 import pytest
 
+from repro.apps.echo import echo_server_factory
 from repro.core import DetectorParams
 from repro.experiments.testbeds import build_ft_system
 from repro.invariants.fuzz import ScenarioSpec, run_scenario
@@ -127,7 +128,7 @@ class TestConformance:
             n_backups=1,
             n_spares=1,
             detector=DetectorParams(threshold=3, cooldown=1.0),
-            factory=_echo_factory,
+            factory=echo_server_factory,
             port=5001,
             strategy=backend,
         )
@@ -166,11 +167,3 @@ class TestConformance:
         assert manager.joins_completed == 1
         assert bytes(received) == bytes(sent)
         assert invset.violated_monitors() == []
-
-
-def _echo_factory(host_server):
-    def on_accept(conn):
-        conn.on_data = conn.send
-        conn.on_remote_close = conn.close
-
-    return on_accept

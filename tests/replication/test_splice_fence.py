@@ -21,14 +21,13 @@ joiner reports every segment.
 
 import pytest
 
+from repro.apps.echo import echo_server_factory
 from repro.core import DetectorParams
 from repro.core.ft_tcp import FtPort
 from repro.experiments.testbeds import build_ft_system
 from repro.invariants.monitors import attach_invariants
 from repro.recovery import RecoveryManager, SparePool
 from repro.replication import available_strategies
-
-from .test_conformance import _echo_factory
 
 CHUNKS = 300
 DENSE_MS = range(0, 201, 10)
@@ -43,7 +42,7 @@ def crash_after_splice(backend, offset, monkeypatch):
         n_backups=1,
         n_spares=1,
         detector=DetectorParams(threshold=3, cooldown=1.0),
-        factory=_echo_factory,
+        factory=echo_server_factory,
         port=5001,
         strategy=backend,
     )
