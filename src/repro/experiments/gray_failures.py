@@ -187,8 +187,9 @@ def run_variant(variant: Variant, seed: int = 0) -> GrayRunResult:
         if variant.crash_primary:
             plan.crash_at(system.servers[0], CRASH_PRIMARY_AT)
 
-        stream = EchoStream(system.client_node, system.service_ip, system.port, chunk=CHUNK,
-                            every=SEND_EVERY, start=TRAFFIC_START, until=TRAFFIC_UNTIL)
+        stream = EchoStream(system.client_node, system.service_ip, system.port,
+                            chunk=CHUNK, every=SEND_EVERY, start=TRAFFIC_START,
+                            until=TRAFFIC_UNTIL)
         sent, received = stream.sent, stream.received
         arrivals: list[tuple[float, int]] = []
 
