@@ -15,7 +15,7 @@ encapsulated IP-in-IP and tunnelled to the host server(s):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.netsim.addressing import IPAddress, as_address
 from repro.netsim.host import HostProfile, MODERN
@@ -31,9 +31,9 @@ from repro.netsim.tunnel import encapsulate
 REDIRECTOR_SOFTWARE_OVERHEAD = 40e-6
 
 
-@dataclass(frozen=True)
-class ServiceKey:
-    """Transport-level service access point."""
+class ServiceKey(NamedTuple):
+    """Transport-level service access point.  A plain tuple, so the
+    data path looks the table up with ``(packet.dst, port)`` directly."""
 
     ip: IPAddress
     port: int
@@ -71,58 +71,6 @@ class RedirectorError(RuntimeError):
     pass
 
 
-class _RedirectorTable(dict):
-    """``dict[ServiceKey, RedirectionEntry]`` that mirrors itself under
-    plain ``(int(ip), port)`` tuple keys (:attr:`fast`).
-
-    The data-path hooks run for every forwarded packet; looking up via
-    a tuple avoids constructing and hashing a ``ServiceKey`` dataclass
-    per packet.  Every mutating ``dict`` method is overridden to keep
-    the mirror in sync, so a future caller cannot silently desync it.
-    Entries mutated in place keep their identity, so the mirror stays
-    valid without a rebuild.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.fast: dict[tuple[int, int], RedirectionEntry] = {}
-
-    def __setitem__(self, key: ServiceKey, entry: RedirectionEntry) -> None:
-        super().__setitem__(key, entry)
-        self.fast[(key.ip._value, key.port)] = entry
-
-    def __delitem__(self, key: ServiceKey) -> None:
-        super().__delitem__(key)
-        self.fast.pop((key.ip._value, key.port), None)
-
-    def pop(self, key: ServiceKey, *default):
-        self.fast.pop((key.ip._value, key.port), None)
-        return super().pop(key, *default)
-
-    def popitem(self):
-        key, entry = super().popitem()
-        self.fast.pop((key.ip._value, key.port), None)
-        return key, entry
-
-    def clear(self) -> None:
-        super().clear()
-        self.fast.clear()
-
-    def update(self, *args, **kwargs) -> None:
-        # Route through __setitem__ so the mirror sees every entry.
-        for key, entry in dict(*args, **kwargs).items():
-            self[key] = entry
-
-    def __ior__(self, other):
-        self.update(other)
-        return self
-
-    def setdefault(self, key: ServiceKey, default=None):
-        if key not in self:
-            self[key] = default
-        return super().__getitem__(key)
-
-
 class Redirector(Router):
     """A router running the HydraNet(-FT) redirection software."""
 
@@ -135,7 +83,7 @@ class Redirector(Router):
     ):
         super().__init__(sim, name, profile)
         self.kernel.software_overhead = software_overhead
-        self.table: dict[ServiceKey, RedirectionEntry] = _RedirectorTable()
+        self.table: dict[ServiceKey, RedirectionEntry] = {}
         self.kernel.add_packet_hook(self._fence_hook)
         self.kernel.add_packet_hook(self._redirect_hook)
         self.packets_redirected = 0
@@ -223,7 +171,7 @@ class Redirector(Router):
         segment = packet.payload
         if not isinstance(segment, TCPSegment) or segment.epoch is None:
             return False
-        entry = self.table.fast.get((packet.src._value, segment.src_port))
+        entry = self.table.get((packet.src, segment.src_port))
         if entry is None or not entry.fault_tolerant:
             return False
         if segment.epoch >= entry.epoch:
@@ -250,7 +198,7 @@ class Redirector(Router):
         if not isinstance(payload, (TCPSegment, UDPDatagram)):
             return False
         port = payload.dst_port
-        entry = self.table.fast.get((packet.dst._value, port))
+        entry = self.table.get((packet.dst, port))
         if entry is None or not entry.replicas:
             return False
         if entry.fault_tolerant:

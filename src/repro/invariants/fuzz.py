@@ -1006,6 +1006,12 @@ def main(argv=None) -> int:
             print(f"violated: {result.violated_monitors or 'nothing'}")
         return 0
 
+    # A find is saved only after it is shrunk: refuse an unusable --out
+    # before the first run rather than lose the find at the end.
+    blocker = next((p for p in (args.out, *args.out.parents) if p.exists()), None)
+    if blocker is not None and not blocker.is_dir():
+        parser.error(f"--out {args.out}: {blocker} is not a directory")
+
     from repro.runtime import DeterministicMerger, ResultCache, ScenarioPool, Task
     from repro.runtime import task_fingerprint
 

@@ -502,7 +502,7 @@ class InvariantSet:
         segment = packet.payload
         if not isinstance(segment, TCPSegment):
             return False
-        entry = table.fast.get((packet.src._value, segment.src_port))
+        entry = table.get((packet.src, segment.src_port))
         if entry is None or not entry.fault_tolerant:
             return False
         self.stats["service_output_segments"] += 1

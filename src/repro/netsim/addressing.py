@@ -14,65 +14,40 @@ class AddressError(ValueError):
     """Raised for malformed addresses or exhausted allocations."""
 
 
-class IPAddress:
-    """An immutable IPv4-style address.
+class IPAddress(int):
+    """An immutable IPv4-style address: a 32-bit ``int`` that prints
+    dotted.
 
     Accepts dotted-quad strings, integers, or another ``IPAddress``.
+    Hashing, equality and ordering are ``int``'s, so sets and dicts
+    keyed by addresses probe entirely in C; an address equals its int
+    value and never a string.
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ()
 
-    def __init__(self, value: Union[str, int, "IPAddress"]):
-        if isinstance(value, IPAddress):
-            self._value = value._value
-        elif isinstance(value, int):
+    def __new__(cls, value: Union[str, int, "IPAddress"]) -> "IPAddress":
+        if isinstance(value, int):
             if not 0 <= value <= 0xFFFFFFFF:
                 raise AddressError(f"address out of range: {value}")
-            self._value = value
-        elif isinstance(value, str):
+            return int.__new__(cls, value)
+        if isinstance(value, str):
             parts = value.split(".")
             if len(parts) != 4:
                 raise AddressError(f"malformed address: {value!r}")
-            octets = []
+            packed = 0
             for part in parts:
                 if not part.isdigit():
                     raise AddressError(f"malformed address: {value!r}")
                 octet = int(part)
                 if octet > 255:
                     raise AddressError(f"malformed address: {value!r}")
-                octets.append(octet)
-            self._value = (
-                (octets[0] << 24) | (octets[1] << 16) | (octets[2] << 8) | octets[3]
-            )
-        else:
-            raise AddressError(f"cannot make an address from {type(value).__name__}")
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def __int__(self) -> int:
-        return self._value
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IPAddress):
-            return self._value == other._value
-        if isinstance(other, str):
-            try:
-                return self._value == IPAddress(other)._value
-            except AddressError:
-                return False
-        return NotImplemented
-
-    def __lt__(self, other: "IPAddress") -> bool:
-        return self._value < IPAddress(other)._value
-
-    def __hash__(self) -> int:
-        return hash(self._value)
+                packed = (packed << 8) | octet
+            return int.__new__(cls, packed)
+        raise AddressError(f"cannot make an address from {type(value).__name__}")
 
     def __str__(self) -> str:
-        v = self._value
-        return f"{(v >> 24) & 0xFF}.{(v >> 16) & 0xFF}.{(v >> 8) & 0xFF}.{v & 0xFF}"
+        return f"{self >> 24}.{(self >> 16) & 0xFF}.{(self >> 8) & 0xFF}.{self & 0xFF}"
 
     def __repr__(self) -> str:
         return f"IPAddress('{self}')"
@@ -84,73 +59,6 @@ AddressLike = Union[str, int, IPAddress]
 def as_address(value: AddressLike) -> IPAddress:
     """Coerce ``value`` to an :class:`IPAddress`."""
     return value if isinstance(value, IPAddress) else IPAddress(value)
-
-
-class AddressSet(set):
-    """A ``set[IPAddress]`` that mirrors the raw address ints.
-
-    Membership probes against a plain ``set[IPAddress]`` call the
-    Python-level ``IPAddress.__hash__`` per probe; the kernel's
-    per-packet "is this address mine?" checks do two of them for every
-    packet.  This subclass keeps a parallel ``values`` set of plain
-    ints so hot paths can probe ``addr._value in s.values`` entirely in
-    C.  Every mutator keeps the mirror in sync (the rarely used bulk
-    ones just rebuild it).
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, iterable=()):
-        super().__init__(iterable)
-        self.values = {a._value for a in self}
-
-    def add(self, address: IPAddress) -> None:
-        set.add(self, address)
-        self.values.add(address._value)
-
-    def discard(self, address: IPAddress) -> None:
-        set.discard(self, address)
-        self.values.discard(address._value)
-
-    def remove(self, address: IPAddress) -> None:
-        set.remove(self, address)
-        self.values.discard(address._value)
-
-    def clear(self) -> None:
-        set.clear(self)
-        self.values.clear()
-
-    def update(self, *others) -> None:
-        set.update(self, *others)
-        self.values = {a._value for a in self}
-
-    def _rebuild(self, result):
-        self.values = {a._value for a in self}
-        return result
-
-    def pop(self):
-        return self._rebuild(set.pop(self))
-
-    def difference_update(self, *others):
-        self._rebuild(set.difference_update(self, *others))
-
-    def intersection_update(self, *others):
-        self._rebuild(set.intersection_update(self, *others))
-
-    def symmetric_difference_update(self, other):
-        self._rebuild(set.symmetric_difference_update(self, other))
-
-    def __ior__(self, other):
-        return self._rebuild(set.__ior__(self, other))
-
-    def __iand__(self, other):
-        return self._rebuild(set.__iand__(self, other))
-
-    def __isub__(self, other):
-        return self._rebuild(set.__isub__(self, other))
-
-    def __ixor__(self, other):
-        return self._rebuild(set.__ixor__(self, other))
 
 
 class Network:
@@ -177,7 +85,7 @@ class Network:
             raise AddressError(f"bad prefix length: {prefix_len}")
         self._prefix_len = prefix_len
         self._mask = (0xFFFFFFFF << (32 - prefix_len)) & 0xFFFFFFFF if prefix_len else 0
-        self._base = IPAddress(int(IPAddress(addr_part)) & self._mask)
+        self._base = IPAddress(IPAddress(addr_part) & self._mask)
 
     @property
     def base(self) -> IPAddress:
@@ -189,10 +97,10 @@ class Network:
 
     @property
     def broadcast(self) -> IPAddress:
-        return IPAddress(int(self._base) | (~self._mask & 0xFFFFFFFF))
+        return IPAddress(self._base | (~self._mask & 0xFFFFFFFF))
 
     def __contains__(self, address: AddressLike) -> bool:
-        return (int(as_address(address)) & self._mask) == int(self._base)
+        return (as_address(address) & self._mask) == self._base
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Network):
@@ -211,8 +119,8 @@ class Network:
     def hosts(self) -> Iterator[IPAddress]:
         """Iterate over usable host addresses (skips base and broadcast
         for prefixes shorter than /31)."""
-        lo = int(self._base)
-        hi = int(self.broadcast)
+        lo = self._base
+        hi = self.broadcast
         if self._prefix_len >= 31:
             candidates = range(lo, hi + 1)
         else:

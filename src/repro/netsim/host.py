@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .addressing import AddressSet, IPAddress, Network, as_address
+from .addressing import IPAddress, Network, as_address
 from .fragmentation import Reassembler, fragment_packet
 from .nic import NIC
 from .packet import IPPacket, Protocol
@@ -77,24 +77,24 @@ class Kernel:
         # software; 0 for a clean kernel.
         self.software_overhead = 0.0
         # Addresses accepted in addition to NIC addresses — the virtual
-        # host mechanism of HydraNet populates this.  AddressSet so the
-        # per-packet ownership probes below run on plain ints.
-        self.virtual_addresses: AddressSet = AddressSet()
+        # host mechanism of HydraNet populates this.
+        self.virtual_addresses: set[IPAddress] = set()
         self.reassembler = Reassembler(self.sim)
         # NIC addresses, mirrored as a set so `owns_address` is two set
         # probes instead of a generator sweep (kept in sync by
         # `Host.add_interface`; NIC addresses never change afterwards).
-        self._nic_addrs: AddressSet = AddressSet()
+        self._nic_addrs: set[IPAddress] = set()
         # Flattened routing table [(mask, base, nic)] — longest-prefix
         # match on plain ints.  Rebuilt lazily: datacenter-scale
         # topologies install thousands of routes per router and sorting
         # after every insert would make topology construction O(n² log n).
         self._route_table: list[tuple[int, int, NIC]] = []
         self._routes_dirty = False
-        # Exact-destination lookup cache.  Entries are validated against
-        # nic.up at hit time and the whole cache drops on route changes,
-        # so a cached answer is always what the full scan would return.
-        self._route_cache: dict[int, NIC] = {}
+        # Exact-destination lookup cache, keyed by address.  Entries are
+        # validated against nic.up at hit time and the whole cache drops
+        # on route changes, so a cached answer is always what the full
+        # scan would return.
+        self._route_cache: dict[IPAddress, NIC] = {}
         self._cpu_free_at = 0.0
         self.packets_forwarded = 0
         self.packets_delivered = 0
@@ -134,26 +134,23 @@ class Kernel:
         self._routes_dirty = False
 
     def route_lookup(self, dst: IPAddress) -> Optional[NIC]:
-        value = dst._value if type(dst) is IPAddress else int(as_address(dst))
-        hit = self._route_cache.get(value)
+        if type(dst) is not IPAddress:
+            dst = as_address(dst)
+        hit = self._route_cache.get(dst)
         if hit is not None and hit.up:
             return hit
         if self._routes_dirty:
             self._rebuild_route_table()
         for mask, base, nic in self._route_table:
-            if value & mask == base and nic.up:
-                self._route_cache[value] = nic
+            if dst & mask == base and nic.up:
+                self._route_cache[dst] = nic
                 return nic
         return None
 
     def owns_address(self, address: IPAddress) -> bool:
         if type(address) is not IPAddress:
             address = as_address(address)
-        value = address._value
-        return (
-            value in self._nic_addrs.values
-            or value in self.virtual_addresses.values
-        )
+        return address in self._nic_addrs or address in self.virtual_addresses
 
     # -- hook and protocol registration -------------------------------
 
@@ -202,8 +199,8 @@ class Kernel:
         # Loopback / locally owned destination: deliver without a wire.
         # (Set probes inlined from owns_address: dst is always a real
         # IPAddress on this path.)
-        value = packet.dst._value
-        if value in self._nic_addrs.values or value in self.virtual_addresses.values:
+        dst = packet.dst
+        if dst in self._nic_addrs or dst in self.virtual_addresses:
             self.sim.post(0.0, self._deliver_local, packet)
             return
         self._transmit(packet)
@@ -213,7 +210,7 @@ class Kernel:
         egress MTU demands it — the shared tail of the send and forward
         paths.  Returns False when the packet was dropped instead."""
         # Inlined route-cache hit (route_lookup validates the same way).
-        nic = self._route_cache.get(packet.dst._value)
+        nic = self._route_cache.get(packet.dst)
         if nic is None or not nic._up:
             nic = self.route_lookup(packet.dst)
             if nic is None:
@@ -274,8 +271,8 @@ class Kernel:
         for hook in self.packet_hooks:
             if hook(packet, nic):
                 return
-        value = packet.dst._value
-        if value in self._nic_addrs.values or value in self.virtual_addresses.values:
+        dst = packet.dst
+        if dst in self._nic_addrs or dst in self.virtual_addresses:
             self._deliver_local(packet)
         elif self.ip_forwarding:
             self._forward(packet)

@@ -152,27 +152,30 @@ class ResultCache:
 
     def put(self, task: Task, outcome: TaskOutcome) -> None:
         """Store a successful outcome (atomically: tmp file + rename,
-        so a parallel writer can never leave a torn entry)."""
+        so a parallel writer can never leave a torn entry).  A cache
+        that cannot be written stores nothing: the entry stays a miss."""
         if not task.fingerprint or not outcome.ok:
             return
         path = self._path(task.fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "version": _ENTRY_VERSION,
             "value": outcome.value,
             "stdout": outcome.stdout,
             "wall_seconds": outcome.wall_seconds,
         }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        tmp = None
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "wb") as f:
                 pickle.dump(entry, f)
             os.replace(tmp, path)
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
     def prune_stale_sources(self) -> int:
         """Drop entry directories from other source fingerprints;

@@ -25,9 +25,9 @@ EPHEMERAL_PORT_START = 32768
 EPHEMERAL_PORT_END = 49151
 
 #: Connection-table key: (local ip, local port, remote ip, remote
-#: port) with the addresses as plain ints, so the per-segment demux
-#: hashes and compares in C (``conn_key`` builds one).
-ConnKey = tuple[int, int, int, int]
+#: port).  Addresses are ints, so the per-segment demux hashes and
+#: compares in C (``conn_key`` builds one).
+ConnKey = tuple[IPAddress, int, IPAddress, int]
 
 IssPolicy = Callable[[IPAddress, int, IPAddress, int], int]
 
@@ -48,7 +48,7 @@ def deterministic_iss(
 def conn_key(
     local_ip: IPAddress, local_port: int, remote_ip: IPAddress, remote_port: int
 ) -> ConnKey:
-    return (local_ip._value, local_port, remote_ip._value, remote_port)
+    return (local_ip, local_port, remote_ip, remote_port)
 
 
 class Listener:
@@ -193,7 +193,7 @@ class TcpStack:
         if not isinstance(segment, TCPSegment):
             return
         conn = self.connections.get(  # conn_key, built in place
-            (packet.dst._value, segment.dst_port, packet.src._value, segment.src_port)
+            (packet.dst, segment.dst_port, packet.src, segment.src_port)
         )
         if conn is not None:
             conn.segment_arrived(segment)

@@ -51,6 +51,11 @@ class TestTableManagement:
         hnet.redirector.install_scaling(SERVICE, 80, hnet.hs_a.ip)
         hnet.redirector.remove_replica(SERVICE, 80, hnet.hs_a.ip)
         assert hnet.redirector.entry_for(SERVICE, 80) is None
+        hnet.client_node.connect(SERVICE, 80)
+        hnet.run(until=5.0)
+        assert hnet.redirector.kernel.packets_forwarded > 0
+        assert hnet.redirector.packets_redirected == 0
+        assert hnet.hs_a.tunneled_packets_received == 0
 
     def test_promote_moves_to_front(self, hnet):
         hnet.redirector.install_ft_primary(SERVICE, 80, hnet.hs_a.ip)
@@ -149,76 +154,3 @@ class TestFtMulticast:
         hnet.run(until=5.0)
         # Every client packet produced one tunnel copy per replica.
         assert hnet.hs_a.tunneled_packets_received == hnet.hs_b.tunneled_packets_received
-
-
-class TestRedirectorTableMirror:
-    """Every mutating dict method must keep the tuple-keyed fast mirror
-    in sync with the authoritative ServiceKey-keyed table."""
-
-    @staticmethod
-    def _entry(ip="10.0.0.1", port=80):
-        from repro.hydranet.redirector import RedirectionEntry, ServiceKey
-        from repro.netsim.addressing import as_address
-
-        key = ServiceKey(as_address(ip), port)
-        return key, RedirectionEntry(key)
-
-    @staticmethod
-    def _assert_synced(table):
-        assert len(table.fast) == len(table)
-        for key, entry in table.items():
-            assert table.fast[(key.ip._value, key.port)] is entry
-
-    def test_setitem_delitem_pop(self):
-        from repro.hydranet.redirector import _RedirectorTable
-
-        table = _RedirectorTable()
-        k1, e1 = self._entry("10.0.0.1", 80)
-        k2, e2 = self._entry("10.0.0.2", 80)
-        table[k1] = e1
-        table[k2] = e2
-        self._assert_synced(table)
-        del table[k1]
-        assert table.pop(k2) is e2
-        assert table.pop(k2, None) is None
-        self._assert_synced(table)
-        assert table.fast == {}
-
-    def test_clear(self):
-        from repro.hydranet.redirector import _RedirectorTable
-
-        table = _RedirectorTable()
-        k, e = self._entry()
-        table[k] = e
-        table.clear()
-        assert table.fast == {} and len(table) == 0
-
-    def test_update_and_ior(self):
-        from repro.hydranet.redirector import _RedirectorTable
-
-        table = _RedirectorTable()
-        k1, e1 = self._entry("10.0.0.1", 80)
-        k2, e2 = self._entry("10.0.0.2", 443)
-        table.update({k1: e1})
-        table |= {k2: e2}
-        self._assert_synced(table)
-
-    def test_setdefault(self):
-        from repro.hydranet.redirector import _RedirectorTable
-
-        table = _RedirectorTable()
-        k, e = self._entry()
-        assert table.setdefault(k, e) is e
-        _, other = self._entry()
-        assert table.setdefault(k, other) is e
-        self._assert_synced(table)
-
-    def test_popitem(self):
-        from repro.hydranet.redirector import _RedirectorTable
-
-        table = _RedirectorTable()
-        k, e = self._entry()
-        table[k] = e
-        got_key, got_entry = table.popitem()
-        assert (got_key, got_entry) == (k, e)
-        assert table.fast == {}

@@ -25,7 +25,7 @@ def test_v_host_registers_address(hs):
     sim, server = hs
     vhost = server.v_host("192.20.225.20")
     assert server.kernel.owns_address(IPAddress("192.20.225.20"))
-    assert vhost.ip == "192.20.225.20"
+    assert vhost.ip == IPAddress("192.20.225.20")
 
 
 def test_v_host_idempotent(hs):

@@ -280,6 +280,23 @@ def test_cli_rejects_bad_pool_numbers_with_usage(flags, capsys):
     assert err.startswith("usage: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("sub", ["", "finds"], ids=["file", "under-file"])
+def test_cli_rejects_out_that_is_not_a_directory(sub, tmp_path, capsys):
+    """ROADMAP 9a: an --out that cannot hold a reproducer is a usage
+    error before the first run, not a traceback after the shrink."""
+    from repro.invariants.fuzz import main
+
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    with pytest.raises(SystemExit) as exc:
+        main(["--runs", "1", "--out", str(blocker / sub)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "Traceback" not in err
+    assert str(blocker) in err.splitlines()[-1]
+    assert blocker.read_text() == "keep"
+
+
 _SPEC = ScenarioSpec(seed=3, duration=6.0).to_json()
 _BURST = {"op": "loss_burst", "link": "hs_0", "at": 2.5, "duration": 1.0, "loss_rate": 0.5}
 

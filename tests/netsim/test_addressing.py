@@ -1,5 +1,7 @@
 """Tests for addresses and CIDR networks."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,7 +24,7 @@ class TestIPAddress:
         assert IPAddress(a) == a
 
     @pytest.mark.parametrize(
-        "bad", ["1.2.3", "1.2.3.4.5", "256.0.0.1", "a.b.c.d", "1..2.3", ""]
+        "bad", ["1.2.3", "1.2.3.4.5", "256.0.0.1", "a.b.c.d", "1..2.3", "", "1.2.3.-4"]
     )
     def test_malformed_strings_rejected(self, bad):
         with pytest.raises(AddressError):
@@ -33,10 +35,29 @@ class TestIPAddress:
         with pytest.raises(AddressError):
             IPAddress(bad)
 
-    def test_equality_with_string(self):
-        assert IPAddress("10.0.0.1") == "10.0.0.1"
-        assert IPAddress("10.0.0.1") != "10.0.0.2"
-        assert IPAddress("10.0.0.1") != "not-an-address"
+    def test_is_an_int(self):
+        a = IPAddress("10.0.0.1")
+        value = (10 << 24) + 1
+        assert isinstance(a, int)
+        assert a == value and hash(a) == hash(value)
+        assert {value: "x"}[a] == "x"
+        assert a != "10.0.0.1"
+        assert repr(a) == "IPAddress('10.0.0.1')"
+
+    def test_formats_dotted(self):
+        a = IPAddress("192.20.225.20")
+        assert f"{a}" == format(a, "") == "%s" % a == str(a) == "192.20.225.20"
+
+    def test_pickle_keeps_type(self):
+        a = IPAddress("10.1.2.3")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            b = pickle.loads(pickle.dumps(a, protocol))
+            assert type(b) is IPAddress and b == a and str(b) == "10.1.2.3"
+
+    @pytest.mark.parametrize("bad", [1.5, None, b"10.0.0.1"])
+    def test_other_types_rejected(self, bad):
+        with pytest.raises(AddressError):
+            IPAddress(bad)
 
     def test_hashable_and_usable_in_sets(self):
         addrs = {IPAddress("10.0.0.1"), IPAddress("10.0.0.1"), IPAddress("10.0.0.2")}

@@ -27,8 +27,8 @@ def test_encapsulate_sets_outer_fields():
     inner = inner_packet()
     outer = encapsulate(inner, IPAddress("9.9.9.9"), IPAddress("8.8.8.8"))
     assert outer.protocol == Protocol.IPIP
-    assert outer.src == "9.9.9.9"
-    assert outer.dst == "8.8.8.8"
+    assert outer.src == IPAddress("9.9.9.9")
+    assert outer.dst == IPAddress("8.8.8.8")
 
 
 def test_round_trip_preserves_inner():

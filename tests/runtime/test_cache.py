@@ -55,6 +55,16 @@ class TestResultCache:
         path.write_bytes(b"not a pickle")
         assert cache.get(task) is None
 
+    def test_unwritable_cache_is_a_miss(self, tmp_path):
+        root = tmp_path / "not-a-directory"
+        root.write_text("")
+        cache = ResultCache(root=root, source_fp="a" * 64)
+        with ScenarioPool(jobs=1, cache=cache) as pool:
+            outcome = pool.run([_task()])["t"]
+        assert outcome.ok and outcome.value == 9
+        assert cache.get(_task()) is None
+        assert root.read_text() == ""
+
     def test_tasks_without_fingerprint_never_cache(self, tmp_path):
         cache = ResultCache(root=tmp_path, source_fp="a" * 64)
         bare = Task(key="t", fn=square_loud, args=(3,))
