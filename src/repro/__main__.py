@@ -10,7 +10,8 @@ Usage::
 import sys
 from importlib import import_module
 
-#: command -> ("module [leading args]" whose ``main(argv)`` runs it, help line).
+#: command -> ("module" whose ``main(argv)`` runs it, help line); a
+#: "module:name" entry runs ``main(argv, name)``.
 COMMANDS = {
     "experiments": (
         "repro.experiments.runner",
@@ -21,7 +22,7 @@ COMMANDS = {
         "--runs N --seed S | --replay FILE   fuzz fault schedules under monitors",
     ),
     "mesh": (
-        "repro.experiments.runner --only D5",
+        "repro.experiments.runner:mesh",
         "[--fast|--certify] [--jobs N]   datacenter-mesh scaling sweep (D5)",
     ),
 }
@@ -43,8 +44,8 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    module, *prefix = COMMANDS[args[0]][0].split()
-    return import_module(module).main([*prefix, *args[1:]])
+    module, *name = COMMANDS[args[0]][0].split(":")
+    return import_module(module).main(args[1:], *name)
 
 
 if __name__ == "__main__":

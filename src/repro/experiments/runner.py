@@ -20,8 +20,10 @@ arguments and value); ``--cache`` memoizes points on disk keyed by
 (source fingerprint, scenario fingerprint) so re-runs of unchanged
 scenarios are free.  ``--certify`` runs the selected experiments'
 acceptance scenarios instead, each inline and in a pool worker, and
-requires the two values to be equal.  Exit codes: 0 all OK, 1 a
-failure, 2 bad arguments or no experiment selected.
+requires the two values to be equal.  ``python -m repro mesh`` is this
+runner fixed to D5 (``main(argv, "mesh")``): same flags but no
+``--only``.  Exit codes: 0 all OK, 1 a failure, 2 bad arguments or no
+experiment selected.
 """
 
 from __future__ import annotations
@@ -75,9 +77,11 @@ EXPERIMENTS: list[Experiment] = [
 ]
 
 
-def build_parser() -> ArgumentParser:
+def build_parser(command: str = "experiments") -> ArgumentParser:
+    """The parser of ``python -m repro <command>``: ``experiments``, or
+    ``mesh``, which has no ``--only`` and always selects D5."""
     parser = ArgumentParser(
-        prog="python -m repro experiments",
+        prog=f"python -m repro {command}",
         description="Run the HydraNet-FT evaluation suite.",
     )
     parser.add_argument("--fast", action="store_true", help="shrink the sweeps (CI)")
@@ -85,10 +89,13 @@ def build_parser() -> ArgumentParser:
         "--jobs", type=positive(int), default=1, metavar="N",
         help="worker processes (default 1 = serial, in-process)",
     )
-    parser.add_argument(
-        "--only", metavar="SUBSTR", default=None,
-        help="run only experiments whose title contains SUBSTR (case-insensitive)",
-    )
+    if command == "mesh":
+        parser.set_defaults(only="D5")
+    else:
+        parser.add_argument(
+            "--only", metavar="SUBSTR", default=None,
+            help="run only experiments whose title contains SUBSTR (case-insensitive)",
+        )
     parser.add_argument(
         "--report", type=Path, metavar="PATH", default=None,
         help="write a JSON summary (per-experiment status, wall time, point values)",
@@ -205,8 +212,8 @@ def _section(exp: Experiment, tasks: list[Task], outcomes, pooled, opts) -> dict
     }
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    opts = build_parser().parse_args(argv)
+def main(argv: Optional[list[str]] = None, command: str = "experiments") -> int:
+    opts = build_parser(command).parse_args(argv)
     candidates = [
         (idx, exp)
         for idx, exp in enumerate(EXPERIMENTS)

@@ -947,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
         "corpus is a deliberate `--out tests/fuzz_corpus`",
     )
     parser.add_argument(
-        "--shrink-budget", type=int, default=200, help="max shrink candidate runs"
+        "--shrink-budget", type=positive(int), default=200, help="max shrink candidate runs"
     )
     parser.add_argument(
         "--jobs",

@@ -6,7 +6,7 @@ with bandwidth/latency/loss, hosts with CPU cost models, routers,
 IP-in-IP tunnelling, and fragmentation.
 """
 
-from .addressing import AddressAllocator, AddressError, IPAddress, Network, as_address
+from .addressing import AddressError, IPAddress, Network, as_address
 from .fragmentation import FragmentationError, Reassembler, fragment_packet
 from .icmp import (
     IcmpMessage,
@@ -52,7 +52,6 @@ from .tunnel import (
 )
 
 __all__ = [
-    "AddressAllocator",
     "AddressError",
     "IPAddress",
     "Network",

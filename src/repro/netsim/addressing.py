@@ -128,28 +128,3 @@ class Network:
         for v in candidates:
             yield IPAddress(v)
 
-
-class AddressAllocator:
-    """Hands out unused host addresses from a network, in order."""
-
-    def __init__(self, network: Union[str, Network]):
-        self.network = Network(network)
-        self._iter = self.network.hosts()
-        self._allocated: set[IPAddress] = set()
-
-    def allocate(self) -> IPAddress:
-        for address in self._iter:
-            if address not in self._allocated:
-                self._allocated.add(address)
-                return address
-        raise AddressError(f"network {self.network} exhausted")
-
-    def reserve(self, address: AddressLike) -> IPAddress:
-        """Mark a specific address as used (e.g. statically assigned)."""
-        addr = as_address(address)
-        if addr not in self.network:
-            raise AddressError(f"{addr} not in {self.network}")
-        if addr in self._allocated:
-            raise AddressError(f"{addr} already allocated")
-        self._allocated.add(addr)
-        return addr

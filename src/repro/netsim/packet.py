@@ -62,9 +62,6 @@ class UDPDatagram(Payload):
     src_port: int
     dst_port: int
     data: object
-    _wire_size: Optional[int] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def data_size(self) -> int:
@@ -79,10 +76,7 @@ class UDPDatagram(Payload):
 
     @property
     def wire_size(self) -> int:
-        size = self._wire_size
-        if size is None:
-            size = self._wire_size = UDP_HEADER_SIZE + self.data_size
-        return size
+        return UDP_HEADER_SIZE + self.data_size
 
 
 class TCPFlags(enum.IntFlag):
@@ -111,9 +105,8 @@ class TCPSegment(Payload):
     """A TCP segment with the fields the reproduction needs.
 
     ``seq``/``ack`` are 32-bit sequence numbers (mod 2**32); ``window``
-    is the advertised receive window in bytes.  ``sack_blocks`` carries
-    up to three RFC 2018 SACK blocks as (left, right) wire sequence
-    pairs; ``sack_permitted`` is the SYN-time option.
+    is the advertised receive window in bytes.  No TCP options are
+    modelled: the header is always 20 bytes.
     """
 
     src_port: int
@@ -123,32 +116,15 @@ class TCPSegment(Payload):
     flags: TCPFlags
     window: int
     data: bytes = b""
-    sack_blocks: tuple = ()
-    sack_permitted: bool = False
     #: Service view/epoch stamp (HydraNet-FT fencing, DESIGN.md §9).
     #: ``None`` for ordinary TCP.  Modelled as riding in an otherwise
     #: unused header field (the urgent pointer of non-URG segments), so
     #: it adds no wire bytes — keeping the Figure 4 calibration intact.
     epoch: Optional[int] = None
-    _wire_size: Optional[int] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def wire_size(self) -> int:
-        # Memoized: segments are immutable once emitted and this is on
-        # the per-packet CPU/serialization path.
-        size = self._wire_size
-        if size is not None:
-            return size
-        options = 0
-        if self.sack_blocks:
-            options += 4 + 8 * len(self.sack_blocks)  # kind/len + pairs
-        if self.sack_permitted:
-            options += 4
-        size = TCP_HEADER_SIZE + options + len(self.data)
-        self._wire_size = size
-        return size
+        return TCP_HEADER_SIZE + len(self.data)
 
     @property
     def syn(self) -> bool:

@@ -9,7 +9,6 @@ graceful close — plus the hook points HydraNet-FT's ft-TCP needs
 from .buffers import Reassembler, SendBuffer, SocketBuffer
 from .congestion import CongestionControl
 from .options import TcpOptions
-from .sack import SackScoreboard
 from .seqnum import seq_add, seq_between, seq_diff, seq_ge, seq_gt, seq_le, seq_lt
 from .stack import Listener, TcpStack, deterministic_iss
 from .tcb import TcpConnection, TcpError, TcpState
@@ -21,7 +20,6 @@ __all__ = [
     "SocketBuffer",
     "CongestionControl",
     "TcpOptions",
-    "SackScoreboard",
     "seq_add",
     "seq_between",
     "seq_diff",

@@ -188,7 +188,7 @@ class Reassembler:
         self.take_point = 0
         # Disjoint out-of-order fragments: offset -> bytes, with the
         # offsets mirrored in a sorted list so inserts, drains, and
-        # SACK-block builds never re-sort the whole map.  Both are
+        # range queries never re-sort the whole map.  Both are
         # created by the first out-of-order arrival.
         self._fragments: Optional[dict[int, bytes]] = None
         self._frag_offsets: Optional[list[int]] = None
@@ -200,7 +200,7 @@ class Reassembler:
 
     def out_of_order_ranges(self) -> list[tuple[int, int]]:
         """Disjoint [start, end) stream ranges held beyond the in-order
-        point — the material of SACK blocks."""
+        point."""
         ranges: list[tuple[int, int]] = []
         fragments = self._fragments
         for offset in self._frag_offsets or ():

@@ -39,10 +39,6 @@ class TcpOptions:
     initial_cwnd_segments: int = 2
     #: Duplicate ACKs that trigger fast retransmit.
     dupack_threshold: int = 3
-    #: Selective acknowledgements (RFC 2018).  Negotiated on the SYN:
-    #: effective only when both ends enable it.  Helps recovery of
-    #: multiple losses per window; off by default (as in period BSD).
-    sack: bool = False
     #: 2*MSL bounds TIME_WAIT; kept short to keep simulations snappy.
     msl: float = 5.0
     #: Zero-window persist probe interval bounds, seconds.

@@ -16,7 +16,7 @@ HydraNet-FT hooks (paper §4):
   (exclusive) up to which bytes may be *transmitted*; the FIN goes out,
   or again, only while it is past the FIN's offset.  ``SendBuffer.read``
   never returns a byte past it, so every emitter (new data, RTO, fast
-  retransmit, SACK, the promotion ``kick``, the persist probe) is gated
+  retransmit, the promotion ``kick``, the persist probe) is gated
   by construction.  Both are ``buffers.UNGATED`` on plain TCP; the ft
   layer calls ``gates_changed`` when a moved gate should act at once.
 * ``output_filter`` — inspects every outgoing segment; returning True
@@ -48,7 +48,6 @@ from repro.netsim.simulator import Timer
 from .buffers import Reassembler, SendBuffer, SocketBuffer
 from .congestion import CongestionControl
 from .options import TcpOptions
-from .sack import SackScoreboard
 from .seqnum import seq_add, seq_diff
 from .timers import RtoEstimator
 
@@ -103,7 +102,7 @@ class TcpConnection:
         "stack", "sim", "local_ip", "local_port", "remote_ip", "remote_port",
         "options", "mss", "state", "_listener",
         "iss", "snd_una", "snd_nxt", "snd_max", "peer_window", "send_buffer",
-        "fin_queued", "fin_sent", "fin_acked", "sack_enabled", "scoreboard",
+        "fin_queued", "fin_sent", "fin_acked",
         "irs", "reassembler", "socket_buffer", "peer_fin_offset", "fin_deposited", "_rcv_adv",
         "rto", "congestion", "rtx_timer", "ack_timer", "persist_timer", "time_wait_timer",
         "_retries", "_persist_backoff", "_dupacks", "_rtt_sample", "_segs_since_ack",
@@ -153,10 +152,6 @@ class TcpConnection:
         self.fin_queued = False
         self.fin_sent = False
         self.fin_acked = False
-        #: RFC 2018, negotiated on the SYN (both ends must enable); the
-        #: scoreboard exists from then on.
-        self.sack_enabled = False
-        self.scoreboard: Optional[SackScoreboard] = None
 
         # --- receive side ---
         self.irs: Optional[int] = None
@@ -274,9 +269,6 @@ class TcpConnection:
             raise TcpError(f"cannot accept in state {self.state}")
         self.irs = syn.seq
         self.peer_window = syn.window
-        self.sack_enabled = self.options.sack and syn.sack_permitted
-        if self.sack_enabled:
-            self.scoreboard = SackScoreboard()
         self.state = TcpState.SYN_RCVD
         self._send_syn()
 
@@ -366,15 +358,6 @@ class TcpConnection:
     # segment construction / emission
     # ------------------------------------------------------------------
 
-    def _sack_blocks(self) -> tuple:
-        if not self.sack_enabled or self.irs is None:
-            return ()
-        base = seq_add(self.irs, 1)
-        ranges = self.reassembler.out_of_order_ranges()[-3:]
-        return tuple(
-            (seq_add(base, lo), seq_add(base, hi)) for lo, hi in ranges
-        )
-
     def _make_segment(
         self, flags: int, seq: Optional[int] = None, data: bytes = b""
     ) -> TCPSegment:
@@ -389,10 +372,8 @@ class TcpConnection:
             else:
                 extra = 1 if self.fin_deposited else 0
                 ack = (irs + 1 + self.reassembler.take_point + extra) & _SEQ_MASK
-            sack = self._sack_blocks() if self.sack_enabled else ()
         else:
             ack = 0
-            sack = ()
         return TCPSegment(
             src_port=self.local_port,
             dst_port=self.remote_port,
@@ -401,7 +382,6 @@ class TcpConnection:
             flags=flags,
             window=self.advertised_window(),
             data=data,
-            sack_blocks=sack,
         )
 
     def _emit(self, segment: TCPSegment) -> None:
@@ -427,7 +407,6 @@ class TcpConnection:
             ack=seq_add(self.irs, 1) if flags & FLAG_ACK else 0,
             flags=flags,
             window=self.advertised_window(),
-            sack_permitted=self.options.sack,
         )
         if self._rtt_sample is None and not self._retries:
             self._rtt_sample = (0, self.sim.now)  # Karn: a first SYN only
@@ -586,8 +565,6 @@ class TcpConnection:
             return
         self.congestion.on_timeout(self.flight_size)
         self._dupacks = 0
-        if self.sack_enabled:
-            self.scoreboard.clear()  # RFC 2018: SACK info is advisory
         # Go-back-N (as in BSD tcp_output after a timeout): pull the
         # send pointer back so recovery proceeds ack-clocked from
         # snd_una instead of being wedged behind a large flight.
@@ -598,22 +575,12 @@ class TcpConnection:
     def _retransmit_head(self) -> None:
         if self.on_retransmit is not None:
             self.on_retransmit()
-        if self.snd_una < self.send_buffer.end:
-            start = self.snd_una
-            limit = self.send_buffer.end
-            if self.sack_enabled:
-                hole = self.scoreboard.first_hole(self.snd_una, min(self.snd_max, limit))
-                if hole is None:
-                    start = None  # everything outstanding is sacked
-                else:
-                    start, hole_end = hole
-                    limit = hole_end
-            if start is not None:
-                n = min(self.mss, limit - start)
-                data = self.send_buffer.read(start, n)
-                if data:
-                    self._send_data_segment(start, data, retransmit=True)
-                    return
+        start = self.snd_una
+        if start < self.send_buffer.end:
+            data = self.send_buffer.read(start, min(self.mss, self.send_buffer.end - start))
+            if data:
+                self._send_data_segment(start, data, retransmit=True)
+                return
         if self.fin_sent and not self.fin_acked and self.send_buffer.commit > self.send_buffer.end:
             self.retransmitted_segments += 1
             self._emit(
@@ -697,9 +664,6 @@ class TcpConnection:
             return
         self.irs = segment.seq
         self.peer_window = segment.window
-        self.sack_enabled = self.options.sack and segment.sack_permitted
-        if self.sack_enabled:
-            self.scoreboard = SackScoreboard()
         if segment.has_ack and seq_diff(segment.ack, seq_add(self.iss, 1)) == 0:
             # SYN-ACK: handshake complete on our side.
             self._handshake_done()
@@ -746,10 +710,6 @@ class TcpConnection:
     # -- ACK processing ------------------------------------------------------
 
     def _process_ack(self, segment: TCPSegment) -> None:
-        if self.sack_enabled and segment.sack_blocks:
-            base = seq_add(self.iss, 1)
-            for left, right in segment.sack_blocks:
-                self.scoreboard.record(seq_diff(left, base), seq_diff(right, base))
         # Stream offset acknowledged — seq_diff(ack, iss + 1) in C
         # arithmetic; our FIN counts as one position past the last byte.
         acked = ((segment.ack - self.iss - 1 + _SEQ_HALF) & _SEQ_MASK) - _SEQ_HALF
@@ -772,8 +732,6 @@ class TcpConnection:
             if snd_una > self.snd_nxt:
                 self.snd_nxt = snd_una
             self.send_buffer.ack_to(snd_una)
-            if self.sack_enabled:  # else nothing was ever recorded
-                self.scoreboard.advance(snd_una)
             self._retries = 0
             self._dupacks = 0
             # RTT sample (Karn-valid ones only).

@@ -1,6 +1,5 @@
 """Workload generators and parameter sweeps."""
 
-from .cross_traffic import CrossTrafficFlow, CrossTrafficStats
 from .generators import (
     FIGURE4_PACKET_SIZES,
     HttpWorkload,
@@ -10,8 +9,6 @@ from .generators import (
 )
 
 __all__ = [
-    "CrossTrafficFlow",
-    "CrossTrafficStats",
     "FIGURE4_PACKET_SIZES",
     "HttpWorkload",
     "RequestRecord",

@@ -96,7 +96,8 @@ def test_bad_flags_exit_2_with_usage(command, flags, nothing_runs, capsys):
         main([command, *flags])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: ") and "Traceback" not in err
+    assert err.startswith(f"usage: python -m repro {command} ") and "Traceback" not in err
+    assert err.count(f"python -m repro {command}: error: ") == 1
 
 
 @pytest.mark.parametrize("command", ["experiments", "mesh"])
@@ -107,6 +108,20 @@ def test_help_runs_nothing(command, nothing_runs, capsys):
         main([command, "--fats", "--help"])
     assert exc.value.code == 0
     assert "--certify" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [["--only", "A1"], ["--fast", "--only", "D5"]], ids=" ".join)
+def test_mesh_refuses_only(flags, nothing_runs, capsys):
+    """``mesh`` is D5 alone: a user ``--only`` must not swap in another
+    experiment."""
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: python -m repro mesh ")
+    assert "unrecognized arguments: " in err
 
 
 def test_failing_report_does_not_take_the_batch_down(monkeypatch, tmp_path):

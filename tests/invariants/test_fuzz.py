@@ -265,6 +265,8 @@ class TestCliSavesFindsOutsideTheCorpus:
         ["--task-timeout", "-2.5"],
         ["--runs", "0"],
         ["--runs", "-3"],
+        ["--shrink-budget", "0"],
+        ["--shrink-budget", "-1"],
     ],
     ids=" ".join,
 )

@@ -5,7 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.netsim import AddressAllocator, AddressError, IPAddress, Network, as_address
+from repro.netsim import AddressError, IPAddress, Network, as_address
 
 
 class TestIPAddress:
@@ -131,32 +131,3 @@ class TestNetwork:
         assert net.base in net
         assert net.broadcast in net
 
-
-class TestAddressAllocator:
-    def test_allocates_in_order(self):
-        alloc = AddressAllocator("10.0.0.0/29")
-        assert str(alloc.allocate()) == "10.0.0.1"
-        assert str(alloc.allocate()) == "10.0.0.2"
-
-    def test_exhaustion(self):
-        alloc = AddressAllocator("10.0.0.0/30")
-        alloc.allocate()
-        alloc.allocate()
-        with pytest.raises(AddressError):
-            alloc.allocate()
-
-    def test_reserve_blocks_allocation(self):
-        alloc = AddressAllocator("10.0.0.0/30")
-        alloc.reserve("10.0.0.1")
-        assert str(alloc.allocate()) == "10.0.0.2"
-
-    def test_reserve_outside_network_rejected(self):
-        alloc = AddressAllocator("10.0.0.0/30")
-        with pytest.raises(AddressError):
-            alloc.reserve("10.0.1.1")
-
-    def test_double_reserve_rejected(self):
-        alloc = AddressAllocator("10.0.0.0/24")
-        alloc.reserve("10.0.0.7")
-        with pytest.raises(AddressError):
-            alloc.reserve("10.0.0.7")

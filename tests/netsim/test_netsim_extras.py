@@ -1,10 +1,9 @@
 """Additional netsim coverage: channel internals, NIC states,
-reassembler bookkeeping, allocator scale, tracer filtering."""
+reassembler bookkeeping, host iteration at scale, tracer filtering."""
 
 import pytest
 
 from repro.netsim import (
-    AddressAllocator,
     Host,
     IPAddress,
     IPPacket,
@@ -115,17 +114,19 @@ class TestNicStates:
 
 
 class TestAllocatorScale:
+    """``Network.hosts()``, the allocation order topologies use, past one /24."""
+
     def test_large_network_iteration(self):
-        alloc = AddressAllocator("10.0.0.0/16")
-        first = alloc.allocate()
+        hosts = Network("10.0.0.0/16").hosts()
+        first = next(hosts)
         assert str(first) == "10.0.0.1"
         for _ in range(300):
-            addr = alloc.allocate()
+            addr = next(hosts)
         assert addr in Network("10.0.0.0/16")
 
     def test_crossing_octet_boundary(self):
-        alloc = AddressAllocator("10.0.0.0/23")
-        addresses = [alloc.allocate() for _ in range(300)]
+        hosts = Network("10.0.0.0/23").hosts()
+        addresses = [next(hosts) for _ in range(300)]
         assert str(addresses[255]) == "10.0.1.0"  # past the /24 boundary
 
 

@@ -67,10 +67,10 @@ def test_established_connection_footprint_within_budget():
 # -- each lazily created piece appears at its first use, not before -----------
 
 
-def _established_pair(options=None, client_options=None):
+def _established_pair(options=None):
     net = Net(options=options)
     state = start_sink_server(net)
-    conn = net.client_tcp.connect(net.server_host.ip, 7, options=client_options or options)
+    conn = net.client_tcp.connect(net.server_host.ip, 7, options=options)
     net.run(until=0.5)
     assert conn.state is TcpState.ESTABLISHED
     return net, conn, state["conns"][0]
@@ -82,7 +82,6 @@ def test_established_connection_holds_no_lazy_piece():
         assert conn.ack_timer is _UNSTARTED
         assert conn.persist_timer is _UNSTARTED
         assert conn.time_wait_timer is _UNSTARTED
-        assert conn.scoreboard is None
         assert conn.reassembler._queue is None
         assert conn.reassembler._fragments is None
         assert conn.socket_buffer._queue is None
@@ -123,17 +122,6 @@ def test_time_wait_timer_created_by_active_close_and_given_back():
     net.run(until=5.0)
     assert client.state is TcpState.CLOSED
     assert client.time_wait_timer is _UNSTARTED and client.ack_timer is _UNSTARTED
-
-
-def test_scoreboard_created_when_sack_is_negotiated():
-    sack = TcpOptions(sack=True)
-    _net, client, server = _established_pair(sack)
-    assert client.sack_enabled and client.scoreboard is not None
-    assert server.sack_enabled and server.scoreboard is not None
-    # One end alone asking for SACK negotiates nothing.
-    _net, client, server = _established_pair(TcpOptions(), client_options=sack)
-    assert not client.sack_enabled and client.scoreboard is None
-    assert not server.sack_enabled and server.scoreboard is None
 
 
 def _data_segment(client, server, offset, data):

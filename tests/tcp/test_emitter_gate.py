@@ -23,10 +23,10 @@ COMMIT = 2048
 QUEUED = 4 * COMMIT
 
 
-def _sender(monkeypatch, sack=False):
+def _sender(monkeypatch):
     """An ESTABLISHED client end holding ``QUEUED`` unsent bytes, and the
     list every segment it emits is appended to."""
-    net = Net(options=TcpOptions(mss=MSS, sack=sack))
+    net = Net(options=TcpOptions(mss=MSS))
     start_sink_server(net)
     conn = net.client_tcp.connect(net.server_host.ip, 7)
     net.run(until=0.5)
@@ -66,7 +66,7 @@ def _payload(conn, emitted):
     return ranges
 
 
-def _ack(conn, acked, sack=()):
+def _ack(conn, acked):
     """A pure ACK from the peer up to stream offset ``acked``."""
     return TCPSegment(
         src_port=conn.remote_port,
@@ -75,15 +75,12 @@ def _ack(conn, acked, sack=()):
         ack=seq_add(conn.iss, 1 + acked),
         flags=TCPFlags.ACK,
         window=65535,
-        sack_blocks=tuple(
-            (seq_add(conn.iss, 1 + lo), seq_add(conn.iss, 1 + hi)) for lo, hi in sack
-        ),
     )
 
 
-def _dupacks(conn, sack=()):
+def _dupacks(conn):
     for _ in range(3):
-        conn.segment_arrived(_ack(conn, conn.snd_una, sack))
+        conn.segment_arrived(_ack(conn, conn.snd_una))
 
 
 def _partial_ack(conn):
@@ -151,16 +148,6 @@ def test_fin_retransmission_waits_for_the_commit_point(monkeypatch):
     conn.send_buffer.commit = QUEUED + 1
     conn._on_rto()
     assert [segment.flags & TCPFlags.FIN for segment in emitted] == [TCPFlags.FIN]
-
-
-def test_sack_hole_is_filled_only_below_the_commit_point(monkeypatch):
-    _net, conn, emitted = _sender(monkeypatch, sack=True)
-    assert conn.sack_enabled
-    _in_flight(conn, una=COMMIT - 200, nxt=COMMIT + 1024)
-    # The first hole, [COMMIT - 200, COMMIT + 300), straddles the commit point.
-    _dupacks(conn, sack=[(COMMIT + 300, COMMIT + 600)])
-    assert _payload(conn, emitted) == [(COMMIT - 200, COMMIT)]
-    assert conn.rtx_timer.running
 
 
 def test_persist_probe_waits_at_the_commit_point(monkeypatch):

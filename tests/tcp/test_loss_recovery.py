@@ -156,3 +156,31 @@ def test_backoff_grows_between_retransmissions():
     net.run(until=300.0)
     # 4 retries with doubling: RTO path was exercised.
     assert conn.rto.backoff_count >= 3 or conn.state == TcpState.CLOSED
+
+
+def test_several_losses_in_one_window_recovered_exactly():
+    """Data segments 5, 8, 11 and 14 die on the client->router hop: four
+    holes in one window, recovered by dupacks, partial ACKs and RTOs."""
+    from repro.netsim.packet import TCPSegment
+
+    net = Net(seed=0)
+    state = start_sink_server(net)
+    payload = bytes(i % 256 for i in range(60_000))
+    conn = net.client_tcp.connect(net.server_host.ip, 7)
+    pump_all(conn, payload)
+    drops = {5, 8, 11, 14}
+    counter = {"n": 0}
+    original_transmit = net.client_link.a_to_b.transmit
+
+    def lossy_transmit(packet):
+        if isinstance(packet.payload, TCPSegment) and packet.payload.data:
+            counter["n"] += 1
+            if counter["n"] in drops:
+                return  # silently dropped
+        original_transmit(packet)
+
+    net.client_link.a_to_b.transmit = lossy_transmit
+    net.run(until=120.0)
+    assert bytes(state["data"]) == payload
+    assert conn.retransmitted_segments >= len(drops)
+    assert state["conns"][0].socket_buffer.total_deposited == len(payload)

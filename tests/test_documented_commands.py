@@ -61,14 +61,14 @@ def test_docs_show_commands():
 @pytest.mark.parametrize("module, rest", _documented_commands())
 def test_documented_command_parses(module, rest):
     args = _words(rest)
+    name = []
     if module == "repro":
         if not args:
             return  # the overview
         command, *args = args
         assert command in COMMANDS, f"no command {command!r} in repro.__main__"
-        module, *prefix = COMMANDS[command][0].split()
-        args = [*prefix, *args]
-    parser = import_module(module).build_parser()
+        module, *name = COMMANDS[command][0].split(":")
+    parser = import_module(module).build_parser(*name)
     try:
         parser.parse_args(args)
     except SystemExit as exc:
