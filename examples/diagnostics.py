@@ -1,17 +1,15 @@
 #!/usr/bin/env python
-"""Network diagnostics inside a HydraNet world: ping, traceroute, and a
-tcpdump-style view of what ft-TCP actually puts on the wire.
+"""Network diagnostics inside a HydraNet world: a tcpdump-style view of
+what ft-TCP actually puts on the wire.
 
 Run:  python examples/diagnostics.py
 """
 
-from repro.apps.ping import Ping, Traceroute, icmp_stack_for
 from repro.core import DetectorParams
 from repro.apps.echo import echo_server_factory
 from repro.experiments.testbeds import build_ft_system
 from repro.metrics import capture_at, summarize, time_sequence
 from repro.netsim import Tracer
-from repro.netsim.icmp import enable_icmp_errors
 
 
 def main():
@@ -22,37 +20,6 @@ def main():
         factory=echo_server_factory,
         port=7,
     )
-    enable_icmp_errors(system.redirector)
-    for hs in system.servers:
-        icmp_stack_for(hs)
-
-    # --- ping the service address (there is no such host!) -------------
-    print("## ping 192.20.225.20 — the service address belongs to NO host;")
-    print("## only TCP port 7 is redirected, so ICMP goes unanswered:")
-    ping = Ping(system.client, system.service_ip, count=3, interval=0.2)
-    ping.start()
-    system.run_until(system.sim.now + 3.0)
-    print(f"   {ping.stats.received}/{ping.stats.sent} replies "
-          f"(loss {ping.stats.loss_rate:.0%}) — yet the TCP service works, below")
-    # ...whereas a real host server answers on its own address:
-    ping2 = Ping(system.client, system.servers[0].ip, count=3, interval=0.2)
-    ping2.start()
-    system.run_until(system.sim.now + 3.0)
-    print(f"   ping hs_0 directly: {ping2.stats.received}/{ping2.stats.sent} replies, "
-          f"avg rtt {ping2.stats.avg_rtt * 1000:.2f}ms\n")
-
-    # --- traceroute to a real host --------------------------------------
-    print("## traceroute to the primary host server")
-    hops_out = []
-    tr = Traceroute(system.client, system.servers[0].ip)
-    tr.on_done = hops_out.extend
-    tr.start()
-    system.run_until(system.sim.now + 10.0)
-    for hop in hops_out:
-        where = hop.address if hop.address else "*"
-        rtt = f"{hop.rtt * 1000:.2f}ms" if hop.rtt is not None else ""
-        print(f"  {hop.ttl:2d}  {where}  {rtt}")
-    print()
 
     # --- capture one replicated echo exchange ---------------------------
     print("## tcpdump view of one replicated echo (client side)")

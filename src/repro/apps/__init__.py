@@ -9,7 +9,6 @@ from .httpd import (
     install_httpd,
     render_object,
 )
-from .ping import Ping, PingStats, Traceroute, TracerouteHop, icmp_stack_for
 from .media import MediaClient, StreamStats, media_server_factory, render_frame
 from .ttcp import (
     TTCP_TCP_OPTIONS,
@@ -34,11 +33,6 @@ __all__ = [
     "httpd_factory",
     "install_httpd",
     "render_object",
-    "Ping",
-    "PingStats",
-    "Traceroute",
-    "TracerouteHop",
-    "icmp_stack_for",
     "MediaClient",
     "StreamStats",
     "media_server_factory",

@@ -94,8 +94,5 @@ class ReplicatedPortTable:
     def get(self, port: int) -> ReplicatedPortOptions | None:
         return self._table.get(port)
 
-    def is_replicated(self, port: int) -> bool:
-        return port in self._table
-
     def remove(self, port: int) -> None:
         self._table.pop(port, None)

@@ -253,15 +253,3 @@ class ReplicatedTcpService:
                 f"[{' '.join(chain)}]"
             )
         return "\n".join(lines)
-
-    @property
-    def live_replicas(self) -> list[ReplicaHandle]:
-        """Replicas actually serving: a joiner still catching up is
-        excluded (it is not in the multicast set yet)."""
-        return [
-            h
-            for h in self.replicas
-            if not h.ft_port.shut_down
-            and not h.ft_port.joining
-            and not h.node.host_server.crashed
-        ]

@@ -17,10 +17,6 @@ if TYPE_CHECKING:
     from .host_server import HostServer
 
 
-class VirtualHostError(RuntimeError):
-    pass
-
-
 class VirtualHost:
     """The environment a replica server process runs in."""
 
@@ -29,7 +25,6 @@ class VirtualHost:
         self.ip = ip
         #: TCP/UDP ports bound under this virtual host.
         self.bound_ports: set[tuple[str, int]] = set()
-        self.active = True
 
     def record_bind(self, protocol: str, port: int) -> None:
         self.bound_ports.add((protocol, port))
@@ -56,19 +51,5 @@ class VirtualHostTable:
         self.host_server.kernel.virtual_addresses.add(address)
         return vhost
 
-    def remove(self, ip) -> None:
-        address = as_address(ip)
-        vhost = self._table.pop(address, None)
-        if vhost is None:
-            raise VirtualHostError(f"no virtual host {address}")
-        vhost.active = False
-        self.host_server.kernel.virtual_addresses.discard(address)
-
-    def get(self, ip) -> VirtualHost | None:
-        return self._table.get(as_address(ip))
-
     def __len__(self) -> int:
         return len(self._table)
-
-    def __iter__(self):
-        return iter(self._table.values())

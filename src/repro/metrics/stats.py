@@ -62,16 +62,7 @@ class ThroughputMeter:
         if self.started_at is None:
             self.started_at = now
         self.total_bytes += nbytes
-        events = self._events
-        if events and events[-1][0] == now:
-            # Same-timestamp records collapse into one run-length entry:
-            # batched dispatch delivers whole same-time event runs, so a
-            # burst of deposits at one instant would otherwise append an
-            # entry per packet.  Every derived quantity (duration, bin
-            # sums) only sees the (time, total) pair, so this is exact.
-            events[-1] = (now, events[-1][1] + nbytes)
-        else:
-            events.append((now, nbytes))
+        self._events.append((now, nbytes))
 
     def finish(self, now: float) -> None:
         self.finished_at = now

@@ -8,13 +8,6 @@ IP-in-IP tunnelling, and fragmentation.
 
 from .addressing import AddressError, IPAddress, Network, as_address
 from .fragmentation import FragmentationError, Reassembler, fragment_packet
-from .icmp import (
-    IcmpMessage,
-    IcmpStack,
-    IcmpType,
-    enable_icmp_errors,
-    send_icmp_error,
-)
 from .host import (
     Host,
     HostProfile,
@@ -59,11 +52,6 @@ __all__ = [
     "FragmentationError",
     "Reassembler",
     "fragment_packet",
-    "IcmpMessage",
-    "IcmpStack",
-    "IcmpType",
-    "enable_icmp_errors",
-    "send_icmp_error",
     "Host",
     "HostProfile",
     "Kernel",

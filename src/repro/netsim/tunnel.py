@@ -52,19 +52,4 @@ def decapsulate(outer: IPPacket) -> IPPacket:
     return payload.inner
 
 
-def innermost(packet: IPPacket) -> IPPacket:
-    """Follow nested IP-in-IP encapsulation to the innermost packet.
-
-    Returns ``packet`` itself when it is not tunnelled.  Used by
-    inspection points (e.g. the redirector's fencing hook) that must see
-    the transport payload regardless of tunnelling depth.
-    """
-    while (
-        packet.protocol == Protocol.IPIP
-        and isinstance(packet.payload, EncapsulatedPacket)
-    ):
-        packet = packet.payload.inner
-    return packet
-
-
 ENCAPSULATION_OVERHEAD = IP_HEADER_SIZE

@@ -16,11 +16,7 @@ the mesh sweep:
 """
 
 from .cache import ResultCache, default_cache_dir, source_fingerprint, task_fingerprint
-from .merge import (
-    DeterministicMerger,
-    concat_stdout,
-    ordered_outcomes,
-)
+from .merge import DeterministicMerger
 from .pool import PoolStats, ScenarioPool, Task, TaskOutcome, default_start_method, positive
 
 __all__ = [
@@ -30,10 +26,8 @@ __all__ = [
     "ScenarioPool",
     "Task",
     "TaskOutcome",
-    "concat_stdout",
     "default_cache_dir",
     "default_start_method",
-    "ordered_outcomes",
     "positive",
     "source_fingerprint",
     "task_fingerprint",

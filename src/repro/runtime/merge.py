@@ -11,15 +11,11 @@ byte-identical to a serial run of the same batch.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .pool import TaskOutcome
 
-__all__ = [
-    "DeterministicMerger",
-    "ordered_outcomes",
-    "concat_stdout",
-]
+__all__ = ["DeterministicMerger"]
 
 
 class DeterministicMerger:
@@ -52,29 +48,3 @@ class DeterministicMerger:
                 break
             self._next += 1
             self._emit(self._buffer[key])
-
-    @property
-    def done(self) -> bool:
-        return self._next == len(self._order)
-
-    def missing(self) -> list[str]:
-        """Keys not yet offered, in canonical order."""
-        return [k for k in self._order if k not in self._buffer]
-
-
-def ordered_outcomes(
-    outcomes: Mapping[str, TaskOutcome], keys: Iterable[str]
-) -> list[TaskOutcome]:
-    """The batch's outcomes in canonical order; raises ``KeyError``
-    naming every missing key (a missing outcome means the pool lost a
-    task, which is a harness bug worth failing loudly on)."""
-    keys = list(keys)
-    missing = [k for k in keys if k not in outcomes]
-    if missing:
-        raise KeyError(f"batch is missing outcomes for: {missing}")
-    return [outcomes[k] for k in keys]
-
-
-def concat_stdout(outcomes: Mapping[str, TaskOutcome], keys: Iterable[str]) -> str:
-    """Captured worker stdout, concatenated in canonical order."""
-    return "".join(o.stdout for o in ordered_outcomes(outcomes, keys))

@@ -32,8 +32,8 @@ this makes ``--jobs N`` output byte-identical to a serial run.
 Workers receive *data*, not state: a task is ``(fn, args, kwargs)``
 where ``fn`` is a module-level callable and the arguments are plain
 values (typically just an integer seed), so a forked and a freshly
-spawned worker compute the identical result.  The start method comes
-from ``REPRO_POOL_START_METHOD`` (default: ``fork`` where available).
+spawned worker compute the identical result.  The start method is
+``fork`` where available, else ``spawn``.
 """
 
 from __future__ import annotations
@@ -68,14 +68,10 @@ def positive(kind):
 
 
 def default_start_method() -> str:
-    """``REPRO_POOL_START_METHOD`` env override, else ``fork`` on
-    platforms that have it (cheap, inherits the warm import state),
-    else ``spawn``."""
+    """``fork`` on platforms that have it (cheap, inherits the warm
+    import state), else ``spawn``."""
     import multiprocessing
 
-    env = os.environ.get("REPRO_POOL_START_METHOD")
-    if env:
-        return env
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 

@@ -9,7 +9,7 @@ graceful close — plus the hook points HydraNet-FT's ft-TCP needs
 from .buffers import Reassembler, SendBuffer, SocketBuffer
 from .congestion import CongestionControl
 from .options import TcpOptions
-from .seqnum import seq_add, seq_between, seq_diff, seq_ge, seq_gt, seq_le, seq_lt
+from .seqnum import seq_add, seq_diff
 from .stack import Listener, TcpStack, deterministic_iss
 from .tcb import TcpConnection, TcpError, TcpState
 from .timers import RtoEstimator
@@ -21,12 +21,7 @@ __all__ = [
     "CongestionControl",
     "TcpOptions",
     "seq_add",
-    "seq_between",
     "seq_diff",
-    "seq_ge",
-    "seq_gt",
-    "seq_le",
-    "seq_lt",
     "Listener",
     "TcpStack",
     "deterministic_iss",

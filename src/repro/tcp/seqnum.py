@@ -22,24 +22,3 @@ def seq_diff(a: int, b: int) -> int:
     if diff >= _HALF:
         diff -= SEQ_MOD
     return diff
-
-
-def seq_lt(a: int, b: int) -> bool:
-    return seq_diff(a, b) < 0
-
-
-def seq_le(a: int, b: int) -> bool:
-    return seq_diff(a, b) <= 0
-
-
-def seq_gt(a: int, b: int) -> bool:
-    return seq_diff(a, b) > 0
-
-
-def seq_ge(a: int, b: int) -> bool:
-    return seq_diff(a, b) >= 0
-
-
-def seq_between(low: int, seq: int, high: int) -> bool:
-    """True when ``low <= seq <= high`` in wrapped arithmetic."""
-    return seq_le(low, seq) and seq_le(seq, high)

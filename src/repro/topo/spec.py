@@ -2,10 +2,10 @@
 
 A :class:`TopologySpec` is plain data: hosts, links, the redirector
 mesh (peer and parent relations), service placements, and external
-networks.  It is JSON-serializable both ways and carries a canonical
-sha256 fingerprint, so a spec can be generated, persisted, shipped to
-a pool worker, and rebuilt bit-identically — the property every
-``--jobs`` equality gate in this repository rests on.
+networks.  It has a canonical JSON form and a sha256 fingerprint over
+it, so a spec generated inline and one generated in a pool worker can
+be proven bit-identical — the property every ``--jobs`` equality gate
+in this repository rests on.
 
 Specs are *validated*, not trusted: :meth:`TopologySpec.validate`
 checks structural well-formedness (no orphan hosts, link endpoints
@@ -108,35 +108,9 @@ class TopologySpec:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TopologySpec":
-        version = data.get("version", SPEC_VERSION)
-        if version > SPEC_VERSION:
-            raise ValueError(f"spec version {version} is newer than {SPEC_VERSION}")
-        return cls(
-            name=data["name"],
-            kind=data["kind"],
-            seed=int(data.get("seed", 0)),
-            params=dict(data.get("params", {})),
-            hosts=tuple(HostSpec(**h) for h in data.get("hosts", [])),
-            links=tuple(LinkSpec(**l) for l in data.get("links", [])),
-            peers=tuple(tuple(p) for p in data.get("peers", [])),
-            parents=tuple(tuple(p) for p in data.get("parents", [])),
-            services=tuple(
-                ServicePlacement(**{**s, "backups": tuple(s.get("backups", ()))})
-                for s in data.get("services", [])
-            ),
-            external=tuple(tuple(e) for e in data.get("external", [])),
-            version=version,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TopologySpec":
-        return cls.from_dict(json.loads(text))
-
     def fingerprint(self) -> str:
         """Canonical content hash: equal specs hash equal regardless of
-        how they were produced (generator vs. JSON round-trip)."""
+        how they were produced."""
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
     # -- structure helpers ------------------------------------------------

@@ -34,14 +34,6 @@ def test_primary_property_tracks_promotion(testbed):
     assert testbed.service.primary is testbed.backup_handles[0]
 
 
-def test_live_replicas_excludes_crashed_and_shut_down(testbed):
-    assert len(testbed.service.live_replicas) == 2
-    testbed.servers[1].crash()
-    assert len(testbed.service.live_replicas) == 1
-    testbed.primary_handle.ft_port.shutdown()
-    assert testbed.service.live_replicas == []
-
-
 def test_status_report_contents(testbed):
     conn = testbed.connect()
     testbed.run_for(1.0)

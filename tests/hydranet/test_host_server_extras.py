@@ -42,22 +42,6 @@ def test_tunneled_counter_increments(hnet_no_origin):
     assert hnet.hs_a.tunneled_packets_received == 2
 
 
-def test_vhost_removal_stops_service(hnet_no_origin):
-    hnet = hnet_no_origin
-    hnet.hs_a.v_host(SERVICE)
-    sock = hnet.hs_a.node.udp_socket()
-    sock.bind(53, ip=SERVICE)
-    hnet.redirector.install_scaling(SERVICE, 53, hnet.hs_a.ip)
-    client = node_for(hnet.client).udp_socket()
-    client.send_to(SERVICE, 53, b"works")
-    hnet.run(until=2.0)
-    assert sock.datagrams_received == 1
-    hnet.hs_a.virtual_hosts.remove(SERVICE)
-    client.send_to(SERVICE, 53, b"gone")
-    hnet.run(until=4.0)
-    assert sock.datagrams_received == 1  # tunneled packet dropped (no vhost)
-
-
 def test_redirector_counts_redirections(hnet_no_origin):
     hnet = hnet_no_origin
     hnet.hs_a.v_host(SERVICE)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hydranet import HostServer, VirtualHostError
+from repro.hydranet import HostServer
 from repro.netsim import (
     IPAddress,
     IPPacket,
@@ -34,15 +34,6 @@ def test_v_host_idempotent(hs):
     v2 = server.v_host("192.20.225.20")
     assert v1 is v2
     assert len(server.virtual_hosts) == 1
-
-
-def test_remove_virtual_host(hs):
-    sim, server = hs
-    server.v_host("192.20.225.20")
-    server.virtual_hosts.remove("192.20.225.20")
-    assert not server.kernel.owns_address(IPAddress("192.20.225.20"))
-    with pytest.raises(VirtualHostError):
-        server.virtual_hosts.remove("192.20.225.20")
 
 
 def test_record_bind(hs):
