@@ -194,7 +194,7 @@ class UdpTtcpSink:
 class UdpTtcpSender:
     """``ttcp -t -u``: blasts ``nbuf`` datagrams of ``buflen`` bytes.
     Sends are paced by the host's own CPU model (as on the real slow
-    client); an optional extra ``pacing`` spaces them further."""
+    client)."""
 
     def __init__(
         self,
@@ -203,7 +203,6 @@ class UdpTtcpSender:
         dst_port: int = 5002,
         buflen: int = 1024,
         nbuf: int = 1024,
-        pacing: float = 0.0,
     ):
         self.node = node
         self.sim = node.sim
@@ -211,7 +210,6 @@ class UdpTtcpSender:
         self.dst_port = dst_port
         self.buflen = buflen
         self.nbuf = nbuf
-        self.pacing = pacing
         self.socket = node.udp_socket()
         self._payload = (bytes(range(256)) * (buflen // 256 + 1))[:buflen]
         self._sent = 0
@@ -228,4 +226,4 @@ class UdpTtcpSender:
         # next write until the kernel finished processing this one.
         kernel = self.node.host.kernel
         block = max(0.0, kernel._cpu_free_at - self.sim.now)
-        self.sim.schedule(block + self.pacing, self._send_next)
+        self.sim.schedule(block, self._send_next)

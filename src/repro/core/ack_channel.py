@@ -24,6 +24,11 @@ if TYPE_CHECKING:
 
 ACK_CHANNEL_PORT = 5500
 
+#: The ordered channel's per-destination retransmission period and the
+#: number of unanswered rounds after which it gives the predecessor up.
+ORDERED_RETRANSMIT_INTERVAL = 0.1
+ORDERED_MAX_TRIES = 20
+
 
 def _fletcher_mix(values) -> int:
     """Deterministic 32-bit checksum over a sequence of ints (FNV-1a
@@ -101,12 +106,11 @@ class AckChannelEndpoint:
     #: and prove the monitors notice (tests/invariants/test_mutation).
     validate_checksums = True
 
-    def __init__(self, host_server: "HostServer", port: int = ACK_CHANNEL_PORT):
+    def __init__(self, host_server: "HostServer"):
         self.host_server = host_server
         self.sim = host_server.sim
-        self.port = port
         self.socket: UdpSocket = host_server.node.udp_socket()
-        self.socket.bind(port)
+        self.socket.bind(ACK_CHANNEL_PORT)
         self.socket.on_datagram = self._receive
         # (service_ip, service_port) -> handler(message, sender_ip)
         self._handlers: dict[
@@ -137,7 +141,7 @@ class AckChannelEndpoint:
     def send(self, message: AckChannelMessage, predecessor_ip) -> None:
         """Forward flow-control information up the chain."""
         self.messages_sent += 1
-        self.socket.send_to(as_address(predecessor_ip), self.port, message)
+        self.socket.send_to(as_address(predecessor_ip), ACK_CHANNEL_PORT, message)
 
     def _receive(self, data: object, src_ip: IPAddress, src_port: int, dst_ip) -> None:
         if not isinstance(data, AckChannelMessage):
@@ -194,16 +198,8 @@ class OrderedAckChannelEndpoint(AckChannelEndpoint):
     what that buys and costs against the paper's plain-UDP choice.
     """
 
-    def __init__(
-        self,
-        host_server: "HostServer",
-        port: int = ACK_CHANNEL_PORT,
-        retransmit_interval: float = 0.1,
-        max_tries: int = 20,
-    ):
-        super().__init__(host_server, port)
-        self.retransmit_interval = retransmit_interval
-        self.max_tries = max_tries
+    def __init__(self, host_server: "HostServer"):
+        super().__init__(host_server)
         # Sender side, per destination.
         self._next_seq: dict[IPAddress, int] = {}
         self._unacked: dict[IPAddress, dict[int, SequencedAckMessage]] = {}
@@ -224,12 +220,12 @@ class OrderedAckChannelEndpoint(AckChannelEndpoint):
         wrapped = SequencedAckMessage(seq, message)
         self._unacked.setdefault(dst, {})[seq] = wrapped
         self.messages_sent += 1
-        self.socket.send_to(dst, self.port, wrapped)
+        self.socket.send_to(dst, ACK_CHANNEL_PORT, wrapped)
         if dst not in self._timers:
             self._timers[dst] = Timer(self.sim, lambda d=dst: self._retransmit(d))
         if not self._timers[dst].running:
             self._tries[dst] = 0
-            self._timers[dst].start(self.retransmit_interval)
+            self._timers[dst].start(ORDERED_RETRANSMIT_INTERVAL)
 
     def _retransmit(self, dst: IPAddress) -> None:
         if self.host_server.crashed:
@@ -238,14 +234,14 @@ class OrderedAckChannelEndpoint(AckChannelEndpoint):
         if not pending:
             return
         self._tries[dst] = self._tries.get(dst, 0) + 1
-        if self._tries[dst] > self.max_tries:
+        if self._tries[dst] > ORDERED_MAX_TRIES:
             # The predecessor is gone; reconfiguration will handle it.
             pending.clear()
             return
         for seq in sorted(pending):
             self.channel_retransmissions += 1
-            self.socket.send_to(dst, self.port, pending[seq])
-        self._timers[dst].start(self.retransmit_interval)
+            self.socket.send_to(dst, ACK_CHANNEL_PORT, pending[seq])
+        self._timers[dst].start(ORDERED_RETRANSMIT_INTERVAL)
 
     # -- receiver -----------------------------------------------------------
 
@@ -285,5 +281,5 @@ class OrderedAckChannelEndpoint(AckChannelEndpoint):
             self.held_back += 1
             self._holdback.setdefault(src_ip, {})[data.seq] = data
         self.socket.send_to(
-            src_ip, self.port, ChannelAck(acked=self._expected.get(src_ip, 0))
+            src_ip, ACK_CHANNEL_PORT, ChannelAck(acked=self._expected.get(src_ip, 0))
         )

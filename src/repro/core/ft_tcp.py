@@ -51,7 +51,7 @@ from repro.replication import MemberTable, create_strategy
 
 from .ack_channel import AckChannelEndpoint, AckChannelMessage
 from .failure_detector import RetransmissionDetector
-from .replicated_port import DetectorParams, PortMode, ReplicatedPortTable
+from .replicated_port import SUCCESSOR_QUIET, DetectorParams, PortMode, ReplicatedPortTable
 
 if TYPE_CHECKING:
     from repro.hydranet.daemons import HostServerDaemon
@@ -66,13 +66,20 @@ ClientKey = tuple[IPAddress, int]
 DEFAULT_CATCHUP_LOG_LIMIT = 4 * 1024 * 1024
 
 #: Stream bytes per base-transfer piece (a handful of IP fragments on
-#: an era 1500-byte-MTU link).
+#: an era 1500-byte-MTU link), so no single datagram's fragments can
+#: overrun a bottleneck queue (which would make the message
+#: unreassemblable at any number of retries).
 DEFAULT_CATCHUP_CHUNK = 4096
 
 #: Base-transfer pieces kept in flight at once (ack-clocked): enough to
 #: keep the pipe busy across one mgmt RTT, small enough that a burst
 #: can never overflow a bottleneck drop-tail queue.
 CATCHUP_WINDOW = 4
+
+#: Period of each port's liveness check (and of the degradation-mode
+#: keepalive): twice per ``SUCCESSOR_QUIET``.
+LIVENESS_PERIOD = SUCCESSOR_QUIET / 2
+
 
 class FtError(RuntimeError):
     pass
@@ -165,9 +172,7 @@ class FtConnectionState:
         self.last_report_sent: Optional[float] = None
         #: Client stream retained for live joins (recovery subsystem),
         #: when the port has a consumer for it.
-        self.catchup_log = (
-            CatchupLog(port.catchup_log_limit) if port.retains_stream else _NOT_RETAINED
-        )
+        self.catchup_log = CatchupLog() if port.retains_stream else _NOT_RETAINED
         #: The invariant monitors' record of this connection, made by
         #: the first monitor hook that needs it.
         self.monitor = None
@@ -330,12 +335,6 @@ class FtPort:
         #: (its retransmission timers fire with nobody ACKing until the
         #: chain splice).
         self.joining = False
-        self.catchup_log_limit = DEFAULT_CATCHUP_LOG_LIMIT
-        #: Donor side: a base transfer is shipped in pieces of at most
-        #: this many stream bytes so no single datagram's IP fragments
-        #: can overrun a bottleneck queue (which would make the message
-        #: unreassemblable at any number of retries).
-        self.catchup_chunk_size = DEFAULT_CATCHUP_CHUNK
         #: Donor side: joiner ip -> connection keys being fed deltas.
         self._catchup_feeds: dict[IPAddress, set[ClientKey]] = {}
         #: Donor side: joiner ip -> base-transfer pieces not yet sent
@@ -390,8 +389,7 @@ class FtPort:
         # successor — a state no retransmission would ever signal, e.g.
         # a server-push stream with a dead backup — report it.
         self._liveness_timer = Timer(self.sim, self._liveness_check)
-        self._liveness_period = max(0.25, detector_params.successor_quiet / 2)
-        self._liveness_timer.start(self._liveness_period)
+        self._liveness_timer.start(LIVENESS_PERIOD)
         self.strategy.start()
 
     @property
@@ -413,8 +411,7 @@ class FtPort:
         complete and the recovery manager splices it in."""
         if self.listener is not None:
             raise FtError(f"port {self.port} already bound")
-        vhost = self.host_server.v_host(self.service_ip)
-        vhost.record_bind("tcp", self.port)
+        self.host_server.v_host(self.service_ip)
         listener = self.host_server.node.listen(
             self.port, ip=self.service_ip, options=tcp_options
         )
@@ -568,15 +565,14 @@ class FtPort:
             )
 
     def _quiet_member(self) -> Optional[IPAddress]:
-        """The first member gone quiet past ``successor_quiet`` on a
+        """The first member gone quiet past ``SUCCESSOR_QUIET`` on a
         gated connection, if any."""
         if not self.has_successor:
             return None
-        quiet = self.detector_params.successor_quiet
         now = self.sim.now
         for state in self.states.values():
             if state.gated:
-                suspect = state.members.quiet_member(now, quiet)
+                suspect = state.members.quiet_member(now, SUCCESSOR_QUIET)
                 if suspect is not None:
                     return suspect
         return None
@@ -598,7 +594,7 @@ class FtPort:
     def _liveness_check(self) -> None:
         if self.shut_down or self.host_server.crashed:
             return
-        self._liveness_timer.start(self._liveness_period)
+        self._liveness_timer.start(LIVENESS_PERIOD)
         if self.joining:
             return
         if self.detector_params.degradation_timeout is not None:
@@ -608,15 +604,13 @@ class FtPort:
         invariants = self.sim.invariants
         if invariants is not None:
             invariants.on_liveness_tick(self)
-        quiet = self.detector_params.successor_quiet
-        now = self.sim.now
         if self.detector_params.degradation_timeout is not None:
-            self._degradation_check(now, quiet)
+            self._degradation_check(self.sim.now)
         for state in self.states.values():
             if (
                 state.conn.state != TcpState.CLOSED
                 and state.blocked_on_successor()
-                and state.successor_silence() > quiet
+                and state.successor_silence() > SUCCESSOR_QUIET
             ):
                 straggler = state.members.straggler
                 self._report([straggler] if straggler else [], "liveness")
@@ -641,11 +635,11 @@ class FtPort:
             if state.conn.state == TcpState.CLOSED:
                 continue
             last = state.last_report_sent
-            if last is not None and now - last < self._liveness_period:
+            if last is not None and now - last < LIVENESS_PERIOD:
                 continue
             state.announce()
 
-    def _degradation_check(self, now: float, quiet: float) -> None:
+    def _degradation_check(self, now: float) -> None:
         """Graceful degradation (DESIGN.md §14): a successor that keeps
         *talking* on the acknowledgement channel — so the quiet-based
         check never fires — while our output stays blocked on it and its
@@ -677,7 +671,7 @@ class FtPort:
                 continue
             if reported or now - since <= timeout:
                 continue
-            if members.straggler is None or state.successor_silence() > quiet:
+            if members.straggler is None or state.successor_silence() > SUCCESSOR_QUIET:
                 continue  # silent successor: the classic path handles it
             if self._report([members.straggler], "degradation"):
                 self.degradation_reports += 1
@@ -705,7 +699,7 @@ class FtPort:
         joiner_ip = as_address(joiner_ip)
         snaps, keys = snapshot_connections(self)
         self._catchup_feeds[joiner_ip] = keys
-        chunk = self.catchup_chunk_size
+        chunk = DEFAULT_CATCHUP_CHUNK
         base_conns = []
         tail_chunks = []
         for s in snaps:

@@ -16,6 +16,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 
+#: The successor is named as a suspect if the acknowledgement channel
+#: has been quiet for this long (seconds) while connections stall.
+SUCCESSOR_QUIET = 1.0
+
+
 class PortMode(enum.Enum):
     PRIMARY = "primary"
     BACKUP = "backup"
@@ -37,15 +42,13 @@ class DetectorParams:
     window: float = 10.0
     #: Minimum spacing between successive failure reports.
     cooldown: float = 2.0
-    #: The successor is named as a suspect if the acknowledgement
-    #: channel has been quiet for this long while connections stall.
-    successor_quiet: float = 1.0
     #: Graceful degradation (DESIGN.md §14): when set, a successor that
     #: keeps *talking* on the acknowledgement channel but leaves our
     #: output blocked for longer than this is reported as a suspect —
-    #: the gray-failure case (slow-but-alive replica) the quiet-based
-    #: check above is blind to.  ``None`` (the default) disables the
-    #: check entirely, preserving classic fail-stop-only behaviour.
+    #: the gray-failure case (slow-but-alive replica) the
+    #: ``SUCCESSOR_QUIET`` check is blind to.  ``None`` (the default)
+    #: disables the check entirely, preserving classic fail-stop-only
+    #: behaviour.
     degradation_timeout: Optional[float] = None
 
     def __post_init__(self):
@@ -63,8 +66,8 @@ class ReplicatedPortOptions:
     mode: PortMode
     detector: DetectorParams
     #: Replication backend name (DESIGN.md §15): ``"chain"`` (the
-    #: paper's daisy chain), ``"broadcast"``, ``"checkpoint"``, or any
-    #: strategy registered with :mod:`repro.replication`.
+    #: paper's daisy chain), ``"broadcast"`` or ``"checkpoint"`` — a
+    #: key of ``repro.replication.STRATEGIES``.
     strategy: str = "chain"
 
 

@@ -38,8 +38,6 @@ def _run_crash(
     use_heartbeats: bool,
     active_client: bool,
     heartbeat_period: float = 0.5,
-    heartbeat_tolerance: int = 3,
-    retrans_threshold: int = 3,
     seed: int = 0,
     horizon: float = 90.0,
 ):
@@ -50,7 +48,7 @@ def _run_crash(
         factory=echo_server_factory,
         port=7,
         detector=DetectorParams(
-            threshold=(1_000_000 if use_heartbeats else retrans_threshold),
+            threshold=(1_000_000 if use_heartbeats else 3),
             cooldown=1.0,
         ),
     ) as system:
@@ -62,7 +60,7 @@ def _run_crash(
                 system.service_ip,
                 7,
                 period=heartbeat_period,
-                tolerance=heartbeat_tolerance,
+                tolerance=3,
             )
         if active_client:
             stream = EchoStream(

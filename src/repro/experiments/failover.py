@@ -114,13 +114,12 @@ def run_crash_failover(
 
 def run_congestion_false_positive(
     threshold: int,
-    burst_at: float = 2.5,
-    burst_duration: float = 3.0,
     seed: int = 0,
     horizon: float = 60.0,
 ) -> FalsePositiveOutcome:
-    """No crash — just a loss burst toward the primary.  Low thresholds
-    misread the client's retransmissions as a server failure."""
+    """No crash — just a 3 s loss burst toward the primary from
+    t = 2.5 s.  Low thresholds misread the client's retransmissions as
+    a server failure."""
     with build_ft_system(
         seed=seed,
         n_backups=1,
@@ -129,7 +128,7 @@ def run_congestion_false_positive(
         _streaming_client(system, total_bytes=400_000)
         plan = FaultPlan(system.sim)
         link = system.topo.find_link("redirector", "hs_0")
-        plan.loss_burst(link, burst_at, burst_duration, loss_rate=0.6)
+        plan.loss_burst(link, 2.5, 3.0, loss_rate=0.6)
         system.run_until(horizon)
         shutdowns = sum(
             1 for handle in system.service.replicas if handle.ft_port.shut_down

@@ -1,7 +1,7 @@
 """Demo D7: comparative replication-backend table (DESIGN.md §15).
 
-Every registered :class:`~repro.replication.base.ReplicationStrategy`
-runs the same three probes, so the table answers "what does swapping
+Every :class:`~repro.replication.base.ReplicationStrategy` in
+``repro.replication.STRATEGIES`` runs the same three probes, so the table answers "what does swapping
 the replication discipline cost, and does it still hold up?":
 
 * **overhead** — ttcp throughput through a 2-backup deployment (the
@@ -12,8 +12,8 @@ the replication discipline cost, and does it still hold up?":
 * **partition** — the D4 symmetric split-brain scenario: epoch
   fencing, demotion, and live-rejoin must hold whatever the backend.
 
-The backend list is the registry (``available_strategies()``), not a
-hand-kept tuple: a newly registered strategy shows up in this table —
+The backend list is ``available_strategies()``, not a hand-kept
+tuple: a strategy added to ``STRATEGIES`` shows up in this table —
 and in the shape check — automatically.
 """
 

@@ -67,7 +67,6 @@ def _build_world(seed: int):
 def run_scaling(
     with_replica: bool,
     requests_per_client: int = 8,
-    object_size: int = 8000,
     seed: int = 0,
     horizon: float = 300.0,
 ) -> ScalingOutcome:
@@ -83,7 +82,7 @@ def run_scaling(
             sim,
             [node_for(c) for c in clients],
             SERVICE_IP,
-            paths=[f"/object/{object_size}"],
+            paths=["/object/8000"],
             requests_per_client=requests_per_client,
             mean_think_time=0.05,
         )

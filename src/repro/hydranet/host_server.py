@@ -9,17 +9,13 @@ measures exactly that overhead.
 
 from __future__ import annotations
 
-from typing import Optional
-
+from repro.netsim.addressing import as_address
 from repro.netsim.host import Host, HostProfile, MODERN
 from repro.netsim.packet import IPPacket, Protocol
 from repro.netsim.simulator import Simulator
 from repro.netsim.trace import trace
 from repro.netsim.tunnel import TunnelError, decapsulate
 from repro.sockets.api import Node
-from repro.tcp.options import TcpOptions
-
-from .virtual_host import VirtualHost, VirtualHostTable
 
 #: Extra CPU per packet charged by the HydraNet-modified kernel on host
 #: servers (tunnel detection, virtual-host lookup).
@@ -34,23 +30,23 @@ class HostServer(Host):
         sim: Simulator,
         name: str,
         profile: HostProfile = MODERN,
-        tcp_options: Optional[TcpOptions] = None,
         software_overhead: float = HOST_SERVER_SOFTWARE_OVERHEAD,
     ):
         super().__init__(sim, name, profile)
         self.kernel.software_overhead = software_overhead
-        self.virtual_hosts = VirtualHostTable(self)
-        self.node = self._node = Node(self, tcp_options)  # `_node`: what node_for finds
+        self.node = self._node = Node(self)  # `_node`: what node_for finds
         self.kernel.register_protocol(Protocol.IPIP, self._tunnel_endpoint)
         self.tunneled_packets_received = 0
 
     def dispose(self) -> None:
         super().dispose()
-        self.node = self.virtual_hosts = None
+        self.node = None
 
-    def v_host(self, ip) -> VirtualHost:
-        """The ``v_host(u_long ip_address)`` system call (paper §3)."""
-        return self.virtual_hosts.create(ip)
+    def v_host(self, ip) -> None:
+        """The ``v_host(u_long ip_address)`` system call (paper §3): the
+        server process runs inside a virtual host identified by its
+        origin host's address, so the kernel accepts packets for it."""
+        self.kernel.virtual_addresses.add(as_address(ip))
 
     def _tunnel_endpoint(self, packet: IPPacket) -> None:
         """Unwrap IP-in-IP packets and deliver the inner packet to the

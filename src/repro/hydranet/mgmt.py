@@ -349,14 +349,10 @@ class ReliableUdp:
         sim: Simulator,
         sock: UdpSocket,
         on_message: Callable[[MgmtMessage, IPAddress, int], None],
-        interval: float = 0.5,
-        max_tries: int = 8,
     ):
         self.sim = sim
         self.sock = sock
         self.on_message = on_message
-        self.interval = interval
-        self.max_tries = max_tries
         self._pending: dict[int, Timer] = {}
         self._settled_cbs: dict[int, Callable[[], None]] = {}
         self._seen: dict[tuple[IPAddress, int], float] = {}
@@ -372,7 +368,7 @@ class ReliableUdp:
         message: MgmtMessage,
         dst_ip,
         dst_port: int = MGMT_PORT,
-        policy: Optional[RetryPolicy] = None,
+        policy: RetryPolicy = DEFAULT_RETRY,
         on_give_up: Optional[Callable[[MgmtMessage], None]] = None,
         on_settled: Optional[Callable[[], None]] = None,
     ) -> None:
@@ -382,8 +378,6 @@ class ReliableUdp:
         our problem — acked, given up, cancelled, or dropped with a
         crashed host — so callers can window a bulk transfer on it."""
         dst = as_address(dst_ip)
-        if policy is None:
-            policy = RetryPolicy(interval=self.interval, max_tries=self.max_tries)
         tries = {"n": 0}
         if on_settled is not None:
             self._settled_cbs[message.msg_id] = on_settled

@@ -787,7 +787,7 @@ def _mutate_excision():
 
     degradation = FtPort._degradation_check
     lie_evidence = FtPort._note_lie_evidence
-    FtPort._degradation_check = lambda self, now, quiet: None
+    FtPort._degradation_check = lambda self, now: None
     FtPort._note_lie_evidence = lambda self, suspect: None
     try:
         yield

@@ -388,13 +388,6 @@ class InvariantSet:
         self.output_liveness = OutputLivenessMonitor(self)
         #: (service_ip, port) -> the service's replica list (live view).
         self._services: dict[tuple, list] = {}
-        #: Set by :func:`attach_invariants` — the redirector table the
-        #: packet hook consults (single-redirector deployments).
-        self._redirector_table = None
-        #: id(redirector) -> installed hook, one per armed redirector
-        #: (mesh deployments arm every redirector; each hook closes
-        #: over its own table).
-        self._armed_redirectors: dict[int, Callable] = {}
 
     # -- wiring ----------------------------------------------------------
 
@@ -412,7 +405,7 @@ class InvariantSet:
         for monitor in vars(self).values():
             if isinstance(monitor, _Monitor):
                 monitor.invset = None
-        self._services, self._armed_redirectors, self._redirector_table = {}, {}, None
+        self._services = {}
 
     # -- reporting ---------------------------------------------------------
 
@@ -491,18 +484,18 @@ class InvariantSet:
         self.stats["segments_fenced"] += 1
 
     def redirector_hook(self, packet: "IPPacket", nic) -> bool:
-        """Observe-only packet hook, inserted immediately *after* the
+        """Observe-only packet hook, inserted immediately *after* a
         redirector's fence: any stale-epoch segment that reaches it
-        escaped the fence.  Always returns False (never consumes)."""
-        return self._observe_service_segment(packet, self._redirector_table)
-
-    def _observe_service_segment(self, packet: "IPPacket", table) -> bool:
+        escaped the fence.  It consults the table of the redirector
+        that received the packet (``nic.host``), so in a mesh a
+        service's output is checked against the local epoch wherever
+        it crosses.  Always returns False (never consumes)."""
         if packet.protocol != Protocol.TCP or packet.is_fragment:
             return False
         segment = packet.payload
         if not isinstance(segment, TCPSegment):
             return False
-        entry = table.get((packet.src, segment.src_port))
+        entry = nic.host.table.get((packet.src, segment.src_port))
         if entry is None or not entry.fault_tolerant:
             return False
         self.stats["service_output_segments"] += 1
@@ -514,64 +507,33 @@ class InvariantSet:
             )
         return False
 
-    def arm_redirector(self, redirector) -> None:
-        """Splice an observe-only hook behind *this* redirector's fence.
-        Mesh deployments call this once per redirector: each hook
-        consults the table of the redirector it is installed on, so a
-        service's output is checked against the local epoch wherever it
-        crosses the mesh.  Idempotent per redirector."""
-        if id(redirector) in self._armed_redirectors:
-            return
-        table = redirector.table
 
-        def hook(packet, nic, _table=table):
-            return self._observe_service_segment(packet, _table)
-
-        self._armed_redirectors[id(redirector)] = hook
-        redirector.kernel.add_packet_hook(hook, after=redirector._fence_hook)
-
-
-def attach_invariants(
-    system, on_violation: Optional[Callable[[Violation], None]] = None
-) -> InvariantSet:
+def attach_invariants(system) -> InvariantSet:
     """Arm the invariant monitors on a wired FT deployment.
 
     ``system`` is anything shaped like
     :class:`~repro.experiments.testbeds.FtSystem` (``sim``, ``service``,
-    ``redirector``).  Sets ``sim.invariants``, watches the service's
-    replica list, and splices an observe-only packet hook into the
-    redirector right behind the epoch fence.  Idempotent per system.
+    ``redirector``): the one-redirector case of
+    :func:`attach_mesh_invariants`.
     """
-    sim = system.sim
-    invset = sim.invariants
-    if invset is None:
-        invset = InvariantSet(sim, on_violation)
-        sim.invariants = invset
-    invset.watch_service(system.service)
-    redirector = system.redirector
-    invset._redirector_table = redirector.table
-    kernel = redirector.kernel
-    if invset.redirector_hook not in kernel.packet_hooks:
-        kernel.add_packet_hook(invset.redirector_hook, after=redirector._fence_hook)
-    return invset
+    return attach_mesh_invariants(system.sim, (system.redirector,), (system.service,))
 
 
-def attach_mesh_invariants(
-    sim,
-    redirectors,
-    services=(),
-    on_violation: Optional[Callable[[Violation], None]] = None,
-) -> InvariantSet:
-    """Arm the invariant monitors across a redirector mesh: one
-    observe-only hook per redirector (each consulting its own table)
-    and one replica-list watch per service.  Idempotent; safe to call
-    again as services are added."""
+def attach_mesh_invariants(sim, redirectors, services) -> InvariantSet:
+    """Arm the invariant monitors across a redirector mesh: sets
+    ``sim.invariants``, splices :meth:`InvariantSet.redirector_hook`
+    into every redirector right behind its epoch fence and watches
+    each service's replica list.  Idempotent; safe to call again as
+    services are added."""
     invset = sim.invariants
     if invset is None:
-        invset = InvariantSet(sim, on_violation)
+        invset = InvariantSet(sim)
         sim.invariants = invset
     for service in services:
         invset.watch_service(service)
+    hook = invset.redirector_hook
     for redirector in redirectors:
-        invset.arm_redirector(redirector)
+        kernel = redirector.kernel
+        if hook not in kernel.packet_hooks:
+            kernel.add_packet_hook(hook, after=redirector._fence_hook)
     return invset

@@ -62,15 +62,15 @@ class DegreeTimeline:
             degree = point_degree
         return degree
 
-    def availability(self, target: int, until: float, since: float = 0.0) -> float:
-        """Fraction of [since, until] spent at degree >= ``target``."""
-        if until <= since:
+    def availability(self, target: int, until: float) -> float:
+        """Fraction of [0, until] spent at degree >= ``target``."""
+        if until <= 0.0:
             return 0.0
         good = 0.0
-        t = since
-        degree = self.degree_at(since)
+        t = 0.0
+        degree = self.degree_at(0.0)
         for point_t, point_degree in self._points:
-            if point_t <= since:
+            if point_t <= 0.0:
                 continue
             if point_t >= until:
                 break
@@ -80,7 +80,7 @@ class DegreeTimeline:
             degree = point_degree
         if degree >= target:
             good += until - t
-        return good / (until - since)
+        return good / until
 
 
 def summarize_incidents(incidents: list[RecoveryIncident]) -> dict:

@@ -17,6 +17,9 @@ from .nic import NIC
 from .router import Router
 from .simulator import Disposable, Simulator
 
+#: Every point-to-point /30 the topology numbers is carved from here.
+SUPERNET = Network("10.0.0.0/8")
+
 
 class TopologyError(RuntimeError):
     pass
@@ -36,9 +39,8 @@ class Topology(Disposable):
         topo.build_routes()
     """
 
-    def __init__(self, sim: Simulator, supernet: str = "10.0.0.0/8"):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.supernet = Network(supernet)
         self.hosts: dict[str, Host] = {}
         self.links: list[Link] = []
         self._adjacency: dict[str, list[tuple[str, NIC]]] = {}
@@ -68,13 +70,13 @@ class Topology(Disposable):
         return host
 
     def _next_subnet(self) -> Network:
-        base = int(self.supernet.base)
+        base = int(SUPERNET.base)
         while True:
             candidate = Network(
                 str(IPAddress(base + (self._subnet_counter << 2))), 30
             )
             self._subnet_counter += 1
-            if int(candidate.broadcast) > int(self.supernet.broadcast):
+            if int(candidate.broadcast) > int(SUPERNET.broadcast):
                 raise AddressError("supernet exhausted")
             return candidate
 

@@ -37,28 +37,23 @@ class Tracer:
     filter:
         Optional predicate over :class:`TraceRecord`; records failing it
         are counted but not stored.
-    per_protocol:
-        When False the per-``"{event}:{protocol}"`` counters (and the
-        key construction they cost on every packet event) are skipped;
-        the plain per-event counters are always kept.
+
+    Each event is counted both plain and per ``"{event}:{protocol}"``.
     """
 
     def __init__(
         self,
         keep_records: bool = True,
         filter: Optional[Callable[[TraceRecord], bool]] = None,
-        per_protocol: bool = True,
     ):
         self.records: list[TraceRecord] = []
         self.counters: Counter[str] = Counter()
         self.keep_records = keep_records
         self.filter = filter
-        self.per_protocol = per_protocol
 
     def record(self, time: float, node: str, event: str, packet: IPPacket) -> None:
         self.counters[event] += 1
-        if self.per_protocol:
-            self.counters[f"{event}:{packet.protocol.name}"] += 1
+        self.counters[f"{event}:{packet.protocol.name}"] += 1
         if self.keep_records:
             rec = TraceRecord(time, node, event, packet)
             if self.filter is None or self.filter(rec):

@@ -45,6 +45,10 @@ from .spare_pool import SparePool
 if TYPE_CHECKING:
     from repro.core.service import FtNode, ReplicaHandle, ReplicatedTcpService
 
+#: Seconds between the manager's periodic degree checks (membership
+#: changes also trigger one immediately).
+POLL_INTERVAL = 1.0
+
 
 @dataclass
 class _JoinInProgress:
@@ -63,7 +67,6 @@ class RecoveryManager:
         daemon: RedirectorDaemon,
         spares: Optional[SparePool] = None,
         target_degree: int = 2,
-        poll_interval: float = 1.0,
         join_timeout: float = 10.0,
     ):
         self.service = service
@@ -71,7 +74,6 @@ class RecoveryManager:
         self.sim = daemon.sim
         self.spares = spares if spares is not None else SparePool()
         self.target_degree = target_degree
-        self.poll_interval = poll_interval
         self.join_timeout = join_timeout
         self._join: Optional[_JoinInProgress] = None
         self._degraded_at: Optional[float] = None
@@ -87,7 +89,7 @@ class RecoveryManager:
         service.retain_client_streams()
         self.timeline.record(self.sim.now, self._degree())
         self._poll_timer = Timer(self.sim, self._poll)
-        self._poll_timer.start(poll_interval)
+        self._poll_timer.start(POLL_INTERVAL)
 
     def dispose(self) -> None:
         """Teardown (DESIGN.md §19): poll timer; daemon and service hooks."""
@@ -127,7 +129,7 @@ class RecoveryManager:
             self._degraded_at = self.sim.now
 
     def _poll(self) -> None:
-        self._poll_timer.start(self.poll_interval)
+        self._poll_timer.start(POLL_INTERVAL)
         self._check()
 
     # -- the control loop -------------------------------------------------

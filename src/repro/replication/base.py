@@ -104,38 +104,3 @@ class ReplicationStrategy:
 
     def on_enter_primary(self) -> None:
         """This replica just entered primary mode for a new epoch."""
-
-
-#: name -> strategy class.
-STRATEGIES: dict[str, type[ReplicationStrategy]] = {}
-
-
-def register_strategy(cls: type[ReplicationStrategy]) -> type[ReplicationStrategy]:
-    """Class decorator: make ``cls`` selectable by name everywhere
-    (``setportopt``, scenario specs, the fuzzer's ``--backend``, the
-    conformance matrix in ``tests/replication/``)."""
-    STRATEGIES[cls.name] = cls
-    return cls
-
-
-def create_strategy(name: str, port: "FtPort") -> ReplicationStrategy:
-    try:
-        cls = STRATEGIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown replication strategy {name!r}; "
-            f"available: {', '.join(sorted(STRATEGIES))}"
-        ) from None
-    return cls(port)
-
-
-def available_strategies() -> tuple[str, ...]:
-    return tuple(sorted(STRATEGIES))
-
-
-def strategy_layout(name: str) -> str:
-    """Chain layout the redirector should push for ``name`` (defaults
-    to the classic linear chain for unknown names so a mixed-version
-    mesh degrades safely)."""
-    cls = STRATEGIES.get(name)
-    return cls.layout if cls is not None else "linear"

@@ -23,14 +23,13 @@ from typing import TYPE_CHECKING
 
 from repro.netsim.addressing import as_address
 
-from .base import ReplicationStrategy, register_strategy
+from .base import ReplicationStrategy
 from .chain import ChainStrategy
 
 if TYPE_CHECKING:
     from repro.netsim.addressing import IPAddress
 
 
-@register_strategy
 class BroadcastStrategy(ReplicationStrategy):
     """All-ack uniform broadcast: primary gates on min across backups."""
 

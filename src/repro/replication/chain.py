@@ -18,14 +18,13 @@ from typing import TYPE_CHECKING
 from repro.core.ack_channel import AckChannelMessage
 from repro.tcp.seqnum import seq_add
 
-from .base import ReplicationStrategy, register_strategy
+from .base import ReplicationStrategy
 
 if TYPE_CHECKING:
     from repro.core.ft_tcp import FtConnectionState
     from repro.netsim.packet import TCPSegment
 
 
-@register_strategy
 class ChainStrategy(ReplicationStrategy):
     """Daisy-chain replication: one successor per replica."""
 

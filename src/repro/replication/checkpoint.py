@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING
 from repro.netsim.simulator import Timer
 from repro.tcp.tcb import TcpState
 
-from .base import register_strategy
 from .broadcast import BroadcastStrategy
 
 if TYPE_CHECKING:
@@ -43,7 +42,6 @@ DEFAULT_CHECKPOINT_INTERVAL = 0.1
 DEFAULT_REPAIR_THRESHOLD = 16 * 1024
 
 
-@register_strategy
 class CheckpointStrategy(BroadcastStrategy):
     """Periodic checkpoint acks; output deferred between checkpoints."""
 
@@ -99,6 +97,8 @@ class CheckpointStrategy(BroadcastStrategy):
                 state.announce()
 
     def _repair_lagging(self) -> None:
+        from repro.core.ft_tcp import DEFAULT_CATCHUP_CHUNK
+
         port = self.port
         if port.daemon is None:
             return
@@ -112,7 +112,7 @@ class CheckpointStrategy(BroadcastStrategy):
             for ip, view in state.members.views.items():
                 if log.size - view.deposited <= self.repair_threshold:
                     continue
-                data = log.slice(view.deposited, port.catchup_chunk_size)
+                data = log.slice(view.deposited, DEFAULT_CATCHUP_CHUNK)
                 port._send_delta(state.snapshot(view.deposited, data), ip)
                 self.repair_chunks_sent += 1
                 port.catchup_bytes_sent += len(data)

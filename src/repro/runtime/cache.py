@@ -52,14 +52,14 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
 
 
-def source_fingerprint(extra_env: tuple = FINGERPRINT_ENV) -> str:
+def source_fingerprint() -> str:
     """Digest of the installed ``repro`` sources + behavioural env.
 
     Memoized per process: the tree is hashed once (~170 files) and any
     source edit between processes produces a different digest, which is
     exactly the "source change ⇒ cache miss" contract.
     """
-    env_part = tuple((name, os.environ.get(name, "")) for name in extra_env)
+    env_part = tuple((name, os.environ.get(name, "")) for name in FINGERPRINT_ENV)
     cached = _source_fp_cache.get(env_part)
     if cached is not None:
         return cached

@@ -17,12 +17,7 @@ batch out to ``jobs`` worker processes:
   the batch carries on;
 * **result caching** — tasks with a ``fingerprint`` are looked up in an
   optional :class:`~repro.runtime.cache.ResultCache` before dispatch
-  and stored after success, so re-runs of unchanged scenarios are free;
-* **chunked dispatch** — when a batch is much larger than the worker
-  count, runs of small timeout-free tasks sharing one callable are
-  handed out several per pipe round-trip (``fn`` pickled once per
-  chunk), shrinking toward single-task dispatch as the queue drains so
-  the tail still load-balances.
+  and stored after success, so re-runs of unchanged scenarios are free.
 
 ``jobs=1`` never spawns a process: the batch runs inline, in
 scheduling order, with the same stdout capture and cache behaviour.
@@ -147,12 +142,9 @@ def _execute(fn, args, kwargs):
         )
 
 
-def _worker_main(conn, worker_index: int, pin_core: Optional[int]) -> None:
-    """Worker loop: receive ``(fn, [(key, args, kwargs), ...])`` — one
-    callable, a chunk of argument sets — and stream one outcome tuple
-    back per task.  Chunking amortizes the pipe round-trip and pickles
-    ``fn`` once per chunk instead of once per task.  ``None`` is the
-    shutdown sentinel."""
+def _worker_main(conn, pin_core: Optional[int]) -> None:
+    """Worker loop: receive one ``(fn, args, kwargs)`` at a time and
+    send its outcome tuple back.  ``None`` is the shutdown sentinel."""
     if pin_core is not None:
         try:
             os.sched_setaffinity(0, {pin_core})
@@ -163,17 +155,13 @@ def _worker_main(conn, worker_index: int, pin_core: Optional[int]) -> None:
             msg = conn.recv()
             if msg is None:
                 break
-            fn, items = msg
-            for key, args, kwargs in items:
-                status, value, error, out, wall = _execute(fn, args, kwargs)
-                try:
-                    conn.send((key, status, value, error, out, wall))
-                except Exception as exc:
-                    # Connection.send pickles before writing, so a failed
-                    # pickle leaves the pipe clean and we can still report.
-                    conn.send(
-                        (key, "error", None, f"result not picklable: {exc!r}", out, wall)
-                    )
+            status, value, error, out, wall = _execute(*msg)
+            try:
+                conn.send((status, value, error, out, wall))
+            except Exception as exc:
+                # Connection.send pickles before writing, so a failed
+                # pickle leaves the pipe clean and we can still report.
+                conn.send(("error", None, f"result not picklable: {exc!r}", out, wall))
     except (EOFError, BrokenPipeError, KeyboardInterrupt):
         pass
     finally:
@@ -181,44 +169,34 @@ def _worker_main(conn, worker_index: int, pin_core: Optional[int]) -> None:
 
 
 class _Worker:
-    """Parent-side handle: process + duplex pipe + current assignment
-    (a chunk of one or more tasks, consumed front to back as results
-    stream in)."""
+    """Parent-side handle: process + duplex pipe + the task it is
+    running (``None`` while idle)."""
 
-    __slots__ = ("process", "conn", "index", "pin_core", "tasks", "started_at")
+    __slots__ = ("process", "conn", "index", "pin_core", "task", "started_at")
 
     def __init__(self, ctx, index: int, pin_core: Optional[int]):
         self.pin_core = pin_core
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, index, pin_core),
+            args=(child_conn, pin_core),
             daemon=True,
             name=f"repro-pool-{index}",
         )
         self.process.start()
         child_conn.close()
         self.index = index
-        self.tasks: list[Task] = []
+        self.task: Optional[Task] = None
         self.started_at = 0.0
 
-    def assign(self, chunk: list[Task]) -> None:
-        self.tasks = list(chunk)
+    def assign(self, task: Task) -> None:
+        self.task = task
         self.started_at = time.perf_counter()
-        self.conn.send(
-            (
-                chunk[0].fn,
-                [(t.key, tuple(t.args), dict(t.kwargs)) for t in chunk],
-            )
-        )
+        self.conn.send((task.fn, task.args, task.kwargs))
 
     def deadline(self) -> Optional[float]:
-        # Only single-task assignments carry timeouts (the chunker
-        # never groups tasks that have one), so the head task's
-        # deadline is the worker's deadline.
-        if not self.tasks or self.tasks[0].timeout is None:
-            return None
-        return self.started_at + self.tasks[0].timeout
+        timeout = self.task.timeout
+        return None if timeout is None else self.started_at + timeout
 
     def kill(self) -> None:
         try:
@@ -248,14 +226,12 @@ class ScenarioPool:
         jobs: int = 1,
         *,
         cache=None,
-        default_timeout: Optional[float] = None,
         start_method: Optional[str] = None,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache
-        self.default_timeout = default_timeout
         try:
             cores = sorted(os.sched_getaffinity(0))
         except AttributeError:  # not Linux
@@ -342,10 +318,14 @@ class ScenarioPool:
             if on_result is not None:
                 on_result(outcome)
 
+        def complete(task: Task, worker: int, status, value, error, out, wall) -> None:
+            outcome = TaskOutcome(task.key, status, value, error, out, wall, worker)
+            if outcome.ok and self.cache is not None and task.fingerprint:
+                self.cache.put(task, outcome)
+            record(outcome)
+
         pending: list[Task] = []
         for task in tasks:
-            if task.timeout is None and self.default_timeout is not None:
-                task.timeout = self.default_timeout
             hit = self.cache.get(task) if self.cache is not None else None
             if hit is not None:
                 record(hit)
@@ -359,25 +339,9 @@ class ScenarioPool:
 
         if self.jobs == 1:
             for task in queue:
-                status, value, error, out, wall = _execute(
-                    task.fn, task.args, task.kwargs
-                )
-                outcome = TaskOutcome(
-                    key=task.key,
-                    status=status,
-                    value=value,
-                    error=error,
-                    stdout=out,
-                    wall_seconds=wall,
-                    worker=0,
-                )
-                if outcome.ok and self.cache is not None and task.fingerprint:
-                    self.cache.put(task, outcome)
-                record(outcome)
-            self.stats.wall_seconds += time.perf_counter() - batch_start
-            return outcomes
-
-        self._run_pooled(queue, record)
+                complete(task, 0, *_execute(task.fn, task.args, task.kwargs))
+        else:
+            self._run_pooled(queue, record, complete)
         self.stats.wall_seconds += time.perf_counter() - batch_start
         return outcomes
 
@@ -388,141 +352,61 @@ class ScenarioPool:
         isolation, timeout, and crash containment."""
         return self.run([task])[task.key]
 
-    def _chunk_limit(self, remaining: int) -> int:
-        """How many tasks to hand out per pipe round-trip.
-
-        When the batch is much larger than the worker count, per-task
-        round-trips dominate small tasks (PR 5 measured jobs>1 at
-        0.84–0.91x of serial for 50 tiny scenarios).  Chunks amortize
-        that, but shrink toward 1 as the queue drains so the tail still
-        load-balances longest-job-first.
-        """
-        return max(1, min(8, remaining // (self.jobs * 4)))
-
-    def _take_chunk(self, queue: list[Task]) -> list[Task]:
-        """Pop the next dispatch chunk: the head task plus, when safe,
-        up to the chunk limit of its immediate successors.  Only tasks
-        sharing the head's callable (so ``fn`` pickles once) and
-        carrying no timeout (so the deadline sweep stays exact) are
-        grouped; anything else dispatches alone, exactly as before."""
-        chunk = [queue.pop(0)]
-        head = chunk[0]
-        if head.timeout is not None:
-            return chunk
-        limit = self._chunk_limit(len(queue) + 1)
-        while (
-            len(chunk) < limit
-            and queue
-            and queue[0].fn is head.fn
-            and queue[0].timeout is None
-        ):
-            chunk.append(queue.pop(0))
-        return chunk
-
-    def _run_pooled(self, queue: list[Task], record) -> None:
-        queue = list(queue)  # consumed front to back
+    def _run_pooled(self, queue: list[Task], record, complete) -> None:
         busy: list[_Worker] = []
 
         def dispatch() -> None:
-            while queue and (len(busy) < self.jobs):
-                idle = [w for w in self._workers if not w.tasks]
+            while queue and len(busy) < self.jobs:
+                idle = [w for w in self._workers if w.task is None]
                 worker = idle[0] if idle else self._spawn_worker()
-                chunk = self._take_chunk(queue)
+                task = queue.pop(0)
                 try:
-                    worker.assign(chunk)
+                    worker.assign(task)
                 except (OSError, BrokenPipeError):
                     # Worker already dead (e.g. killed by a previous
-                    # batch's fallout): replace it and retry the tasks.
+                    # batch's fallout): replace it and retry the task.
                     self._discard_worker(worker)
-                    queue[:0] = chunk
+                    queue.insert(0, task)
                     continue
                 busy.append(worker)
 
+        def fail(worker: _Worker, status: str, error: str) -> None:
+            """Replace ``worker`` and mark only its task ``status``."""
+            task = worker.task
+            busy.remove(worker)
+            self._discard_worker(worker)
+            self.stats.respawns += 1
+            wall = time.perf_counter() - worker.started_at
+            record(TaskOutcome(task.key, status, None, error, "", wall, worker.index))
+
         dispatch()
         while busy:
-            now = time.perf_counter()
-            timeout = None
-            for worker in busy:
-                deadline = worker.deadline()
-                if deadline is not None:
-                    remaining = max(deadline - now, 0.0)
-                    timeout = remaining if timeout is None else min(timeout, remaining)
+            deadlines = [d for d in (w.deadline() for w in busy) if d is not None]
+            timeout = max(min(deadlines) - time.perf_counter(), 0.0) if deadlines else None
             ready = _conn_wait([w.conn for w in busy], timeout=timeout)
 
             for worker in list(busy):
                 if worker.conn not in ready:
                     continue
-                # Drain every buffered result: a chunked worker streams
-                # one message per task, and several may already be in
-                # the pipe by the time wait() wakes us.
-                while worker.tasks:
-                    task = worker.tasks[0]
-                    try:
-                        key, status, value, error, out, wall = worker.conn.recv()
-                    except (EOFError, OSError):
-                        # The worker died mid-task: contain the blast
-                        # radius to the task that was running, requeue
-                        # the rest of its chunk (they never started),
-                        # and replace the worker.  The pipe EOF can
-                        # beat process reaping, so give the child a
-                        # moment to be waited on before reading its
-                        # exit code.
-                        worker.process.join(timeout=1.0)
-                        exitcode = worker.process.exitcode
-                        unstarted = worker.tasks[1:]
-                        busy.remove(worker)
-                        self._discard_worker(worker)
-                        self.stats.respawns += 1
-                        queue[:0] = unstarted
-                        record(
-                            TaskOutcome(
-                                key=task.key,
-                                status="crashed",
-                                error=f"worker died (exit code {exitcode})",
-                                wall_seconds=time.perf_counter() - worker.started_at,
-                                worker=worker.index,
-                            )
-                        )
-                        dispatch()
-                        break
-                    worker.tasks.pop(0)
-                    outcome = TaskOutcome(
-                        key=key,
-                        status=status,
-                        value=value,
-                        error=error,
-                        stdout=out,
-                        wall_seconds=wall,
-                        worker=worker.index,
-                    )
-                    if outcome.ok and self.cache is not None and task.fingerprint:
-                        self.cache.put(task, outcome)
-                    record(outcome)
-                    if not worker.tasks:
-                        busy.remove(worker)
-                        dispatch()
-                        break
-                    if not worker.conn.poll():
-                        break
+                try:
+                    result = worker.conn.recv()
+                except (EOFError, OSError):
+                    # The worker died mid-task.  The pipe EOF can beat
+                    # process reaping, so give the child a moment to be
+                    # waited on before reading its exit code.
+                    worker.process.join(timeout=1.0)
+                    exitcode = worker.process.exitcode
+                    fail(worker, "crashed", f"worker died (exit code {exitcode})")
+                else:
+                    task, worker.task = worker.task, None
+                    busy.remove(worker)
+                    complete(task, worker.index, *result)
+                dispatch()
 
-            # Deadline sweep: kill overdue workers, fail only their task
-            # (timeouts never chunk, so exactly one task is affected).
+            # Deadline sweep: kill overdue workers, fail only their task.
             now = time.perf_counter()
             for worker in list(busy):
                 deadline = worker.deadline()
-                if deadline is None or now < deadline:
-                    continue
-                task = worker.tasks[0]
-                busy.remove(worker)
-                self._discard_worker(worker)
-                self.stats.respawns += 1
-                record(
-                    TaskOutcome(
-                        key=task.key,
-                        status="timeout",
-                        error=f"task exceeded {task.timeout:.1f}s timeout",
-                        wall_seconds=now - worker.started_at,
-                        worker=worker.index,
-                    )
-                )
-                dispatch()
+                if deadline is not None and now >= deadline:
+                    fail(worker, "timeout", f"task exceeded {worker.task.timeout:.1f}s timeout")
+                    dispatch()

@@ -14,16 +14,14 @@ what makes hierarchical failure aggregation real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.apps.echo import echo_server_factory
-from repro.core import DetectorParams, FtNode, ReplicatedTcpService
+from repro.core import FtNode, ReplicatedTcpService
 from repro.hydranet import HostServer, Redirector, RedirectorDaemon
 from repro.netsim import Host, Simulator, Topology
 from repro.netsim.host import I486, MODERN, PENTIUM_120, ZERO_COST, HostProfile
 from repro.sockets import Node, node_for
-from repro.tcp.options import TcpOptions
 
 from .spec import TopologySpec
 
@@ -33,6 +31,10 @@ PROFILES: dict[str, HostProfile] = {
     "pentium120": PENTIUM_120,
     "zero": ZERO_COST,
 }
+
+
+#: Simulated seconds a fresh deployment runs before client traffic.
+SETTLE = 2.0
 
 
 class TopoBuildError(RuntimeError):
@@ -53,10 +55,10 @@ class CompiledMesh:
     clients: dict[str, Host]
     services: list[ReplicatedTcpService]
     #: ``(service_ip, port)`` per deployed service, placement order.
-    service_points: list[tuple[str, int]] = field(default_factory=list)
+    service_points: list[tuple[str, int]]
 
-    def client_node(self, name: str, tcp_options: Optional[TcpOptions] = None) -> Node:
-        return node_for(self.clients[name], tcp_options)
+    def client_node(self, name: str) -> Node:
+        return node_for(self.clients[name])
 
     def dispose(self) -> None:
         """Teardown (DESIGN.md §19); the topology closes the simulator."""
@@ -65,10 +67,7 @@ class CompiledMesh:
 
     def rack_of(self, server_name: str) -> str:
         """Name of the redirector a server hangs off."""
-        for neighbor in self.spec.neighbors(server_name):
-            if neighbor in self.redirectors:
-                return neighbor
-        raise TopoBuildError(f"{server_name!r} has no adjacent redirector")
+        return _rack_of(self.spec, self.redirectors, server_name)
 
     def mesh_counters(self) -> dict[str, dict[str, int]]:
         """Per-redirector mesh-protocol counters (deterministic; part
@@ -86,6 +85,13 @@ class CompiledMesh:
         return out
 
 
+def _rack_of(spec: TopologySpec, redirectors, server_name: str) -> str:
+    for neighbor in spec.neighbors(server_name):
+        if neighbor in redirectors:
+            return neighbor
+    raise TopoBuildError(f"server {server_name!r} has no adjacent redirector")
+
+
 def _profile(name: str) -> HostProfile:
     try:
         return PROFILES[name]
@@ -95,16 +101,10 @@ def _profile(name: str) -> HostProfile:
         ) from None
 
 
-def compile_spec(
-    spec: TopologySpec,
-    factory=echo_server_factory,
-    detector: Optional[DetectorParams] = None,
-    tcp_options: Optional[TcpOptions] = None,
-    settle: float = 2.0,
-) -> CompiledMesh:
-    """Build the spec into a running deployment.
+def compile_spec(spec: TopologySpec) -> CompiledMesh:
+    """Build the spec into a running deployment of echo services.
 
-    ``settle`` simulated seconds are run after deployment so that
+    ``SETTLE`` simulated seconds are run after deployment so that
     registration, chain setup, and the mesh-wide sync flood complete;
     the returned mesh is ready for client traffic.
     """
@@ -151,20 +151,10 @@ def compile_spec(
         daemons[parent].add_peer(redirectors[child].ip)
 
     # -- host servers: one FtNode each, attached to its rack ----------
-    rack_ip: dict[str, object] = {}
-    for name in host_servers:
-        rack = None
-        for neighbor in spec.neighbors(name):
-            if neighbor in redirectors:
-                rack = neighbor
-                break
-        if rack is None:
-            raise TopoBuildError(f"server {name!r} has no adjacent redirector")
-        rack_ip[name] = redirectors[rack].ip
-    ft_nodes = {
-        name: FtNode(hs, rack_ip[name], report_ip=rack_ip[name])
-        for name, hs in host_servers.items()
-    }
+    ft_nodes = {}
+    for name, hs in host_servers.items():
+        rack_ip = redirectors[_rack_of(spec, redirectors, name)].ip
+        ft_nodes[name] = FtNode(hs, rack_ip, report_ip=rack_ip)
 
     # -- services -----------------------------------------------------
     services: list[ReplicatedTcpService] = []
@@ -174,9 +164,7 @@ def compile_spec(
         service = ReplicatedTcpService(
             placement.service_ip,
             placement.port,
-            factory,
-            detector=detector or DetectorParams(),
-            tcp_options=tcp_options,
+            echo_server_factory,
             authority_ip=authority.ip,
         )
         service.add_primary(ft_nodes[placement.primary])
@@ -185,8 +173,7 @@ def compile_spec(
         services.append(service)
         service_points.append((placement.service_ip, placement.port))
 
-    if settle > 0:
-        sim.run(until=sim.now + settle)
+    sim.run(until=sim.now + SETTLE)
     return CompiledMesh(
         spec=spec,
         sim=sim,

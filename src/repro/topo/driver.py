@@ -90,18 +90,13 @@ class MeshScenario(Disposable):
         self,
         spec: TopologySpec,
         workload: Optional[MeshWorkload] = None,
-        arm_invariants: bool = True,
     ):
         self.spec = spec
         self.workload = workload or MeshWorkload()
         self.mesh: CompiledMesh = compile_spec(spec)
-        self.invariants = None
-        if arm_invariants:
-            self.invariants = attach_mesh_invariants(
-                self.mesh.sim,
-                self.mesh.redirectors.values(),
-                self.mesh.services,
-            )
+        self.invariants = attach_mesh_invariants(
+            self.mesh.sim, self.mesh.redirectors.values(), self.mesh.services
+        )
         self.clients: list[EchoClient] = []
 
     def dispose(self) -> None:
@@ -189,12 +184,8 @@ class MeshScenario(Disposable):
                 ]
             )
         responses.sort()
-        violations = (
-            [str(v) for v in self.invariants.violations] if self.invariants else []
-        )
-        digest = (
-            self.invariants.stream_integrity.digest() if self.invariants else {}
-        )
+        violations = [str(v) for v in self.invariants.violations]
+        digest = self.invariants.stream_integrity.digest()
         counters = self.mesh.mesh_counters()
         payload = json.dumps(
             {

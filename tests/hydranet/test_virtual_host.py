@@ -23,24 +23,15 @@ def hs():
 
 def test_v_host_registers_address(hs):
     sim, server = hs
-    vhost = server.v_host("192.20.225.20")
+    server.v_host("192.20.225.20")
     assert server.kernel.owns_address(IPAddress("192.20.225.20"))
-    assert vhost.ip == IPAddress("192.20.225.20")
 
 
 def test_v_host_idempotent(hs):
     sim, server = hs
-    v1 = server.v_host("192.20.225.20")
-    v2 = server.v_host("192.20.225.20")
-    assert v1 is v2
-    assert len(server.virtual_hosts) == 1
-
-
-def test_record_bind(hs):
-    sim, server = hs
-    vhost = server.v_host("192.20.225.20")
-    vhost.record_bind("tcp", 80)
-    assert ("tcp", 80) in vhost.bound_ports
+    server.v_host("192.20.225.20")
+    server.v_host("192.20.225.20")
+    assert server.kernel.virtual_addresses == {IPAddress("192.20.225.20")}
 
 
 def test_tunnel_endpoint_delivers_to_virtual_host(hs):

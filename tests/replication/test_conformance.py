@@ -2,9 +2,9 @@
 
 One shared battery — transfer integrity, crash fail-over, live-join,
 split-brain fencing, gray-failure excision — runs against every
-registered replication strategy with all invariant monitors armed.  A
-new backend registers itself with ``@register_strategy`` and is picked
-up here automatically: ``BACKENDS`` is the registry, not a hand-kept
+replication strategy with all invariant monitors armed.  A new backend
+is added to ``repro.replication.STRATEGIES`` and is picked up here
+automatically: ``BACKENDS`` comes from that table, not a hand-kept
 list.
 
 The scenarios reuse the fuzzer's spec/runner machinery

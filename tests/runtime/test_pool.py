@@ -154,3 +154,41 @@ class TestPooled:
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             pool.run([Task(key="a", fn=square, args=(1,))])
+
+    def test_large_batch_completes_with_per_task_stdout(self):
+        n = 80
+        with ScenarioPool(jobs=2, start_method="fork") as pool:
+            outcomes = pool.run(
+                [Task(key=f"t{i}", fn=square_loud, args=(i,)) for i in range(n)]
+            )
+        assert _values(outcomes) == {f"t{i}": i * i for i in range(n)}
+        assert outcomes["t7"].stdout == "squaring 7\n"
+        assert all(o.ok for o in outcomes.values())
+
+    def test_error_mid_batch_contained_to_its_task(self):
+        tasks = [Task(key=f"t{i}", fn=square, args=(i,)) for i in range(40)]
+        tasks[17] = Task(key="t17", fn=raise_value_error, args=(17,))
+        with ScenarioPool(jobs=2, start_method="fork") as pool:
+            outcomes = pool.run(tasks)
+        assert outcomes["t17"].status == "error"
+        assert "boom 17" in outcomes["t17"].error
+        ok = [k for k, o in outcomes.items() if o.ok]
+        assert len(ok) == 39
+
+    def test_crash_mid_batch_leaves_every_other_task_ok(self):
+        tasks = [Task(key=f"t{i}", fn=square, args=(i,)) for i in range(40)]
+        tasks[3] = Task(key="t3", fn=die_hard, args=(3,))
+        with ScenarioPool(jobs=2, start_method="fork") as pool:
+            outcomes = pool.run(tasks)
+        assert outcomes["t3"].status == "crashed"
+        assert len(outcomes) == 40
+        assert all(o.ok for k, o in outcomes.items() if k != "t3")
+        assert pool.stats.respawns >= 1
+
+    def test_timeout_fires_while_others_complete(self):
+        tasks = [Task(key=f"t{i}", fn=square, args=(i,)) for i in range(12)]
+        tasks.append(Task(key="hang", fn=sleep_forever, args=(0,), timeout=0.5, cost=99.0))
+        with ScenarioPool(jobs=2, start_method="fork") as pool:
+            outcomes = pool.run(tasks)
+        assert outcomes["hang"].status == "timeout"
+        assert all(o.ok for k, o in outcomes.items() if k != "hang")
