@@ -295,8 +295,8 @@ class FtPort:
         mode: PortMode,
         detector_params: DetectorParams,
         ack_endpoint: AckChannelEndpoint,
-        daemon: Optional["HostServerDaemon"] = None,
-        strategy: str = "chain",
+        daemon: "HostServerDaemon",
+        strategy: str,
     ):
         self.host_server = host_server
         self.sim = host_server.sim
@@ -350,11 +350,9 @@ class FtPort:
         self._join_ready_sent = False
         self.snapshots_sent = 0
         self.connections_transferred = 0
-        self.catchup_bytes_sent = 0
         self.catchup_bytes_received = 0
         self.promotions = 0
         self.demotions = 0
-        self.chain_updates_applied = 0
         #: Failure-report kind -> sim time of the last one sent (the
         #: per-kind cooldown of :meth:`_report`).
         self._last_report: dict[str, float] = {}
@@ -401,8 +399,8 @@ class FtPort:
     def bind(
         self,
         on_accept: Callable[[TcpConnection], None],
-        tcp_options: Optional["TcpOptions"] = None,
-        register: bool = True,
+        tcp_options: Optional["TcpOptions"],
+        register: bool,
     ) -> Listener:
         """Create the listener for the replicated port (the server
         program's ``bind()``).  A live joiner binds with
@@ -425,7 +423,7 @@ class FtPort:
         listener.configure_connection = self._configure_connection
         listener.on_accept = on_accept
         self.listener = listener
-        if self.daemon is not None and register:
+        if register:
             self.daemon.register(
                 self.service_ip, self.port, self.mode.value, self.strategy.name
             )
@@ -531,12 +529,7 @@ class FtPort:
         rate-limited to one report per detector cooldown; the
         retransmission detector's own reports (``kind=None``) are paced
         by the detector."""
-        if (
-            self.daemon is None
-            or self.shut_down
-            or self.joining
-            or self.host_server.crashed
-        ):
+        if self.shut_down or self.joining or self.host_server.crashed:
             return False
         if kind is not None:
             now = self.sim.now
@@ -599,7 +592,7 @@ class FtPort:
             return
         if self.detector_params.degradation_timeout is not None:
             self._keepalive_announce()
-        if not self.has_successor or self.daemon is None:
+        if not self.has_successor:
             return
         invariants = self.sim.invariants
         if invariants is not None:
@@ -692,7 +685,7 @@ class FtPort:
         messages (absolute offsets, so the unordered mgmt layer is
         fine).  Every piece carries ``input_total`` so the joiner knows
         when it has the whole cut."""
-        if self.shut_down or self.daemon is None:
+        if self.shut_down:
             return
         from repro.recovery.state_transfer import snapshot_connections
 
@@ -716,7 +709,6 @@ class FtPort:
                         input_total=total,
                     )
                 )
-            self.catchup_bytes_sent += total
         snapshot = StateSnapshot(
             service_ip=self.service_ip,
             port=self.port,
@@ -765,14 +757,13 @@ class FtPort:
     def _forward_delta(self, state: FtConnectionState, start: int, data: bytes) -> None:
         """Forward one deposit to every joiner catching up on this
         connection (closes the gap between base snapshot and splice)."""
-        if not self._catchup_feeds or self.daemon is None or self.shut_down:
+        if not self._catchup_feeds or self.shut_down:
             return
         conn = state.conn
         key = (conn.remote_ip, conn.remote_port)
         for joiner_ip, keys in self._catchup_feeds.items():
             if key in keys:
                 self._send_delta(state.snapshot(start, data), joiner_ip)
-                self.catchup_bytes_sent += len(data)
 
     def install_base_snapshot(self, snapshot: StateSnapshot) -> None:
         """Joiner side: install the donor's base snapshot (synthesize
@@ -818,12 +809,7 @@ class FtPort:
     def _maybe_join_ready(self) -> None:
         """Send JoinReady exactly once, when the base snapshot is in
         and every installed connection has caught up to its cut."""
-        if (
-            not self.joining
-            or not self._base_installed
-            or self._join_ready_sent
-            or self.daemon is None
-        ):
+        if not self.joining or not self._base_installed or self._join_ready_sent:
             return
         for key, target in self._catchup_targets.items():
             state = self.states.get(key)
@@ -880,7 +866,6 @@ class FtPort:
         if stamp < self._chain_stamp:
             return  # stale layout overtaken by a newer push
         self._chain_stamp = stamp
-        self.chain_updates_applied += 1
         old_predecessor = self.predecessor_ip
         self.predecessor_ip = update.predecessor_ip
         self.has_successor = update.has_successor
@@ -911,13 +896,9 @@ class FtPort:
             state.conn.gates_changed()
 
     def _request_promotion(self, epoch: int) -> None:
-        """Ask the redirector for the right to lead ``epoch``."""
+        """Ask the redirector for the right to lead ``epoch``; primary
+        mode comes only with its grant (:meth:`apply_promotion_grant`)."""
         self._pending_promotion = epoch
-        if self.daemon is None:
-            # Standalone stack (no management plane): there is no
-            # arbiter, promote directly as before.
-            self._enter_primary(epoch)
-            return
         self.daemon.request_promotion(self.service_ip, self.port, epoch)
 
     def apply_promotion_grant(self, grant: PromotionGrant) -> None:
@@ -1022,16 +1003,15 @@ class FtStack:
     def __init__(
         self,
         host_server: "HostServer",
-        ack_endpoint: Optional[AckChannelEndpoint] = None,
-        daemon: Optional["HostServerDaemon"] = None,
+        ack_endpoint: AckChannelEndpoint,
+        daemon: "HostServerDaemon",
     ):
         self.host_server = host_server
-        self.ack_endpoint = ack_endpoint or AckChannelEndpoint(host_server)
+        self.ack_endpoint = ack_endpoint
         self.daemon = daemon
         self.port_table = ReplicatedPortTable()
         self.ports: dict[tuple[IPAddress, int], FtPort] = {}
-        if daemon is not None:
-            daemon.handlers.update(dict.fromkeys(_PORT_MESSAGES, self._dispatch_to_port))
+        daemon.handlers.update(dict.fromkeys(_PORT_MESSAGES, self._dispatch_to_port))
 
     def setportopt(
         self,
@@ -1073,7 +1053,7 @@ class FtStack:
             options.detector,
             self.ack_endpoint,
             self.daemon,
-            strategy=options.strategy,
+            options.strategy,
         )
         ft_port.joining = joining
         # The joiner's log size is the join's progress counter.

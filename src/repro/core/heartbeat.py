@@ -172,17 +172,6 @@ class HeartbeatDetector:
         adaptive = self.tolerance * mean + self.STD_FACTOR * math.sqrt(var)
         return min(max(adaptive, self.period), self.CAP_FACTOR * fixed)
 
-    def suspicion(self, service_key, replica) -> float:
-        """Current suspicion score: elapsed silence over the adaptive
-        timeout.  > 1.0 means the next sweep will excise the replica."""
-        key = (service_key, replica)
-        heard = self._last_heard.get(key)
-        if heard is None:
-            heard = self._watching.get(key)
-        if heard is None:
-            return 0.0
-        return (self.sim.now - heard) / self.timeout_for(key)
-
     def _sweep(self) -> None:
         self._timer.start(self.period)
         now = self.sim.now
@@ -216,9 +205,6 @@ class HeartbeatDetector:
                 self._watching.pop((service_key, replica), None)
                 self._samples.pop((service_key, replica), None)
             self.daemon._remove_and_rechain(service_key, dead)
-
-    def stop(self) -> None:
-        self._timer.stop()
 
     def dispose(self) -> None:
         """Teardown (DESIGN.md §19): timer; the daemon's Heartbeat handler."""

@@ -55,12 +55,11 @@ class FtNode:
         host_server: HostServer,
         redirector_ip,
         ordered_channel: bool = False,
-        report_ip=None,
     ):
         from .ack_channel import OrderedAckChannelEndpoint
 
         self.host_server = host_server
-        self.daemon = HostServerDaemon(host_server, redirector_ip, report_ip=report_ip)
+        self.daemon = HostServerDaemon(host_server, redirector_ip)
         endpoint_cls = OrderedAckChannelEndpoint if ordered_channel else AckChannelEndpoint
         self.ack_endpoint = endpoint_cls(host_server)
         self.stack = FtStack(host_server, self.ack_endpoint, self.daemon)

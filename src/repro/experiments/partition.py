@@ -167,7 +167,8 @@ def run_partition(
         system.sim.schedule(SAMPLE_PERIOD, sample)
         system.run_until(horizon)
 
-        fencing = system.redirector_daemon.fencing
+        daemon = system.redirector_daemon
+        fencing = daemon.fencing
         key = next(iter(system.redirector.table))
         entry = system.redirector.table[key]
         chain = [str(ip) for ip in entry.replicas]
@@ -189,12 +190,12 @@ def run_partition(
             stream_intact=stream.received == stream.sent,
             matches_baseline=stream.received == baseline,
             client_events=stream.events,
-            epoch_changes=len(fencing.timeline_for(key)),
+            epoch_changes=sum(k == key for k, _epoch in daemon.epoch_owners),
             final_epoch=entry.epoch,
-            segments_fenced=fencing.segments_fenced,
+            segments_fenced=system.redirector.segments_fenced,
             demotes_sent=fencing.demotes_sent,
-            promotions_granted=system.redirector_daemon.promotions_granted,
-            promotions_refused=system.redirector_daemon.promotions_refused,
+            promotions_granted=daemon.promotions_granted,
+            promotions_refused=daemon.promotions_refused,
             near_misses=fencing.near_misses,
             max_primaries_per_epoch=max((c for _t, c in samples), default=0),
             dual_primary_time=primary_overlap(samples),

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from repro.netsim.addressing import IPAddress, as_address
 from repro.netsim.simulator import Simulator
-from repro.replication import strategy_layout
+from repro.replication import chain_position
 
 from .host_server import HostServer
 from repro.metrics.fencing import FencingMetrics
@@ -140,8 +140,6 @@ class RedirectorDaemon:
         #: Mesh parent (next tier up) for hierarchical failure-report
         #: aggregation; None at the root or in flat deployments.
         self.parent: Optional[IPAddress] = None
-        #: Informational tier index (0 = edge) for operator output.
-        self.tier: int = 0
         #: Newest (epoch, seq) stamp applied or originated per service.
         self._sync_stamp: dict[ServiceKey, tuple[int, int]] = {}
         #: Authority redirector per service, learned from TableSync
@@ -166,8 +164,9 @@ class RedirectorDaemon:
         #: Last observed primary per service, to detect view changes.
         self._last_primary: dict[ServiceKey, IPAddress] = {}
         #: (service key, epoch) -> the primary that owned that epoch;
-        #: lets the fence name the replica behind a stale segment.
-        self._epoch_owners: dict[tuple[ServiceKey, int], IPAddress] = {}
+        #: lets the fence name the replica behind a stale segment.  One
+        #: entry per view of a service (D4 counts them).
+        self.epoch_owners: dict[tuple[ServiceKey, int], IPAddress] = {}
         #: Last (epoch, grantee) per service — at most one grant per epoch.
         self._granted: dict[ServiceKey, tuple[int, IPAddress]] = {}
         #: Monotonic sequence for chain-update pushes (the reliable mgmt
@@ -214,12 +213,11 @@ class RedirectorDaemon:
         if peer not in self.peers:
             self.peers.append(peer)
 
-    def set_parent(self, parent_ip, tier: int = 0) -> None:
+    def set_parent(self, parent_ip) -> None:
         """Name this redirector's next tier up in the mesh hierarchy
         (failure summaries climb toward it); also adds it as a
         neighbor so table syncs flow both ways."""
         self.parent = as_address(parent_ip)
-        self.tier = tier
         self.add_peer(self.parent)
 
     def _on_message(self, message: MgmtMessage, src_ip: IPAddress, src_port: int) -> None:
@@ -518,16 +516,10 @@ class RedirectorDaemon:
         last = self._last_primary.get(key)
         if last is None:
             # Initial view: epoch 0 belongs to the first primary.
-            self._epoch_owners[(key, entry.epoch)] = primary
-            self.fencing.record_epoch(
-                self.sim.now, key, entry.epoch, primary, "provision"
-            )
+            self.epoch_owners[(key, entry.epoch)] = primary
         elif primary != last:
             entry.epoch += 1
-            self._epoch_owners[(key, entry.epoch)] = primary
-            self.fencing.record_epoch(
-                self.sim.now, key, entry.epoch, primary, "failover"
-            )
+            self.epoch_owners[(key, entry.epoch)] = primary
         self._last_primary[key] = primary
 
     def _push_chain_updates(self, key: ServiceKey) -> None:
@@ -542,19 +534,10 @@ class RedirectorDaemon:
         if entry is None or not entry.fault_tolerant:
             return
         replicas = entry.replicas
-        star = strategy_layout(self._strategy.get(key, "chain")) == "star"
+        strategy = self._strategy.get(key, "chain")
         members = tuple(replicas)
         for i, replica in enumerate(replicas):
-            if star:
-                # Star layout (broadcast/checkpoint backends): every
-                # backup hangs directly off the primary — it reports
-                # there and gates on nobody; only the primary gates
-                # (on the whole member set).
-                predecessor = replicas[0] if i > 0 else None
-                has_successor = i == 0 and len(replicas) > 1
-            else:
-                predecessor = replicas[i - 1] if i > 0 else None
-                has_successor = i < len(replicas) - 1
+            predecessor, has_successor = chain_position(strategy, replicas, i)
             update = ChainUpdate(
                 service_ip=key.ip,
                 port=key.port,
@@ -610,7 +593,7 @@ class RedirectorDaemon:
         by the redirector's fence: tell its owner to stand down."""
         key = entry.key
         self.fencing.record_fenced(key, stale_epoch)
-        owner = self._epoch_owners.get((key, stale_epoch))
+        owner = self.epoch_owners.get((key, stale_epoch))
         if owner is not None and owner not in entry.replicas:
             self._send_demote(key, owner, entry.epoch)
 
@@ -630,7 +613,7 @@ class RedirectorDaemon:
 
     # -- live join (recovery subsystem, EXTENSION) --------------------------
 
-    def splice_backup(self, service_ip, port: int, joiner_ip, conn_keys=()) -> bool:
+    def splice_backup(self, service_ip, port: int, joiner_ip, conn_keys) -> bool:
         """Second phase of the two-phase cut-over: atomically extend
         the chain with a caught-up joiner as the new last backup.
 
@@ -644,12 +627,11 @@ class RedirectorDaemon:
             return False
         if joiner_ip in entry.replicas:
             return False
-        if strategy_layout(self._strategy.get(key, "chain")) == "star":
-            # Star layout: the joiner reports to (and is gated by) the
-            # primary, not the old tail.
-            predecessor = entry.replicas[0]
-        else:
-            predecessor = entry.replicas[-1]
+        predecessor, _ = chain_position(
+            self._strategy.get(key, "chain"),
+            (*entry.replicas, joiner_ip),
+            len(entry.replicas),
+        )
         # A recovered server re-joining must not be killed by a stale
         # Shutdown still being retried toward it.
         stale = self._pending_shutdowns.pop((key, joiner_ip), None)
@@ -672,22 +654,19 @@ class RedirectorDaemon:
 class HostServerDaemon:
     """Runs on a host server; registers replicas and reports failures."""
 
-    def __init__(self, host_server: HostServer, redirector_ip, report_ip=None):
+    def __init__(self, host_server: HostServer, redirector_ip):
         self.host_server = host_server
         self.sim = host_server.sim
+        #: The host server's own (rack) redirector.  Failure evidence
+        #: always goes here — in a mesh it aggregates and forwards
+        #: summaries up the hierarchy — and so does control traffic for
+        #: every service without an authority override.
         self.redirector_ip = as_address(redirector_ip)
-        #: Where failure evidence goes.  In a mesh this is the *local*
-        #: edge redirector (which aggregates and forwards summaries up
-        #: the hierarchy); registration and promotion traffic always
-        #: goes to the service's authority redirector.
-        self.report_ip = (
-            as_address(report_ip) if report_ip is not None else self.redirector_ip
-        )
         #: Per-service authority override — mesh placements whose chain
         #: is owned by a redirector other than the default.  Control
         #: traffic for such a service (register/unregister/promotion/
         #: join) goes to its authority; failure reports still go to
-        #: :attr:`report_ip` for hierarchical aggregation.
+        #: :attr:`redirector_ip` for hierarchical aggregation.
         self._service_authority: dict[tuple[IPAddress, int], IPAddress] = {}
         sock = host_server.node.udp_socket()
         sock.bind(MGMT_PORT)
@@ -697,8 +676,6 @@ class HostServerDaemon:
         #: per-port messages.
         self.handlers: dict[type, Handler] = {Ping: self._handle_ping}
         self.failure_reports_sent = 0
-        self.promotion_requests_sent = 0
-        self.promotion_give_ups = 0
 
     def dispose(self) -> None:
         """Teardown (DESIGN.md §19): channel; handlers."""
@@ -743,7 +720,7 @@ class HostServerDaemon:
             FailureReport(
                 as_address(service_ip), port, self.ip, tuple(suspects)
             ),
-            self.report_ip,
+            self.redirector_ip,
         )
 
     def request_promotion(self, service_ip, port: int, epoch: int) -> None:
@@ -752,24 +729,17 @@ class HostServerDaemon:
         PromotionGrant.  Bounded retry with exponential backoff and
         jitter — a partitioned bidder eventually gives up rather than
         flooding the mgmt channel."""
-        self.promotion_requests_sent += 1
         self.channel.send(
             PromotionRequest(as_address(service_ip), port, self.ip, epoch),
             self.authority_for(service_ip, port),
             policy=ARBITRATION_RETRY,
-            on_give_up=self._promotion_gave_up,
         )
-
-    def _promotion_gave_up(self, message: MgmtMessage) -> None:
-        self.promotion_give_ups += 1
 
     def send_snapshot(self, snapshot: StateSnapshot, dst_ip, on_settled=None) -> None:
         """Donor → joiner: ship a base snapshot or catch-up delta."""
         self.channel.send(snapshot, as_address(dst_ip), on_settled=on_settled)
 
-    def join_ready(
-        self, service_ip, port: int, conn_keys=(), bytes_received: int = 0
-    ) -> None:
+    def join_ready(self, service_ip, port: int, conn_keys, bytes_received: int) -> None:
         """Joiner → recovery manager: catch-up installed, splice me in."""
         self.channel.send(
             JoinReady(

@@ -159,9 +159,9 @@ class PromotionRequest(MgmtMessage):
 class PromotionGrant(MgmtMessage):
     """Redirector → replica: you are the primary for ``epoch``.
 
-    The redirector issues at most one grant per epoch; the grant is
-    also encoded in the ChainUpdate push, so this message is the
-    low-latency fast path, not the only carrier."""
+    The redirector issues at most one grant per epoch, and this message
+    is the only way into primary mode: a ChainUpdate naming a backup
+    primary only makes it bid (:class:`PromotionRequest`)."""
 
     service_ip: IPAddress
     port: int

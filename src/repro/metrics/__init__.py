@@ -1,13 +1,12 @@
 """Measurement utilities for the experiment harness."""
 
-from .fencing import EpochChange, FencingMetrics, primary_overlap
+from .fencing import FencingMetrics, primary_overlap
 from .recovery import DegreeTimeline, RecoveryIncident, summarize_incidents
 from .stats import Summary, ThroughputMeter, percentile
 from .tables import Table, format_comparison
 from .traceview import FlowKey, capture_at, flows, summarize, tcp_records, time_sequence
 
 __all__ = [
-    "EpochChange",
     "FencingMetrics",
     "primary_overlap",
     "DegreeTimeline",

@@ -1,52 +1,30 @@
-"""Fencing / view-epoch metrics (split-brain prevention, DESIGN.md §9).
+"""Fencing metrics (split-brain prevention, DESIGN.md §9).
 
-The redirector daemon records one :class:`EpochChange` per view change
-of each fault-tolerant service, counts the segments its fence dropped,
-and tracks *dual-primary near misses* — moments where a replica outside
-the current view still tried to act as primary (a stale-stamped segment
+The redirector daemon counts the Demotes it sent and tracks
+*dual-primary near misses* — moments where a replica outside the
+current view still tried to act as primary (a stale-stamped segment
 reached the fence, a zombie bid for promotion, or a zombie signalled the
 management plane) and was stopped.  In an unfenced system every near
-miss is a potential client-stream corruption.
+miss is a potential client-stream corruption.  The fenced segments
+themselves are counted by the redirector (``Redirector.segments_fenced``)
+and each view's owner by the daemon (``RedirectorDaemon.epoch_owners``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass
-class EpochChange:
-    """One view change of a fault-tolerant service."""
-
-    at: float
-    epoch: int
-    #: Host-server address of the primary that owns this epoch.
-    owner: object
-    #: ``"provision"`` for the initial view, ``"failover"`` afterwards.
-    reason: str
-
 
 class FencingMetrics:
-    """Counters and the epoch timeline kept by one redirector daemon."""
+    """Counters kept by one redirector daemon."""
 
     def __init__(self):
-        #: (service key) -> ordered list of epoch changes.
-        self.epoch_timelines: dict = {}
-        self.segments_fenced = 0
         self.demotes_sent = 0
         #: Distinct (service, stale epoch) pairs whose owner was caught
         #: still transmitting, plus refused bids and zombie signals.
         self.near_misses = 0
         self._fenced_epochs: set = set()
 
-    def record_epoch(self, at: float, key, epoch: int, owner, reason: str) -> None:
-        self.epoch_timelines.setdefault(key, []).append(
-            EpochChange(at=at, epoch=epoch, owner=owner, reason=reason)
-        )
-
     def record_fenced(self, key, stale_epoch: int) -> None:
         """One client-bound segment carrying a stale epoch was dropped."""
-        self.segments_fenced += 1
         if (key, stale_epoch) not in self._fenced_epochs:
             # First stale segment from this epoch: an ex-primary is
             # provably still in primary mode — a dual-primary near miss
@@ -56,9 +34,6 @@ class FencingMetrics:
 
     def record_near_miss(self) -> None:
         self.near_misses += 1
-
-    def timeline_for(self, key) -> list[EpochChange]:
-        return list(self.epoch_timelines.get(key, []))
 
 
 def primary_overlap(samples: list[tuple[float, int]]) -> float:

@@ -97,7 +97,6 @@ class Kernel:
         self._route_cache: dict[IPAddress, NIC] = {}
         self._cpu_free_at = 0.0
         self.packets_forwarded = 0
-        self.packets_delivered = 0
         self.packets_dropped = 0
 
     # -- CPU model ---------------------------------------------------
@@ -293,7 +292,6 @@ class Kernel:
             self.packets_dropped += 1
             trace(self.sim, self.host.name, "proto-unreach", packet)
             return
-        self.packets_delivered += 1
         handler(packet)
 
     def _forward(self, packet: IPPacket) -> None:

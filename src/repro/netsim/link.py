@@ -137,11 +137,8 @@ class Link:
         self.b_to_a = Channel(
             sim, f"{name}:b->a", bandwidth_bps, latency, loss_rate, queue_capacity
         )
-        self._nic_a: Optional["NIC"] = None
-        self._nic_b: Optional["NIC"] = None
 
     def attach(self, nic_a: "NIC", nic_b: "NIC") -> None:
-        self._nic_a, self._nic_b = nic_a, nic_b
         self.a_to_b.destination = nic_b
         self.b_to_a.destination = nic_a
         nic_a.connect(self.a_to_b)

@@ -39,6 +39,7 @@ from repro.hydranet.redirector import ServiceKey
 from repro.metrics.recovery import DegreeTimeline, RecoveryIncident
 from repro.netsim.addressing import IPAddress, as_address
 from repro.netsim.simulator import Timer
+from repro.replication import chain_position
 
 from .spare_pool import SparePool
 
@@ -166,16 +167,12 @@ class RecoveryManager:
         if entry is None or not entry.replicas:
             self.spares.add(node)
             return None
-        from repro.replication import strategy_layout
-
-        if strategy_layout(self.service.strategy) == "star":
-            # Star backends (broadcast/checkpoint): the primary is the
-            # one replica guaranteed to hold the complete client
-            # stream, and it is also the joiner's future report target
-            # — donate from there.
-            donor_ip = entry.replicas[0]
-        else:
-            donor_ip = entry.replicas[-1]
+        # The donor is the joiner's future predecessor: the chain tail,
+        # which deposits first, or a star's primary, the one replica
+        # guaranteed to hold the complete client stream.
+        donor_ip, _ = chain_position(
+            self.service.strategy, (*entry.replicas, node.ip), len(entry.replicas)
+        )
         handle = self.service.provision_joiner(node)
         join = _JoinInProgress(
             node=node, handle=handle, donor_ip=donor_ip, started_at=self.sim.now

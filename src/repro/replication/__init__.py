@@ -30,9 +30,16 @@ def available_strategies() -> tuple[str, ...]:
     return tuple(sorted(STRATEGIES))
 
 
-def strategy_layout(name: str) -> str:
-    """Chain layout the redirector should push for ``name``."""
-    return STRATEGIES[name].layout
+def chain_position(strategy: str, replicas, i: int) -> tuple:
+    """Where replica ``i`` of ``replicas`` (primary first) sits in the
+    layout the ``strategy`` backend runs: ``(predecessor, has_successor)``.
+    The predecessor is whom it reports to — and, for a joiner appended
+    at ``i = len(replicas) - 1``, the donor it catches up from.  Linear
+    (the paper's chain): the replica before it; gated on unless last.
+    Star: the primary; only the primary gates, on everyone."""
+    if STRATEGIES[strategy].layout == "star":
+        return (replicas[0] if i > 0 else None), (i == 0 and len(replicas) > 1)
+    return (replicas[i - 1] if i > 0 else None), i < len(replicas) - 1
 
 
 __all__ = [
@@ -43,6 +50,6 @@ __all__ = [
     "BroadcastStrategy",
     "CheckpointStrategy",
     "available_strategies",
+    "chain_position",
     "create_strategy",
-    "strategy_layout",
 ]

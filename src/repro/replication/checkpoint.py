@@ -54,8 +54,6 @@ class CheckpointStrategy(BroadcastStrategy):
 
     def __init__(self, port):
         super().__init__(port)
-        self.checkpoints_announced = 0
-        self.repair_chunks_sent = 0
         self.timer = Timer(port.sim, self._tick)
 
     # -- lifecycle ---------------------------------------------------------
@@ -93,15 +91,12 @@ class CheckpointStrategy(BroadcastStrategy):
             return
         for state in list(port.states.values()):
             if state.conn.state != TcpState.CLOSED:
-                self.checkpoints_announced += 1
                 state.announce()
 
     def _repair_lagging(self) -> None:
         from repro.core.ft_tcp import DEFAULT_CATCHUP_CHUNK
 
         port = self.port
-        if port.daemon is None:
-            return
         for state in port.states.values():
             conn = state.conn
             if conn.state == TcpState.CLOSED or not state.gated:
@@ -114,5 +109,3 @@ class CheckpointStrategy(BroadcastStrategy):
                     continue
                 data = log.slice(view.deposited, DEFAULT_CATCHUP_CHUNK)
                 port._send_delta(state.snapshot(view.deposited, data), ip)
-                self.repair_chunks_sent += 1
-                port.catchup_bytes_sent += len(data)

@@ -120,8 +120,6 @@ def compile_spec(spec: TopologySpec) -> CompiledMesh:
             redirectors[h.name] = topo.add(Redirector(sim, h.name, profile))
         elif h.role == "server":
             host_servers[h.name] = topo.add(HostServer(sim, h.name, profile))
-        elif h.role == "router":
-            topo.add_router(h.name, profile)
         else:
             clients[h.name] = topo.add_host(h.name, profile)
     for link in spec.links:
@@ -138,7 +136,6 @@ def compile_spec(spec: TopologySpec) -> CompiledMesh:
     topo.build_routes()
 
     # -- mesh control plane -------------------------------------------
-    tier_of = {h.name: h.tier for h in spec.hosts}
     daemons = {
         name: RedirectorDaemon(redirector) for name, redirector in redirectors.items()
     }
@@ -146,15 +143,14 @@ def compile_spec(spec: TopologySpec) -> CompiledMesh:
         daemons[a].add_peer(redirectors[b].ip)
         daemons[b].add_peer(redirectors[a].ip)
     for child, parent in spec.parents:
-        daemons[child].set_parent(redirectors[parent].ip, tier=tier_of[child])
+        daemons[child].set_parent(redirectors[parent].ip)
         # Syncs flood both ways over a parent link.
         daemons[parent].add_peer(redirectors[child].ip)
 
     # -- host servers: one FtNode each, attached to its rack ----------
     ft_nodes = {}
     for name, hs in host_servers.items():
-        rack_ip = redirectors[_rack_of(spec, redirectors, name)].ip
-        ft_nodes[name] = FtNode(hs, rack_ip, report_ip=rack_ip)
+        ft_nodes[name] = FtNode(hs, redirectors[_rack_of(spec, redirectors, name)].ip)
 
     # -- services -----------------------------------------------------
     services: list[ReplicatedTcpService] = []

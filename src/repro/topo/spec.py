@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 SPEC_VERSION = 1
 
-ROLES = ("client", "server", "router", "redirector")
+ROLES = ("client", "server", "redirector")
 
 
 @dataclass(frozen=True)

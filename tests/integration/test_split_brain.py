@@ -9,9 +9,10 @@ and (c) demote the ex-primary after the heal so it rejoins as a backup.
 """
 
 from repro.apps.echo import echo_server_factory
-from repro.core import DetectorParams
+from repro.core import DetectorParams, PortMode
 from repro.experiments.testbeds import build_ft_system
 from repro.faults import FaultPlan
+from repro.hydranet.mgmt import ChainUpdate, PromotionGrant
 from repro.recovery import RecoveryManager, SparePool
 
 from .test_chaos import continuous_client
@@ -152,3 +153,40 @@ def test_promotion_grant_is_idempotent_per_epoch():
     assert system.redirector_daemon.promotions_granted == granted_before
     assert bytes(got) == payload
     assert events == []
+
+
+def test_backup_enters_primary_mode_only_through_a_grant():
+    """The replica-side gate on its own: a backup named primary bids,
+    and while its bids cannot reach the authority it stays a backup
+    however long it waits.  The grant for the epoch it bid for is what
+    promotes it."""
+    system = build_ft_system(
+        seed=4, n_backups=1, factory=echo_server_factory, port=7
+    )
+    backup = system.service.replicas[1].ft_port
+    backup_daemon = system.nodes[1].daemon
+    system.topo.find_link("redirector", "hs_1").set_up(False)
+    epoch = backup.epoch + 1
+    backup.apply_chain_update(
+        ChainUpdate(
+            system.service_ip,
+            system.port,
+            predecessor_ip=None,
+            has_successor=False,
+            is_primary=True,
+            epoch=epoch,
+        )
+    )
+    system.run_for(30.0)  # past every retry of the bid
+
+    assert backup_daemon.channel.give_ups >= 1  # the bid went out and died
+    assert backup.mode == PortMode.BACKUP
+    assert backup.promotions == 0
+    assert system.redirector_daemon.promotions_granted == 0
+
+    backup.apply_promotion_grant(
+        PromotionGrant(system.service_ip, system.port, system.servers[1].ip, epoch)
+    )
+    assert backup.mode == PortMode.PRIMARY
+    assert backup.promotions == 1
+    assert backup.epoch == epoch
