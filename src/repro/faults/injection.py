@@ -48,7 +48,7 @@ class FaultPlan:
 
     @staticmethod
     def _check_time(at: float, what: str = "fault time") -> None:
-        if at < 0:
+        if not at >= 0:  # NaN too
             raise ValueError(f"{what} must be >= 0, got {at}")
 
     def _reserve(self, keys: list, start: float, end: float) -> None:
@@ -56,7 +56,7 @@ class FaultPlan:
         all or nothing: the one window check of every fault."""
         kind, target = keys[0]
         self._check_time(start, f"{kind} start time")
-        if end <= start:
+        if not end > start:
             raise ValueError(f"{kind} window [{start}, {end}) for {target} is empty")
         for key in keys:
             for s, e in self._windows.get(key, ()):
@@ -113,7 +113,7 @@ class FaultPlan:
 
     def crash_for(self, host: Host, at: float, duration: float) -> None:
         """Transient outage (e.g. reboot): crash then recover."""
-        if duration <= 0:
+        if not duration > 0:
             raise ValueError(f"outage duration must be > 0, got {duration}")
         self.crash_at(host, at)
         self.recover_at(host, at + duration)
@@ -289,7 +289,7 @@ class GrayFaultPlan(FaultPlan):
         """Multiply every CPU charge on ``host`` by ``factor`` for the
         window — the canonical gray failure: the replica still beats,
         still acks, just *late*."""
-        if factor < 1.0:
+        if not factor >= 1.0:
             raise ValueError(f"slowdown factor must be >= 1, got {factor}")
         self._window(
             ("slow-host", "slow-heal"),
@@ -399,7 +399,7 @@ class GrayFaultPlan(FaultPlan):
         ones, the bounded-regression case the receiver must reject."""
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"reorder rate must be in [0, 1], got {rate}")
-        if delay <= 0:
+        if not delay > 0:
             raise ValueError(f"reorder delay must be > 0, got {delay}")
         channel = _channel_of(link, direction)
         sim = self.sim
@@ -425,7 +425,7 @@ class GrayFaultPlan(FaultPlan):
         sends during the window claim ``inflate`` bytes more than the
         truth, re-checksummed and current-epoch — a *convincing* liar
         that only watermark-plausibility checks can unmask."""
-        if inflate <= 0:
+        if not inflate > 0:
             raise ValueError(f"inflate must be > 0, got {inflate}")
         endpoint = node.ack_endpoint
         original_send = None

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import random
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace as dc_replace
@@ -36,7 +37,7 @@ from repro.core import DetectorParams
 from repro.experiments.testbeds import TTCP_PORT, FtSystem, build_ft_system
 from repro.faults import FaultPlan, GrayFaultPlan
 from repro.hydranet import Redirector
-from repro.netsim import TopologyError
+from repro.netsim import SimulationError, TopologyError
 from repro.replication import available_strategies
 from repro.topo import MeshScenario, MeshWorkload, TopoBuildError
 from repro.topo import generate as generate_topology
@@ -92,8 +93,52 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "ScenarioSpec":
+        """The spec a JSON object describes.  A field of the wrong type,
+        or a size, rate or time that is not finite and in range, raises
+        ``ValueError`` naming every such field."""
         known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
-        return cls(**known)
+        spec = cls(**known)
+        workload = spec.workload if isinstance(spec.workload, dict) else {}
+        checks = [
+            ("seed", spec.seed, type(spec.seed) is int),
+            ("n_backups", spec.n_backups, _count(spec.n_backups, 0)),
+            ("n_spares", spec.n_spares, _count(spec.n_spares, 0)),
+            ("loss", spec.loss, _amount(spec.loss) and spec.loss <= 1),
+            ("latency", spec.latency, _amount(spec.latency)),
+            ("mtu", spec.mtu, _count(spec.mtu, 1)),
+            ("duration", spec.duration, _amount(spec.duration) and spec.duration > 0),
+            ("workload", spec.workload, isinstance(spec.workload, dict)
+             and workload.get("kind", "echo") in _WORKLOAD_KINDS),
+            ("faults", spec.faults, isinstance(spec.faults, list)
+             and all(isinstance(op, dict) for op in spec.faults)),
+            ("mesh", spec.mesh, spec.mesh is None or isinstance(spec.mesh, dict)),
+            ("gray", spec.gray, type(spec.gray) is bool),
+            ("backend", spec.backend, type(spec.backend) is str),
+            ("version", spec.version, type(spec.version) is int),
+        ]
+        for key, value in workload.items():
+            if key in ("total_bytes", "chunk", "buflen", "nbuf"):
+                checks.append((f"workload.{key}", value, _count(value, 1)))
+            elif key in ("every", "until"):
+                checks.append((f"workload.{key}", value, _amount(value) and value > 0))
+        wrong = [f"{name}={value!r}" for name, value, ok in checks if not ok]
+        if wrong:
+            raise ValueError(f"bad spec field: {', '.join(wrong)}")
+        return spec
+
+
+#: What a spec's ``workload["kind"]`` may name.
+_WORKLOAD_KINDS = ("echo", "paced_echo", "ttcp", "mesh")
+
+
+def _count(value, low: int) -> bool:
+    """An int (not a bool) of at least ``low``."""
+    return type(value) is int and value >= low
+
+
+def _amount(value) -> bool:
+    """A finite, non-negative int or float (not a bool)."""
+    return type(value) in (int, float) and math.isfinite(value) and value >= 0
 
 
 @dataclass
@@ -986,7 +1031,8 @@ def main(argv=None) -> int:
             # input fails here, as a usage error, before the real run.
             run_scenario(dc_replace(entry["spec"], duration=0.0))
         except (
-            OSError, ValueError, LookupError, TypeError, TopologyError, TopoBuildError
+            OSError, ValueError, LookupError, TypeError, TopologyError, TopoBuildError,
+            SimulationError,
         ) as exc:
             parser.error(f"cannot replay {args.replay}: {type(exc).__name__}: {exc}")
         result = run_with_mutation(entry["spec"], args.mutate)
@@ -1002,7 +1048,7 @@ def main(argv=None) -> int:
             print(f"FAIL: fingerprint drifted (expected {expected[:16]}…)")
             return 3
         if clean:
-            print("OK: clean, fingerprint matches")
+            print(f"OK: clean, {'fingerprint matches' if expected else 'no fingerprint recorded'}")
         else:
             print(f"violated: {result.violated_monitors or 'nothing'}")
         return 0

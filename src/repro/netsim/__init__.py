@@ -33,7 +33,7 @@ from .packet import (
     UDPDatagram,
 )
 from .router import Router
-from .simulator import EventHandle, SimulationError, Simulator, Timer
+from .simulator import SimulationError, Simulator, Timer
 from .topology import Topology, TopologyError
 from .trace import Tracer, TraceRecord, trace
 from .tunnel import (
@@ -74,7 +74,6 @@ __all__ = [
     "TCPSegment",
     "UDPDatagram",
     "Router",
-    "EventHandle",
     "SimulationError",
     "Simulator",
     "Timer",

@@ -9,12 +9,12 @@ The scheduler is one binary heap of plain ``(time, seq, ...)`` tuples
 driven through the C ``heapq`` functions (DESIGN.md §10): ``seq`` is
 unique, so sift comparisons stay in C and never reach the callback.
 
-Cancellation is lazy — a cancelled entry stays queued until it
-surfaces in dispatch order or until cancelled entries outnumber live
-ones, at which point the heap is compacted.  :class:`Timer` absorbs
-the cancel/reschedule churn of retransmission timers and heartbeats by
-re-arming in place: pushing the deadline out does not touch the queue
-at all.
+Only a :class:`Timer` can be cancelled.  Each arm is one
+``(deadline, seq, timer, None)`` entry and the timer records the seq
+of its one live entry, so stopping it leaves a dead entry behind that
+is skipped when it surfaces, or dropped when dead entries outnumber
+live ones and the heap is compacted.  Pushing a running timer's
+deadline out does not touch the queue at all (re-arm in place).
 """
 
 from __future__ import annotations
@@ -44,45 +44,14 @@ class Disposable(AbstractContextManager):
         self.dispose()
 
 
-class _Event:
-    """A scheduled callback.  Deliberately *not* comparable: ordering
-    lives entirely in the ``(time, seq)`` tuple prefix of queue entries."""
+class _ClosedCounter:
+    """The seq counter of a closed simulator: drawing a seq from it
+    raises, which refuses :meth:`Timer.start` without a branch of its own."""
 
-    __slots__ = ("callback", "args", "cancelled", "queued")
+    __slots__ = ()
 
-    def __init__(self, callback: Callable[..., None], args: tuple):
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.queued = True
-
-
-class EventHandle:
-    """Cancellable handle returned by :meth:`Simulator.schedule`."""
-
-    __slots__ = ("_sim", "_event", "_time")
-
-    def __init__(self, sim: "Simulator", event: _Event, time: float):
-        self._sim = sim
-        self._event = event
-        self._time = time
-
-    @property
-    def time(self) -> float:
-        """Absolute virtual time the event fires at."""
-        return self._time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        event = self._event
-        if not event.cancelled:
-            event.cancelled = True
-            if event.queued:
-                self._sim._note_cancelled()
+    def __add__(self, _other):
+        raise SimulationError("the simulator is closed")
 
 
 class Simulator:
@@ -99,15 +68,14 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self._now = 0.0
         self._seq = 0
-        self._dead = 0  # queued entries whose event was cancelled
+        self._dead = 0  # queued Timer entries that are no longer live
         self._running = False
         self._events_processed = 0
         self._peak_queue_len = 0
-        # Entries are (time, seq, _Event, None) for cancellable events
-        # and (time, seq, callback, args) for fire-and-forget posts, so
-        # dispatch unpacks every entry alike and tells the kinds apart
-        # by ``args is None``; seq is unique, so heap comparisons never
-        # look past it.
+        # Entries are (time, seq, callback, args) for posts and
+        # (time, seq, Timer, None) for timer arms, so dispatch unpacks
+        # every entry alike and tells the kinds apart by ``args is
+        # None``; seq is unique, so heap comparisons never look past it.
         self._queue: list[tuple] = []
         #: Attached :class:`~repro.netsim.trace.Tracer`, or None.  Kept
         #: as a real attribute so the no-tracer check in packet hot
@@ -132,15 +100,15 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of queued, non-cancelled events.  O(1): queue length
-        minus a maintained count of lazily-cancelled entries — popping
-        a live event costs no counter update at all."""
+        """Number of queued live entries.  O(1): queue length minus a
+        maintained count of dead timer entries — popping a live entry
+        costs no counter update at all."""
         return len(self._queue) - self._dead
 
     @property
     def peak_queue_len(self) -> int:
-        """High-water mark of the event queue (including entries that
-        were later cancelled) — the perf ledger reports this."""
+        """High-water mark of the event queue (including dead timer
+        entries) — the perf ledger reports this."""
         return self._peak_queue_len
 
     @staticmethod
@@ -149,76 +117,51 @@ class Simulator:
 
     def close(self) -> None:
         """Teardown (DESIGN.md §19): drop the event queue and dispose the
-        attached monitors.  Counters stay readable; scheduling or running
-        afterwards raises :class:`SimulationError`.  Idempotent."""
+        attached monitors.  Counters stay readable; scheduling, starting
+        a timer or running afterwards raises :class:`SimulationError`.
+        Idempotent."""
         if self._running:
             raise SimulationError("close() from inside a running event")
-        for entry in self._queue:
-            if entry[3] is None:  # an armed Timer is a cycle through its own entry
-                entry[2].callback = None
         self._queue, self._dead = [], 0
         if self.invariants is not None:
             self.invariants.dispose()
             self.invariants = None
         # Shadowing the methods keeps a "closed?" branch off the hot path.
         self.post = self.post_at = self.schedule_at = self.run = self._closed
+        self._seq = _ClosedCounter()
 
     def _note_cancelled(self) -> None:
-        """A queued event was cancelled: bump the dead count and
-        compact the heap when cancelled entries dominate it."""
+        """A queued timer entry died: bump the dead count and compact
+        the heap when dead entries dominate it."""
         dead = self._dead + 1
         queue = self._queue
         n = len(queue)
         if n >= _COMPACT_MIN and dead * 2 > n:
             # In-place so `run`'s local binding of the list stays valid.
-            # Entries with args are fire-and-forget posts: never cancelled.
+            # A timer entry is live while its seq is the timer's.
             queue[:] = [
                 entry
                 for entry in queue
-                if entry[3] is not None or not entry[2].cancelled
+                if entry[3] is not None or entry[2]._entry_seq == entry[1]
             ]
             heapq.heapify(queue)
             self._dead = 0
         else:
             self._dead = dead
 
-    def schedule(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
-
-    def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} (now is {self._now})"
-            )
-        event = _Event(callback, args)
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._queue, (time, seq, event, None))
-        return EventHandle(self, event, time)
-
     def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: no :class:`EventHandle` is
-        built and no :class:`_Event` is allocated — the heap entry is a
-        plain ``(time, seq, callback, args)`` tuple.  For hot paths
-        that never cancel (link serialization, CPU-delay completions)
-        this skips two allocations per event."""
-        if delay < 0:
+        """Run ``callback(*args)`` ``delay`` seconds from now.  The heap
+        entry is the plain ``(time, seq, callback, args)`` tuple; nothing
+        can cancel it (a :class:`Timer` is the cancellable event)."""
+        if not delay >= 0:  # NaN too: it would run out of time order
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._queue, (self._now + delay, seq, callback, args))
 
     def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule_at` (see :meth:`post`)."""
-        if time < self._now:
+        """Run ``callback(*args)`` at absolute virtual ``time`` (see :meth:`post`)."""
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at {time} (now is {self._now})"
             )
@@ -226,12 +169,14 @@ class Simulator:
         self._seq = seq + 1
         heapq.heappush(self._queue, (time, seq, callback, args))
 
-    def _requeue(self, time: float, seq: int, callback: Callable[[], None]) -> EventHandle:
-        """Push an entry whose ``seq`` was allocated earlier (Timer
-        re-arm support — see :meth:`Timer.start`)."""
-        event = _Event(callback, ())
-        heapq.heappush(self._queue, (time, seq, event, None))
-        return EventHandle(self, event, time)
+    #: The same method under a second name (a wrapper of either sees
+    #: each event once).
+    schedule_at = post_at
+
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        """:meth:`post`, queued through its attribute so that a wrapper
+        of ``post`` sees these events too."""
+        self.post(delay, callback, *args)
 
     def run(
         self,
@@ -249,7 +194,8 @@ class Simulator:
         timer was re-armed in place to a later deadline) pops as a
         counted no-op that re-queues the timer, so ``events_processed``
         and the ``max_events`` budget include these — event counts can
-        differ slightly from an engine that cancels eagerly.
+        differ slightly from an engine that cancels eagerly.  Dead
+        entries are skipped uncounted.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -269,19 +215,15 @@ class Simulator:
                 if qlen > peak:
                     peak = qlen
                 entry = heappop(queue)
-                time, _, callback, args = entry
-                if args is None:  # cancellable: `callback` is the _Event
-                    if callback.cancelled:
+                time, seq, callback, args = entry
+                if args is None:  # a timer arm: `callback` is the Timer
+                    if callback._entry_seq != seq:  # stopped or re-armed since
                         self._dead -= 1
                         continue
-                    callback.queued = False
-                    args = callback.args
-                    callback = callback.callback
+                    callback, args = callback._entry_fired, ()
                 if time > until_t or done >= limit:
                     # Not due in this run: back it goes, under the key
                     # it was popped with, so the order is untouched.
-                    if entry[3] is None:
-                        entry[2].queued = True
                     heapq.heappush(queue, entry)
                     break
                 self._now = time
@@ -316,32 +258,38 @@ class Timer:
     """A restartable one-shot timer bound to a simulator.
 
     Wraps the schedule/cancel dance that protocol code (retransmission
-    timers, delayed ACKs, failure detectors) does constantly.
+    timers, delayed ACKs, failure detectors) does constantly.  The timer
+    is its own queue entry, ``(deadline, seq, timer, None)``, and it
+    records the seq and time of its one live entry; :meth:`stop` only
+    forgets that seq, so the entry left queued is dead.
 
     Restarting to a *strictly later* deadline re-arms in place: the
-    queued entry is left untouched and only the logical deadline
-    (plus a freshly drawn tie-break ``seq``) is recorded.  When the
-    stale entry pops, the timer silently re-queues itself for the real
-    deadline under that saved ``seq``.  Because every ``start`` draws a
-    sequence number exactly like the old cancel+reschedule dance did,
-    tie-break order — and therefore the whole event schedule — is
-    byte-identical to the eager implementation.  Restarting to an
-    *equal* (or earlier) deadline falls back to cancel+reschedule: an
-    in-place re-arm would fire under the old entry's seq, ordering the
-    timer ahead of events scheduled between the two ``start`` calls.
+    live entry is left untouched and only the logical deadline (plus a
+    freshly drawn tie-break ``seq``) is recorded.  When the stale entry
+    pops, the timer silently re-queues itself for the real deadline
+    under that saved ``seq``.  Because every ``start`` draws a sequence
+    number exactly like a cancel+reschedule would, tie-break order — and
+    therefore the whole event schedule — is byte-identical to an eager
+    implementation.  Restarting to an *equal* (or earlier) deadline
+    pushes a fresh entry: an in-place re-arm would fire under the old
+    entry's seq, ordering the timer ahead of events scheduled between
+    the two ``start`` calls.
     """
 
-    __slots__ = ("_sim", "_callback", "_handle", "expires_at", "_seq")
+    __slots__ = ("_sim", "_callback", "expires_at", "_seq", "_entry_seq", "_entry_time")
 
     def __init__(self, sim: Simulator, callback: Callable[[], None]):
         self._sim = sim
         self._callback = callback
-        self._handle: Optional[EventHandle] = None
         #: Absolute virtual time the timer fires at, None while it is
         #: not running.  A plain slot: per-segment protocol code tests
         #: ``expires_at is None`` without a property frame.
         self.expires_at: Optional[float] = None
-        self._seq = 0
+        # While running: `_entry_seq` / `_entry_time` key the live queue
+        # entry and `_seq` is the seq the timer fires under (newer than
+        # `_entry_seq` after an in-place re-arm).  Stopped: `_entry_seq`
+        # is None, so no queued entry is live.
+        self._seq = self._entry_seq = self._entry_time = None
 
     @property
     def running(self) -> bool:
@@ -349,43 +297,39 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """(Re)arm the timer ``delay`` seconds from now."""
+        if not delay >= 0:  # checked first: a refused restart leaves the timer as it was
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
         sim = self._sim
         deadline = sim._now + delay
-        handle = self._handle
-        if (
-            handle is not None
-            and not handle._event.cancelled
-            and deadline > handle._time
-            and delay >= 0
-        ):
-            # Re-arm in place: keep the queued entry, remember the real
-            # deadline, and consume a seq so tie-breaks match a full
-            # cancel+reschedule.
-            seq = sim._seq
-            sim._seq = seq + 1
-            self._seq = seq
+        seq = sim._seq
+        sim._seq = seq + 1
+        self._seq = seq
+        running = self.expires_at is not None
+        if running and deadline > self._entry_time:
+            # Re-arm in place: the live entry stays queued and the seq
+            # just drawn makes tie-breaks match a full cancel+reschedule.
             self.expires_at = deadline
-        else:
-            self.stop()
-            self._handle = sim.schedule(delay, self._entry_fired)
-            self.expires_at = deadline
+            return
+        self._entry_seq = seq
+        self._entry_time = self.expires_at = deadline
+        if running:  # the entry queued before is dead from here on
+            sim._note_cancelled()
+        heapq.heappush(sim._queue, (deadline, seq, self, None))
 
     def stop(self) -> None:
-        self.expires_at = None
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
+        if self.expires_at is not None:
+            self.expires_at = self._entry_seq = None
+            self._sim._note_cancelled()
 
     def _entry_fired(self) -> None:
+        """The run loop popped this timer's live entry."""
         deadline = self.expires_at
-        if deadline is None:  # stopped after the entry was queued
-            self._handle = None
-            return
-        if deadline > self._sim._now:
+        if deadline > self._entry_time:
             # The entry was stale (timer pushed out since it was queued):
             # move to the real deadline under the seq drawn at re-arm.
-            self._handle = self._sim._requeue(deadline, self._seq, self._entry_fired)
+            seq = self._entry_seq = self._seq
+            self._entry_time = deadline
+            heapq.heappush(self._sim._queue, (deadline, seq, self, None))
             return
-        self._handle = None
-        self.expires_at = None
+        self.expires_at = self._entry_seq = None
         self._callback()

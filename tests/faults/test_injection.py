@@ -176,6 +176,26 @@ def test_rejects_negative_times(net):
         plan.crash_for(b, -2.0, duration=1.0)
 
 
+def test_rejects_nan_times_and_lengths(net):
+    """NaN compares false both ways, so a bare `at < 0` lets it through
+    to the queue; every time and length check refuses it."""
+    sim, topo, a, b, link, received = net
+    plan = GrayFaultPlan(sim)
+    nan = float("nan")
+    for declare in (
+        lambda: plan.crash_at(b, nan),
+        lambda: plan.recover_at(b, nan),
+        lambda: plan.crash_for(b, 1.0, duration=nan),
+        lambda: plan.partition_at(link, nan, 1.0),
+        lambda: plan.partition_at(link, 1.0, nan),
+        lambda: plan.loss_burst(link, 1.0, 1.0, nan),
+        lambda: plan.slow_host_at(b, 1.0, 1.0, nan),
+    ):
+        with pytest.raises(ValueError):
+            declare()
+    assert sim.pending_events == 0
+
+
 def test_crash_for_rejects_nonpositive_duration(net):
     sim, topo, a, b, link, received = net
     plan = FaultPlan(sim)

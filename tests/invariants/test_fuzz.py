@@ -319,8 +319,35 @@ _BURST = {"op": "loss_burst", "link": "hs_0", "at": 2.5, "duration": 1.0, "loss_
             json.dumps({"spec": dict(_SPEC, faults=[_BURST, _BURST])}),
             "overlaps an existing window",
         ),
+        (
+            "nan-at.json",
+            json.dumps({"spec": dict(_SPEC, faults=[dict(_BURST, at=float("nan"))])}),
+            "must be >= 0, got nan",
+        ),
+        (
+            "past-recommission.json",
+            json.dumps({"spec": dict(_SPEC, faults=[
+                {"op": "recommission", "target": "hs_0", "at": -1.0}
+            ])}),
+            "cannot schedule at -1.0",
+        ),
+        ("word-duration.json", json.dumps({"spec": dict(_SPEC, duration="ten")}), "duration='ten'"),
+        ("nan-latency.json", json.dumps({"spec": dict(_SPEC, latency=float("nan"))}), "latency=nan"),
+        (
+            "zero-chunk.json",
+            json.dumps({"spec": dict(_SPEC, workload=dict(_SPEC["workload"], chunk=0))}),
+            "workload.chunk=0",
+        ),
+        (
+            "negative-total.json",
+            json.dumps({"spec": dict(_SPEC, workload=dict(_SPEC["workload"], total_bytes=-5))}),
+            "workload.total_bytes=-5",
+        ),
     ],
-    ids=["missing", "not-json", "no-spec", "unknown-op", "refused"],
+    ids=[
+        "missing", "not-json", "no-spec", "unknown-op", "refused", "nan-at",
+        "past-recommission", "word-duration", "nan-latency", "zero-chunk", "negative-total",
+    ],
 )
 def test_replay_rejects_bad_input_with_usage(name, body, reason, tmp_path, capsys):
     """ROADMAP 9a: a file that cannot be replayed is a usage error that
@@ -336,3 +363,14 @@ def test_replay_rejects_bad_input_with_usage(name, body, reason, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and "Traceback" not in err
     assert name in err.splitlines()[-1] and reason in err.splitlines()[-1]
+
+
+def test_replay_without_a_recorded_fingerprint_says_so(tmp_path, capsys):
+    """Nothing is compared when the file records no fingerprint, and
+    the verdict must not claim a match."""
+    from repro.invariants.fuzz import main
+
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"spec": _SPEC}))
+    assert main(["--replay", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "OK: clean, no fingerprint recorded"

@@ -1,8 +1,8 @@
 """Differential scheduler suite (DESIGN.md §10).
 
 The engine is one C-``heapq`` scheduler; what pins it is a reference
-defined here — a sorted list with eager cancellation and an eager
-timer, the obviously-correct ``(time, seq)`` schedule — plus the
+defined here — a sorted list and a timer that cancels its entry
+eagerly, the obviously-correct ``(time, seq)`` schedule — plus the
 fingerprints committed while the deleted timer wheel was still the
 default engine:
 
@@ -23,6 +23,7 @@ import math
 import random
 from bisect import insort
 from dataclasses import asdict
+from functools import partial
 
 import pytest
 
@@ -75,15 +76,20 @@ class _SortedListHandle:
 
 class EagerTimer:
     """Reference timer: every ``start`` is cancel + schedule — the dance
-    :class:`Timer`'s in-place re-arm must stay indistinguishable from."""
+    :class:`Timer`'s in-place re-arm must stay indistinguishable from —
+    and ``stop`` removes the entry from the list."""
 
     def __init__(self, sim, callback):
         self._sim, self._callback, self._handle = sim, callback, None
 
     def start(self, delay):
+        self.stop()
+        self._handle = self._sim.schedule(delay, self._callback)
+
+    def stop(self):
         if self._handle is not None:
             self._handle.cancel()
-        self._handle = self._sim.schedule(delay, self._callback)
+            self._handle = None
 
 
 #: (scheduler, its timer): the engine and the reference.
@@ -98,10 +104,10 @@ both = pytest.mark.parametrize("sim_cls, timer_cls", BOTH, ids=["heap", "sorted-
 def test_equal_deadlines_fire_in_schedule_order(sim_cls, timer_cls):
     sim = sim_cls()
     fired = []
-    # Interleave cancellable and fire-and-forget entries at one instant.
-    sim.schedule(0.5, fired.append, "a")
+    # Interleave timer entries and posts at one instant.
+    timer_cls(sim, partial(fired.append, "a")).start(0.5)
     sim.post(0.5, fired.append, "b")
-    sim.schedule(0.5, fired.append, "c")
+    timer_cls(sim, partial(fired.append, "c")).start(0.5)
     sim.post(0.5, fired.append, "d")
     sim.run_until_idle()
     assert fired == ["a", "b", "c", "d"]
@@ -112,11 +118,13 @@ def test_equal_deadlines_fire_in_schedule_order(sim_cls, timer_cls):
 def test_cancel_then_rearm_at_same_tick(sim_cls, timer_cls):
     sim = sim_cls()
     fired = []
-    handle = sim.schedule(1.0, fired.append, "old")
-    handle.cancel()
-    sim.schedule(1.0, fired.append, "new")  # same instant, fresh seq
+    timer = timer_cls(sim, partial(fired.append, "timer"))
+    timer.start(1.0)
+    timer.stop()
+    sim.schedule(1.0, fired.append, "new")  # same instant
+    timer.start(1.0)  # re-armed at the same tick: a fresh seq, after "new"
     sim.run_until_idle()
-    assert fired == ["new"]
+    assert fired == ["new", "timer"]
     assert sim.pending_events == 0
 
 
@@ -162,10 +170,12 @@ def test_infinite_deadline_parks_until_idle_drain(sim_cls, timer_cls):
 def test_mass_cancellation_compacts_and_counts(sim_cls, timer_cls):
     sim = sim_cls()
     fired = []
-    handles = [sim.schedule(1.0 + i * 0.001, fired.append, i) for i in range(500)]
-    for i, handle in enumerate(handles):
+    timers = [timer_cls(sim, partial(fired.append, i)) for i in range(500)]
+    for i, timer in enumerate(timers):
+        timer.start(1.0 + i * 0.001)
+    for i, timer in enumerate(timers):
         if i % 10:
-            handle.cancel()
+            timer.stop()
     assert sim.pending_events == 50
     sim.run_until_idle()
     assert fired == [i for i in range(500) if i % 10 == 0]
@@ -182,12 +192,12 @@ def test_same_instant_reentry_runs_in_current_drain(sim_cls, timer_cls):
     def first():
         fired.append("first")
         sim.post(0.0, lambda: fired.append("chained"))
-        sim.schedule(0.0, lambda: fired.append("chained-handle"))
+        timer_cls(sim, lambda: fired.append("chained-timer")).start(0.0)
 
     sim.schedule(1.0, first)
     sim.schedule(1.0, fired.append, "second")
     sim.run_until_idle()
-    assert fired == ["first", "second", "chained", "chained-handle"]
+    assert fired == ["first", "second", "chained", "chained-timer"]
     assert sim.now == 1.0
 
 
@@ -199,14 +209,19 @@ def _churn_trace(sim_cls, timer_cls, seed: int) -> list:
     sim = sim_cls()
     rng = random.Random(seed)
     trace = []
-    live = []
+    live = []  # one-shot timers, some of which get stopped
+
+    def arm(delay, label):
+        timer = timer_cls(sim, partial(fire, label))
+        timer.start(delay)
+        live.append(timer)
 
     def fire(label):
         trace.append((round(sim.now, 9), label))
         # Sometimes keep churning from inside the dispatch loop.
         if rng.random() < 0.3 and len(trace) < 3000:
             delay = rng.choice([0.0, 1e-6, rng.uniform(0, 0.05), rng.uniform(0, 5)])
-            live.append(sim.schedule(delay, fire, f"{label}.r"))
+            arm(delay, f"{label}.r")
         if rng.random() < 0.2:  # restart a timer mid-run: push-out, pull-in, tie
             timers[rng.randrange(4)].start(rng.choice([0.0, 0.5, rng.uniform(0, 30)]))
 
@@ -218,11 +233,11 @@ def _churn_trace(sim_cls, timer_cls, seed: int) -> list:
             delay = rng.choice(
                 [0.0, rng.uniform(0, 0.01), rng.uniform(0, 1), rng.uniform(0, 600)]
             )
-            live.append(sim.schedule(delay, fire, f"s{step}"))
+            arm(delay, f"s{step}")
         elif op < 0.7:
             sim.post(rng.uniform(0, 2), fire, f"p{step}")
         elif op < 0.85 and live:
-            live.pop(rng.randrange(len(live))).cancel()
+            live.pop(rng.randrange(len(live))).stop()
         else:
             timers[rng.randrange(4)].start(rng.choice([0.0, 0.5, rng.uniform(0, 30)]))
     sim.run_until_idle(max_events=20000)

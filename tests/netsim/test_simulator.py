@@ -1,5 +1,8 @@
 """Tests for the discrete-event engine."""
 
+import math
+from functools import partial
+
 import pytest
 
 from repro.netsim import SimulationError, Simulator, Timer
@@ -70,22 +73,50 @@ def test_schedule_at_in_past_rejected():
         sim.schedule_at(1.0, lambda: None)
 
 
+def test_nan_is_refused_and_time_never_runs_backwards():
+    """A NaN key would sort anywhere in the heap (here: 1.0, 0.5, NaN,
+    2.0, the clock stepping back from 1.0 to 0.5); it is refused like a
+    negative delay, by every way into the queue."""
+    sim = Simulator()
+    seen = []
+    sim.post(1.0, lambda: seen.append(sim.now))
+    timer = Timer(sim, lambda: None)
+    for refused in (
+        lambda: sim.post(math.nan, print),
+        lambda: sim.post_at(math.nan, print),
+        lambda: sim.schedule(math.nan, print),
+        lambda: sim.schedule_at(math.nan, print),
+        lambda: timer.start(math.nan),
+    ):
+        with pytest.raises(SimulationError):
+            refused()
+    sim.post(2.0, lambda: seen.append(sim.now))
+    sim.post(0.5, lambda: seen.append(sim.now))
+    sim.run()
+    assert seen == [0.5, 1.0, 2.0]
+    assert sim.pending_events == 0 and not timer.running
+
+
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
-    handle = sim.schedule(1.0, fired.append, "x")
-    handle.cancel()
+    timer = Timer(sim, lambda: fired.append("x"))
+    timer.start(1.0)
+    timer.stop()
     sim.run()
     assert fired == []
-    assert handle.cancelled
+    assert not timer.running
 
 
 def test_cancel_is_idempotent():
     sim = Simulator()
-    handle = sim.schedule(1.0, lambda: None)
-    handle.cancel()
-    handle.cancel()
+    timer = Timer(sim, lambda: None)
+    timer.start(1.0)
+    timer.stop()
+    timer.stop()
+    assert sim.pending_events == 0
     sim.run()
+    assert sim.events_processed == 0
 
 
 def test_events_scheduled_during_run_execute():
@@ -150,24 +181,26 @@ def test_rng_determinism():
 
 def test_pending_events_counts_uncancelled():
     sim = Simulator()
-    h1 = sim.schedule(1.0, lambda: None)
+    timer = Timer(sim, lambda: None)
+    timer.start(1.0)
     sim.schedule(2.0, lambda: None)
     assert sim.pending_events == 2
-    h1.cancel()
+    timer.stop()
     assert sim.pending_events == 1
 
 
 def test_post_and_schedule_tie_break_by_insertion_order():
-    """Fire-and-forget posts share the (time, seq) ordering with
-    cancellable events — mixing the two must keep insertion order."""
+    """Posts share the (time, seq) ordering with timer entries —
+    mixing the two must keep insertion order."""
     sim = Simulator()
     order = []
     sim.schedule(1.0, order.append, "a")
+    Timer(sim, partial(order.append, "timer")).start(1.0)
     sim.post(1.0, order.append, "b")
     sim.schedule_at(1.0, order.append, "c")
     sim.post_at(1.0, order.append, "d")
     sim.run()
-    assert order == ["a", "b", "c", "d"]
+    assert order == ["a", "timer", "b", "c", "d"]
 
 
 def test_post_rejects_negative_delay():
@@ -198,11 +231,14 @@ def test_compaction_preserves_order_and_live_events():
     the surviving events must still run in order."""
     sim = Simulator()
     order = []
-    handles = [sim.schedule(float(i), order.append, i) for i in range(200)]
-    for i, h in enumerate(handles):
+    timers = [Timer(sim, partial(order.append, i)) for i in range(200)]
+    for i, timer in enumerate(timers):
+        timer.start(float(i))
+    for i, timer in enumerate(timers):
         if i % 10:
-            h.cancel()
+            timer.stop()
     assert sim.pending_events == 20
+    assert len(sim._queue) < 200  # compacted
     sim.run()
     assert order == list(range(0, 200, 10))
 
@@ -220,7 +256,8 @@ def test_close_drops_the_queue_keeps_the_counters_and_ends_scheduling():
     assert fired == [1.0, 2.0]
     assert (sim.events_processed, sim.peak_queue_len, sim.pending_events, sim.now) == (2, 4, 0, 3.0)
     for use in (sim.run, lambda: sim.post(0.0, print), lambda: sim.post_at(4.0, print),
-                lambda: sim.schedule(0.0, print), lambda: timer.start(1.0)):
+                lambda: sim.schedule(0.0, print), lambda: timer.start(1.0),
+                lambda: timer.start(10.0)):  # fresh arm and in-place re-arm
         with pytest.raises(SimulationError, match="closed"):
             use()
     assert Simulator().run() == 0.0  # only this instance is closed
@@ -275,6 +312,20 @@ class TestTimer:
         assert timer.expires_at is None
         timer.start(2.5)
         assert timer.expires_at == 2.5
+
+    def test_refused_restart_leaves_the_timer_armed(self):
+        """The delay is checked before anything changes: a refused
+        restart neither stops nor re-arms a running timer."""
+        sim = Simulator()
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(1.0)
+        for bad in (-0.5, math.nan):
+            with pytest.raises(SimulationError):
+                timer.start(bad)
+        assert timer.running and timer.expires_at == 1.0
+        sim.run()
+        assert fired == [1.0]
 
     def test_can_restart_from_callback(self):
         sim = Simulator()
