@@ -102,10 +102,6 @@ class AckChannelEndpoint:
     and sends outgoing messages to the predecessor server.
     """
 
-    #: Class-level so the mutation harness can switch validation off
-    #: and prove the monitors notice (tests/invariants/test_mutation).
-    validate_checksums = True
-
     def __init__(self, host_server: "HostServer"):
         self.host_server = host_server
         self.sim = host_server.sim
@@ -150,16 +146,13 @@ class AckChannelEndpoint:
         self._dispatch(data, src_ip)
 
     def _dispatch(self, data: AckChannelMessage, src_ip: IPAddress) -> None:
-        if self.validate_checksums and not data.checksum_valid():
+        if not data.checksum_valid():
             # Corrupted in flight: drop before anything (including the
             # monitors) can see the bogus watermarks.  Honest senders
             # always produce a valid checksum, so this path only fires
             # under fault injection.
             self.messages_corrupt_dropped += 1
             return
-        invariants = self.sim.invariants
-        if invariants is not None:
-            invariants.on_ack_channel_message(data, src_ip)
         handler = self._handlers.get((data.service_ip, data.service_port))
         if handler is None:
             self.messages_unclaimed += 1

@@ -27,6 +27,7 @@ Per replicated port this module maintains:
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.netsim.addressing import IPAddress, as_address
@@ -727,21 +728,23 @@ class FtPort:
         # few chunks in flight self-paces the transfer to the path.
         queue = list(reversed(tail_chunks))
         self._catchup_queues[joiner_ip] = queue
-        in_flight = {"n": 0}
+        self._pump_catchup(joiner_ip, queue, [0])
 
-        def pump() -> None:
-            if self.shut_down or self._catchup_queues.get(joiner_ip) is not queue:
-                return
-            while queue and in_flight["n"] < CATCHUP_WINDOW:
-                piece = queue.pop()
-                in_flight["n"] += 1
-                self._send_delta(piece, joiner_ip, on_settled=settled)
+    def _pump_catchup(self, joiner_ip, queue: list, in_flight: list) -> None:
+        """Send tail chunks of a live feed while fewer than
+        ``CATCHUP_WINDOW`` are unsettled (``in_flight[0]``).  Bound
+        methods, so that no closure cycle holds the port after teardown."""
+        if self.shut_down or self._catchup_queues.get(joiner_ip) is not queue:
+            return
+        settled = partial(self._catchup_settled, joiner_ip, queue, in_flight)
+        while queue and in_flight[0] < CATCHUP_WINDOW:
+            piece = queue.pop()
+            in_flight[0] += 1
+            self._send_delta(piece, joiner_ip, on_settled=settled)
 
-        def settled() -> None:
-            in_flight["n"] -= 1
-            pump()
-
-        pump()
+    def _catchup_settled(self, joiner_ip, queue: list, in_flight: list) -> None:
+        in_flight[0] -= 1
+        self._pump_catchup(joiner_ip, queue, in_flight)
 
     def _send_delta(self, piece: ConnSnapshot, joiner_ip, on_settled=None) -> None:
         """Ship one catch-up piece: a chunk of the base transfer or a
@@ -1077,10 +1080,9 @@ class FtStack:
         self.port_table.remove(port)
 
     def dispose(self) -> None:
-        """Teardown (DESIGN.md §19): ports; the daemon calls back here."""
+        """Teardown (DESIGN.md §19): ports."""
         for ft_port in self.ports.values():
             ft_port.dispose()
-        self.daemon = None
 
     def _dispatch_to_port(self, message, src_ip: IPAddress) -> None:
         """Hand a per-port management message to the port it names."""

@@ -178,9 +178,6 @@ class Redirector(Router):
             return False
         self.segments_fenced += 1
         trace(self.sim, self.name, "fence", packet)
-        invariants = self.sim.invariants
-        if invariants is not None:
-            invariants.on_fenced(segment.epoch, entry)
         if self.on_fenced is not None:
             self.on_fenced(segment.epoch, entry)
         return True  # consumed: the stale segment goes no further

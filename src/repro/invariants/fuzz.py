@@ -34,11 +34,14 @@ from typing import Optional
 from repro.apps.echo import EchoStream, echo_server_factory
 from repro.apps.ttcp import TtcpSender, ttcp_sink_factory
 from repro.core import DetectorParams
+from repro.core.ack_channel import AckChannelMessage
+from repro.core.ft_tcp import FtConnectionState, FtPort
 from repro.experiments.testbeds import TTCP_PORT, FtSystem, build_ft_system
 from repro.faults import FaultPlan, GrayFaultPlan
 from repro.hydranet import Redirector
 from repro.netsim import SimulationError, TopologyError
-from repro.replication import available_strategies
+from repro.replication import available_strategies, members
+from repro.tcp.buffers import UNGATED
 from repro.topo import MeshScenario, MeshWorkload, TopoBuildError
 from repro.topo import generate as generate_topology
 
@@ -746,119 +749,75 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
 # -- protocol mutations (for the mutation check and corpus triage) -----------
 
 
-@contextmanager
 def _ungated(buffer: str, field: str):
-    """Patch the one writer of the commit points so that it always
-    publishes ``UNGATED`` into ``conn.<buffer>.<field>``."""
-    from repro.core.ft_tcp import FtConnectionState
-    from repro.tcp.buffers import UNGATED
+    """A ``push_gates`` replacement: the one writer of the commit points
+    then always publishes ``UNGATED`` into ``conn.<buffer>.<field>``."""
 
-    original = FtConnectionState.push_gates
+    def make(push_gates):
+        def ungated_push_gates(self):
+            push_gates(self)
+            setattr(getattr(self.conn, buffer), field, UNGATED)
 
-    def push_gates(self):
-        original(self)
-        setattr(getattr(self.conn, buffer), field, UNGATED)
+        return ungated_push_gates
 
-    FtConnectionState.push_gates = push_gates
-    try:
-        yield
-    finally:
-        FtConnectionState.push_gates = original
+    return make
 
 
-def _mutate_deposit_gate():
-    """Disable the deposit gate: replicas deposit without waiting for
-    the successor's acknowledgement — the Atomicity monitors must fire."""
-    return _ungated("reassembler", "ceiling")
+def _returning(value):
+    """A method replacement that ignores the original and only returns ``value``."""
+    return lambda original: lambda *args: value
 
 
-def _mutate_output_gate():
-    """Disable the output gate: the primary sends response bytes before
-    the successor reported matching sequence numbers."""
-    return _ungated("send_buffer", "commit")
-
-
-@contextmanager
-def _mutate_fence():
-    """Disable the redirector's epoch fence: a partitioned ex-primary's
-    stale segments sail through towards the client — the SinglePrimary
-    monitor's past-the-fence check must fire."""
-    original = Redirector._fence_hook
-    Redirector._fence_hook = lambda self, packet, nic: False
-    try:
-        yield
-    finally:
-        Redirector._fence_hook = original
-
-
-@contextmanager
-def _mutate_progress_check():
-    """Disable progress-report plausibility validation: a lying backup's
-    inflated watermarks are applied verbatim — ProgressTruthfulness
-    (and, downstream, the gate monitors) must fire under ``--gray``."""
-    from repro.replication import MemberTable
-
-    original = MemberTable.validate_progress
-    MemberTable.validate_progress = False
-    try:
-        yield
-    finally:
-        MemberTable.validate_progress = original
-
-
-@contextmanager
-def _mutate_ack_checksum():
-    """Disable ack-channel checksum validation: corrupted-in-flight
-    messages reach the watermark logic — ProgressTruthfulness must
-    notice the impossible claims under ``--gray``."""
-    from repro.core.ack_channel import AckChannelEndpoint
-
-    original = AckChannelEndpoint.validate_checksums
-    AckChannelEndpoint.validate_checksums = False
-    try:
-        yield
-    finally:
-        AckChannelEndpoint.validate_checksums = original
-
-
-@contextmanager
-def _mutate_excision():
-    """Disable the gray-failure excision pathway — both degraded-
-    successor reporting and lie-evidence reporting.  A successor whose
-    (rejected) reports keep it looking alive then stalls primary output
-    indefinitely, because the classic quiet-based check never sees
-    silence — OutputLiveness must fire under ``--gray``."""
-    from repro.core.ft_tcp import FtPort
-
-    degradation = FtPort._degradation_check
-    lie_evidence = FtPort._note_lie_evidence
-    FtPort._degradation_check = lambda self, now: None
-    FtPort._note_lie_evidence = lambda self, suspect: None
-    try:
-        yield
-    finally:
-        FtPort._degradation_check = degradation
-        FtPort._note_lie_evidence = lie_evidence
-
-
-@contextmanager
-def _no_mutation():
-    yield
-
-
+#: Each mutation removes one protocol gate or check, as patches
+#: ``(owner, attribute, make_replacement)``: :func:`mutated` sets
+#: ``owner.attribute`` to ``make_replacement(original)`` and restores it.
 MUTATIONS = {
-    None: _no_mutation,
-    "deposit_gate": _mutate_deposit_gate,
-    "output_gate": _mutate_output_gate,
-    "fence": _mutate_fence,
-    "progress_check": _mutate_progress_check,
-    "ack_checksum": _mutate_ack_checksum,
-    "excision": _mutate_excision,
+    None: (),
+    # Replicas deposit without waiting for the successor's
+    # acknowledgement: the Atomicity monitors must fire.
+    "deposit_gate": ((FtConnectionState, "push_gates", _ungated("reassembler", "ceiling")),),
+    # The primary sends response bytes before the successor reported
+    # matching sequence numbers: OutputOrdering must fire.
+    "output_gate": ((FtConnectionState, "push_gates", _ungated("send_buffer", "commit")),),
+    # No epoch fence: a partitioned ex-primary's stale segments sail
+    # through towards the client; SinglePrimary's past-the-fence check
+    # must fire.
+    "fence": ((Redirector, "_fence_hook", _returning(False)),),
+    # No watermark plausibility bound: a lying member's inflated claims
+    # are applied verbatim; ProgressTruthfulness must fire under --gray.
+    "progress_check": ((members, "PROGRESS_SLACK", lambda slack: math.inf),),
+    # Corrupted-in-flight ack-channel messages pass the checksum and
+    # reach the watermark logic; ProgressTruthfulness must notice the
+    # impossible claims under --gray.
+    "ack_checksum": ((AckChannelMessage, "checksum_valid", _returning(True)),),
+    # Neither degraded-successor nor lie-evidence reporting excises a
+    # gray member: one whose rejected reports keep it looking alive
+    # stalls primary output, and OutputLiveness must fire under --gray.
+    "excision": (
+        (FtPort, "_degradation_check", _returning(None)),
+        (FtPort, "_note_lie_evidence", _returning(None)),
+    ),
 }
 
 
+@contextmanager
+def mutated(name: Optional[str]):
+    """Apply the patches of mutation ``name`` (``None``: none) for the
+    duration of the block."""
+    applied = []
+    try:
+        for owner, attribute, make_replacement in MUTATIONS[name]:
+            original = getattr(owner, attribute)
+            setattr(owner, attribute, make_replacement(original))
+            applied.append((owner, attribute, original))
+        yield
+    finally:
+        for owner, attribute, original in reversed(applied):
+            setattr(owner, attribute, original)
+
+
 def run_with_mutation(spec: ScenarioSpec, mutation: Optional[str]) -> ScenarioResult:
-    with MUTATIONS[mutation]():
+    with mutated(mutation):
         return run_scenario(spec)
 
 
@@ -872,33 +831,15 @@ def run_with_mutation(spec: ScenarioSpec, mutation: Optional[str]) -> ScenarioRe
 # run of the same seed are byte-identical by construction.
 
 
-class _ResultSummary:
-    """Picklable, attribute-compatible subset of :class:`ScenarioResult`
-    (what the CLI and :func:`save_reproducer` actually consume)."""
-
-    __slots__ = ("violated_monitors", "violations", "fingerprint", "client_received")
-
-    def __init__(self, violated_monitors, violations, fingerprint, client_received):
-        self.violated_monitors = violated_monitors
-        self.violations = violations
-        self.fingerprint = fingerprint
-        self.client_received = client_received
-
-    @classmethod
-    def from_result(cls, result: ScenarioResult) -> "_ResultSummary":
-        return cls(
-            violated_monitors=list(result.violated_monitors),
-            violations=[str(v) for v in result.violations],
-            fingerprint=result.fingerprint,
-            client_received=result.client_received,
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "_ResultSummary":
-        return cls(**data)
-
-    def to_dict(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
+def _summary(result: ScenarioResult) -> dict:
+    """The JSON-able part of ``result`` the CLI and
+    :func:`save_reproducer` read."""
+    return {
+        "violated_monitors": list(result.violated_monitors),
+        "violations": [str(v) for v in result.violations],
+        "fingerprint": result.fingerprint,
+        "client_received": result.client_received,
+    }
 
 
 def scenario_task(
@@ -910,14 +851,14 @@ def scenario_task(
     """Pool task: derive the scenario purely from its integer seed (in
     the worker) and run it; returns a JSON-able summary."""
     spec = generate_spec(scenario_seed, gray=gray, backend=backend)
-    return _ResultSummary.from_result(run_with_mutation(spec, mutation)).to_dict()
+    return _summary(run_with_mutation(spec, mutation))
 
 
 def spec_task(spec_data: dict, mutation: Optional[str] = None) -> dict:
     """Pool task for non-seed-derivable specs (shrink candidates,
     corpus replays): the full spec travels as plain JSON."""
     spec = ScenarioSpec.from_json(spec_data)
-    return _ResultSummary.from_result(run_with_mutation(spec, mutation)).to_dict()
+    return _summary(run_with_mutation(spec, mutation))
 
 
 # -- corpus files -------------------------------------------------------------
@@ -927,8 +868,8 @@ def save_reproducer(
     path: Path,
     spec: ScenarioSpec,
     mutation: Optional[str],
-    mutated_result: ScenarioResult,
-    clean_result: ScenarioResult,
+    mutated_result: dict,
+    clean_result: dict,
 ) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
@@ -936,9 +877,9 @@ def save_reproducer(
             {
                 "spec": spec.to_json(),
                 "found_with_mutation": mutation,
-                "violations_under_mutation": mutated_result.violated_monitors,
-                "mutated_fingerprint": mutated_result.fingerprint,
-                "clean_fingerprint": clean_result.fingerprint,
+                "violations_under_mutation": mutated_result["violated_monitors"],
+                "mutated_fingerprint": mutated_result["fingerprint"],
+                "clean_fingerprint": clean_result["fingerprint"],
             },
             indent=2,
             sort_keys=True,
@@ -1108,8 +1049,7 @@ def main(argv=None) -> int:
         seed = int(seed_part)
         spec = parent_specs[outcome.key]
         if outcome.ok:
-            summary = _ResultSummary.from_dict(outcome.value)
-            tag = ",".join(summary.violated_monitors) or "ok"
+            tag = ",".join(outcome.value["violated_monitors"]) or "ok"
         else:
             tag = f"ERROR({outcome.status})"
         shape = (
@@ -1137,7 +1077,7 @@ def main(argv=None) -> int:
         broken: list[str] = []
         counter = [0]
 
-        def pooled(spec: ScenarioSpec, mutation) -> Optional[_ResultSummary]:
+        def pooled(spec: ScenarioSpec, mutation) -> Optional[dict]:
             counter[0] += 1
             outcome = pool.run_one(
                 Task(
@@ -1150,7 +1090,7 @@ def main(argv=None) -> int:
             if not outcome.ok:
                 broken.append(f"{outcome.key}: {outcome.status} ({outcome.error})")
                 return None
-            return _ResultSummary.from_dict(outcome.value)
+            return outcome.value
 
         for backend in backends:
             for seed in seeds:
@@ -1159,17 +1099,17 @@ def main(argv=None) -> int:
                 if not outcome.ok:
                     broken.append(f"{key}: {outcome.status} ({outcome.error})")
                     continue
-                summary = _ResultSummary.from_dict(outcome.value)
-                if not summary.violated_monitors:
+                violated = outcome.value["violated_monitors"]
+                if not violated:
                     continue
                 found += 1
                 spec = parent_specs[key]
-                target = set(summary.violated_monitors)
+                target = set(violated)
 
                 def reproduces(candidate: ScenarioSpec) -> bool:
                     result = pooled(candidate, args.mutate)
                     return result is not None and bool(
-                        target & set(result.violated_monitors)
+                        target & set(result["violated_monitors"])
                     )
 
                 small = shrink_spec(spec, reproduces, budget=args.shrink_budget)
@@ -1189,7 +1129,7 @@ def main(argv=None) -> int:
                     f"  shrunk to {len(small.faults)} fault(s), "
                     f"{small.workload} — saved {args.out / name}"
                 )
-                if clean_result.violated_monitors:
+                if clean_result["violated_monitors"]:
                     print(
                         "  NOTE: reproducer violates on UNMUTATED code — real bug!"
                     )

@@ -1,7 +1,8 @@
 """The invariant monitors (DESIGN.md §11).
 
 Each monitor receives protocol events from hook sites in the ft-TCP
-stack, the acknowledgement channel, and the redirector's data path.
+stack, its member table (accepted acknowledgement-channel reports), and
+the redirector's data path.
 The monitors keep their *own* view of successor progress, recomputed
 from the raw 32-bit wire values of every acknowledgement-channel
 message — so a bug (or a deliberately disabled gate) in the ft-TCP
@@ -405,7 +406,6 @@ class InvariantSet:
         for monitor in vars(self).values():
             if isinstance(monitor, _Monitor):
                 monitor.invset = None
-        self._services = {}
 
     # -- reporting ---------------------------------------------------------
 
@@ -465,7 +465,6 @@ class InvariantSet:
     def on_client_segment(
         self, port: "FtPort", state: "FtConnectionState", segment: "TCPSegment"
     ) -> None:
-        self.stats["client_segments"] += 1
         self.atomicity.on_client_segment(port, state, segment)
         self.output_ordering.on_client_segment(port, state, segment)
 
@@ -473,15 +472,8 @@ class InvariantSet:
         self.stats["promotions"] += 1
         self.single_primary.on_promotion(port)
 
-    def on_ack_channel_message(self, message, src_ip) -> None:
-        self.stats["ack_channel_messages"] += 1
-
     def on_liveness_tick(self, port: "FtPort") -> None:
-        self.stats["liveness_ticks"] += 1
         self.output_liveness.on_liveness_tick(port)
-
-    def on_fenced(self, segment_epoch: int, entry) -> None:
-        self.stats["segments_fenced"] += 1
 
     def redirector_hook(self, packet: "IPPacket", nic) -> bool:
         """Observe-only packet hook, inserted immediately *after* a
@@ -498,7 +490,6 @@ class InvariantSet:
         entry = nic.host.table.get((packet.src, segment.src_port))
         if entry is None or not entry.fault_tolerant:
             return False
-        self.stats["service_output_segments"] += 1
         if segment.epoch is None:
             self.output_ordering.on_unstamped_service_segment(packet, segment)
         elif segment.epoch < entry.epoch:

@@ -115,11 +115,15 @@ class Simulator:
     def _closed(*_args, **_kwargs) -> None:
         raise SimulationError("the simulator is closed")
 
+    @staticmethod
+    def _no_queue() -> None:
+        """A timer stopped after :meth:`close`: its entry went with the queue."""
+
     def close(self) -> None:
         """Teardown (DESIGN.md §19): drop the event queue and dispose the
         attached monitors.  Counters stay readable; scheduling, starting
-        a timer or running afterwards raises :class:`SimulationError`.
-        Idempotent."""
+        a timer or running afterwards raises :class:`SimulationError`;
+        stopping one is a no-op.  Idempotent."""
         if self._running:
             raise SimulationError("close() from inside a running event")
         self._queue, self._dead = [], 0
@@ -128,6 +132,7 @@ class Simulator:
             self.invariants = None
         # Shadowing the methods keeps a "closed?" branch off the hot path.
         self.post = self.post_at = self.schedule_at = self.run = self._closed
+        self._note_cancelled = self._no_queue
         self._seq = _ClosedCounter()
 
     def _note_cancelled(self) -> None:

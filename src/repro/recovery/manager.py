@@ -93,9 +93,9 @@ class RecoveryManager:
         self._poll_timer.start(POLL_INTERVAL)
 
     def dispose(self) -> None:
-        """Teardown (DESIGN.md §19): poll timer; daemon and service hooks."""
+        """Teardown (DESIGN.md §19): poll timer; daemon and service hooks
+        (the daemon's own teardown drops its JoinReady handler)."""
         self.daemon.on_membership_change = self.daemon.on_failure_report = None
-        self.daemon.handlers.pop(JoinReady, None)
         self._poll_timer = self.service.recovery = None
 
     # -- observation ------------------------------------------------------

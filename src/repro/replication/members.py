@@ -59,11 +59,6 @@ class MemberTable:
     fence.  ``FtConnectionState.members``; every method takes the
     owning state (the table keeps no reference back to it)."""
 
-    #: Class-level so the mutation harness can disable watermark
-    #: plausibility checking and prove ``ProgressTruthfulness`` notices
-    #: (tests/invariants/test_mutation).
-    validate_progress = True
-
     __slots__ = ("views", "sent", "deposited", "straggler", "last_heard", "fence")
 
     def __init__(self):
@@ -154,7 +149,7 @@ class MemberTable:
             conn = state.conn
             sent = seq_diff(message.seq_next, seq_add(conn.iss, 1))
             deposited = seq_diff(message.ack, seq_add(conn.irs, 1))
-            if self.validate_progress and (
+            if (
                 deposited > conn.reassembler.in_order_end + PROGRESS_SLACK
                 or sent > conn.send_buffer.end + PROGRESS_SLACK
             ):

@@ -19,7 +19,7 @@ from repro.experiments.gray_failures import (
     check_shape,
     run_variant,
 )
-from repro.invariants.fuzz import MUTATIONS
+from repro.invariants.fuzz import mutated
 
 pytestmark = [pytest.mark.gray, pytest.mark.slow]
 
@@ -56,7 +56,7 @@ def test_excision_disabled_wedged_successor_stalls_output():
     ack-channel keepalive keeps it observably *talking*, so neither
     silence-based detection nor the probe can pin it.  The
     OutputLiveness monitor is what fires."""
-    with MUTATIONS["excision"]():
+    with mutated("excision"):
         result = run_variant(Variant("lie", lie=True))
     assert "output-liveness" in result.violated_monitors
     assert not result.excised

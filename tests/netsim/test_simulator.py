@@ -263,6 +263,16 @@ def test_close_drops_the_queue_keeps_the_counters_and_ends_scheduling():
     assert Simulator().run() == 0.0  # only this instance is closed
 
 
+def test_stopping_a_running_timer_after_close_counts_nothing():
+    sim = Simulator()
+    timer = Timer(sim, print)
+    timer.start(1.0)
+    sim.close()
+    timer.stop()
+    assert not timer.running
+    assert sim.pending_events == 0
+
+
 def test_close_from_inside_an_event_is_refused():
     sim = Simulator()
     seen = []
