@@ -10,12 +10,7 @@ from .ack_channel import (
 from .failure_detector import RetransmissionDetector
 from .heartbeat import Heartbeat, HeartbeatDetector, HeartbeatSender, enable_heartbeats
 from .ft_tcp import FtConnectionState, FtError, FtPort, FtStack
-from .replicated_port import (
-    DetectorParams,
-    PortMode,
-    ReplicatedPortOptions,
-    ReplicatedPortTable,
-)
+from .replicated_port import DetectorParams, PortMode
 from .service import FtNode, ReplicaHandle, ReplicatedTcpService, ServerFactory
 
 __all__ = [
@@ -34,8 +29,6 @@ __all__ = [
     "FtStack",
     "DetectorParams",
     "PortMode",
-    "ReplicatedPortOptions",
-    "ReplicatedPortTable",
     "FtNode",
     "ReplicaHandle",
     "ReplicatedTcpService",

@@ -65,11 +65,3 @@ class RetransmissionDetector:
         timeline; the promotion handshake is paced by the same cooldown
         that rate-limits reports."""
         return self._last_report
-
-    def reset(self) -> None:
-        """Forget all history.  This includes the report cooldown: a
-        reset detector is factory-fresh, and its first post-reset
-        threshold crossing must report immediately (a stale cooldown
-        from before the reset would suppress it)."""
-        self._events.clear()
-        self._last_report = None

@@ -52,7 +52,7 @@ from repro.replication import MemberTable, create_strategy
 
 from .ack_channel import AckChannelEndpoint, AckChannelMessage
 from .failure_detector import RetransmissionDetector
-from .replicated_port import SUCCESSOR_QUIET, DetectorParams, PortMode, ReplicatedPortTable
+from .replicated_port import SUCCESSOR_QUIET, DetectorParams, PortMode
 
 if TYPE_CHECKING:
     from repro.hydranet.daemons import HostServerDaemon
@@ -294,28 +294,36 @@ class FtPort:
         service_ip: IPAddress,
         port: int,
         mode: PortMode,
-        detector_params: DetectorParams,
+        detector: DetectorParams,
+        strategy: str,
+        joining: bool,
+        retain_streams: bool,
         ack_endpoint: AckChannelEndpoint,
         daemon: "HostServerDaemon",
-        strategy: str,
     ):
         self.host_server = host_server
         self.sim = host_server.sim
         self.service_ip = as_address(service_ip)
         self.port = port
         self.mode = mode
-        self.detector_params = detector_params
         self.ack_endpoint = ack_endpoint
         self.daemon = daemon
         #: Replication backend (DESIGN.md §15): how deposits/output are
         #: gated, how replica progress is folded in, and whom a quiet
         #: acknowledgement channel incriminates.
         self.strategy = create_strategy(strategy, self)
+        #: True while this replica is catching up as a live joiner: it
+        #: is not in the redirector's multicast set yet, replays the
+        #: donor's stream locally, and must not raise failure reports
+        #: (its retransmission timers fire with nobody ACKing until the
+        #: chain splice, which clears it).
+        self.joining = joining
         #: Whether connections accepted from now on keep their client
-        #: stream (DESIGN.md §8): true for a strategy that reads the
-        #: log, set for a live joiner and by the service's
-        #: ``retain_client_streams``.  Never cleared.
-        self.retains_stream = self.strategy.reads_catchup_log
+        #: stream (DESIGN.md §8): for a strategy that reads the log, for
+        #: a live joiner (its log size is the join's progress counter)
+        #: and on a service armed by ``retain_client_streams``.  Never
+        #: cleared.
+        self.retains_stream = self.strategy.reads_catchup_log or joining or retain_streams
         self.listener: Optional[Listener] = None
         self.predecessor_ip: Optional[IPAddress] = None
         #: Until the first chain update arrives a lone primary has no
@@ -326,16 +334,8 @@ class FtPort:
         self._prune_at = 256  # table size that triggers ``_prune_states``
         self._pending_msgs: dict[ClientKey, list[tuple[AckChannelMessage, IPAddress]]] = {}
         self._unknown_last_seq: dict[tuple, int] = {}
-        self.detector = RetransmissionDetector(
-            self.sim, detector_params, self._report_failure
-        )
+        self.detector = RetransmissionDetector(self.sim, detector, self._report_failure)
         self.shut_down = False
-        #: True while this replica is catching up as a live joiner: it
-        #: is not in the redirector's multicast set yet, replays the
-        #: donor's stream locally, and must not raise failure reports
-        #: (its retransmission timers fire with nobody ACKing until the
-        #: chain splice).
-        self.joining = False
         #: Donor side: joiner ip -> connection keys being fed deltas.
         self._catchup_feeds: dict[IPAddress, set[ClientKey]] = {}
         #: Donor side: joiner ip -> base-transfer pieces not yet sent
@@ -401,13 +401,12 @@ class FtPort:
         self,
         on_accept: Callable[[TcpConnection], None],
         tcp_options: Optional["TcpOptions"],
-        register: bool,
     ) -> Listener:
         """Create the listener for the replicated port (the server
-        program's ``bind()``).  A live joiner binds with
-        ``register=False``: it must not enter the redirector's
-        multicast set (and hence the chain) until its catch-up is
-        complete and the recovery manager splices it in."""
+        program's ``bind()``).  A live joiner does not register: it
+        must not enter the redirector's multicast set (and hence the
+        chain) until its catch-up is complete and the recovery manager
+        splices it in."""
         if self.listener is not None:
             raise FtError(f"port {self.port} already bound")
         self.host_server.v_host(self.service_ip)
@@ -424,7 +423,7 @@ class FtPort:
         listener.configure_connection = self._configure_connection
         listener.on_accept = on_accept
         self.listener = listener
-        if register:
+        if not self.joining:
             self.daemon.register(
                 self.service_ip, self.port, self.mode.value, self.strategy.name
             )
@@ -535,7 +534,7 @@ class FtPort:
         if kind is not None:
             now = self.sim.now
             last = self._last_report.get(kind)
-            if last is not None and now - last < self.detector_params.cooldown:
+            if last is not None and now - last < self.detector.params.cooldown:
                 return False
             self._last_report[kind] = now
         self.daemon.report_failure(self.service_ip, self.port, suspects)
@@ -591,14 +590,14 @@ class FtPort:
         self._liveness_timer.start(LIVENESS_PERIOD)
         if self.joining:
             return
-        if self.detector_params.degradation_timeout is not None:
+        if self.detector.params.degradation_timeout is not None:
             self._keepalive_announce()
         if not self.has_successor:
             return
         invariants = self.sim.invariants
         if invariants is not None:
             invariants.on_liveness_tick(self)
-        if self.detector_params.degradation_timeout is not None:
+        if self.detector.params.degradation_timeout is not None:
             self._degradation_check(self.sim.now)
         for state in self.states.values():
             if (
@@ -646,7 +645,7 @@ class FtPort:
         the congestion rule then excises it from the chain (the recovery
         manager's spare pool restores the replication degree via the
         live-join splice)."""
-        timeout = self.detector_params.degradation_timeout
+        timeout = self.detector.params.degradation_timeout
         reported = False
         for key, state in self.states.items():
             stalled = (
@@ -1012,39 +1011,31 @@ class FtStack:
         self.host_server = host_server
         self.ack_endpoint = ack_endpoint
         self.daemon = daemon
-        self.port_table = ReplicatedPortTable()
         self.ports: dict[tuple[IPAddress, int], FtPort] = {}
         daemon.handlers.update(dict.fromkeys(_PORT_MESSAGES, self._dispatch_to_port))
-
-    def setportopt(
-        self,
-        port: int,
-        mode: PortMode | str,
-        detector: DetectorParams | None = None,
-        strategy: str = "chain",
-    ) -> None:
-        """The ``setportopt(port, mode, detector-parameters)`` call.
-        ``strategy`` selects the replication backend (DESIGN.md §15)."""
-        self.port_table.setportopt(port, mode, detector, strategy)
 
     def listen_replicated(
         self,
         service_ip,
         port: int,
+        mode: PortMode,
+        detector: DetectorParams,
+        strategy: str,
         on_accept: Callable[[TcpConnection], None],
-        tcp_options: Optional["TcpOptions"] = None,
-        joining: bool = False,
+        tcp_options: Optional["TcpOptions"],
+        joining: bool,
+        retain_streams: bool,
     ) -> FtPort:
         """Bind a server program to a replicated port under the virtual
-        host of ``service_ip``.  ``setportopt`` must have been called.
+        host of ``service_ip``: the paper's ``setportopt(port, mode,
+        detector-parameters)`` and the program's ``bind()`` in one call.
+        ``strategy`` selects the replication backend (DESIGN.md §15);
+        ``retain_streams`` is the service's client-stream retention.
 
         With ``joining=True`` the port comes up as a live joiner: it
         does not register with the redirector (staying out of the
         multicast set and the chain) and mutes its failure detector
         until the recovery manager splices it in."""
-        options = self.port_table.get(port)
-        if options is None:
-            raise FtError(f"port {port} is not replicated (call setportopt first)")
         key = (as_address(service_ip), port)
         if key in self.ports:
             raise FtError(f"service {key[0]}:{port} already bound")
@@ -1052,16 +1043,15 @@ class FtStack:
             self.host_server,
             key[0],
             port,
-            options.mode,
-            options.detector,
+            mode,
+            detector,
+            strategy,
+            joining,
+            retain_streams,
             self.ack_endpoint,
             self.daemon,
-            options.strategy,
         )
-        ft_port.joining = joining
-        # The joiner's log size is the join's progress counter.
-        ft_port.retains_stream |= joining
-        ft_port.bind(on_accept, tcp_options, register=not joining)
+        ft_port.bind(on_accept, tcp_options)
         self.ports[key] = ft_port
         return ft_port
 
@@ -1077,7 +1067,6 @@ class FtStack:
                 # Free the binding for the replacement FtPort.
                 ft_port.listener.close()
             ft_port.dispose()
-        self.port_table.remove(port)
 
     def dispose(self) -> None:
         """Teardown (DESIGN.md §19): ports."""

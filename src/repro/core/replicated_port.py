@@ -1,12 +1,14 @@
 """Replicated ports (paper §4.1).
 
-A TCP port is marked *replicated* with::
+The paper marks a TCP port *replicated* with::
 
     setportopt(port, mode, detector_parameters)
 
-before the server program binds to it.  ``mode`` says whether the
-replica binding to the port acts as the primary or a backup, and the
-detector parameters tune the failure estimator for the port.
+before the server program binds to it.  Here those options are
+arguments of the one binding call, ``FtStack.listen_replicated``:
+``mode`` says whether the replica binding to the port acts as the
+primary or a backup, and the detector parameters tune the failure
+estimator for the port.
 """
 
 from __future__ import annotations
@@ -58,44 +60,3 @@ class DetectorParams:
             raise ValueError("bad detector window/cooldown")
         if self.degradation_timeout is not None and self.degradation_timeout <= 0:
             raise ValueError("degradation_timeout must be positive")
-
-
-@dataclass
-class ReplicatedPortOptions:
-    port: int
-    mode: PortMode
-    detector: DetectorParams
-    #: Replication backend name (DESIGN.md §15): ``"chain"`` (the
-    #: paper's daisy chain), ``"broadcast"`` or ``"checkpoint"`` — a
-    #: key of ``repro.replication.STRATEGIES``.
-    strategy: str = "chain"
-
-
-class ReplicatedPortTable:
-    """The per-host kernel table behind ``setportopt``."""
-
-    def __init__(self):
-        self._table: dict[int, ReplicatedPortOptions] = {}
-
-    def setportopt(
-        self,
-        port: int,
-        mode: PortMode | str,
-        detector: DetectorParams | None = None,
-        strategy: str = "chain",
-    ) -> ReplicatedPortOptions:
-        """Mark ``port`` as replicated.  Re-issuing changes the mode
-        (used when a backup is promoted)."""
-        if isinstance(mode, str):
-            mode = PortMode(mode)
-        options = ReplicatedPortOptions(
-            port, mode, detector or DetectorParams(), strategy
-        )
-        self._table[port] = options
-        return options
-
-    def get(self, port: int) -> ReplicatedPortOptions | None:
-        return self._table.get(port)
-
-    def remove(self, port: int) -> None:
-        self._table.pop(port, None)

@@ -135,12 +135,17 @@ class ReplicatedTcpService:
             node.daemon.set_service_authority(
                 self.service_ip, self.port, self.authority_ip
             )
-        node.stack.setportopt(self.port, mode, self.detector, self.strategy)
-        on_accept = self.server_factory(node.host_server)
         ft_port = node.stack.listen_replicated(
-            self.service_ip, self.port, on_accept, self.tcp_options, joining=joining
+            self.service_ip,
+            self.port,
+            mode,
+            self.detector,
+            self.strategy,
+            self.server_factory(node.host_server),
+            self.tcp_options,
+            joining,
+            self._retains_streams,
         )
-        ft_port.retains_stream |= self._retains_streams
         handle = ReplicaHandle(node, ft_port)
         ft_port.on_demoted = lambda: self._on_replica_demoted(ft_port)
         self.replicas.append(handle)

@@ -83,15 +83,6 @@ def run_mtu_point(size: int, nbuf: int = 512, seed: int = 0) -> FragOutcome:
         )
 
 
-def run_mtu_sweep(
-    sizes: Sequence[int] = MTU_SWEEP_SIZES,
-    nbuf: int = 512,
-    seed: int = 0,
-) -> list[FragOutcome]:
-    """UDP ttcp across the MTU boundary, one point per size."""
-    return [run_mtu_point(size, nbuf=nbuf, seed=seed) for size in sizes]
-
-
 def run_tunnel_fragmentation(nbuf: int = 512, seed: int = 0) -> list[FragOutcome]:
     """Full-MSS segments through the redirector: encapsulation makes
     them fragment; an MSS capped by the tunnel overhead does not."""

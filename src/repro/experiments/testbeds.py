@@ -63,20 +63,14 @@ class TtcpRun(Disposable):
         for part in self.owned:
             part.dispose()
 
-    def run(
-        self,
-        buflen: int,
-        nbuf: int = 2048,
-        timeout: float = 600.0,
-        tcp_options: Optional[TcpOptions] = None,
-    ) -> TtcpResult:
+    def run(self, buflen: int, nbuf: int = 2048, timeout: float = 600.0) -> TtcpResult:
         sender = TtcpSender(
             self.client_node,
             self.target_ip,
             self.port,
             buflen=buflen,
             nbuf=nbuf,
-            tcp_options=tcp_options or self.tcp_options or TTCP_TCP_OPTIONS,
+            tcp_options=self.tcp_options or TTCP_TCP_OPTIONS,
         )
         sender.start()
         self.sim.run(until=self.sim.now + timeout)

@@ -2,7 +2,7 @@
 
 from .fencing import FencingMetrics, primary_overlap
 from .recovery import DegreeTimeline, RecoveryIncident, summarize_incidents
-from .stats import Summary, ThroughputMeter, percentile
+from .stats import ThroughputMeter, percentile
 from .tables import Table, format_comparison
 from .traceview import FlowKey, capture_at, flows, summarize, tcp_records, time_sequence
 
@@ -12,7 +12,6 @@ __all__ = [
     "DegreeTimeline",
     "RecoveryIncident",
     "summarize_incidents",
-    "Summary",
     "ThroughputMeter",
     "percentile",
     "Table",

@@ -1,33 +1,9 @@
-"""Measurement utilities: throughput meters and summary statistics."""
+"""Measurement utilities: a transfer timer and percentiles."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-
-@dataclass
-class Summary:
-    """Summary statistics over a sample list."""
-
-    count: int
-    mean: float
-    stdev: float
-    minimum: float
-    maximum: float
-
-    @classmethod
-    def of(cls, samples: list[float]) -> "Summary":
-        if not samples:
-            return cls(0, math.nan, math.nan, math.nan, math.nan)
-        n = len(samples)
-        mean = sum(samples) / n
-        if n > 1:
-            var = sum((s - mean) ** 2 for s in samples) / (n - 1)
-        else:
-            var = 0.0
-        return cls(n, mean, math.sqrt(var), min(samples), max(samples))
 
 
 def percentile(samples: list[float], p: float) -> float:
@@ -48,12 +24,12 @@ def percentile(samples: list[float], p: float) -> float:
 
 @dataclass
 class ThroughputMeter:
-    """Tracks bytes transferred over virtual time."""
+    """Times a transfer over virtual time: from ``start`` (or the first
+    ``record``) to ``finish`` (or the last ``record``)."""
 
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    total_bytes: int = 0
-    _events: list[tuple[float, int]] = field(default_factory=list)
+    last_record_at: Optional[float] = None
 
     def start(self, now: float) -> None:
         self.started_at = now
@@ -61,8 +37,7 @@ class ThroughputMeter:
     def record(self, now: float, nbytes: int) -> None:
         if self.started_at is None:
             self.started_at = now
-        self.total_bytes += nbytes
-        self._events.append((now, nbytes))
+        self.last_record_at = now
 
     def finish(self, now: float) -> None:
         self.finished_at = now
@@ -73,29 +48,5 @@ class ThroughputMeter:
             return 0.0
         end = self.finished_at
         if end is None:
-            end = self._events[-1][0] if self._events else self.started_at
+            end = self.last_record_at if self.last_record_at is not None else self.started_at
         return end - self.started_at
-
-    @property
-    def throughput_bytes_per_sec(self) -> float:
-        if self.duration <= 0:
-            return 0.0
-        return self.total_bytes / self.duration
-
-    @property
-    def throughput_kB_per_sec(self) -> float:
-        """kBytes/s, the unit of the paper's Figure 4 (1 kB = 1000 B)."""
-        return self.throughput_bytes_per_sec / 1000.0
-
-    def interval_throughputs(self, interval: float) -> list[float]:
-        """Bytes/s per fixed interval — useful to spot stalls (e.g.
-        during fail-over)."""
-        if not self._events or self.started_at is None:
-            return []
-        end = self.finished_at or self._events[-1][0]
-        n_bins = max(1, math.ceil((end - self.started_at) / interval))
-        bins = [0.0] * n_bins
-        for t, b in self._events:
-            idx = min(int((t - self.started_at) / interval), n_bins - 1)
-            bins[idx] += b
-        return [b / interval for b in bins]

@@ -6,8 +6,9 @@ from .chain import ChainStrategy
 from .checkpoint import CheckpointStrategy
 from .members import MemberTable
 
-#: name -> strategy class: every name ``setportopt``, scenario specs,
-#: the fuzzer's ``--backend`` and the conformance matrix accept.
+#: name -> strategy class: every name ``FtStack.listen_replicated``,
+#: scenario specs, the fuzzer's ``--backend`` and the conformance
+#: matrix accept.
 STRATEGIES: dict[str, type[ReplicationStrategy]] = {
     "broadcast": BroadcastStrategy,
     "chain": ChainStrategy,

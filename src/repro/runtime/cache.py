@@ -25,7 +25,6 @@ import hashlib
 import json
 import os
 import pickle
-import shutil
 import tempfile
 from pathlib import Path
 from typing import Optional
@@ -102,18 +101,11 @@ class ResultCache:
     fingerprint.  Passed to :class:`~repro.runtime.pool.ScenarioPool`,
     which consults it before dispatch and fills it on success."""
 
-    #: In-memory memo bound (entries; ~small dicts, so this is MBs at
-    #: most).  Repeated hits on one fingerprint within a process — the
-    #: warm-cache experiment re-runs, shrink loops — skip the unpickle
-    #: entirely after the first load.
-    MEMO_LIMIT = 4096
-
     def __init__(self, root: Optional[Path] = None, source_fp: Optional[str] = None):
         self.root = Path(root) if root is not None else default_cache_dir()
         self.source_fp = source_fp if source_fp is not None else source_fingerprint()
         self.hits = 0
         self.misses = 0
-        self._memo: dict[str, dict] = {}
 
     def _path(self, scenario_fp: str) -> Path:
         return self.root / self.source_fp[:16] / f"{scenario_fp}.pkl"
@@ -123,23 +115,16 @@ class ResultCache:
         ``None`` on a miss.  Tasks without a fingerprint never hit."""
         if not task.fingerprint:
             return None
-        entry = self._memo.get(task.fingerprint)
-        if entry is None:
-            path = self._path(task.fingerprint)
-            try:
-                with open(path, "rb") as f:
-                    entry = pickle.load(f)
-                if entry.get("version") != _ENTRY_VERSION:
-                    raise ValueError(
-                        f"unknown cache entry version {entry.get('version')}"
-                    )
-                entry["value"], entry["stdout"], entry["wall_seconds"]
-            except (OSError, pickle.UnpicklingError, EOFError, KeyError, ValueError,
-                    AttributeError, ImportError, IndexError):
-                self.misses += 1
-                return None
-            if len(self._memo) < self.MEMO_LIMIT:
-                self._memo[task.fingerprint] = entry
+        try:
+            with open(self._path(task.fingerprint), "rb") as f:
+                entry = pickle.load(f)
+            if entry.get("version") != _ENTRY_VERSION:
+                raise ValueError(f"unknown cache entry version {entry.get('version')}")
+            entry["value"], entry["stdout"], entry["wall_seconds"]
+        except (OSError, pickle.UnpicklingError, EOFError, KeyError, ValueError,
+                AttributeError, ImportError, IndexError):
+            self.misses += 1
+            return None
         self.hits += 1
         return TaskOutcome(
             key=task.key,
@@ -176,17 +161,3 @@ class ResultCache:
                     os.unlink(tmp)
                 except OSError:
                     pass
-
-    def prune_stale_sources(self) -> int:
-        """Drop entry directories from other source fingerprints;
-        returns how many were removed.  (Every edit abandons a
-        namespace — re-runs would otherwise accrete them forever.)"""
-        removed = 0
-        if not self.root.is_dir():
-            return 0
-        keep = self.source_fp[:16]
-        for child in self.root.iterdir():
-            if child.is_dir() and child.name != keep:
-                shutil.rmtree(child, ignore_errors=True)
-                removed += 1
-        return removed

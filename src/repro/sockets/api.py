@@ -4,7 +4,9 @@ A :class:`Node` bundles the UDP and TCP stacks of a host behind one
 object, so applications are written against a single, socket-flavoured
 API (``connect``, ``listen``, ``udp_socket``) instead of wiring stacks
 by hand.  HydraNet host servers extend this with ``v_host`` and
-``setportopt`` (see :mod:`repro.hydranet` and :mod:`repro.core`).
+replicated ports, whose ``setportopt`` options are arguments of
+``FtStack.listen_replicated`` (see :mod:`repro.hydranet` and
+:mod:`repro.core`).
 """
 
 from __future__ import annotations

@@ -13,16 +13,6 @@ from repro.sockets.api import Node
 FIGURE4_PACKET_SIZES = (16, 32, 64, 128, 256, 512, 1024)
 
 
-def ttcp_sweep_sizes() -> tuple[int, ...]:
-    return FIGURE4_PACKET_SIZES
-
-
-def nbuf_for_size(buflen: int, target_bytes: int = 262_144, max_nbuf: int = 4096) -> int:
-    """ttcp buffer count scaled so every packet size moves roughly the
-    same number of bytes (like fixing total transfer volume)."""
-    return max(64, min(max_nbuf, target_bytes // buflen))
-
-
 @dataclass
 class RequestRecord:
     path: str

@@ -66,16 +66,6 @@ def test_counter_resets_after_fire():
     assert len(fired) == 1  # one more observation is below threshold again
 
 
-def test_reset_clears_state():
-    sim = Simulator()
-    detector, fired = make(sim, threshold=3)
-    detector.observe_retransmission()
-    detector.observe_retransmission()
-    detector.reset()
-    detector.observe_retransmission()
-    assert fired == []
-
-
 def test_observation_count():
     sim = Simulator()
     detector, fired = make(sim, threshold=100)
@@ -96,19 +86,3 @@ def test_detector_threshold_above_fast_retransmit():
     trigger so the estimator does not interfere with congestion
     control (paper §4.3)."""
     assert DetectorParams().threshold > 3
-
-
-def test_reset_clears_cooldown():
-    """Regression: reset() must clear the last-report stamp along with
-    the observation window — a reset detector (e.g. after re-chaining)
-    starts from a clean slate and may fire again immediately, without
-    waiting out a cooldown owed by its previous life."""
-    sim = Simulator()
-    detector, fired = make(sim, threshold=2, cooldown=10.0)
-    for _ in range(2):
-        detector.observe_retransmission()
-    assert len(fired) == 1
-    detector.reset()
-    for _ in range(2):
-        detector.observe_retransmission()
-    assert len(fired) == 2

@@ -208,20 +208,18 @@ def test_multiple_client_connections(testbed):
         assert bytes(results[i]) == f"conn-{i}".encode()
 
 
-def test_setportopt_required_before_listen(testbed):
-    from repro.core import FtError
-
-    with pytest.raises(FtError):
-        testbed.nodes[0].stack.listen_replicated(
-            "198.51.100.1", 8080, lambda conn: None
-        )
-
-
 def test_duplicate_replicated_bind_rejected(testbed):
-    from repro.core import FtError
+    from repro.core import DetectorParams, FtError
 
-    testbed.nodes[0].stack.setportopt(SERVICE_PORT, PortMode.PRIMARY)
     with pytest.raises(FtError):
         testbed.nodes[0].stack.listen_replicated(
-            SERVICE_IP, SERVICE_PORT, lambda conn: None
+            SERVICE_IP,
+            SERVICE_PORT,
+            PortMode.PRIMARY,
+            DetectorParams(),
+            "chain",
+            lambda conn: None,
+            None,
+            False,
+            False,
         )

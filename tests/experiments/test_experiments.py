@@ -130,9 +130,9 @@ class TestReceivePathExperiment:
 
 class TestFragmentationExperiment:
     def test_mtu_boundary(self):
-        from repro.experiments.fragmentation import run_mtu_sweep
+        from repro.experiments.fragmentation import run_mtu_point
 
-        outcomes = run_mtu_sweep(sizes=(1472, 1500), nbuf=64)
+        outcomes = [run_mtu_point(size, nbuf=64) for size in (1472, 1500)]
         assert not outcomes[0].fragments_created
         assert outcomes[1].fragments_created
         assert outcomes[1].throughput_kB_per_sec < outcomes[0].throughput_kB_per_sec

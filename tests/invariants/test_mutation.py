@@ -117,9 +117,9 @@ def test_disabled_output_gate_caught_per_backend(backend):
 
 @pytest.mark.parametrize("backend", EXTRA_BACKENDS)
 def test_disabled_progress_check_caught_per_backend(backend):
-    """Star backends validate per-member claims through the same
-    ``validate_progress`` switch; a lying member must still be caught
-    once it is compiled out."""
+    """Star backends validate per-member claims against the same
+    ``members.PROGRESS_SLACK`` bound; a lying member must still be
+    caught once the bound is lifted."""
     spec, _ = _first_violating(
         "progress_check", "progress-truthfulness", gray=True, backend=backend
     )

@@ -73,16 +73,6 @@ class TestResultCache:
         assert cache.get(bare) is None
         assert not any(tmp_path.rglob("*.pkl"))
 
-    def test_prune_stale_sources(self, tmp_path):
-        old = ResultCache(root=tmp_path, source_fp="a" * 64)
-        with ScenarioPool(jobs=1, cache=old) as pool:
-            pool.run([_task()])
-        new = ResultCache(root=tmp_path, source_fp="b" * 64)
-        with ScenarioPool(jobs=1, cache=new) as pool:
-            pool.run([_task()])
-        assert new.prune_stale_sources() == 1
-        assert new.get(_task()) is not None
-
     def test_source_fingerprint_tracks_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_SEED_OFFSET", raising=False)
         base = source_fingerprint()

@@ -13,7 +13,10 @@ attributes), ``Class.attr`` for a class defined in ``src/`` (a class
 attribute, or one its methods set on ``self``; ``Class.a/b`` names
 both) and a repo path (from the root, ``src/`` or ``src/repro/``;
 ``./`` marks a path relative to where a command runs, such as an
-output directory, and is not checked).
+output directory, and is not checked).  A back-ticked ``--flag`` there
+outside a ``python -m`` command must be an option of a ``repro``
+command's parser or an ``add_argument`` literal of ``bench/*.py``
+(read as source: the bench scripts are not imported).
 """
 
 import ast
@@ -107,8 +110,8 @@ def _src_classes() -> dict[str, list[str]]:
     return found
 
 
-def _documented_names():
-    classes = _src_classes()
+def _prose_spans():
+    """(``FILE:line``, span) for each inline-code span outside fences."""
     for path in PROSE:
         fenced = False
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
@@ -118,13 +121,18 @@ def _documented_names():
             if fenced:
                 continue
             for span in SPAN.findall(line):
-                span = span.strip()
-                if DOTTED.fullmatch(span) or REPO_PATH.fullmatch(span):
-                    yield f"{path.name}:{lineno}", span, None
-                else:
-                    match = CLASS_ATTR.fullmatch(span)
-                    if match and match.group(1) in classes:
-                        yield f"{path.name}:{lineno}", span, classes[match.group(1)]
+                yield f"{path.name}:{lineno}", span.strip()
+
+
+def _documented_names():
+    classes = _src_classes()
+    for where, span in _prose_spans():
+        if DOTTED.fullmatch(span) or REPO_PATH.fullmatch(span):
+            yield where, span, None
+        else:
+            match = CLASS_ATTR.fullmatch(span)
+            if match and match.group(1) in classes:
+                yield where, span, classes[match.group(1)]
 
 
 def _dotted_resolves(name: str) -> bool:
@@ -172,3 +180,41 @@ def test_documented_names_resolve():
     stale = [f"{where}: `{span}`" for where, span, modules in names
              if not _name_resolves(span, modules)]
     assert stale == [], "stale names in the docs:\n" + "\n".join(stale)
+
+
+FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+
+
+def _documented_flags():
+    for where, span in _prose_spans():
+        if "python -m" not in span:  # test_documented_command_parses has those
+            for flag in FLAG.findall(span):
+                yield where, flag
+
+
+def _known_flags() -> set[str]:
+    flags = set()
+    for target, _usage in COMMANDS.values():
+        module, *name = target.split(":")
+        flags.update(import_module(module).build_parser(*name)._option_string_actions)
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"
+            ):
+                flags.update(
+                    arg.value for arg in node.args
+                    if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")
+                )
+    return flags
+
+
+def test_documented_flags_exist():
+    flags = list(_documented_flags())
+    # Guard against the pattern silently matching nothing.
+    assert len(flags) >= 20
+    known = _known_flags()
+    unknown = [f"{where}: `{flag}`" for where, flag in flags if flag not in known]
+    assert unknown == [], "flags no parser accepts:\n" + "\n".join(unknown)

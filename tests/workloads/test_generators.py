@@ -5,34 +5,11 @@ import pytest
 from repro.apps import install_httpd
 from repro.netsim import Simulator, Topology, ZERO_COST
 from repro.sockets import node_for
-from repro.workloads import (
-    FIGURE4_PACKET_SIZES,
-    HttpWorkload,
-    nbuf_for_size,
-    ttcp_sweep_sizes,
-)
+from repro.workloads import FIGURE4_PACKET_SIZES, HttpWorkload
 
 
 def test_figure4_sizes_match_paper():
     assert FIGURE4_PACKET_SIZES == (16, 32, 64, 128, 256, 512, 1024)
-    assert ttcp_sweep_sizes() == FIGURE4_PACKET_SIZES
-
-
-class TestNbufForSize:
-    def test_scales_inverse_to_size(self):
-        assert nbuf_for_size(16) > nbuf_for_size(1024)
-
-    def test_capped(self):
-        assert nbuf_for_size(1, max_nbuf=4096) == 4096
-
-    def test_floor(self):
-        assert nbuf_for_size(10**9) == 64
-
-    def test_roughly_constant_volume(self):
-        target = 262_144
-        for size in (64, 256, 1024):
-            volume = size * nbuf_for_size(size, target_bytes=target)
-            assert target / 2 <= volume <= target * 2
 
 
 class TestHttpWorkload:
