@@ -8,7 +8,7 @@ Run:  python examples/diagnostics.py
 from repro.core import DetectorParams
 from repro.apps.echo import echo_server_factory
 from repro.experiments.testbeds import build_ft_system
-from repro.metrics import capture_at, summarize, time_sequence
+from repro.metrics.traceview import capture_at, summarize, time_sequence
 from repro.netsim import Tracer
 
 

@@ -8,7 +8,7 @@ Run:  python examples/throughput_survey.py          (~5 s)
 """
 
 from repro.experiments.figure4 import PAPER_REFERENCE, check_shape, run_figure4
-from repro.metrics import format_comparison
+from repro.metrics.tables import format_comparison
 
 SIZES = (16, 64, 256, 1024)
 NBUF = 512

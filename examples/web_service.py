@@ -13,7 +13,7 @@
 Run:  python examples/web_service.py
 """
 
-from repro.apps import HttpClient, httpd_factory, install_httpd, render_object
+from repro.apps.httpd import HttpClient, httpd_factory, install_httpd, render_object
 from repro.core import DetectorParams, FtNode, ReplicatedTcpService
 from repro.hydranet import HostServer, Redirector, RedirectorDaemon
 from repro.netsim import IPAddress, Simulator, Topology

@@ -8,28 +8,3 @@ runnable scripts in ``examples/``.
 """
 
 __version__ = "1.0.0"
-
-from repro.core import (
-    DetectorParams,
-    FtNode,
-    PortMode,
-    ReplicatedTcpService,
-)
-from repro.hydranet import HostServer, Redirector, RedirectorDaemon
-from repro.netsim import Simulator, Topology
-from repro.sockets import Node, node_for
-
-__all__ = [
-    "DetectorParams",
-    "FtNode",
-    "PortMode",
-    "ReplicatedTcpService",
-    "HostServer",
-    "Redirector",
-    "RedirectorDaemon",
-    "Simulator",
-    "Topology",
-    "Node",
-    "node_for",
-    "__version__",
-]

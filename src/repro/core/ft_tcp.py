@@ -225,16 +225,23 @@ class FtConnectionState:
         after the chain splice so its new predecessor can open its
         gates without waiting for fresh client traffic)."""
         conn = self.conn
-        port = self.port
-        if port.predecessor_ip is None or conn.irs is None:
+        if self.port.predecessor_ip is None or conn.irs is None:
             return
+        self.report(seq_add(conn.iss, 1 + conn.snd_nxt), seq_add(conn.irs, 1 + conn.ack_point))
+
+    def report(self, seq_next: int, ack: int) -> None:
+        """Send the predecessor this replica's progress on the
+        acknowledgement channel: ``seq_next`` and ``ack`` are the raw
+        wire values of the packet it would have sent."""
+        conn = self.conn
+        port = self.port
         message = AckChannelMessage(
             service_ip=port.service_ip,
             service_port=port.port,
             client_ip=conn.remote_ip,
             client_port=conn.remote_port,
-            seq_next=seq_add(conn.iss, 1 + conn.snd_nxt),
-            ack=seq_add(conn.irs, 1 + conn.ack_point),
+            seq_next=seq_next,
+            ack=ack,
             epoch=port.epoch,
         )
         self.last_report_sent = port.sim.now

@@ -23,15 +23,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.apps.ttcp import TTCP_TCP_OPTIONS, TtcpResult, TtcpSender, ttcp_sink_factory
-from repro.core import DetectorParams, FtNode, ReplicatedTcpService
-from repro.hydranet import HostServer, Redirector, RedirectorDaemon
 from repro.netsim import Host, HostProfile, Simulator, Topology
 from repro.netsim.simulator import Disposable
 from repro.sockets import Node, node_for
 from repro.tcp.options import TcpOptions
+
+if TYPE_CHECKING:  # the clean builder runs no HydraNet code, so loads none
+    from repro.core import DetectorParams, FtNode, ReplicatedTcpService
+    from repro.hydranet import HostServer, Redirector, RedirectorDaemon
 
 SERVICE_IP = "192.20.225.20"
 TTCP_PORT = 5001
@@ -107,6 +109,8 @@ def build_clean(seed: int = 0) -> TtcpRun:
 def build_no_redirection(seed: int = 0) -> TtcpRun:
     """HydraNet-FT system software everywhere, but no table entries:
     measures pure software overhead."""
+    from repro.hydranet import HostServer, Redirector, RedirectorDaemon
+
     sim = Simulator(seed=seed)
     topo = Topology(sim)
     client = topo.add_host("client", CLIENT_486)
@@ -184,6 +188,9 @@ def build_ft_system(
     timing) get coverage without editing every test.  ``env_offset=False``
     opts out, as the fuzzer does: its replays must be byte-identical
     in every environment."""
+    from repro.core import DetectorParams, FtNode, ReplicatedTcpService
+    from repro.hydranet import HostServer, Redirector, RedirectorDaemon
+
     if env_offset:
         seed += int(os.environ.get("REPRO_SEED_OFFSET", "0") or 0)
     sim = Simulator(seed=seed)

@@ -700,9 +700,7 @@ class HostServerDaemon:
             (as_address(service_ip), port), self.redirector_ip
         )
 
-    def register(
-        self, service_ip, port: int, mode: str, strategy: str = "chain"
-    ) -> None:
+    def register(self, service_ip, port: int, mode: str, strategy: str) -> None:
         self.channel.send(
             Register(as_address(service_ip), port, self.ip, mode, strategy),
             self.authority_for(service_ip, port),

@@ -19,6 +19,7 @@ deadline out does not touch the queue at all (re-arm in place).
 
 from __future__ import annotations
 
+import gc
 import heapq
 import random
 from contextlib import AbstractContextManager
@@ -201,6 +202,10 @@ class Simulator:
         and the ``max_events`` budget include these — event counts can
         differ slightly from an engine that cancels eagerly.  Dead
         entries are skipped uncounted.
+
+        The cyclic garbage collector is paused for the loop and left as
+        it was found: per-event objects die by reference count, and its
+        passes over a long run find nothing (DESIGN.md §10).
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -211,6 +216,8 @@ class Simulator:
         queue = self._queue
         heappop = heapq.heappop
         peak = self._peak_queue_len
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             while queue:
                 # Heap length only shrinks at pops, so sampling here —
@@ -238,6 +245,8 @@ class Simulator:
         finally:
             self._running = False
             self._peak_queue_len = peak
+            if collecting:
+                gc.enable()
         if until is not None and self._now < until:
             stop_early = max_events is not None and done - start >= max_events
             if not stop_early:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.ack_channel import AckChannelMessage
 from repro.tcp.seqnum import seq_add
 
 from .base import ReplicationStrategy
@@ -36,17 +35,8 @@ class ChainStrategy(ReplicationStrategy):
     def filter_backup_output(
         self, state: "FtConnectionState", segment: "TCPSegment"
     ) -> bool:
-        port = self.port
-        message = AckChannelMessage(
-            service_ip=port.service_ip,
-            service_port=port.port,
-            client_ip=state.conn.remote_ip,
-            client_port=state.conn.remote_port,
-            seq_next=seq_add(segment.seq, segment.seq_span),
-            ack=segment.ack if segment.has_ack else 0,
-            epoch=port.epoch,
-        )
-        if port.predecessor_ip is not None:
-            state.last_report_sent = port.sim.now
-            port.ack_endpoint.send(message, port.predecessor_ip)
+        if self.port.predecessor_ip is not None:
+            state.report(
+                seq_add(segment.seq, segment.seq_span), segment.ack if segment.has_ack else 0
+            )
         return True

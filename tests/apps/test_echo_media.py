@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.apps import (
-    EchoClient,
-    EchoStream,
-    MediaClient,
-    install_echo_server,
-    media_server_factory,
-    render_frame,
-)
+from repro.apps.echo import EchoClient, EchoStream, install_echo_server
+from repro.apps.media import MediaClient, media_server_factory, render_frame
 from repro.netsim import Simulator, Topology, ZERO_COST
 from repro.sockets import node_for
 from repro.tcp.options import TcpOptions

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import HttpClient, build_response, httpd_factory, install_httpd, render_object
+from repro.apps.httpd import HttpClient, build_response, httpd_factory, install_httpd, render_object
 from repro.netsim import Simulator, Topology, ZERO_COST
 from repro.sockets import node_for
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import TTCP_TCP_OPTIONS, TtcpSender, UdpTtcpSender, UdpTtcpSink, install_ttcp_sink
+from repro.apps.ttcp import TTCP_TCP_OPTIONS, TtcpSender, UdpTtcpSender, UdpTtcpSink, install_ttcp_sink
 from repro.netsim import Simulator, Topology, ZERO_COST
 from repro.sockets import node_for
 

@@ -72,8 +72,8 @@ def authority():
     rd = RedirectorDaemon(hnet.redirector)
     da = HostServerDaemon(hnet.hs_a, hnet.redirector.ip)
     db = HostServerDaemon(hnet.hs_b, hnet.redirector.ip)
-    da.register(SERVICE, 80, "primary")
-    db.register(SERVICE, 80, "backup")
+    da.register(SERVICE, 80, "primary", "chain")
+    db.register(SERVICE, 80, "backup", "chain")
     hnet.run(until=2.0)
     return hnet, rd
 

@@ -158,7 +158,7 @@ class TestRetryPolicy:
 class TestRegistration:
     def test_register_primary_updates_table(self, managed):
         hnet, rd, da, db = managed
-        da.register(SERVICE, 80, "primary")
+        da.register(SERVICE, 80, "primary", "chain")
         hnet.run(until=5.0)
         entry = hnet.redirector.entry_for(SERVICE, 80)
         assert entry is not None
@@ -167,8 +167,8 @@ class TestRegistration:
 
     def test_register_backup_appends_to_chain(self, managed):
         hnet, rd, da, db = managed
-        da.register(SERVICE, 80, "primary")
-        db.register(SERVICE, 80, "backup")
+        da.register(SERVICE, 80, "primary", "chain")
+        db.register(SERVICE, 80, "backup", "chain")
         hnet.run(until=5.0)
         entry = hnet.redirector.entry_for(SERVICE, 80)
         assert entry.replicas == [hnet.hs_a.ip, hnet.hs_b.ip]
@@ -178,8 +178,8 @@ class TestRegistration:
         updates_a, updates_b = [], []
         da.handlers[ChainUpdate] = lambda m, src: updates_a.append(m)
         db.handlers[ChainUpdate] = lambda m, src: updates_b.append(m)
-        da.register(SERVICE, 80, "primary")
-        db.register(SERVICE, 80, "backup")
+        da.register(SERVICE, 80, "primary", "chain")
+        db.register(SERVICE, 80, "backup", "chain")
         hnet.run(until=5.0)
         last_a, last_b = updates_a[-1], updates_b[-1]
         assert last_a.is_primary and last_a.predecessor_ip is None
@@ -191,8 +191,8 @@ class TestRegistration:
         hnet, rd, da, db = managed
         updates_b = []
         db.handlers[ChainUpdate] = lambda m, src: updates_b.append(m)
-        da.register(SERVICE, 80, "primary")
-        db.register(SERVICE, 80, "backup")
+        da.register(SERVICE, 80, "primary", "chain")
+        db.register(SERVICE, 80, "backup", "chain")
         hnet.run(until=5.0)
         da.unregister(SERVICE, 80)
         hnet.run(until=10.0)
@@ -203,7 +203,7 @@ class TestRegistration:
 
     def test_register_scaling_mode(self, managed):
         hnet, rd, da, db = managed
-        da.register(SERVICE, 80, "scaling")
+        da.register(SERVICE, 80, "scaling", "chain")
         hnet.run(until=5.0)
         entry = hnet.redirector.entry_for(SERVICE, 80)
         assert entry is not None and not entry.fault_tolerant
@@ -212,8 +212,8 @@ class TestRegistration:
 class TestFailureHandling:
     def register_pair(self, managed):
         hnet, rd, da, db = managed
-        da.register(SERVICE, 80, "primary")
-        db.register(SERVICE, 80, "backup")
+        da.register(SERVICE, 80, "primary", "chain")
+        db.register(SERVICE, 80, "backup", "chain")
         hnet.run(until=5.0)
         return hnet, rd, da, db
 

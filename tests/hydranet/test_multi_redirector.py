@@ -117,7 +117,7 @@ def test_scaling_entry_synced_to_peer(world):
     hs_a.v_host("203.0.113.9")
     listener = hs_a.node.listen(80, ip="203.0.113.9")
     listener.on_accept = lambda conn: conn.send(b"scaled")
-    daemon.register("203.0.113.9", 80, "scaling")
+    daemon.register("203.0.113.9", 80, "scaling", "chain")
     sim.run(until=sim.now + 3.0)
     e2 = r2.entry_for("203.0.113.9", 80)
     assert e2 is not None

@@ -4,7 +4,7 @@ origin, and a fault-tolerant web service surviving a crash under a
 multi-client workload."""
 
 
-from repro.apps import HttpClient, httpd_factory, install_httpd, render_object
+from repro.apps.httpd import HttpClient, httpd_factory, install_httpd, render_object
 from repro.core import DetectorParams, FtNode, ReplicatedTcpService
 from repro.hydranet import HostServer, Redirector, RedirectorDaemon
 from repro.netsim import Simulator, Topology, ZERO_COST

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics import ThroughputMeter, percentile
+from repro.metrics.stats import ThroughputMeter, percentile
 
 
 class TestPercentile:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics import Table, format_comparison
+from repro.metrics.tables import Table, format_comparison
 
 
 def test_renders_title_and_rows():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics import flows, summarize, tcp_records, time_sequence
+from repro.metrics.traceview import flows, summarize, tcp_records, time_sequence
 from repro.netsim import Simulator, Topology, Tracer, ZERO_COST
 from repro.tcp import TcpStack
 
@@ -67,7 +67,7 @@ def test_summarize_lists_flow(traced_transfer):
 
 
 def test_capture_at_is_bidirectional(traced_transfer):
-    from repro.metrics import capture_at
+    from repro.metrics.traceview import capture_at
 
     sim, a, b, conn = traced_transfer
     records = capture_at(sim.tracer, "a")

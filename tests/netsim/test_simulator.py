@@ -1,5 +1,6 @@
 """Tests for the discrete-event engine."""
 
+import gc
 import math
 from functools import partial
 
@@ -170,6 +171,31 @@ def test_run_is_not_reentrant():
     sim.schedule(0.0, reenter)
     sim.run()
     assert len(errors) == 1
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_is_paused_for_the_loop_and_restored(enabled):
+    """The cyclic collector is off inside every callback, and ``run``
+    leaves it as it found it, also when a callback raises."""
+    was = gc.isenabled()
+
+    def boom():
+        raise RuntimeError("boom")
+
+    try:
+        gc.enable() if enabled else gc.disable()
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        sim.run()
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+        sim.schedule(1.0, boom)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_rng_determinism():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import install_httpd
+from repro.apps.httpd import install_httpd
 from repro.netsim import Simulator, Topology, ZERO_COST
 from repro.sockets import node_for
 from repro.workloads import FIGURE4_PACKET_SIZES, HttpWorkload
