@@ -307,6 +307,7 @@ class FtPort:
         retain_streams: bool,
         ack_endpoint: AckChannelEndpoint,
         daemon: "HostServerDaemon",
+        on_demoted: Callable[["FtPort"], None],
     ):
         self.host_server = host_server
         self.sim = host_server.sim
@@ -386,9 +387,9 @@ class FtPort:
         #: Epoch of a promotion awaiting the redirector's grant.  A
         #: backup never enters primary mode without one.
         self._pending_promotion: Optional[int] = None
-        #: Service-layer hook fired after a Demote fail-stopped this
-        #: replica (the recovery subsystem rejoins the node as backup).
-        self.on_demoted: Optional[Callable[[], None]] = None
+        #: Called with this port after a Demote fail-stopped it (the
+        #: recovery subsystem rejoins the node as backup).
+        self.on_demoted = on_demoted
         ack_endpoint.register(self.service_ip, port, self._on_ack_channel)
         # Active liveness check: a failure partitions the acknowledgement
         # channel (paper §4.4); when connections are blocked on a silent
@@ -954,8 +955,7 @@ class FtPort:
         self.mode = PortMode.BACKUP
         self._pending_promotion = None
         self.shutdown()
-        if self.on_demoted is not None:
-            self.on_demoted()
+        self.on_demoted(self)
 
     def shutdown(self) -> None:
         """Fail-stop: removed from the replica set, go silent."""
@@ -1032,12 +1032,14 @@ class FtStack:
         tcp_options: Optional["TcpOptions"],
         joining: bool,
         retain_streams: bool,
+        on_demoted: Callable[[FtPort], None],
     ) -> FtPort:
         """Bind a server program to a replicated port under the virtual
         host of ``service_ip``: the paper's ``setportopt(port, mode,
         detector-parameters)`` and the program's ``bind()`` in one call.
         ``strategy`` selects the replication backend (DESIGN.md §15);
-        ``retain_streams`` is the service's client-stream retention.
+        ``retain_streams`` is the service's client-stream retention and
+        ``on_demoted(port)`` its reaction to a Demote.
 
         With ``joining=True`` the port comes up as a live joiner: it
         does not register with the redirector (staying out of the
@@ -1057,6 +1059,7 @@ class FtStack:
             retain_streams,
             self.ack_endpoint,
             self.daemon,
+            on_demoted,
         )
         ft_port.bind(on_accept, tcp_options)
         self.ports[key] = ft_port

@@ -145,9 +145,9 @@ class ReplicatedTcpService:
             self.tcp_options,
             joining,
             self._retains_streams,
+            self._on_replica_demoted,
         )
         handle = ReplicaHandle(node, ft_port)
-        ft_port.on_demoted = lambda: self._on_replica_demoted(ft_port)
         self.replicas.append(handle)
         return handle
 

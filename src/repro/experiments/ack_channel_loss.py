@@ -35,6 +35,8 @@ from .testbeds import build_ft_system
 #: effectively disabled (otherwise the congestion fail-stop rule would
 #: remove the lossy backup — see A2).
 _QUIET_DETECTOR = DetectorParams(threshold=1_000_000)
+#: An echo answered later than this (seconds) counts as a stall.
+STALL_THRESHOLD = 0.1
 
 DEFAULT_LOSS_RATES = (0.0, 0.05, 0.1, 0.2)
 
@@ -78,7 +80,6 @@ def run_echo(
     loss_rate: float,
     seed: int = 0,
     n_requests: int = 200,
-    stall_threshold: float = 0.1,
 ) -> tuple[float, float, int, int]:
     with build_ft_system(
         seed=seed,
@@ -100,7 +101,7 @@ def run_echo(
         system.run_until(900.0)
         stats = client.stats
         times = stats.response_times or [float("nan")]
-        stalls = sum(1 for t in times if t > stall_threshold)
+        stalls = sum(1 for t in times if t > STALL_THRESHOLD)
         retrans = client.conn.retransmitted_segments if client.conn else 0
         return (
             1000 * sum(times) / len(times),

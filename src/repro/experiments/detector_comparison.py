@@ -34,16 +34,9 @@ class DetectorOutcome:
     idle_messages_per_sec: float
 
 
-def _run_crash(
-    use_heartbeats: bool,
-    active_client: bool,
-    heartbeat_period: float = 0.5,
-    seed: int = 0,
-    horizon: float = 90.0,
-):
+def _run_crash(use_heartbeats: bool, active_client: bool):
     """Crash the primary; return (detection latency, idle msg/s)."""
     with build_ft_system(
-        seed=seed,
         n_backups=1,
         factory=echo_server_factory,
         port=7,
@@ -59,7 +52,7 @@ def _run_crash(
                 system.nodes,
                 system.service_ip,
                 7,
-                period=heartbeat_period,
+                period=HEARTBEAT_PERIOD,
                 tolerance=3,
             )
         if active_client:
@@ -72,7 +65,7 @@ def _run_crash(
         crash_at = system.sim.now + 0.5
         system.sim.schedule_at(crash_at, system.servers[0].crash)
         promoted_at = promotion_watch(system, crash_at)
-        system.run_until(horizon)
+        system.run_until(HORIZON)
         latency = promoted_at["t"] - crash_at if "t" in promoted_at else float("inf")
         total_heartbeats = sum(s.sent for s in senders)
         msgs_per_sec = total_heartbeats / system.sim.now if senders else 0.0
@@ -101,14 +94,15 @@ def check_shape(outcomes: list[DetectorOutcome]) -> list[str]:
 
 
 HEARTBEAT_PERIOD = 0.5
+#: Simulated seconds each crash run lasts.
+HORIZON = 90.0
 DETECTORS = (("retransmission (paper)", False), (f"heartbeat (p={HEARTBEAT_PERIOD}s)", True))
 
 
 def _points(fast: bool) -> list[Task]:
     return [
         Task(f"{name}/{'active' if active else 'idle'}", _run_crash,
-             kwargs={"use_heartbeats": use_hb, "active_client": active,
-                     "heartbeat_period": HEARTBEAT_PERIOD},
+             kwargs={"use_heartbeats": use_hb, "active_client": active},
              cost=0.06 if active else 0.005)
         for name, use_hb in DETECTORS
         for active in (True, False)

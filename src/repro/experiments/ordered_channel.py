@@ -31,6 +31,8 @@ from .experiment import Experiment
 from .testbeds import build_ft_system
 
 _QUIET_DETECTOR = DetectorParams(threshold=1_000_000)
+#: An echo answered later than this (seconds) counts as a stall.
+STALL_THRESHOLD = 0.1
 
 
 @dataclass
@@ -49,7 +51,6 @@ def run_channel(
     loss_rate: float,
     seed: int = 0,
     n_requests: int = 200,
-    stall_threshold: float = 0.1,
 ) -> ChannelOutcome:
     with build_ft_system(
         seed=seed,
@@ -85,7 +86,7 @@ def run_channel(
             loss_rate=loss_rate,
             echo_mean_ms=1000 * sum(times) / len(times),
             echo_p95_ms=1000 * percentile(times, 95),
-            stalls=sum(1 for t in times if t > stall_threshold),
+            stalls=sum(1 for t in times if t > STALL_THRESHOLD),
             channel_messages=total_datagrams,
             channel_retransmissions=retrans,
         )

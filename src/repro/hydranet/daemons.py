@@ -200,7 +200,7 @@ class RedirectorDaemon:
 
     def dispose(self) -> None:
         """Teardown (DESIGN.md §19): channel; handlers; the redirector's
-        fence hook."""
+        fence callback."""
         self.channel.dispose()
         self.handlers = {}
         self.redirector.on_fenced = None
@@ -534,7 +534,7 @@ class RedirectorDaemon:
         if entry is None or not entry.fault_tolerant:
             return
         replicas = entry.replicas
-        strategy = self._strategy.get(key, "chain")
+        strategy = self._strategy[key]
         members = tuple(replicas)
         for i, replica in enumerate(replicas):
             predecessor, has_successor = chain_position(strategy, replicas, i)
@@ -628,7 +628,7 @@ class RedirectorDaemon:
         if joiner_ip in entry.replicas:
             return False
         predecessor, _ = chain_position(
-            self._strategy.get(key, "chain"),
+            self._strategy[key],
             (*entry.replicas, joiner_ip),
             len(entry.replicas),
         )

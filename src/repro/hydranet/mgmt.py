@@ -83,7 +83,7 @@ class Register(MgmtMessage):
     mode: str  # "scaling" | "primary" | "backup"
     #: Replication backend of the registering replica (DESIGN.md §15);
     #: decides the layout the redirector pushes (linear chain vs star).
-    strategy: str = "chain"
+    strategy: str
 
 
 @dataclass

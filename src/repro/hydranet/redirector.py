@@ -84,8 +84,7 @@ class Redirector(Router):
         super().__init__(sim, name, profile)
         self.kernel.software_overhead = software_overhead
         self.table: dict[ServiceKey, RedirectionEntry] = {}
-        self.kernel.add_packet_hook(self._fence_hook)
-        self.kernel.add_packet_hook(self._redirect_hook)
+        self.kernel.intercept = self._redirect_hook
         self.packets_redirected = 0
         self.packets_multicast = 0
         self.segments_fenced = 0
@@ -159,17 +158,11 @@ class Redirector(Router):
         still in primary mode for an epoch older than the table's (a
         partitioned-but-alive ex-primary) is *fenced* here and can never
         interleave bytes with the current primary (DESIGN.md §9).
+        Called by :meth:`_redirect_hook` for unfragmented TCP segments
+        only.
         """
-        if (
-            packet.protocol != Protocol.TCP
-            or packet.more_fragments
-            or packet.frag_offset
-        ):
-            # Replicas emit MTU-sized segments, so client-bound service
-            # output is never fragmented before the redirector.
-            return False
         segment = packet.payload
-        if not isinstance(segment, TCPSegment) or segment.epoch is None:
+        if segment.epoch is None:
             return False
         entry = self.table.get((packet.src, segment.src_port))
         if entry is None or not entry.fault_tolerant:
@@ -183,6 +176,12 @@ class Redirector(Router):
         return True  # consumed: the stale segment goes no further
 
     def _redirect_hook(self, packet: IPPacket, nic: NIC) -> bool:
+        """The data path, the kernel's ``intercept``: True when the
+        packet was consumed.  A TCP segment meets the epoch fence, then
+        the armed invariant monitors (which must see exactly what
+        passed the fence), then the table; a UDP datagram meets only
+        the table.  Fragments and every other protocol (IP-in-IP above
+        all) pass on."""
         protocol = packet.protocol
         if protocol != Protocol.TCP and protocol != Protocol.UDP:
             return False
@@ -192,10 +191,17 @@ class Redirector(Router):
             # send MTU-sized packets), so pass fragments through.
             return False
         payload = packet.payload
-        if not isinstance(payload, (TCPSegment, UDPDatagram)):
+        if protocol == Protocol.TCP:
+            if not isinstance(payload, TCPSegment):
+                return False
+            if self._fence_hook(packet, nic):
+                return True
+            invariants = self.sim.invariants
+            if invariants is not None:
+                invariants.redirector_hook(packet, nic)
+        elif not isinstance(payload, UDPDatagram):
             return False
-        port = payload.dst_port
-        entry = self.table.get((packet.dst, port))
+        entry = self.table.get((packet.dst, payload.dst_port))
         if entry is None or not entry.replicas:
             return False
         if entry.fault_tolerant:

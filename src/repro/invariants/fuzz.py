@@ -1122,9 +1122,12 @@ def main(argv=None) -> int:
                     name = f"{prefix}-seed{seed}.json"
                 else:
                     name = f"{prefix}-{backend}-seed{seed}.json"
-                save_reproducer(
-                    args.out / name, small, args.mutate, small_result, clean_result
-                )
+                try:
+                    save_reproducer(
+                        args.out / name, small, args.mutate, small_result, clean_result
+                    )
+                except OSError as exc:  # a full disk, say
+                    parser.error(f"--out {args.out}: cannot save {name}: {exc.strerror or exc}")
                 print(
                     f"  shrunk to {len(small.faults)} fault(s), "
                     f"{small.workload} — saved {args.out / name}"

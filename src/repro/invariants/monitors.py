@@ -19,12 +19,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.netsim.packet import IPPacket, Protocol, TCPSegment
 from repro.tcp.seqnum import seq_add, seq_diff
 from repro.tcp.tcb import TcpState
 
 if TYPE_CHECKING:
     from repro.core.ft_tcp import FtConnectionState, FtPort
+    from repro.netsim.packet import IPPacket, TCPSegment
 
 #: Per-connection cap on the canonical stream kept by
 #: :class:`StreamIntegrityMonitor`; beyond it only the length is
@@ -475,56 +475,44 @@ class InvariantSet:
     def on_liveness_tick(self, port: "FtPort") -> None:
         self.output_liveness.on_liveness_tick(port)
 
-    def redirector_hook(self, packet: "IPPacket", nic) -> bool:
-        """Observe-only packet hook, inserted immediately *after* a
-        redirector's fence: any stale-epoch segment that reaches it
-        escaped the fence.  It consults the table of the redirector
-        that received the packet (``nic.host``), so in a mesh a
-        service's output is checked against the local epoch wherever
-        it crosses.  Always returns False (never consumes)."""
-        if packet.protocol != Protocol.TCP or packet.is_fragment:
-            return False
+    def redirector_hook(self, packet: "IPPacket", nic) -> None:
+        """Observe one unfragmented TCP segment that passed a
+        redirector's fence: any stale-epoch segment seen here escaped
+        the fence.  Called by the data path of the redirector that
+        received it (``nic.host``), whose table it consults, so in a
+        mesh a service's output is checked against the local epoch
+        wherever it crosses."""
         segment = packet.payload
-        if not isinstance(segment, TCPSegment):
-            return False
         entry = nic.host.table.get((packet.src, segment.src_port))
         if entry is None or not entry.fault_tolerant:
-            return False
+            return
         if segment.epoch is None:
             self.output_ordering.on_unstamped_service_segment(packet, segment)
         elif segment.epoch < entry.epoch:
             self.single_primary.on_stale_segment_past_fence(
                 packet, segment, entry.epoch
             )
-        return False
 
 
 def attach_invariants(system) -> InvariantSet:
     """Arm the invariant monitors on a wired FT deployment.
 
     ``system`` is anything shaped like
-    :class:`~repro.experiments.testbeds.FtSystem` (``sim``, ``service``,
-    ``redirector``): the one-redirector case of
-    :func:`attach_mesh_invariants`.
+    :class:`~repro.experiments.testbeds.FtSystem` (``sim``, ``service``):
+    the one-service case of :func:`attach_mesh_invariants`.
     """
-    return attach_mesh_invariants(system.sim, (system.redirector,), (system.service,))
+    return attach_mesh_invariants(system.sim, (system.service,))
 
 
-def attach_mesh_invariants(sim, redirectors, services) -> InvariantSet:
-    """Arm the invariant monitors across a redirector mesh: sets
-    ``sim.invariants``, splices :meth:`InvariantSet.redirector_hook`
-    into every redirector right behind its epoch fence and watches
-    each service's replica list.  Idempotent; safe to call again as
-    services are added."""
+def attach_mesh_invariants(sim, services) -> InvariantSet:
+    """Arm the invariant monitors: set ``sim.invariants`` (every
+    redirector's data path then reports the segments that pass its
+    fence) and watch each service's replica list.  Idempotent; safe to
+    call again as services are added."""
     invset = sim.invariants
     if invset is None:
         invset = InvariantSet(sim)
         sim.invariants = invset
     for service in services:
         invset.watch_service(service)
-    hook = invset.redirector_hook
-    for redirector in redirectors:
-        kernel = redirector.kernel
-        if hook not in kernel.packet_hooks:
-            kernel.add_packet_hook(hook, after=redirector._fence_hook)
     return invset

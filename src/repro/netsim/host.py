@@ -44,9 +44,9 @@ PENTIUM_120 = HostProfile("pentium120", per_packet_cpu=60e-6, per_byte_cpu=0.45e
 MODERN = HostProfile("modern", per_packet_cpu=1e-6, per_byte_cpu=0.001e-6)
 ZERO_COST = HostProfile("zero", per_packet_cpu=0.0, per_byte_cpu=0.0)
 
-# A packet hook inspects (packet, nic) and returns True when it consumed
-# the packet (normal processing then stops).  Redirectors are built on
-# this.
+# An interceptor inspects (packet, nic) and returns True when it
+# consumed the packet (normal processing then stops).  A redirector's
+# data path is one.
 PacketHook = Callable[[IPPacket, NIC], bool]
 
 
@@ -67,11 +67,9 @@ class Kernel:
         self.sim = host.sim
         self.routes: list[Route] = []
         self.protocol_handlers: dict[int, Callable[[IPPacket], None]] = {}
-        #: Swept in order for every received packet.  A tuple, replaced
-        #: on every (un)registration, so a sweep needs no defensive copy:
-        #: a hook that (un)registers hooks mid-sweep rebinds the
-        #: attribute and leaves the tuple being swept alone.
-        self.packet_hooks: tuple[PacketHook, ...] = ()
+        #: Offered every received packet before routing; None on a
+        #: plain host.  A redirector puts its data path here.
+        self.intercept: Optional[PacketHook] = None
         self.ip_forwarding = False
         # Extra per-packet CPU charged by modified (HydraNet) system
         # software; 0 for a clean kernel.
@@ -151,20 +149,7 @@ class Kernel:
             address = as_address(address)
         return address in self._nic_addrs or address in self.virtual_addresses
 
-    # -- hook and protocol registration -------------------------------
-
-    def add_packet_hook(
-        self, hook: PacketHook, after: Optional[PacketHook] = None
-    ) -> None:
-        """Register ``hook`` — right behind ``after`` when that hook is
-        registered, else last."""
-        hooks = self.packet_hooks
-        at = hooks.index(after) + 1 if after in hooks else len(hooks)
-        self.packet_hooks = (*hooks[:at], hook, *hooks[at:])
-
-    def remove_packet_hook(self, hook: PacketHook) -> None:
-        """Unregister ``hook`` (every registration of it)."""
-        self.packet_hooks = tuple(h for h in self.packet_hooks if h != hook)
+    # -- protocol registration -----------------------------------------
 
     def register_protocol(
         self, protocol: Protocol, handler: Callable[[IPPacket], None]
@@ -267,9 +252,9 @@ class Kernel:
     def _process(self, packet: IPPacket, nic: NIC) -> None:
         if self.host.crashed:
             return
-        for hook in self.packet_hooks:
-            if hook(packet, nic):
-                return
+        intercept = self.intercept
+        if intercept is not None and intercept(packet, nic):
+            return
         dst = packet.dst
         if dst in self._nic_addrs or dst in self.virtual_addresses:
             self._deliver_local(packet)

@@ -1,7 +1,7 @@
 """Routers: hosts with IP forwarding enabled.
 
-HydraNet redirectors subclass the behaviour via kernel packet hooks (see
-:mod:`repro.hydranet.redirector`); plain routers just forward.
+A HydraNet redirector sets its kernel's ``intercept`` to its data path
+(:mod:`repro.hydranet.redirector`); plain routers just forward.
 """
 
 from __future__ import annotations

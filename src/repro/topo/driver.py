@@ -94,9 +94,7 @@ class MeshScenario(Disposable):
         self.spec = spec
         self.workload = workload or MeshWorkload()
         self.mesh: CompiledMesh = compile_spec(spec)
-        self.invariants = attach_mesh_invariants(
-            self.mesh.sim, self.mesh.redirectors.values(), self.mesh.services
-        )
+        self.invariants = attach_mesh_invariants(self.mesh.sim, self.mesh.services)
         self.clients: list[EchoClient] = []
 
     def dispose(self) -> None:

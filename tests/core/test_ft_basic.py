@@ -222,4 +222,5 @@ def test_duplicate_replicated_bind_rejected(testbed):
             None,
             False,
             False,
+            lambda port: None,
         )

@@ -49,7 +49,7 @@ class TestReliableUdp:
     def test_delivery_and_ack(self, hnet_no_origin):
         hnet = hnet_no_origin
         chan_a, chan_b, inbox = self.build_pair(hnet)
-        msg = Register(hnet.hs_a.ip, 80, hnet.hs_a.ip, "primary")
+        msg = Register(hnet.hs_a.ip, 80, hnet.hs_a.ip, "primary", "chain")
         chan_a.send(msg, hnet.hs_a.ip)
         hnet.run(until=5.0)
         assert len(inbox) == 1
@@ -61,7 +61,7 @@ class TestReliableUdp:
         link = hnet.topo.find_link("client", "redirector")
         link.set_up(False)  # first transmissions are lost...
         hnet.sim.schedule(1.2, link.set_up, True)  # ...then the path heals
-        msg = Register(hnet.hs_a.ip, 80, hnet.hs_a.ip, "primary")
+        msg = Register(hnet.hs_a.ip, 80, hnet.hs_a.ip, "primary", "chain")
         chan_a.send(msg, hnet.hs_a.ip)
         hnet.run(until=10.0)
         assert len(inbox) == 1  # delivered exactly once despite loss
@@ -73,7 +73,7 @@ class TestReliableUdp:
         # Drop all acks (hs_a -> client direction) so the sender keeps
         # retransmitting the same message.
         hnet.topo.find_link("client", "redirector").b_to_a.loss_rate = 1.0
-        msg = Register(hnet.hs_a.ip, 80, hnet.hs_a.ip, "primary")
+        msg = Register(hnet.hs_a.ip, 80, hnet.hs_a.ip, "primary", "chain")
         chan_a.send(msg, hnet.hs_a.ip)
         hnet.run(until=10.0)
         assert len(inbox) == 1
@@ -83,7 +83,7 @@ class TestReliableUdp:
         hnet = hnet_no_origin
         chan_a, chan_b, inbox = self.build_pair(hnet)
         hnet.topo.find_link("client", "redirector").set_loss_rate(1.0)
-        msg = Register(hnet.hs_a.ip, 80, hnet.hs_a.ip, "primary")
+        msg = Register(hnet.hs_a.ip, 80, hnet.hs_a.ip, "primary", "chain")
         chan_a.send(msg, hnet.hs_a.ip)
         hnet.run(until=60.0)
         assert inbox == []
@@ -94,7 +94,7 @@ class TestReliableUdp:
         chan_a, chan_b, inbox = self.build_pair(hnet)
         hnet.topo.find_link("client", "redirector").set_loss_rate(1.0)
         abandoned = []
-        msg = Register(hnet.hs_a.ip, 80, hnet.hs_a.ip, "primary")
+        msg = Register(hnet.hs_a.ip, 80, hnet.hs_a.ip, "primary", "chain")
         chan_a.send(
             msg, hnet.hs_a.ip, policy=ARBITRATION_RETRY, on_give_up=abandoned.append
         )
@@ -108,7 +108,7 @@ class TestReliableUdp:
         hnet = hnet_no_origin
         chan_a, chan_b, inbox = self.build_pair(hnet)
         abandoned = []
-        msg = Register(hnet.hs_a.ip, 80, hnet.hs_a.ip, "primary")
+        msg = Register(hnet.hs_a.ip, 80, hnet.hs_a.ip, "primary", "chain")
         chan_a.send(
             msg, hnet.hs_a.ip, policy=ARBITRATION_RETRY, on_give_up=abandoned.append
         )

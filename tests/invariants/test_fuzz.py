@@ -248,6 +248,29 @@ class TestCliSavesFindsOutsideTheCorpus:
         assert main(argv + ["--out", str(tmp_path / "corpus")]) == 0
         assert (tmp_path / "corpus" / "deposit_gate-seed0.json").exists()
 
+    def test_a_find_that_cannot_be_written_is_one_usage_line(self, tmp_path, monkeypatch, capsys):
+        """ROADMAP 7: a full disk while saving the shrunk find exits 2
+        with one line naming ``--out``, not a traceback."""
+        import errno
+        from pathlib import Path
+
+        from repro.invariants.fuzz import main
+
+        def full_disk(self, *args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device", str(self))
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        argv = ["--runs", "1", "--seed", "0", "--mutate", "deposit_gate", "--shrink-budget", "10"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert "--out fuzz-finds" in last and "No space left on device" in last
+        assert not any((tmp_path / "fuzz-finds").iterdir())
+
     def test_help_says_how_a_find_joins_the_corpus(self, capsys):
         from repro.invariants.fuzz import main
 

@@ -265,19 +265,31 @@ class TestAttachedSystem:
         assert result.stats["promotions"] >= 1
         assert result.client_received == 24_576
 
-    def test_attach_is_idempotent(self):
+    def test_attach_is_idempotent(self, monkeypatch):
+        """Armed twice, one stale segment past a disabled fence is one
+        single-primary violation."""
+        from repro.hydranet import Redirector
         from repro.invariants.fuzz import build_fuzz_system
+        from repro.netsim import IPPacket, Protocol, TCPSegment, as_address
+        from repro.netsim.packet import FLAG_ACK
 
-        system = build_fuzz_system(ScenarioSpec(seed=1))
-        first = attach_invariants(system)
-        second = attach_invariants(system)
-        assert first is second
-        hooks = system.redirector.kernel.packet_hooks
-        assert hooks.count(first.redirector_hook) == 1
-        # Spliced in right behind the epoch fence.
-        assert hooks.index(first.redirector_hook) == (
-            hooks.index(system.redirector._fence_hook) + 1
-        )
+        monkeypatch.setattr(Redirector, "_fence_hook", lambda self, packet, nic: False)
+        with build_fuzz_system(ScenarioSpec(seed=1)) as system:
+            first = attach_invariants(system)
+            second = attach_invariants(system)
+            assert first is second
+            redirector, port = system.redirector, system.port
+            redirector.entry_for(system.service_ip, port).epoch += 1
+            stale = TCPSegment(port, 40000, 0, 0, FLAG_ACK, 0, epoch=0)
+            packet = IPPacket(
+                src=as_address(system.service_ip),
+                dst=system.client.ip,
+                protocol=Protocol.TCP,
+                payload=stale,
+            )
+            redirector.kernel.receive_from_nic(packet, redirector.interfaces[0])
+            system.sim.run(until=system.sim.now + 0.01)
+            assert [v.monitor for v in first.violations] == ["single-primary"]
 
     def test_detached_by_default(self):
         from repro.invariants.fuzz import build_fuzz_system

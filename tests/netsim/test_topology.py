@@ -100,7 +100,7 @@ def test_external_network_routes_toward_via_host():
     topo.build_routes()
     # r2 sees the packet arrive (it is the interception point).
     seen = []
-    r2.kernel.add_packet_hook(lambda p, nic: seen.append(p) or True)
+    r2.kernel.intercept = lambda p, nic: seen.append(p) or True
     client.kernel.send_ip(make_packet(client.ip, "203.0.113.7"))
     sim.run()
     assert len(seen) == 1

@@ -65,6 +65,25 @@ class TestResultCache:
         assert cache.get(_task()) is None
         assert root.read_text() == ""
 
+    def test_write_failing_after_mkstemp_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        """A disk that fills up mid-entry: the temp file is removed,
+        the entry stays a miss and the run goes on."""
+        import errno
+        import pickle
+
+        def full_disk(obj, file, *args, **kwargs):
+            file.write(b"partial")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        cache = ResultCache(root=tmp_path, source_fp="a" * 64)
+        monkeypatch.setattr(pickle, "dump", full_disk)
+        with ScenarioPool(jobs=1, cache=cache) as pool:
+            outcome = pool.run([_task()])["t"]
+        monkeypatch.undo()
+        assert outcome.ok and outcome.value == 9
+        assert cache.get(_task()) is None
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == []
+
     def test_tasks_without_fingerprint_never_cache(self, tmp_path):
         cache = ResultCache(root=tmp_path, source_fp="a" * 64)
         bare = Task(key="t", fn=square_loud, args=(3,))
