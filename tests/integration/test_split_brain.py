@@ -8,7 +8,7 @@ stale-stamped output before it can interleave with the new primary's,
 and (c) demote the ex-primary after the heal so it rejoins as a backup.
 """
 
-from repro.apps.echo import echo_server_factory
+from repro.apps.echo import EchoStream, echo_server_factory
 from repro.core import DetectorParams, PortMode
 from repro.experiments.testbeds import build_ft_system
 from repro.faults import FaultPlan
@@ -190,3 +190,34 @@ def test_backup_enters_primary_mode_only_through_a_grant():
     assert backup.mode == PortMode.PRIMARY
     assert backup.promotions == 1
     assert backup.epoch == epoch
+
+
+def test_recreated_service_resumes_at_a_new_epoch():
+    """The replica set empties, so the redirector deletes the table
+    entry; a replica recommissioned afterwards is a new primary and
+    must get a fresh view above every epoch granted before, not one of
+    the old epochs (whose grant went to someone else)."""
+    with build_ft_system(n_backups=1, factory=echo_server_factory, port=7) as system:
+        daemon = system.redirector_daemon
+        h0, h1 = system.service.replicas
+        system.service.remove_replica(h0)
+        system.run_for(2.0)
+        assert h1.ft_port.is_primary and h1.ft_port.epoch == 1
+        seen = system.redirector.entry_for(system.service_ip, system.port).epoch
+        system.service.remove_replica(h1)
+        system.run_for(2.0)
+        assert system.redirector.entry_for(system.service_ip, system.port) is None
+        granted, refused = daemon.promotions_granted, daemon.promotions_refused
+
+        handle = system.service.recommission(h0)
+        system.run_for(2.0)
+        assert daemon.promotions_granted == granted + 1
+        assert daemon.promotions_refused == refused
+        port = handle.ft_port
+        assert port.is_primary and not port.shut_down
+        assert port.epoch > seen
+        stream = EchoStream(system.client_node, system.service_ip, system.port,
+                            total_bytes=4096)
+        system.run_for(10.0)
+        assert bytes(stream.received) == bytes(stream.sent)
+        assert len(stream.received) == 4096
