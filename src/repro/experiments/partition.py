@@ -34,7 +34,6 @@ from typing import Optional
 from repro.apps.echo import EchoStream, echo_server_factory
 from repro.core import DetectorParams
 from repro.faults.injection import FaultPlan
-from repro.metrics.fencing import primary_overlap
 from repro.metrics.tables import Table
 from repro.recovery import RecoveryManager, SparePool
 from repro.runtime import Task
@@ -57,6 +56,20 @@ def _direction_toward(link, endpoint_name: str) -> str:
     if a_name == endpoint_name:
         return "b_to_a"
     raise ValueError(f"{endpoint_name} is not an endpoint of {link.name}")
+
+
+def primary_overlap(samples: list[tuple[float, int]]) -> float:
+    """Total time during which more than one replica reported primary
+    mode *for the same epoch*, from ``(time, primaries_in_epoch)``
+    samples.  Piecewise-constant between samples; the fencing invariant
+    is that this is always ``0.0``.  A trailing violation is unbounded
+    and charged nothing: the caller sees the nonzero final sample
+    directly."""
+    overlap = 0.0
+    for (t0, count), (t1, _next) in zip(samples, samples[1:]):
+        if count > 1:
+            overlap += t1 - t0
+    return overlap
 
 
 @dataclass
@@ -168,7 +181,6 @@ def run_partition(
         system.run_until(horizon)
 
         daemon = system.redirector_daemon
-        fencing = daemon.fencing
         key = next(iter(system.redirector.table))
         entry = system.redirector.table[key]
         chain = [str(ip) for ip in entry.replicas]
@@ -190,13 +202,13 @@ def run_partition(
             stream_intact=stream.received == stream.sent,
             matches_baseline=stream.received == baseline,
             client_events=stream.events,
-            epoch_changes=sum(k == key for k, _epoch in daemon.epoch_owners),
+            epoch_changes=len(daemon.services[key].owners),
             final_epoch=entry.epoch,
             segments_fenced=system.redirector.segments_fenced,
-            demotes_sent=fencing.demotes_sent,
+            demotes_sent=daemon.demotes_sent,
             promotions_granted=daemon.promotions_granted,
             promotions_refused=daemon.promotions_refused,
-            near_misses=fencing.near_misses,
+            near_misses=daemon.near_misses,
             max_primaries_per_epoch=max((c for _t, c in samples), default=0),
             dual_primary_time=primary_overlap(samples),
             detection_at=detection_at,

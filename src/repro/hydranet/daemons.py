@@ -18,7 +18,6 @@ from repro.netsim.simulator import Simulator
 from repro.replication import chain_position
 
 from .host_server import HostServer
-from repro.metrics.fencing import FencingMetrics
 
 from .mgmt import (
     ARBITRATION_RETRY,
@@ -98,10 +97,54 @@ class FailureSummary(MgmtMessage):
 
 @dataclass
 class _Reconfiguration:
-    key: ServiceKey
     nonce: int
     candidates: list[IPAddress]
     responded: set[IPAddress] = field(default_factory=set)
+
+
+class ServiceRecord:
+    """Everything one redirector daemon knows about one service beyond
+    its table entry.  The record outlives the entry, which the
+    redirector deletes whenever the replica set empties, so a
+    re-created entry resumes at the newest epoch (DESIGN.md §9)."""
+
+    __slots__ = (
+        "authority", "stamp", "strategy", "owners", "grant", "probe",
+        "evidence", "reports", "shutdowns", "demoted_at", "fenced",
+    )
+
+    def __init__(self):
+        #: Authority redirector, learned from TableSync (or this one,
+        #: for services registered here); None when unknown.
+        self.authority: Optional[IPAddress] = None
+        #: Newest (epoch, seq) stamp applied or originated; the next
+        #: stamp this redirector originates takes the next seq.
+        self.stamp = (-1, 0)
+        #: Replication backend (DESIGN.md §15), learned from Register —
+        #: decides the layout pushed to replicas (linear daisy chain vs
+        #: star around the primary).
+        self.strategy: Optional[str] = None
+        #: Epoch -> the primary that owned it, one entry per view (D4
+        #: counts them); the newest is the current primary.  Lets the
+        #: fence name the replica behind a stale segment.
+        self.owners: dict[int, IPAddress] = {}
+        #: Last (epoch, grantee) — at most one grant per epoch.
+        self.grant: tuple = (-1, None)
+        #: The liveness probe in flight, if any.
+        self.probe: Optional[_Reconfiguration] = None
+        #: Failure evidence being batched away from the authority:
+        #: [suspect set, report count, hops], or None.
+        self.evidence: Optional[list] = None
+        #: Suspect -> its report times, for the congestion rule.
+        self.reports: dict[IPAddress, list[float]] = {}
+        #: Replica -> msg_id of its unacknowledged Shutdown: withdrawn
+        #: if the replica re-registers before delivery (a recovered
+        #: server must not be killed by a stale shutdown).
+        self.shutdowns: dict[IPAddress, int] = {}
+        #: Target -> time of its last Demote (rate limiting).
+        self.demoted_at: dict[IPAddress, float] = {}
+        #: Stale epochs whose owner was caught still transmitting.
+        self.fenced: set[int] = set()
 
 
 class RedirectorDaemon:
@@ -131,7 +174,8 @@ class RedirectorDaemon:
         sock.bind(MGMT_PORT)
         self.channel = ReliableUdp(self.sim, sock, self._on_message)
         self._nonce = 0
-        self._reconfigs: dict[ServiceKey, _Reconfiguration] = {}
+        #: The one per-service record (see :class:`ServiceRecord`).
+        self.services: dict[ServiceKey, ServiceRecord] = {}
         #: Mesh neighbors: redirectors one hop away in the redirector
         #: mesh.  Table syncs flood over these links (stamp-gated);
         #: a flat peer list (the pre-mesh configuration) is simply a
@@ -140,46 +184,22 @@ class RedirectorDaemon:
         #: Mesh parent (next tier up) for hierarchical failure-report
         #: aggregation; None at the root or in flat deployments.
         self.parent: Optional[IPAddress] = None
-        #: Newest (epoch, seq) stamp applied or originated per service.
-        self._sync_stamp: dict[ServiceKey, tuple[int, int]] = {}
-        #: Authority redirector per service, learned from TableSync
-        #: (or ourselves, for services registered here).
-        self._authority: dict[ServiceKey, IPAddress] = {}
-        #: Failure evidence being aggregated: key -> [suspect set, count].
-        self._agg: dict[ServiceKey, list] = {}
         self.table_syncs_forwarded = 0
         self.stale_syncs_dropped = 0
         self.failure_summaries_sent = 0
         self.failure_summaries_received = 0
-        # Unacknowledged Shutdown messages per (service key, replica):
-        # withdrawn if the replica re-registers before delivery (a
-        # recovered server must not be killed by a stale shutdown).
-        self._pending_shutdowns: dict[tuple, int] = {}
-        # (service, suspect) -> [report times] for the congestion rule.
-        self._report_history: dict[tuple[ServiceKey, IPAddress], list[float]] = {}
         self.reconfigurations = 0
         self.failovers = 0
-        # -- view/epoch fencing state (DESIGN.md §9) ----------------------
-        self.fencing = FencingMetrics()
-        #: Last observed primary per service, to detect view changes.
-        self._last_primary: dict[ServiceKey, IPAddress] = {}
-        #: (service key, epoch) -> the primary that owned that epoch;
-        #: lets the fence name the replica behind a stale segment.  One
-        #: entry per view of a service (D4 counts them).
-        self.epoch_owners: dict[tuple[ServiceKey, int], IPAddress] = {}
-        #: Last (epoch, grantee) per service — at most one grant per epoch.
-        self._granted: dict[ServiceKey, tuple[int, IPAddress]] = {}
-        #: Monotonic sequence for chain-update pushes (the reliable mgmt
-        #: layer is unordered; replicas discard stale layouts by it).
-        self._chain_seq: dict[ServiceKey, int] = {}
-        #: Replication backend per service (DESIGN.md §15), learned
-        #: from Register — decides the layout pushed to replicas
-        #: (linear daisy chain vs star around the primary).
-        self._strategy: dict[ServiceKey, str] = {}
-        #: Demote rate limiting per (service key, target).
-        self._last_demote: dict[tuple[ServiceKey, IPAddress], float] = {}
+        # -- view/epoch fencing counters (DESIGN.md §9) -------------------
         self.promotions_granted = 0
         self.promotions_refused = 0
+        self.demotes_sent = 0
+        #: Dual-primary near misses: a replica outside the current view
+        #: still tried to act as primary and was stopped — the first
+        #: stale segment fenced per (service, epoch), a refused bid, or
+        #: a zombie's failure report.  Unfenced, each could corrupt a
+        #: client stream.
+        self.near_misses = 0
         redirector.on_fenced = self._on_fenced
         #: Wired by the recovery manager (EXTENSION, DESIGN.md §8):
         #: observe membership changes and failure reports without
@@ -225,19 +245,26 @@ class RedirectorDaemon:
         if handler is not None:
             handler(message, src_ip)
 
+    def _record(self, key: ServiceKey) -> ServiceRecord:
+        record = self.services.get(key)
+        if record is None:
+            record = self.services[key] = ServiceRecord()
+        return record
+
     def _handle_register(self, msg: Register, src_ip: IPAddress) -> None:
-        # A re-registering replica withdraws any stale Shutdown still
-        # being retried toward it.
         key = ServiceKey(as_address(msg.service_ip), msg.port)
+        record = self._record(key)
         # Replicas register here: this redirector is the service's
         # authority (owns its chain layout and reconfiguration).
-        self._authority[key] = self.redirector.ip
-        stale = self._pending_shutdowns.pop((key, as_address(msg.server_ip)), None)
+        record.authority = self.redirector.ip
+        # A re-registering replica withdraws any stale Shutdown still
+        # being retried toward it.
+        stale = record.shutdowns.pop(as_address(msg.server_ip), None)
         if stale is not None:
             self.channel.cancel(stale)
         if msg.mode == "scaling":
             self.redirector.install_scaling(msg.service_ip, msg.port, msg.server_ip)
-            self._sync_peers(ServiceKey(as_address(msg.service_ip), msg.port))
+            self._sync_peers(key)
             return
         if msg.mode == "primary":
             self.redirector.install_ft_primary(msg.service_ip, msg.port, msg.server_ip)
@@ -245,8 +272,8 @@ class RedirectorDaemon:
             self.redirector.install_ft_backup(msg.service_ip, msg.port, msg.server_ip)
         else:
             return
-        self._strategy[key] = msg.strategy
-        self._push_chain_updates(ServiceKey(as_address(msg.service_ip), msg.port))
+        record.strategy = msg.strategy
+        self._push_chain_updates(key)
 
     def _handle_unregister(self, msg: Unregister, src_ip: IPAddress) -> None:
         key = ServiceKey(as_address(msg.service_ip), msg.port)
@@ -268,13 +295,14 @@ class RedirectorDaemon:
         ignored — applying it would resurrect a replica list (or an
         epoch) that a fail-over already moved past."""
         key = ServiceKey(as_address(msg.service_ip), msg.port)
+        record = self._record(key)
         stamp = (msg.epoch, msg.seq)
-        if stamp <= self._sync_stamp.get(key, (-1, -1)):
+        if stamp <= record.stamp:
             self.stale_syncs_dropped += 1
             return
-        self._sync_stamp[key] = stamp
+        record.stamp = stamp
         if msg.authority_ip is not None:
-            self._authority[key] = as_address(msg.authority_ip)
+            record.authority = as_address(msg.authority_ip)
         if not msg.replicas:
             self.redirector.remove_service(key.ip, key.port)
         else:
@@ -310,43 +338,38 @@ class RedirectorDaemon:
                 peer,
             )
 
-    def _next_seq(self, key: ServiceKey) -> int:
-        seq = self._chain_seq.get(key, 0) + 1
-        self._chain_seq[key] = seq
-        return seq
-
-    def _sync_peers(self, key: ServiceKey, seq: Optional[int] = None) -> None:
-        """Originate a stamped sync for a service this redirector is
-        the authority of (``seq=None`` allocates the next stamp —
-        scaling services and deletions have no chain push to share a
-        stamp with)."""
+    def _sync_peers(self, key: ServiceKey) -> int:
+        """Originate the next stamped sync for a service this
+        redirector is the authority of; returns the stamp's seq, which
+        a chain push shares (the reliable mgmt layer is unordered;
+        replicas discard stale layouts by it)."""
         entry = self.redirector.table.get(key)
+        record = self._record(key)
         # The stamp's epoch may never regress at the origin, or a
         # deletion (entry gone, epoch unknown) would sort as stale at
         # the peers; the originated stamp floor keeps it monotone.
-        last_epoch, _last_seq = self._sync_stamp.get(key, (0, 0))
+        last_epoch, last_seq = record.stamp
         epoch = max(entry.epoch if entry else 0, last_epoch)
-        if seq is None:
-            seq = self._next_seq(key)
-        self._sync_stamp[key] = (epoch, seq)
-        if not self.peers:
-            return
-        sync = TableSync(
-            service_ip=key.ip,
-            port=key.port,
-            fault_tolerant=entry.fault_tolerant if entry else False,
-            replicas=tuple(entry.replicas) if entry else (),
-            epoch=epoch,
-            seq=seq,
-            authority_ip=self.redirector.ip,
-        )
-        self._flood_sync(sync)
+        seq = last_seq + 1
+        record.stamp = (epoch, seq)
+        if self.peers:
+            sync = TableSync(
+                service_ip=key.ip,
+                port=key.port,
+                fault_tolerant=entry.fault_tolerant if entry else False,
+                replicas=tuple(entry.replicas) if entry else (),
+                epoch=epoch,
+                seq=seq,
+                authority_ip=self.redirector.ip,
+            )
+            self._flood_sync(sync)
+        return seq
 
     def _is_authority(self, key: ServiceKey) -> bool:
         """Whether this redirector owns the service's reconfiguration.
         Unknown authority (pre-mesh deployments) defaults to yes — the
         legacy single-redirector behaviour."""
-        authority = self._authority.get(key)
+        authority = self._record(key).authority
         return authority is None or authority == self.redirector.ip
 
     def _handle_failure_report(self, msg: FailureReport, src_ip: IPAddress) -> None:
@@ -379,7 +402,7 @@ class RedirectorDaemon:
                 # it could remove the *real* primary — never do;
                 # fail-stop the sender instead if its view is provably
                 # stale.
-                self.fencing.record_near_miss()
+                self.near_misses += 1
                 self._send_demote(key, reporter, entry.epoch)
                 return
             if self.on_failure_report is not None:
@@ -391,14 +414,15 @@ class RedirectorDaemon:
         # cannot manufacture more evidence than the rule needs.
         now = self.sim.now
         threshold = self.CONGESTION_REPORT_THRESHOLD
+        record = self._record(key)
         for suspect in suspects:
-            history = self._report_history.setdefault((key, suspect), [])
+            history = record.reports.setdefault(suspect, [])
             history.extend([now] * min(reports, threshold))
             history[:] = [t for t in history if now - t <= self.CONGESTION_REPORT_WINDOW]
             if len(history) >= threshold and suspect in entry.replicas:
                 self._remove_and_rechain(key, {suspect})
                 return
-        if key not in self._reconfigs:
+        if record.probe is None:
             self._start_probe(key)  # else a probe is already in flight
 
     def _aggregate_failure(
@@ -407,23 +431,25 @@ class RedirectorDaemon:
         """Batch failure evidence for a service owned elsewhere; the
         first piece of evidence arms a flush timer, later pieces merge
         into the pending batch (suspect union, report sum)."""
-        agg = self._agg.get(key)
-        if agg is None:
-            self._agg[key] = [set(suspects), reports, hops]
+        record = self._record(key)
+        evidence = record.evidence
+        if evidence is None:
+            record.evidence = [set(suspects), reports, hops]
             self.sim.schedule(self.AGGREGATION_WINDOW, self._flush_summary, key)
             return
-        agg[0].update(suspects)
-        agg[1] += reports
-        agg[2] = max(agg[2], hops)
+        evidence[0].update(suspects)
+        evidence[1] += reports
+        evidence[2] = max(evidence[2], hops)
 
     def _flush_summary(self, key: ServiceKey) -> None:
-        agg = self._agg.pop(key, None)
-        if agg is None:
+        record = self._record(key)
+        evidence, record.evidence = record.evidence, None
+        if evidence is None:
             return
-        suspects, reports, hops = agg
+        suspects, reports, hops = evidence
         if hops >= self.MAX_SUMMARY_HOPS:
             return  # misconfigured mesh (cycle / no authority): stop climbing
-        authority = self._authority.get(key)
+        authority = record.authority
         if authority is not None and authority != self.redirector.ip:
             target = authority
         else:
@@ -448,8 +474,8 @@ class RedirectorDaemon:
         if entry is None:
             return
         self._nonce += 1
-        reconfig = _Reconfiguration(key, self._nonce, list(entry.replicas))
-        self._reconfigs[key] = reconfig
+        reconfig = _Reconfiguration(self._nonce, list(entry.replicas))
+        self._record(key).probe = reconfig
         for replica in reconfig.candidates:
             self.channel.send_unreliable(Ping(nonce=reconfig.nonce), replica)
         # Probes are single unreliable datagrams: under a queue-overflow
@@ -461,22 +487,23 @@ class RedirectorDaemon:
         self.sim.schedule(2 * self.PING_TIMEOUT / 3, self._reping, key, reconfig)
         self.sim.schedule(self.PING_TIMEOUT, self._finish_probe, key, reconfig)
 
-    def _reping(self, key: ServiceKey, reconfig: "_Reconfiguration") -> None:
-        if self._reconfigs.get(key) is not reconfig:
+    def _reping(self, key: ServiceKey, reconfig: _Reconfiguration) -> None:
+        if self._record(key).probe is not reconfig:
             return
         for replica in reconfig.candidates:
             if replica not in reconfig.responded:
                 self.channel.send_unreliable(Ping(nonce=reconfig.nonce), replica)
 
     def _handle_pong(self, msg: Pong, src_ip: IPAddress) -> None:
-        for reconfig in self._reconfigs.values():
-            if reconfig.nonce == msg.nonce:
-                reconfig.responded.add(src_ip)
+        for record in self.services.values():
+            if record.probe is not None and record.probe.nonce == msg.nonce:
+                record.probe.responded.add(src_ip)
 
     def _finish_probe(self, key: ServiceKey, reconfig: _Reconfiguration) -> None:
-        if self._reconfigs.get(key) is not reconfig:
+        record = self._record(key)
+        if record.probe is not reconfig:
             return
-        del self._reconfigs[key]
+        record.probe = None
         dead = {r for r in reconfig.candidates if r not in reconfig.responded}
         if dead:
             self._remove_and_rechain(key, dead)
@@ -486,11 +513,12 @@ class RedirectorDaemon:
         if entry is None:
             return
         old_primary = entry.primary
+        shutdowns = self._record(key).shutdowns
         for replica in removed:
             if replica in entry.replicas:
                 self.redirector.remove_replica(key.ip, key.port, replica)
                 shutdown = Shutdown(key.ip, key.port)
-                self._pending_shutdowns[(key, replica)] = shutdown.msg_id
+                shutdowns[replica] = shutdown.msg_id
                 self.channel.send(shutdown, replica)
         self.reconfigurations += 1
         entry = self.redirector.table.get(key)
@@ -513,28 +541,29 @@ class RedirectorDaemon:
         primary = entry.primary
         if primary is None:
             return
-        last = self._last_primary.get(key)
-        if last is None:
-            # Initial view: epoch 0 belongs to the first primary.
-            self.epoch_owners[(key, entry.epoch)] = primary
-        elif primary != last:
+        owners = self._record(key).owners
+        if owners:
+            # A re-created entry starts at 0: resume at the newest view.
+            newest = max(owners)
+            entry.epoch = max(entry.epoch, newest)
+            if owners[newest] == primary:
+                return
             entry.epoch += 1
-            self.epoch_owners[(key, entry.epoch)] = primary
-        self._last_primary[key] = primary
+        # Else the initial view: its epoch belongs to the first primary.
+        owners[entry.epoch] = primary
 
     def _push_chain_updates(self, key: ServiceKey) -> None:
         self._advance_epoch(key)
         # One (epoch, seq) stamp orders this layout both toward the
         # replicas (ChainUpdate) and across the mesh (TableSync).
-        seq = self._next_seq(key)
-        self._sync_peers(key, seq=seq)
+        seq = self._sync_peers(key)
         entry = self.redirector.table.get(key)
         if self.on_membership_change is not None:
             self.on_membership_change(key)
         if entry is None or not entry.fault_tolerant:
             return
         replicas = entry.replicas
-        strategy = self._strategy[key]
+        strategy = self.services[key].strategy
         members = tuple(replicas)
         for i, replica in enumerate(replicas):
             predecessor, has_successor = chain_position(strategy, replicas, i)
@@ -564,9 +593,10 @@ class RedirectorDaemon:
             self._refuse_promotion(key, requester, entry.epoch)
             return
         if requester == entry.primary:
-            granted_epoch, grantee = self._granted.get(key, (-1, None))
+            record = self._record(key)
+            granted_epoch, grantee = record.grant
             if entry.epoch > granted_epoch:
-                self._granted[key] = (entry.epoch, requester)
+                record.grant = (entry.epoch, requester)
                 self.promotions_granted += 1
             elif grantee != requester:
                 # At most one grant per epoch; a second bidder loses.
@@ -580,20 +610,26 @@ class RedirectorDaemon:
             return
         # A backup bidding while the table still names another primary:
         # treat the bid as suspicion of that primary and verify it.
-        if key not in self._reconfigs:
+        if self._record(key).probe is None:
             self._start_probe(key)
 
     def _refuse_promotion(self, key: ServiceKey, target: IPAddress, epoch: int) -> None:
         self.promotions_refused += 1
-        self.fencing.record_near_miss()
+        self.near_misses += 1
         self._send_demote(key, target, epoch)
 
     def _on_fenced(self, stale_epoch: int, entry) -> None:
         """A client-bound segment stamped with a stale epoch was dropped
         by the redirector's fence: tell its owner to stand down."""
         key = entry.key
-        self.fencing.record_fenced(key, stale_epoch)
-        owner = self.epoch_owners.get((key, stale_epoch))
+        record = self._record(key)
+        if stale_epoch not in record.fenced:
+            # The first stale segment of this epoch: its owner is
+            # provably still in primary mode — a near miss the fence
+            # absorbed.
+            record.fenced.add(stale_epoch)
+            self.near_misses += 1
+        owner = record.owners.get(stale_epoch)
         if owner is not None and owner not in entry.replicas:
             self._send_demote(key, owner, entry.epoch)
 
@@ -602,11 +638,12 @@ class RedirectorDaemon:
         receiver acts only when ``epoch`` is ahead of its own view, so
         a Demote can never kill the granted primary of the epoch)."""
         now = self.sim.now
-        last = self._last_demote.get((key, target))
+        demoted_at = self._record(key).demoted_at
+        last = demoted_at.get(target)
         if last is not None and now - last < self.DEMOTE_MIN_INTERVAL:
             return
-        self._last_demote[(key, target)] = now
-        self.fencing.demotes_sent += 1
+        demoted_at[target] = now
+        self.demotes_sent += 1
         self.channel.send(
             Demote(key.ip, key.port, epoch), target, policy=ARBITRATION_RETRY
         )
@@ -627,14 +664,15 @@ class RedirectorDaemon:
             return False
         if joiner_ip in entry.replicas:
             return False
+        record = self._record(key)
         predecessor, _ = chain_position(
-            self._strategy[key],
+            record.strategy,
             (*entry.replicas, joiner_ip),
             len(entry.replicas),
         )
         # A recovered server re-joining must not be killed by a stale
         # Shutdown still being retried toward it.
-        stale = self._pending_shutdowns.pop((key, joiner_ip), None)
+        stale = record.shutdowns.pop(joiner_ip, None)
         if stale is not None:
             self.channel.cancel(stale)
         self.redirector.install_ft_backup(key.ip, key.port, joiner_ip)

@@ -88,9 +88,9 @@ class Redirector(Router):
         self.packets_redirected = 0
         self.packets_multicast = 0
         self.segments_fenced = 0
-        #: Optional callback ``(segment_epoch, source_ip, entry)`` fired
-        #: for every fenced segment — the management daemon uses it to
-        #: demote the stale transmitter and to record fencing metrics.
+        #: Optional callback ``(segment_epoch, entry)`` fired for every
+        #: fenced segment — the management daemon uses it to count the
+        #: near miss and demote the stale transmitter.
         self.on_fenced = None
 
     # -- table management (driven by the management daemon) -------------

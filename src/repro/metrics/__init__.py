@@ -1,5 +1,5 @@
 """Measurement utilities for the experiment harness.
 
 Import from the defining module (``repro.metrics.stats``, ``.tables``,
-``.traceview``, ``.fencing``, ``.recovery``).
+``.traceview``, ``.recovery``).
 """

@@ -13,6 +13,8 @@ from repro.core import DetectorParams, PortMode
 from repro.experiments.testbeds import build_ft_system
 from repro.faults import FaultPlan
 from repro.hydranet.mgmt import ChainUpdate, PromotionGrant
+from repro.hydranet.redirector import ServiceKey
+from repro.netsim.addressing import as_address
 from repro.recovery import RecoveryManager, SparePool
 
 from .test_chaos import continuous_client
@@ -108,7 +110,7 @@ def test_oneway_partition_fence_blocks_stale_output():
     assert max(samples) == 1
     # The fence actually fired: stale-stamped segments were dropped.
     assert system.redirector.segments_fenced > 0
-    assert system.redirector_daemon.fencing.demotes_sent >= 1
+    assert system.redirector_daemon.demotes_sent >= 1
     assert ex_primary_port.demotions == 1
     entry = system.redirector.entry_for(system.service_ip, system.port)
     assert entry.replicas == [system.servers[1].ip, system.servers[0].ip]
@@ -208,6 +210,9 @@ def test_recreated_service_resumes_at_a_new_epoch():
         system.run_for(2.0)
         assert system.redirector.entry_for(system.service_ip, system.port) is None
         granted, refused = daemon.promotions_granted, daemon.promotions_refused
+        key = ServiceKey(as_address(system.service_ip), system.port)
+        owners = dict(daemon.services[key].owners)
+        assert max(owners) == seen
 
         handle = system.service.recommission(h0)
         system.run_for(2.0)
@@ -216,6 +221,8 @@ def test_recreated_service_resumes_at_a_new_epoch():
         port = handle.ft_port
         assert port.is_primary and not port.shut_down
         assert port.epoch > seen
+        # The view history is kept, never rewritten.
+        assert daemon.services[key].owners == {**owners, port.epoch: system.servers[0].ip}
         stream = EchoStream(system.client_node, system.service_ip, system.port,
                             total_bytes=4096)
         system.run_for(10.0)

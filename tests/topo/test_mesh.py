@@ -39,7 +39,7 @@ class TestMeshSync:
             key = ServiceKey(as_address(placement.service_ip), placement.port)
             authority_ip = mesh.redirectors[placement.authority].ip
             for name, daemon in mesh.daemons.items():
-                assert daemon._authority.get(key) == authority_ip, (
+                assert daemon.services[key].authority == authority_ip, (
                     f"{name} has wrong authority for {key}"
                 )
 
@@ -77,7 +77,7 @@ class TestStaleSyncRejection:
         daemon = mesh.daemons["hub"]
         authority_ip = mesh.redirectors[placement.authority].ip
         src = mesh.redirectors[placement.authority].ip
-        epoch, seq = daemon._sync_stamp[key]
+        epoch, seq = daemon.services[key].stamp
 
         new_list = [str(mesh.host_servers[n].ip) for n in placement.replicas]
         old_list = list(reversed(new_list))
@@ -91,7 +91,7 @@ class TestStaleSyncRejection:
 
         assert daemon.stale_syncs_dropped == dropped_before + 1
         assert list(daemon.redirector.table[key].replicas) == applied
-        assert daemon._sync_stamp[key] == (epoch + 1, seq + 2)
+        assert daemon.services[key].stamp == (epoch + 1, seq + 2)
 
     def test_duplicate_sync_is_dropped(self):
         mesh = small_mesh()
@@ -99,7 +99,7 @@ class TestStaleSyncRejection:
         key = ServiceKey(as_address(placement.service_ip), placement.port)
         daemon = mesh.daemons["hub"]
         src = mesh.redirectors[placement.authority].ip
-        epoch, seq = daemon._sync_stamp[key]
+        epoch, seq = daemon.services[key].stamp
         dup = self._sync(
             key,
             [str(mesh.host_servers[n].ip) for n in placement.replicas],
@@ -117,7 +117,7 @@ class TestStaleSyncRejection:
         key = ServiceKey(as_address(placement.service_ip), placement.port)
         daemon = mesh.daemons["hub"]
         src = mesh.redirectors[placement.authority].ip
-        epoch, seq = daemon._sync_stamp[key]
+        epoch, seq = daemon.services[key].stamp
         newer = self._sync(key, ("10.0.0.1",), epoch + 2, 1, src)
         daemon._handle_table_sync(newer, src)
         table_epoch = daemon.redirector.table[key].epoch
