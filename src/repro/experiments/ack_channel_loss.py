@@ -21,22 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.apps.echo import EchoClient, echo_server_factory
 from repro.apps.ttcp import TTCP_TCP_OPTIONS, TtcpSender
-from repro.core import DetectorParams
-from repro.metrics.stats import percentile
 from repro.metrics.tables import Table
 from repro.runtime import Task
 
 from .experiment import Experiment
+from .ordered_channel import ChannelOutcome, _QUIET_DETECTOR, _make_lossy, run_channel
 from .testbeds import build_ft_system
-
-#: The sweep isolates the channel trade-off, so the failure estimator is
-#: effectively disabled (otherwise the congestion fail-stop rule would
-#: remove the lossy backup — see A2).
-_QUIET_DETECTOR = DetectorParams(threshold=1_000_000)
-#: An echo answered later than this (seconds) counts as a stall.
-STALL_THRESHOLD = 0.1
 
 DEFAULT_LOSS_RATES = (0.0, 0.05, 0.1, 0.2)
 
@@ -46,17 +37,8 @@ class AckLossOutcome:
     loss_rate: float
     bulk_throughput_kB_per_sec: float
     bulk_completed: bool
-    echo_mean_ms: float
-    echo_p95_ms: float
-    echo_stalls: int
-    client_retransmissions: int
-
-
-def _make_lossy(system, loss_rate: float) -> None:
-    """Loss on the backup->redirector direction — the first hop of the
-    acknowledgement channel and nothing else (the backup sends no other
-    traffic: its TCP output is suppressed)."""
-    system.topo.find_link("redirector", "hs_1").b_to_a.loss_rate = loss_rate
+    #: The echo run over the paper's UDP channel (A6's driver).
+    echo: ChannelOutcome
 
 
 def run_bulk(loss_rate: float, seed: int = 0, nbuf: int = 512) -> tuple[float, bool]:
@@ -76,41 +58,6 @@ def run_bulk(loss_rate: float, seed: int = 0, nbuf: int = 512) -> tuple[float, b
         return result.throughput_kB_per_sec, result.completed
 
 
-def run_echo(
-    loss_rate: float,
-    seed: int = 0,
-    n_requests: int = 200,
-) -> tuple[float, float, int, int]:
-    with build_ft_system(
-        seed=seed,
-        n_backups=1,
-        factory=echo_server_factory,
-        port=7,
-        detector=_QUIET_DETECTOR,
-    ) as system:
-        _make_lossy(system, loss_rate)
-        client = EchoClient(
-            system.client_node,
-            system.service_ip,
-            port=7,
-            request_size=64,
-            n_requests=n_requests,
-            think_time=0.005,
-        )
-        client.start()
-        system.run_until(900.0)
-        stats = client.stats
-        times = stats.response_times or [float("nan")]
-        stalls = sum(1 for t in times if t > STALL_THRESHOLD)
-        retrans = client.conn.retransmitted_segments if client.conn else 0
-        return (
-            1000 * sum(times) / len(times),
-            1000 * percentile(times, 95),
-            stalls,
-            retrans,
-        )
-
-
 def check_shape(outcomes: list[AckLossOutcome]) -> list[str]:
     problems = []
     for outcome in outcomes:
@@ -118,15 +65,15 @@ def check_shape(outcomes: list[AckLossOutcome]) -> list[str]:
             problems.append(f"loss={outcome.loss_rate}: bulk transfer incomplete")
     if len(outcomes) >= 2:
         first, last = outcomes[0], outcomes[-1]
-        if last.echo_stalls <= first.echo_stalls:
+        if last.echo.stalls <= first.echo.stalls:
             problems.append(
                 f"echo stalls did not grow with channel loss: "
-                f"{[o.echo_stalls for o in outcomes]}"
+                f"{[o.echo.stalls for o in outcomes]}"
             )
-        if last.echo_p95_ms <= first.echo_p95_ms * 2:
+        if last.echo.echo_p95_ms <= first.echo.echo_p95_ms * 2:
             problems.append(
                 f"echo p95 did not degrade with channel loss: "
-                f"{[round(o.echo_p95_ms, 1) for o in outcomes]}"
+                f"{[round(o.echo.echo_p95_ms, 1) for o in outcomes]}"
             )
         # Bulk stays within a modest band — the cheap common case.
         if last.bulk_throughput_kB_per_sec < first.bulk_throughput_kB_per_sec * 0.7:
@@ -146,7 +93,8 @@ def _points(fast: bool) -> list[Task]:
              cost=nbuf * 7e-5)
         for rate in rates
     ] + [
-        Task(f"echo@{rate}", run_echo, kwargs={"loss_rate": rate, "n_requests": n_requests},
+        Task(f"echo@{rate}", run_channel,
+             kwargs={"ordered": False, "loss_rate": rate, "n_requests": n_requests},
              cost=n_requests * 2e-4)
         for rate in rates
     ]
@@ -154,7 +102,7 @@ def _points(fast: bool) -> list[Task]:
 
 def _report(fast: bool, values: dict) -> list[str]:
     outcomes = [
-        AckLossOutcome(rate, *values[f"bulk@{rate}"], *values[f"echo@{rate}"])
+        AckLossOutcome(rate, *values[f"bulk@{rate}"], values[f"echo@{rate}"])
         for rate in _params(fast)[0]
     ]
     table = Table(
@@ -173,10 +121,10 @@ def _report(fast: bool, values: dict) -> list[str]:
             [
                 f"{o.loss_rate:.0%}",
                 o.bulk_throughput_kB_per_sec,
-                o.echo_mean_ms,
-                o.echo_p95_ms,
-                o.echo_stalls,
-                o.client_retransmissions,
+                o.echo.echo_mean_ms,
+                o.echo.echo_p95_ms,
+                o.echo.stalls,
+                o.echo.client_retransmissions,
             ]
         )
     print(table)

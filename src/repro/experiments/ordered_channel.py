@@ -30,9 +30,19 @@ from repro.runtime import Task
 from .experiment import Experiment
 from .testbeds import build_ft_system
 
+#: The channel trade-off is isolated, so the failure estimator is
+#: effectively disabled (otherwise the congestion fail-stop rule would
+#: remove the lossy backup — see A2).
 _QUIET_DETECTOR = DetectorParams(threshold=1_000_000)
 #: An echo answered later than this (seconds) counts as a stall.
 STALL_THRESHOLD = 0.1
+
+
+def _make_lossy(system, loss_rate: float) -> None:
+    """Loss on the backup->redirector direction — the first hop of the
+    acknowledgement channel and nothing else (the backup sends no other
+    traffic: its TCP output is suppressed)."""
+    system.topo.find_link("redirector", "hs_1").b_to_a.loss_rate = loss_rate
 
 
 @dataclass
@@ -44,6 +54,7 @@ class ChannelOutcome:
     stalls: int
     channel_messages: int
     channel_retransmissions: int
+    client_retransmissions: int
 
 
 def run_channel(
@@ -60,7 +71,7 @@ def run_channel(
         detector=_QUIET_DETECTOR,
         ordered_channel=ordered,
     ) as system:
-        system.topo.find_link("redirector", "hs_1").b_to_a.loss_rate = loss_rate
+        _make_lossy(system, loss_rate)
         client = EchoClient(
             system.client_node,
             system.service_ip,
@@ -81,6 +92,7 @@ def run_channel(
             getattr(node.ack_endpoint, "channel_retransmissions", 0)
             for node in system.nodes
         )
+        conn = client.conn
         return ChannelOutcome(
             channel="ordered" if ordered else "udp (paper)",
             loss_rate=loss_rate,
@@ -89,6 +101,7 @@ def run_channel(
             stalls=sum(1 for t in times if t > STALL_THRESHOLD),
             channel_messages=total_datagrams,
             channel_retransmissions=retrans,
+            client_retransmissions=conn.retransmitted_segments if conn else 0,
         )
 
 

@@ -147,13 +147,13 @@ class TestFragmentationExperiment:
 
 class TestAckLossExperiment:
     def test_echo_degrades_with_loss(self):
-        from repro.experiments.ack_channel_loss import run_echo
+        from repro.experiments.ordered_channel import run_channel
 
-        mean0, p95_0, stalls0, _rtx0 = run_echo(0.0, n_requests=50)
-        mean1, p95_1, stalls1, _rtx1 = run_echo(0.3, n_requests=50)
-        assert mean1 > 3 * mean0
-        assert p95_1 > p95_0
-        assert stalls1 > stalls0
+        clean = run_channel(False, 0.0, n_requests=50)
+        lossy = run_channel(False, 0.3, n_requests=50)
+        assert lossy.echo_mean_ms > 3 * clean.echo_mean_ms
+        assert lossy.echo_p95_ms > clean.echo_p95_ms
+        assert lossy.stalls > clean.stalls
 
 
 class TestScalingBenefit:
