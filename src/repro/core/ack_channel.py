@@ -12,6 +12,8 @@ connections, and lost messages are absorbed by client retransmissions
 
 from __future__ import annotations
 
+import struct
+import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -30,18 +32,11 @@ ORDERED_RETRANSMIT_INTERVAL = 0.1
 ORDERED_MAX_TRIES = 20
 
 
-def _fletcher_mix(values) -> int:
-    """Deterministic 32-bit checksum over a sequence of ints (FNV-1a
-    over the 32-bit truncations) — the simulated stand-in for the
-    UDP/IP checksum that real ack-channel datagrams would carry."""
-    h = 0x811C9DC5
-    for v in values:
-        h ^= int(v) & 0xFFFFFFFF
-        h = (h * 0x01000193) & 0xFFFFFFFF
-    return h
+#: The seven checksummed fields, each truncated to 32 bits.
+_CHECKSUMMED = struct.Struct("<7I")
 
 
-@dataclass
+@dataclass(slots=True)
 class AckChannelMessage:
     """Flow-control fields of one would-be TCP packet of a backup.
 
@@ -75,15 +70,19 @@ class AckChannelMessage:
             self.checksum = self._compute_checksum()
 
     def _compute_checksum(self) -> int:
-        return _fletcher_mix(
-            (
-                self.service_ip,
-                self.service_port,
-                self.client_ip,
-                self.client_port,
-                self.seq_next,
-                self.ack,
-                self.epoch,
+        """CRC-32 over the fields' 32-bit truncations — the simulated
+        stand-in for the UDP/IP checksum that real ack-channel datagrams
+        would carry.  It detects every change confined to one field."""
+        m = 0xFFFFFFFF
+        return zlib.crc32(
+            _CHECKSUMMED.pack(
+                self.service_ip & m,
+                self.service_port & m,
+                self.client_ip & m,
+                self.client_port & m,
+                self.seq_next & m,
+                self.ack & m,
+                self.epoch & m,
             )
         )
 

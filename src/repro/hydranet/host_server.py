@@ -57,8 +57,11 @@ class HostServer(Host):
             trace(self.sim, self.name, "bad-tunnel", packet)
             return
         self.tunneled_packets_received += 1
-        if self.kernel.owns_address(inner.dst):
-            self.kernel._deliver_local(inner)
+        kernel = self.kernel
+        # The set probes of owns_address, as in Kernel._route_and_transmit.
+        dst = inner.dst
+        if dst in kernel._nic_addrs or dst in kernel.virtual_addresses:
+            kernel._deliver_local(inner)
         else:
             # Tunnelled to us but no such virtual host (e.g. service was
             # just removed): drop, as the kernel would.

@@ -206,29 +206,17 @@ class Redirector(Router):
             return False
         if entry.fault_tolerant:
             self.packets_multicast += 1
-            targets = list(entry.replicas)
+            targets = entry.replicas
         else:
-            targets = [entry.replicas[0]]
+            targets = entry.replicas[:1]
         self.packets_redirected += 1
         trace(self.sim, self.name, "redirect", packet)
         source = self.interfaces[0].ip if self.interfaces else packet.src
         for target in targets:
-            # Shallow copy per target (replicas must not share the
-            # mutable outer header); built by hand because
-            # dataclasses.replace pays field introspection per call and
-            # this runs once per redirected packet per replica.
-            inner = IPPacket(
-                src=packet.src,
-                dst=packet.dst,
-                protocol=packet.protocol,
-                payload=packet.payload,
-                ttl=packet.ttl,
-                ident=packet.ident,
-                frag_offset=packet.frag_offset,
-                more_fragments=packet.more_fragments,
-                dont_fragment=packet.dont_fragment,
-                original_payload_size=packet.original_payload_size,
-            )
-            outer = encapsulate(inner, source, target)
-            self.kernel.send_ip(outer)
+            # Every outer header is fresh, but all copies carry the one
+            # intercepted packet: no hop writes an inner header (the
+            # host server's tunnel endpoint only delivers it locally and
+            # the transport stacks only read it).  send_ip only posts,
+            # so the table cannot change under this loop.
+            self.kernel.send_ip(encapsulate(packet, source, target))
         return True

@@ -16,7 +16,7 @@ from .addressing import IPAddress
 from .packet import IP_HEADER_SIZE, IPPacket, Payload, Protocol
 
 
-@dataclass
+@dataclass(slots=True)
 class EncapsulatedPacket(Payload):
     """Payload of an IP-in-IP packet: the complete inner packet."""
 

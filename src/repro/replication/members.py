@@ -42,9 +42,10 @@ PROGRESS_SLACK = 256 * 1024
 class MemberView:
     """One member's reported progress on one connection, in stream
     offsets, with the highest epoch it stamped and when it was last
-    heard."""
+    heard.  ``name`` is the member's address as a string, the
+    straggler tie-break; ``MemberTable.admit`` sets it."""
 
-    __slots__ = ("sent", "deposited", "epoch", "last_msg")
+    __slots__ = ("sent", "deposited", "epoch", "last_msg", "name")
 
     def __init__(self):
         self.sent = 0
@@ -92,6 +93,7 @@ class MemberTable:
             else:
                 view = MemberView()
             views[ip] = view
+            view.name = str(ip)
         view.last_msg = port.sim.now
         return view
 
@@ -183,17 +185,17 @@ class MemberTable:
             for ip, view in self.views.items():
                 s, d = view.sent, view.deposited
                 if straggler is None:
-                    sent, deposited, straggler, least, heard = s, d, ip, s + d, view.last_msg
+                    sent, deposited, straggler, least, slow = s, d, ip, s + d, view
                     continue
                 if s < sent:
                     sent = s
                 if d < deposited:
                     deposited = d
-                if s + d < least or (s + d == least and str(ip) < str(straggler)):
-                    straggler, least, heard = ip, s + d, view.last_msg
+                if s + d < least or (s + d == least and view.name < slow.name):
+                    straggler, least, slow = ip, s + d, view
             if straggler is not None:
                 self.sent, self.deposited = sent, deposited
-                self.straggler, self.last_heard = straggler, heard
+                self.straggler, self.last_heard = straggler, slow.last_msg
             elif state.port.strategy.layout == "star":
                 # Every gating member left the set: the gate would never
                 # open again, so this connection runs ungated.

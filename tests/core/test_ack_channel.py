@@ -2,6 +2,9 @@
 trade-off: lost channel messages cost client retransmissions but never
 correctness."""
 
+from dataclasses import replace
+
+from hypothesis import assume, example, given, strategies as st
 
 from repro.core import ACK_CHANNEL_PORT, AckChannelMessage
 from repro.netsim import IPAddress
@@ -115,8 +118,6 @@ def test_checksum_self_computes_and_validates():
     assert msg.checksum is not None
     assert msg.checksum_valid()
     # A corrupted-in-flight copy keeps the now-stale checksum.
-    from dataclasses import replace
-
     bad = replace(msg, ack=(msg.ack + (1 << 16)) & 0xFFFFFFFF)
     assert not bad.checksum_valid()
     # Re-checksummed (a *lying sender*, not wire corruption): validates.
@@ -124,12 +125,34 @@ def test_checksum_self_computes_and_validates():
     assert relied.checksum_valid()
 
 
+CHECKSUMMED = ("service_ip", "service_port", "client_ip", "client_port", "seq_next", "ack", "epoch")
+#: Field values as callers may pass them: negative (an unset epoch) or
+#: wider than the 32 bits the checksum covers.
+ANY_INT = st.integers(min_value=-(1 << 40), max_value=1 << 40)
+
+
+@given(
+    values=st.tuples(*[ANY_INT] * len(CHECKSUMMED)),
+    field=st.sampled_from(CHECKSUMMED),
+    new=st.integers(min_value=0, max_value=0xFFFFFFFF),
+)
+@example(values=(1 << 33, 80, 1, 5555, (1 << 32) + 7, 200, -1), field="epoch", new=0)
+@example(values=(0, 80, 1, 5555, 100, 200, -3), field="seq_next", new=(1 << 32) - 1)
+def test_checksum_catches_any_change_to_one_field(values, field, new):
+    msg = AckChannelMessage(*values)
+    assert msg.checksum_valid()
+    # A different 32-bit value: the checksum covers truncations only.
+    assume(new != getattr(msg, field) & 0xFFFFFFFF)
+    corrupted = replace(msg, **{field: new})
+    assert not corrupted.checksum_valid()
+    # ``checksum=None`` recomputes: the changed message validates.
+    assert replace(corrupted, checksum=None).checksum_valid()
+
+
 def test_corrupt_messages_dropped_before_dispatch(testbed):
     """A report whose checksum does not cover its fields is dropped at
     the endpoint — neither the connection state nor the monitors ever
     see the bogus watermarks."""
-    from dataclasses import replace
-
     conn = testbed.connect()
     conn.on_established = lambda: conn.send(b"c" * 5000)
     testbed.run_for(2.0)

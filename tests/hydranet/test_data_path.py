@@ -72,3 +72,59 @@ def test_only_tcp_segments_meet_the_fence_then_the_monitor(monkeypatch):
             ("forward", 2),
         ]
         assert system.sim.invariants.violations == []
+
+
+def test_every_replica_receives_the_intercepted_packet_unchanged(monkeypatch):
+    """The redirector encapsulates the packet it intercepted for every
+    target, without a per-target copy: each replica's inner packet *is*
+    that packet, and no hop wrote its header."""
+    from repro.apps.echo import EchoStream, echo_server_factory
+    from repro.hydranet import HostServer
+
+    intercepted = {}  # id -> (packet, header at interception)
+    delivered = []  # (host server, inner packet)
+
+    def header(packet):
+        return (
+            packet.src,
+            packet.dst,
+            packet.ttl,
+            packet.ident,
+            packet.frag_offset,
+            packet.more_fragments,
+            packet.wire_size,
+        )
+
+    redirect = Redirector._redirect_hook
+    tunnel_endpoint = HostServer._tunnel_endpoint
+
+    def spy_redirect(self, packet, nic):
+        seen = header(packet)
+        consumed = redirect(self, packet, nic)
+        if consumed and packet.dst == service_ip:
+            intercepted[id(packet)] = (packet, seen)
+        return consumed
+
+    def spy_tunnel(self, packet):
+        delivered.append((self, packet.payload.inner))
+        return tunnel_endpoint(self, packet)
+
+    # Patched before the build: kernels hold the bound methods.
+    monkeypatch.setattr(Redirector, "_redirect_hook", spy_redirect)
+    monkeypatch.setattr(HostServer, "_tunnel_endpoint", spy_tunnel)
+    with build_ft_system(n_backups=2, factory=echo_server_factory, port=7) as system:
+        service_ip = as_address(system.service_ip)
+        stream = EchoStream(system.client_node, system.service_ip, 7, total_bytes=8192)
+        system.run_for(10.0)
+        assert bytes(stream.received) == bytes(stream.sent)
+        assert intercepted
+        copies = {}  # id of an intercepted packet -> the servers it reached
+        for server, inner in delivered:
+            if inner.dst == service_ip:
+                packet, _ = intercepted.get(id(inner), (None, None))
+                assert inner is packet
+                copies.setdefault(id(inner), []).append(server.name)
+        for key, (packet, seen) in intercepted.items():
+            # One tunnelled copy per replica, all carrying this packet.
+            assert sorted(copies[key]) == ["hs_0", "hs_1", "hs_2"]
+            assert header(packet) == seen

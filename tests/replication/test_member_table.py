@@ -106,6 +106,23 @@ def test_min_and_straggler_with_the_string_tie_break():
     assert state.pushed[-1] == (True, 101, 100)
 
 
+@pytest.mark.parametrize("order", [(A, B), (B, A)])
+def test_equal_progress_straggler_is_the_lesser_address_string(order):
+    state = star(*order)
+    state.report(A, 40, 60)
+    state.report(B, 60, 40)
+    # String order, not numeric: "10.0.0.10" < "10.0.0.9".
+    assert state.members.straggler == B
+
+
+def test_chain_view_taken_over_by_admit_takes_the_new_address_string():
+    state = FakeState(star=False)
+    state.report(C, 100, 80)
+    view = state.members.admit(state, B)
+    assert list(state.members.views) == [B]
+    assert view.name == "10.0.0.10"
+
+
 def test_implausible_report_names_its_sender():
     state = star(A, B)
     state.report(A, 10, 10)
