@@ -26,10 +26,21 @@ if TYPE_CHECKING:
     from repro.core.ft_tcp import FtConnectionState, FtPort
     from repro.netsim.packet import IPPacket, TCPSegment
 
-#: Per-connection cap on the canonical stream kept by
+#: Per-connection cap on the canonical stream of
 #: :class:`StreamIntegrityMonitor`; beyond it only the length is
-#: tracked (prefix equality of the overflow cannot be checked).
+#: tracked (prefix equality of the overflow cannot be checked).  No
+#: copy of the stream is kept, so the cap bounds no memory: it stays
+#: so that :meth:`StreamIntegrityMonitor.digest` stays byte-identical.
+#: A second limit: a replica that stops for good partway through a
+#: *closed* chunk leaves what it deposited of that chunk unchecked (it
+#: is checked by digest only when it completes the chunk, and an exact
+#: check of a replica stalled 1 MB behind cannot be bounded).
 STREAM_CAP = 4 * 1024 * 1024
+
+#: The stream-integrity monitor's chunk: per connection it keeps the raw
+#: bytes of the one open chunk, a running sha256 over the closed ones
+#: and the prefix digest at each closed chunk boundary.
+CHUNK = 16 * 1024
 
 
 @dataclass
@@ -53,18 +64,34 @@ class InvariantViolationError(AssertionError):
 class _ConnRecord:
     """What the monitors keep per connection state, hung off
     ``state.monitor`` by the first hook that needs it: the key
-    violations print (formatted once), and the monitors' independent
+    violations print (formatted once), the monitors' independent
     record of what the connection's successor has reported, recomputed
-    from raw wire values."""
+    from raw wire values, this replica's place in the connection's
+    client stream, and its output-liveness stall episode."""
 
-    __slots__ = ("key", "sent_upto", "deposited_upto", "reports")
+    __slots__ = (
+        "key", "sent_upto", "deposited_upto",
+        "stream_at", "stream_hash", "next_replica", "replica_key", "stall",
+    )
 
     def __init__(self, state: "FtConnectionState"):
         port, conn = state.port, state.conn
         self.key = (str(port.service_ip), port.port, str(conn.remote_ip), conn.remote_port)
         self.sent_upto = 0
         self.deposited_upto = 0
-        self.reports = 0
+        #: How far this replica has deposited; -1 until its first
+        #: deposit links it into its stream's replica chain.
+        self.stream_at = -1
+        #: sha256 of this replica's deposits ``[0, stream_at)``, only
+        #: while it lags behind a closed chunk (see ``_Stream``).
+        self.stream_hash = None
+        #: The next replica record of the same stream.
+        self.next_replica = None
+        #: ``(key, replica ip)``, formatted by the first deposit.
+        self.replica_key = None
+        #: ``[first blocked tick, already reported, marks]`` while this
+        #: connection is blocked on its successor (output liveness).
+        self.stall = None
 
 
 def _record(state: "FtConnectionState") -> _ConnRecord:
@@ -210,56 +237,154 @@ class SinglePrimaryMonitor(_Monitor):
         )
 
 
+class _Stream:
+    """One connection's canonical client stream, as the monitor keeps
+    it: the raw bytes of the open chunk, one running sha256 over the
+    closed chunks and the sha256 prefix digest at each closed chunk
+    boundary.  A replica still inside a chunk when it closes gets a
+    running hash of its own, seeded from this state then, and is
+    checked at every boundary it crosses afterwards."""
+
+    __slots__ = ("open", "base", "length", "hasher", "marks", "replicas")
+
+    def __init__(self):
+        #: Canonical bytes ``[base, base + len(open))``.
+        self.open = bytearray()
+        #: Where the open chunk starts: the closed chunks' length.
+        self.base = 0
+        #: Longest deposited stream seen on any replica.
+        self.length = 0
+        #: sha256 over ``[0, base)``; made when the first chunk closes.
+        self.hasher = None
+        #: The 32-byte prefix digest at each closed boundary, in order.
+        self.marks = None
+        #: Head of the chain of replica records (``next_replica``).
+        self.replicas = None
+
+    def close_chunks(self) -> None:
+        """Close every full chunk at the front of ``open``: seed each
+        replica still inside it, then fold it into the running hash."""
+        open_ = self.open
+        while len(open_) >= CHUNK:
+            base = self.base
+            hasher = self.hasher
+            if hasher is None:
+                hasher = self.hasher = hashlib.sha256()
+                self.marks = bytearray()
+            record = self.replicas
+            while record is not None:
+                at = record.stream_at
+                if record.stream_hash is None and base <= at < base + CHUNK:
+                    seeded = record.stream_hash = hasher.copy()
+                    seeded.update(open_[: at - base])
+                record = record.next_replica
+            hasher.update(open_[:CHUNK])
+            self.marks += hasher.digest()
+            del open_[:CHUNK]
+            self.base = base + CHUNK
+
+    def check_closed(self, record: _ConnRecord, start: int, data: bytes) -> bool:
+        """Feed the part of one deposit below ``base`` into the
+        replica's running hash, comparing it with the prefix digest at
+        every boundary it completes.  False on a mismatch.  Bytes that
+        do not continue the replica's own hash (its first deposit lands
+        past offset 0 in a closed chunk, or a mismatch already dropped
+        the hash) are not checked."""
+        hasher = record.stream_hash
+        if hasher is None:
+            if start != 0:
+                return True
+            hasher = hashlib.sha256()
+        elif start != record.stream_at:
+            record.stream_hash = None
+            return True
+        stop = min(start + len(data), self.base)
+        pos = start
+        boundary = (start // CHUNK + 1) * CHUNK
+        while boundary <= stop:
+            hasher.update(data[pos - start : boundary - start])
+            mark = (boundary // CHUNK - 1) * 32
+            if hasher.digest() != self.marks[mark : mark + 32]:
+                record.stream_hash = None
+                return False
+            pos = boundary
+            boundary += CHUNK
+        if stop == self.base:
+            record.stream_hash = None  # the rest is compared byte for byte
+        else:
+            hasher.update(data[pos - start :])
+            record.stream_hash = hasher
+        return True
+
+
 class StreamIntegrityMonitor(_Monitor):
     """DESIGN.md §6 ordering: every replica deposits the *same* client
     byte stream — all deposited streams are prefixes of one canonical
-    stream per connection."""
+    stream per connection.  A deposit in the open chunk is compared
+    byte for byte; one in a closed chunk by digest, once that replica
+    completes the chunk (``_Stream``)."""
 
     name = "stream-integrity"
 
     def __init__(self, invset: "InvariantSet"):
         super().__init__(invset)
-        #: client key -> canonical bytes deposited so far (capped).
-        self.canonical: dict[tuple, bytearray] = {}
-        #: client key -> longest deposited stream seen on any replica.
-        self.lengths: dict[tuple, int] = {}
+        #: client key -> its canonical stream.
+        self.streams: dict[tuple, _Stream] = {}
 
     def on_deposit(self, state: "FtConnectionState", start: int, data: bytes) -> None:
-        key = _client_key(state)
-        canon = self.canonical.get(key)
-        if canon is None:
-            canon = self.canonical[key] = bytearray()
+        record = _record(state)
+        key = record.key
+        stream = self.streams.get(key)
+        if stream is None:
+            stream = self.streams[key] = _Stream()
+        if record.stream_at < 0:
+            record.next_replica = stream.replicas
+            stream.replicas = record
         end = start + len(data)
-        overlap_end = min(end, len(canon))
-        if start < overlap_end and bytes(canon[start:overlap_end]) != data[: overlap_end - start]:
+        base = stream.base
+        open_ = stream.open
+        canon_end = base + len(open_)
+        if start < base:
+            same = stream.check_closed(record, start, data)
+            lo = base
+        else:
+            same = True
+            lo = start
+            record.stream_hash = None  # a replica that skipped ahead
+        record.stream_at = end
+        overlap = min(end, canon_end) - lo
+        if same and overlap > 0:
+            same = open_.startswith(data[lo - start : lo - start + overlap], lo - base)
+        if not same:
             self.report(
                 f"replica {state.port.host_server.name} deposited bytes "
                 f"[{start}, {end}) that differ from the canonical stream",
                 key,
             )
-        elif end > len(canon) and len(canon) < STREAM_CAP:
-            if start > len(canon):
+        elif end > canon_end and canon_end < STREAM_CAP:
+            if start > canon_end:
                 # In-order TCP deposits make this unreachable unless the
                 # reassembler itself is broken; record it, don't extend.
                 self.report(
                     f"replica {state.port.host_server.name} deposited at "
-                    f"offset {start}, past the canonical end {len(canon)}",
+                    f"offset {start}, past the canonical end {canon_end}",
                     key,
                 )
             else:
-                canon.extend(data[len(canon) - start :])
-        if end > self.lengths.get(key, 0):
-            self.lengths[key] = end
+                open_ += data[canon_end - start :]
+                if len(open_) >= CHUNK:
+                    stream.close_chunks()
+        if end > stream.length:
+            stream.length = end
 
     def digest(self) -> dict[str, tuple[int, str]]:
         """Per-connection ``(length, sha256)`` of the canonical streams
         — part of the scenario fingerprint."""
         out = {}
-        for key, canon in sorted(self.canonical.items(), key=lambda kv: str(kv[0])):
-            out["/".join(map(str, key))] = (
-                self.lengths.get(key, len(canon)),
-                hashlib.sha256(bytes(canon)).hexdigest(),
-            )
+        for key, stream in sorted(self.streams.items(), key=lambda kv: str(kv[0])):
+            hasher = hashlib.sha256() if stream.hasher is None else stream.hasher.copy()
+            hasher.update(stream.open)
+            out["/".join(map(str, key))] = (stream.length, hasher.hexdigest())
         return out
 
 
@@ -286,7 +411,10 @@ class ProgressTruthfulnessMonitor(_Monitor):
         self.deposited_end: dict[tuple, int] = {}
 
     def on_deposit(self, state: "FtConnectionState", start: int, data: bytes) -> None:
-        key = (_client_key(state), str(state.port.host_server.ip))
+        record = _record(state)
+        key = record.replica_key
+        if key is None:
+            key = record.replica_key = (record.key, str(state.port.host_server.ip))
         end = start + len(data)
         if end > self.deposited_end.get(key, 0):
             self.deposited_end[key] = end
@@ -336,25 +464,29 @@ class OutputLivenessMonitor(_Monitor):
         #: How quiet (seconds) a successor may be and still count as
         #: alive at the moment the stall is judged.
         self.alive_quiet = 2.0
-        #: id(state) -> [first blocked tick, already reported, marks].
-        #: ``marks`` is the successor watermark pair when the clock last
-        #: (re)started: any advance resets the episode, mirroring the
-        #: port's zero-progress degradation criterion — a saturated but
-        #: moving successor is congestion, not a liveness failure.
-        self._stalled: dict[int, list] = {}
 
     def on_liveness_tick(self, port: "FtPort") -> None:
+        """A blocked connection's episode, ``[first blocked tick,
+        already reported, marks]``, hangs on its own record (``stall``),
+        so it goes with the state.  ``marks`` is the successor watermark
+        pair when the clock last (re)started: any advance resets the
+        episode, mirroring the port's zero-progress degradation
+        criterion — a saturated but moving successor is congestion, not
+        a liveness failure."""
         if self.bound is None:
             return
         now = self.invset.sim.now
         for state in port.states.values():
-            key = id(state)
             if state.conn.state == TcpState.CLOSED or not state.blocked_on_successor():
-                self._stalled.pop(key, None)
+                if state.monitor is not None:
+                    state.monitor.stall = None
                 continue
             members = state.members
             marks = (members.sent, members.deposited)
-            entry = self._stalled.setdefault(key, [now, False, marks])
+            record = _record(state)
+            entry = record.stall
+            if entry is None:
+                entry = record.stall = [now, False, marks]
             if entry[2] != marks:
                 entry[0], entry[2] = now, marks
                 continue
@@ -368,7 +500,7 @@ class OutputLivenessMonitor(_Monitor):
                 f"{port.host_server.name} output blocked {stalled_for:.3f}s "
                 f"(bound {self.bound:.3f}s) on live successor "
                 f"{members.straggler}",
-                _client_key(state),
+                record.key,
             )
 
 
@@ -454,7 +586,6 @@ class InvariantSet:
             return
         self.progress_truthfulness.on_claim(state, seq_next, ack, claimant)
         view = self.successor_view(state)
-        view.reports += 1
         sent = seq_diff(seq_next, seq_add(conn.iss, 1))
         deposited = seq_diff(ack, seq_add(conn.irs, 1))
         if sent > view.sent_upto:

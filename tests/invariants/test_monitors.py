@@ -52,8 +52,9 @@ class TestReporting:
 class TestClientKey:
     def test_formatted_once_per_connection_state_then_reused(self, invset, monkeypatch):
         """The monitors' connection key costs two ``IPAddress.__str__``
-        calls the first time a hook needs it and none afterwards; what
-        a violation prints is what it always printed."""
+        calls the first time a hook needs it and none afterwards, the
+        replica's address one call at its first deposit; what a
+        violation prints is what it always printed."""
         from repro.invariants.monitors import _client_key
         from repro.netsim.addressing import IPAddress
 
@@ -69,11 +70,15 @@ class TestClientKey:
         assert key == ("192.20.225.20", 7, "10.0.0.9", 40000)
         assert len(formatted) == 2
         invset.successor_view(state).deposited_upto = 4
+        state.port.host_server.ip = IPAddress("10.0.0.3")
         for _ in range(3):
             invset.atomicity.on_deposit(state, 0, b"abcde")
             invset.stream_integrity.on_deposit(state, 0, b"abcde")
-        assert len(formatted) == 2
+            invset.progress_truthfulness.on_deposit(state, 0, b"abcde")
+            # The replica's address is formatted by its first deposit, once.
+            assert len(formatted) == 3
         assert _client_key(state) is key
+        assert invset.progress_truthfulness.deposited_end == {(key, "10.0.0.3"): 5}
         assert str(invset.violations[0]) == (
             "[atomicity] t=1.250000 conn=('192.20.225.20', 7, '10.0.0.9', 40000): "
             "deposited stream bytes [0, 5) but the successor only reported 4 deposited"
@@ -231,6 +236,45 @@ class TestOutputLivenessUnit:
         invset.sim.now += 1.0  # now 2.5s since reset, no progress
         invset.output_liveness.on_liveness_tick(port)
         assert invset.violated_monitors() == ["output-liveness"]
+
+    def test_new_state_reusing_an_id_inherits_no_stall_clock(self, invset, monkeypatch):
+        """A state dropped from the table (``FtPort.shutdown``,
+        ``_prune_states``) takes its episode with it: a newcomer that
+        gets the same ``id`` was blocked only since its own first tick."""
+        from repro.invariants import monitors
+
+        monkeypatch.setattr(monitors, "id", lambda obj: 0, raising=False)
+        invset.output_liveness.bound = 2.0
+        port, _ = _liveness_port()
+        invset.output_liveness.on_liveness_tick(port)
+        _, newcomer = _liveness_port()
+        port.states = {("10.0.0.9", 40001): newcomer}  # the old state is gone
+        invset.sim.now += 2.5
+        invset.output_liveness.on_liveness_tick(port)
+        assert invset.violations == []  # blocked for 0 s, not 2.5 s
+        invset.sim.now += 2.5
+        invset.output_liveness.on_liveness_tick(port)
+        assert invset.violated_monitors() == ["output-liveness"]
+
+    def test_new_state_reusing_an_id_inherits_no_reported_flag(self, invset, monkeypatch):
+        """An episode already reported on a dropped state cannot
+        silence the real stall of a newcomer with the same ``id``."""
+        from repro.invariants import monitors
+
+        monkeypatch.setattr(monitors, "id", lambda obj: 0, raising=False)
+        invset.output_liveness.bound = 2.0
+        port, _ = _liveness_port()
+        invset.output_liveness.on_liveness_tick(port)
+        invset.sim.now += 2.5
+        invset.output_liveness.on_liveness_tick(port)
+        assert len(invset.violations) == 1
+        _, newcomer = _liveness_port()
+        port.states = {("10.0.0.9", 40001): newcomer}
+        invset.sim.now += 1.0
+        invset.output_liveness.on_liveness_tick(port)
+        invset.sim.now += 2.5
+        invset.output_liveness.on_liveness_tick(port)
+        assert len(invset.violations) == 2
 
     def test_unblocking_clears_the_episode(self, invset):
         invset.output_liveness.bound = 2.0

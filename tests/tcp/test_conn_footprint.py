@@ -21,6 +21,7 @@ import pytest
 
 from repro.apps.echo import echo_server_factory
 from repro.experiments.testbeds import build_primary_backup
+from repro.invariants import attach_invariants
 from repro.netsim.packet import TCPFlags, TCPSegment
 from repro.netsim.simulator import Timer
 from repro.recovery import RecoveryManager
@@ -233,6 +234,20 @@ def test_replicas_nobody_can_join_from_keep_no_client_stream(strategy):
         held, logs = _held_after_ttcp(run, buflen=1024, nbuf=1024)
         assert held < 64 * 1024  # one retained copy alone would be 1 MiB
         assert all(log.truncated and log.size == 0 for log in logs)
+
+
+@pytest.mark.parametrize("strategy", ["chain", "broadcast"])
+def test_armed_monitors_keep_no_client_stream(strategy):
+    """The stream-integrity monitor checks every replica's deposits
+    against chunk digests and the one chunk still open, not against a
+    copy of the stream (DESIGN.md §11.1)."""
+    with build_primary_backup(n_backups=2, strategy=strategy) as run:
+        invset = attach_invariants(run.owned[0])
+        held, logs = _held_after_ttcp(run, buflen=1024, nbuf=1024)
+        assert held < 64 * 1024  # a copy of the stream alone would be 1 MiB
+        assert invset.violations == [] and invset.stats["deposits"] > 0
+        ((length, _sha),) = invset.stream_integrity.digest().values()
+        assert length == 1024 * 1024
 
 
 @pytest.mark.parametrize("strategy, managed", [("chain", True), ("checkpoint", False)])
